@@ -2,13 +2,17 @@
 
 Scalars are Python ints or ``fractions.Fraction``; polynomial entries are
 ``Poly`` objects in the indeterminate z.  Matrices are immutable after
-construction and all arithmetic is exact.  Mod-p kernels (Gaussian rank,
-mat-vec) are vectorized with numpy int64 and sized so products never
-overflow.
+construction and all arithmetic is exact.  The mod-p kernels are exact too.
+The mat-vec runs on numpy int64 in column chunks sized so that partial sums
+stay below 2^62.  Gaussian rank is blocked elimination on float64 whose
+products are BLAS GEMMs: residues are centred in (-p/2, p/2], so a product
+with inner dimension nb is exact while nb * ((p-1)/2)^2 + p < 2^53 (see
+``_panel_plan``).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -593,9 +597,10 @@ DEFAULT_PRIME_BITS = 25
 def random_prime(rng: random.Random | None = None, bits: int = DEFAULT_PRIME_BITS) -> int:
     """Random prime with the given bit length.
 
-    The default 25-bit size keeps p^2 far below 2^63 so the elimination and
-    mat-vec kernels can run on int64 with delayed reduction.  Bits above 31
-    are rejected: they would overflow the vectorized kernels.
+    At the default 25 bits the float64 rank kernel runs its widest panels,
+    nb = 32 columns under nb * ((p-1)/2)^2 + p < 2^53, and the int64 mat-vec
+    keeps its partial sums far below 2^63.  Bits above 31 are rejected: the
+    kernels need products of two residues to stay below 2^62.
     """
     if not 8 <= bits <= 31:
         raise ValueError("prime bits must be in [8, 31]")
@@ -622,7 +627,7 @@ class ModMatrix:
     @classmethod
     def from_exact(cls, m: ExactMatrix, p: int) -> "ModMatrix":
         if m.all_int():
-            return cls(m.as_int_array() % p, p)
+            return cls(m.as_int_array(), p)
         rows = np.zeros((m.nrows, m.ncols), dtype=np.int64)
         for i, row in enumerate(m.data):
             for j, x in enumerate(row):
@@ -644,48 +649,198 @@ class ModMatrix:
         return _matvec_mod(self.array, x, self.p)
 
 
+_FLOAT_EXACT = 1 << 53   # float64 holds every integer of smaller magnitude
+_PANEL_MAX = 32
+_LIMB = 1 << 16
+_CHUNK_ENTRIES = 1 << 16  # entries per row chunk of the Schur update (512 kB)
+
+
+def _panel_plan(p: int) -> tuple[int, int]:
+    """Panel width nb and limb base of the float64 elimination mod p.
+
+    Every product of the elimination subtracts lmat @ u, inner dimension at
+    most nb and operands centred (|x| <= p // 2), from entries with |x| <= p.
+    That is exact in float64 when nb * (p // 2)**2 + p < 2^53, which gives
+    nb = 32 for all primes below 2^25.  Where no nb >= 1 fits (p above about
+    2^27.5), u is split into limbs hi * 2^16 + lo and the product takes two
+    GEMMs; the returned base is then 2^16, otherwise 0.
+    """
+    h = p // 2
+    nb = (_FLOAT_EXACT - 1 - p) // (h * h)
+    if nb >= 1:
+        return min(nb, _PANEL_MAX), 0
+    # |L @ hi| <= nb*h*(h/B + 1) before its reduction; afterwards the entry
+    # takes p + p*B from the high limb and nb*h*B/2 from the low one.
+    nb = min((_FLOAT_EXACT - 1) // (h * (h // _LIMB + 1)),
+             (_FLOAT_EXACT - 1 - p * (_LIMB + 1)) // (h * (_LIMB // 2)))
+    return min(nb, _PANEL_MAX), _LIMB
+
+
+def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """x -= p * rint(x / p) in place, with x / p taken as x * (1 / p).
+
+    For integral |x| < 2^53 this leaves |x| <= (p + 3) / 2 <= p.  For |x| <= p
+    the quotient is off by less than 1 / (2p), so x becomes the centred
+    residue, |x| <= p // 2.
+    """
+    np.multiply(x, 1.0 / p, out=scratch)
+    np.rint(scratch, out=scratch)
+    scratch *= p
+    x -= scratch
+
+
+def _limbs(u: np.ndarray, base: int):
+    """(limb, scale) pairs with u = sum of limb * (scale or 1)."""
+    if not base:
+        return ((u, 0),)
+    lo = u - base * np.rint(u / base)
+    return (((u - lo) / base, base), (lo, 0))
+
+
+def _sub_product(dst, lmat, limbs, p, scratch) -> None:
+    """dst -= lmat @ u and reduce mod p, with u given by its limbs.
+
+    Exact for centred operands and |dst| <= p under the bounds of
+    ``_panel_plan``; each high-limb product is reduced before it is scaled.
+    ``scratch`` holds two arrays of dst's shape.
+    """
+    prod, spare = scratch
+    for limb, scale in limbs:
+        np.matmul(lmat, limb, out=prod)
+        if scale:
+            _reduce(prod, p, spare)
+            prod *= scale
+        dst -= prod
+    _reduce(dst, p, prod)
+
+
+def _sub_centred(dst, lmat, u, p, base, buf) -> None:
+    """dst -= lmat @ u, left as centred residues (a small operand's update)."""
+    scratch = _scratch(buf, dst.shape)
+    _sub_product(dst, lmat, _limbs(u, base), p, scratch)
+    _reduce(dst, p, scratch[0])
+
+
+def _scratch(buf: np.ndarray, shape) -> np.ndarray:
+    """Two arrays of the given shape carved from the front of buf."""
+    return buf[:, :math.prod(shape)].reshape(2, *shape)
+
+
+def _swap_rows(a: np.ndarray, i: int, j: int, tmp: np.ndarray) -> None:
+    tmp[:] = a[i]
+    a[i] = a[j]
+    a[j] = tmp
+
+
 def _rank_kernel(a: np.ndarray, p: int) -> int:
-    """Row reduction over GF(p) with delayed reduction (entries stay int64-safe)."""
-    a = np.array(a, dtype=np.int64) % p
+    """Rank of a reduced matrix over GF(p) by right-looking blocked elimination.
+
+    Works on one float64 copy of ``a``.  Each panel of nb columns is factored
+    with row pivoting and column skipping.  The pivot rows get their trailing
+    part U12 by forward substitution, and the rows whose multipliers L21 are
+    not all zero get the Schur update L21 @ U12.  Every product is a float64
+    GEMM that ``_panel_plan`` keeps exact, followed by a reduction mod p.
+    """
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    slack = max(1, _INT64_SAFE // (p * p))
-    since = 0
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        if since >= slack:
-            a[r:] %= p
-            since = 0
-        col = a[r:, c] % p
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        piv = int(nz[0]) + r
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r, c:] %= p
-        inv = pow(int(a[r, c]), -1, p)
-        row = (a[r, c:] * inv) % p
-        a[r, c:] = row
-        if r + 1 < m:
-            factors = a[r + 1:, c] % p
-            idx = np.flatnonzero(factors)
-            if idx.size:
-                sub = a[r + 1:, c:]
-                if idx.size * 2 < sub.shape[0]:
-                    sub[idx] -= factors[idx, None] * row[None, :]
-                else:
-                    sub -= factors[:, None] * row[None, :]
-                since += 1
-        r += 1
+    nb, base = _panel_plan(p)
+    w = a.astype(np.float64)
+    tmp = np.empty(n)
+    buf = np.empty((2, max(_CHUNK_ENTRIES + n, nb * max(m, n))))
+    r = c = 0
+    while r < m and c < n:
+        c1 = min(c + nb, n)
+        k, mult, strict = _factor_panel(w, r, c, c1, p, base, buf, tmp)
+        if k and c1 < n:
+            # U12 = L11^-1 T = T - (I - L11^-1) T
+            u12 = w[r:r + k, c1:].copy()
+            _reduce(u12, p, _scratch(buf, u12.shape)[0])
+            if strict.any():
+                _sub_centred(u12, strict, u12, p, base, buf)
+            _schur_update(w, r + k, c1, mult[:k, k:].T, u12, p, base, buf, tmp)
+        r += k
+        c = c1
     return r
 
 
+def _factor_panel(w, r, c, c1, p, base, buf, tmp):
+    """Eliminate columns [c, c1) below row r, left-looking (Crout).
+
+    Returns the pivot count k, the multipliers transposed (mult[t, i] is that
+    of row r + i on pivot t) and strict = I - L11^-1.  Column j is brought up
+    to date with the k pivots so far by two products: its pivot-row part
+    becomes U[:k, j] = L11^-1 a_top, its other rows a_bot - L21 @ U[:k, j].
+    The pivots end up in rows r .. r + k - 1; rows of w are swapped past
+    column c1 only, since the panel's own columns are not read again.
+    """
+    # one row per column of the panel; transposing a compact copy is faster
+    pt = w[r:, c:c1].copy().T.copy()
+    _reduce(pt, p, _scratch(buf, pt.shape)[0])
+    bw, rows = pt.shape
+    mult = np.zeros_like(pt)
+    strict = np.zeros((bw, bw))
+    k = 0
+    for j in range(bw):
+        top = pt[j, :k].copy()
+        if strict[:k, :k].any() and top.any():
+            _sub_centred(top, strict[:k, :k], top, p, base, buf)
+        bot = pt[j, k:].copy()
+        if top.any():
+            _sub_centred(bot, mult[:k, k:].T, top, p, base, buf)
+        nz = np.flatnonzero(bot)
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            # the rows before nz[0] are zero here, so nz[1:] stays put
+            piv = k + int(nz[0])
+            pt[:, [k, piv]] = pt[:, [piv, k]]
+            mult[:, [k, piv]] = mult[:, [piv, k]]
+            _swap_rows(w[:, c1:], r + k, r + piv, tmp[:w.shape[1] - c1])
+        if nz.size > 1:
+            f = (bot[nz[1:]].astype(np.int64) * pow(int(bot[nz[0]]), -1, p)) % p
+            mult[k, k + nz[1:]] = np.where(f > p // 2, f - p, f)
+        if k and mult[:k, k].any():
+            # row k of I - L11^-1 is l - l @ (I - L11^-1)[:k, :k], l = L11[k, :k]
+            row = mult[:k, k].copy()
+            _sub_centred(row, mult[:k, k], strict[:k, :k], p, base, buf)
+            strict[k, :k] = row
+        k += 1
+    return k, mult, strict[:k, :k]
+
+
+def _schur_update(w, r0, c1, l21, u12, p, base, buf, tmp) -> None:
+    """w[r0:, c1:] -= l21 @ u12 (mod p) on the rows with nonzero multipliers.
+
+    Those rows are first swapped to the front of the block, so the update
+    runs on contiguous row chunks through the buffer.
+    """
+    live = l21.any(axis=1)
+    q = int(np.count_nonzero(live))
+    if q == 0:
+        return
+    holes = np.flatnonzero(~live[:q])
+    fills = q + np.flatnonzero(live[q:])
+    ncols = w.shape[1] - c1
+    for i, j in zip(holes.tolist(), fills.tolist()):
+        _swap_rows(w[:, c1:], r0 + i, r0 + j, tmp[:ncols])
+        l21[[i, j]] = l21[[j, i]]
+    limbs = _limbs(u12, base)
+    step = max(1, _CHUNK_ENTRIES // ncols)
+    for s in range(0, q, step):
+        e = min(q, s + step)
+        _sub_product(w[r0 + s:r0 + e, c1:], l21[s:e], limbs, p,
+                     _scratch(buf, (e - s, ncols)))
+
+
 def rank_modp(m: ExactMatrix | ModMatrix, p: int) -> int:
-    """Rank over GF(p); always <= the rank over Q, with equality for almost all p."""
+    """Rank over GF(p) of the matrix reduced mod p.
+
+    The error is one-sided: rank mod p <= rank over Q, because a minor that
+    vanishes over Q vanishes mod p.  The rank drops exactly when p divides
+    every nonzero minor of order r, r the rank over Q, so only finitely many
+    primes undershoot.
+    """
     if isinstance(m, ModMatrix):
         if m.p != p:
             raise ValueError("modulus mismatch")

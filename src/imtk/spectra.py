@@ -302,9 +302,10 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
 
     modp mode: multiplicity sum, exact trace, annihilation probes over two
     random primes, and one mod-p rank per distinct eigenvalue (retried with a
-    fresh prime on mismatch).  exact mode additionally compares trace(M^e)
-    with the spectral power sums for e up to the number of distinct
-    eigenvalues (order <= 300).
+    fresh prime on mismatch).  ``report.primes`` lists every prime used: the
+    two shared primes, then the retry primes in eigenvalue order.  exact mode
+    additionally compares trace(M^e) with the spectral power sums for e up to
+    the number of distinct eigenvalues (order <= 300).
 
     The rank route equates geometric and algebraic multiplicities, so the
     matrix must be symmetric unless the caller vouches for diagonalizability
@@ -356,24 +357,33 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
                f"{2 * probes} probes over primes {p1}, {p2}"
                + (f"; failed: {fails}" if fails else ""))
 
-    # multiplicities: rank(M - lambda I) = order - mult(lambda)
+    # multiplicities: rank(M - lambda I) = order - mult(lambda).  Each
+    # eigenvalue draws its retry prime from its own substream, seeded in
+    # eigenvalue order before any worker starts, so the primes do not depend
+    # on how the threads are scheduled.
+    streams = [random.Random(rng.getrandbits(64)) for _ in distinct]
+
     def rank_one(item):
-        val, mult = item
+        (val, mult), stream = item
         want = m.nrows - mult
         got = rank_modp(ModMatrix(_shifted_int_array(arr, val), p1), p1)
+        retry = None
         if got != want:
             # rank mod p can undershoot the rational rank for unlucky primes
-            fresh = random_prime(rng)
-            got = rank_modp(ModMatrix(_shifted_int_array(arr, val), fresh), fresh)
-        return val, mult, want, got
+            retry = random_prime(stream)
+            got = rank_modp(ModMatrix(_shifted_int_array(arr, val), retry), retry)
+        return val, mult, want, got, retry
 
+    items = list(zip(distinct, streams))
     if threads > 1 and len(distinct) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(rank_one, distinct))
+            results = list(pool.map(rank_one, items))
     else:
-        results = [rank_one(item) for item in distinct]
-    for val, mult, want, got in results:
+        results = [rank_one(item) for item in items]
+    for val, mult, want, got, retry in results:
+        if retry is not None:
+            report.primes += (retry,)
         report.add(f"multiplicity[{val}]", got == want,
                    f"rank(M - {val} I) = {got}, expected {want} (mult {mult})")
 

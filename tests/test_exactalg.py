@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imtk.build import A, F, N, U, Utl, W, Wbar, build
 from imtk.combinat import SubsetFamily, binomial, psi
-from imtk.exactalg import (ExactMatrix, ModMatrix, Poly, equiv_check, is_prime,
-                           mat_coeff, mat_eval, mat_inverse, mat_mul,
-                           poly_derive, poly_eval, poly_shift_basis,
-                           random_prime, rank_exact, rank_modp)
+from imtk.exactalg import (_INT64_SAFE, ExactMatrix, ModMatrix, Poly,
+                           _panel_plan, equiv_check, is_prime, mat_coeff,
+                           mat_eval, mat_inverse, mat_mul, poly_derive,
+                           poly_eval, poly_shift_basis, random_prime,
+                           rank_exact, rank_modp)
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +262,107 @@ def test_bareiss_vs_modp_grid_of_built_matrices():
                         continue
                     p = random_prime(rng)
                     assert rank_modp(m, p) == rank_exact(m)
+
+
+# ---------------------------------------------------------------------------
+# blocked float64 elimination against the int64 column-by-column kernel
+
+def _oracle_rank(a, p: int) -> int:
+    """Row reduction over GF(p) with delayed reduction (entries stay int64-safe)."""
+    a = np.array(a, dtype=np.int64) % p
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return 0
+    slack = max(1, _INT64_SAFE // (p * p))
+    since = 0
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        if since >= slack:
+            a[r:] %= p
+            since = 0
+        col = a[r:, c] % p
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        piv = int(nz[0]) + r
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r, c:] %= p
+        inv = pow(int(a[r, c]), -1, p)
+        row = (a[r, c:] * inv) % p
+        a[r, c:] = row
+        if r + 1 < m:
+            factors = a[r + 1:, c] % p
+            idx = np.flatnonzero(factors)
+            if idx.size:
+                sub = a[r + 1:, c:]
+                if idx.size * 2 < sub.shape[0]:
+                    sub[idx] -= factors[idx, None] * row[None, :]
+                else:
+                    sub -= factors[:, None] * row[None, :]
+                since += 1
+        r += 1
+    return r
+
+
+# 8, 25, 26, 27 and 31 bits: wide panels, narrow panels (nb = 8, 13, 2) and
+# the two-limb update (31 bits).
+ORACLE_PRIMES = (131, 251, 16777259, 33554393, 50930041, 67108859, 134217689,
+                 1277389331, 2147483647)
+
+
+@st.composite
+def _low_rank_mod_p(draw):
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    nb = _panel_plan(p)[0]
+    dim = st.one_of(st.integers(0, 70), st.sampled_from((nb - 1, nb, nb + 1)))
+    m, n = draw(dim), draw(dim)
+    rk = draw(st.integers(0, min(m, n)))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # (m x rk) full-range residues times (rk x n) small entries: rank <= rk,
+    # and the int64 product cannot overflow
+    a = gen.integers(0, p, size=(m, rk)) @ gen.integers(-9, 10, size=(rk, n)) % p
+    a = a.reshape(m, n)
+    if m and draw(st.booleans()):
+        a[gen.integers(0, m, size=3)] = 0
+    if n and draw(st.booleans()):
+        a[:, gen.integers(0, n, size=3)] = 0
+    if n and draw(st.booleans()):
+        a[:, gen.integers(0, n)] = p - 1
+    return a, p
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_low_rank_mod_p())
+def test_rank_modp_matches_int64_oracle(case):
+    a, p = case
+    assert rank_modp(ModMatrix(a, p), p) == _oracle_rank(a, p)
+
+
+def test_rank_modp_worst_magnitudes_at_2_31_minus_1():
+    p = 2147483647
+    for shape in ((70, 70), (33, 65), (65, 33), (1, 40)):
+        a = np.full(shape, p - 1, dtype=np.int64)
+        assert rank_modp(ModMatrix(a, p), p) == 1 == _oracle_rank(a, p)
+    # entries at the edges of the centred range, +-(p-1)/2 and (p+1)/2
+    gen = np.random.default_rng(31)
+    a = gen.choice(np.array([p // 2, p // 2 + 1, p - 1, 1]), size=(70, 70))
+    assert rank_modp(ModMatrix(a, p), p) == _oracle_rank(a, p)
+
+
+def test_panel_plan_keeps_the_update_exact():
+    for p in ORACLE_PRIMES + (2, 3, 1000003):
+        nb, base = _panel_plan(p)
+        h = p // 2
+        assert 1 <= nb <= 32
+        if base:
+            assert h * h + p >= 2 ** 53
+            assert nb * h * (h // base + 1) < 2 ** 53
+            assert p * (base + 1) + nb * h * (base // 2) < 2 ** 53
+        else:
+            assert nb * h * h + p < 2 ** 53
+            assert nb == 32 or (nb + 1) * h * h + p >= 2 ** 53
+    assert _panel_plan(33554393) == (32, 0)
+    assert _panel_plan(2147483647)[1] == 2 ** 16

@@ -258,6 +258,36 @@ def test_verify_threaded_path():
     assert rep.ok and len(rep.checks) >= 4
 
 
+def _unlucky_case(seed):
+    """A correct claim whose shifted ranks both drop mod the first prime.
+
+    verify_spectrum draws its first prime before anything else, so with
+    p1 = random_prime(Random(seed)) the matrix diag(1, 1 + p1) has
+    rank(M - 1 I) = rank(M - (1 + p1) I) = 1 over Q but 0 mod p1.
+    """
+    from imtk.exactalg import random_prime
+    p1 = random_prime(random.Random(seed))
+    m = ExactMatrix([[1, 0], [0, 1 + p1]])
+    return m, SpectrumSpec(((1, 1), (1 + p1, 1)), 0, 2), p1
+
+
+def test_verify_records_retry_primes():
+    m, spec, p1 = _unlucky_case(RNG_SEED)
+    rep = verify_spectrum(m, spec, rng=random.Random(RNG_SEED))
+    assert rep.ok
+    assert rep.primes[0] == p1 and len(rep.primes) == 4
+    assert len(set(rep.primes)) == 4
+    assert rep.to_dict()["primes"] == list(rep.primes)
+
+
+def test_verify_report_does_not_depend_on_threads():
+    m, spec, _ = _unlucky_case(RNG_SEED)
+    reports = [verify_spectrum(m, spec, rng=random.Random(RNG_SEED),
+                               threads=threads).to_dict() for threads in (1, 2)]
+    assert len(reports[0]["primes"]) == 4
+    assert reports[0] == reports[1]
+
+
 def test_float_crosscheck_order_limit():
     n = 250
     spec = SpectrumSpec(((1, n),), 0, n)
