@@ -9,11 +9,9 @@ Bose-Mesner bases.
 from .build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y,
                     block_decompose, build, row_support_formula)
 from .combinat import (SubsetFamily, binomial, falling_factorial, psi,
-                       rank_subset, stirling1, stirling2, unrank_subset, xi)
-from .exactalg import (ExactMatrix, ModMatrix, Poly, equiv_check, mat_add,
-                       mat_coeff, mat_eval, mat_inverse, mat_mul, mat_scale,
-                       mat_sub, mat_transpose, poly_derive, poly_eval,
-                       poly_shift_basis, random_prime, rank_exact, rank_modp)
+                       stirling1, stirling2, xi)
+from .exactalg import (ExactMatrix, ModMatrix, Poly, equiv_check, mat_inverse,
+                       mat_mul, random_prime, rank_exact, rank_modp)
 from .opcalc import (L, OperatorExpr, identity_op, op_apply, op_compose, zD,
                      zD_falling, zD_power, zD_shifted_falling)
 from .scheme import (SchemeBasis, basis_convert, conversion_matrix,
@@ -29,11 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "A", "F", "MatrixKind", "N", "U", "Uge", "Utl", "W", "Wbar", "X", "Y",
     "block_decompose", "build", "row_support_formula",
-    "SubsetFamily", "binomial", "falling_factorial", "psi", "rank_subset",
-    "stirling1", "stirling2", "unrank_subset", "xi",
-    "ExactMatrix", "ModMatrix", "Poly", "equiv_check", "mat_add", "mat_coeff",
-    "mat_eval", "mat_inverse", "mat_mul", "mat_scale", "mat_sub",
-    "mat_transpose", "poly_derive", "poly_eval", "poly_shift_basis",
+    "SubsetFamily", "binomial", "falling_factorial", "psi",
+    "stirling1", "stirling2", "xi",
+    "ExactMatrix", "ModMatrix", "Poly", "equiv_check", "mat_inverse", "mat_mul",
     "random_prime", "rank_exact", "rank_modp",
     "L", "OperatorExpr", "identity_op", "op_apply", "op_compose", "zD",
     "zD_falling", "zD_power", "zD_shifted_falling",

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .combinat import SubsetFamily, binomial, psi, xi, xi_at_minus1
 from .exactalg import ExactMatrix, Poly
 
-_SCALAR_TAGS = {"W", "Wbar", "U", "Uge", "A", "N", "Utl"}
-_ALL_TAGS = _SCALAR_TAGS | {"F", "X", "Y"}
+_ALL_TAGS = {"W", "Wbar", "U", "Uge", "A", "N", "Utl", "F", "X", "Y"}
 
 
 @dataclass(frozen=True)
@@ -210,43 +210,46 @@ def _y_entry(theta: int, t: int, k: int, l: int) -> Fraction:
     return binomial(theta, l) * xi_at_minus1(theta - l, t - l, k - l)
 
 
-def _int_entry_table(kind: MatrixKind, theta_max: int) -> list[int]:
-    tag = kind.tag
+@lru_cache(maxsize=256)
+def _entry_table(kind: MatrixKind) -> ExactMatrix:
+    """One row: the entry of ``kind`` at each theta = 0 .. min(row, column size)."""
+    return ExactMatrix([_entries(kind)])
+
+
+def _entries(kind: MatrixKind) -> list:
+    tag, thetas = kind.tag, range(min(kind.row_size, kind.col_size) + 1)
     if tag == "W":
-        return [1 if th == kind.s else 0 for th in range(theta_max + 1)]
+        return [1 if th == kind.s else 0 for th in thetas]
     if tag == "Wbar":
-        return [1 if th == 0 else 0 for th in range(theta_max + 1)]
+        return [1 if th == 0 else 0 for th in thetas]
     if tag == "U":
-        return [1 if th == kind.l else 0 for th in range(theta_max + 1)]
+        return [1 if th == kind.l else 0 for th in thetas]
     if tag == "Uge":
-        return [1 if th >= kind.l else 0 for th in range(theta_max + 1)]
+        return [1 if th >= kind.l else 0 for th in thetas]
     if tag == "A":
-        return [binomial(th, kind.i) for th in range(theta_max + 1)]
+        return [binomial(th, kind.i) for th in thetas]
     if tag == "N":
-        return [binomial(th - 1, kind.t) for th in range(theta_max + 1)]
+        return [binomial(th - 1, kind.t) for th in thetas]
     if tag == "Utl":
-        return [_utl_entry(th, kind.t, kind.l) for th in range(theta_max + 1)]
-    raise AssertionError(tag)
+        return [_utl_entry(th, kind.t, kind.l) for th in thetas]
+    if tag == "F":
+        return [psi(th, kind.effective_t()) for th in thetas]
+    if tag == "X":
+        return [xi(th, kind.t, kind.k) for th in thetas]
+    return [_y_entry(th, kind.t, kind.k, kind.l) for th in thetas]
 
 
 def build(kind: MatrixKind) -> ExactMatrix:
-    """Construct the matrix for ``kind`` entrywise from its theta formula."""
+    """Construct the matrix for ``kind`` entrywise from its theta formula.
+
+    The entries per theta form a one-row coefficient table; indexing its
+    columns by the theta matrix gives the coefficient stack of the result.
+    """
     kind.validate()
-    rf, cf = kind.row_family, kind.col_family
     theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
-    theta_max = min(kind.row_size, kind.col_size)
-    if kind.tag in _SCALAR_TAGS:
-        tbl = np.array(_int_entry_table(kind, theta_max), dtype=np.int64)
-        return ExactMatrix.from_int_array(tbl[theta], rf, cf)
-    if kind.tag == "F":
-        t = kind.effective_t()
-        tbl = [psi(th, t) for th in range(theta_max + 1)]
-    elif kind.tag == "X":
-        tbl = [xi(th, kind.t, kind.k) for th in range(theta_max + 1)]
-    else:  # Y
-        tbl = [_y_entry(th, kind.t, kind.k, kind.l) for th in range(theta_max + 1)]
-    data = [[tbl[th] for th in row] for row in theta.tolist()]
-    return ExactMatrix(data, rf, cf)
+    table = _entry_table(kind)
+    return ExactMatrix(table.stack[:, 0].take(theta, axis=1), kind.row_family,
+                       kind.col_family, table.den)
 
 
 def row_support_formula(t: int, l: int, s: int, k: int, v: int) -> int:

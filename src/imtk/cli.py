@@ -12,10 +12,11 @@ import json
 import os
 import random
 import sys
+from fnmatch import fnmatch
 from fractions import Fraction
 
 from .build import MatrixKind, build
-from .exactalg import ExactMatrix, Poly, random_prime, rank_modp
+from .exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from .scheme import (conversion_matrix, intersection_p, intersection_r,
                      scheme_basis, verify_scheme_axioms)
 from .spectra import (SpectrumSpec, float_crosscheck, rank_formula,
@@ -54,14 +55,9 @@ def _scalar_from_str(s: str):
 
 
 def _entry_type(m: ExactMatrix) -> str:
-    kind = "integer"
-    for row in m.data:
-        for x in row:
-            if isinstance(x, Poly):
-                return "polynomial"
-            if isinstance(x, Fraction):
-                kind = "rational"
-    return kind
+    if m.max_degree():
+        return "polynomial"
+    return "integer" if m.den == 1 else "rational"
 
 
 _PARAM_FIELDS = ("v", "s", "k", "t", "l", "i")
@@ -154,7 +150,7 @@ def cmd_build(args, rng, threads) -> int:
 def cmd_verify(args, rng, threads) -> int:
     pattern = args.identity
     if pattern not in ("all", "*") and not any(
-            name == pattern or _match(name, pattern) for name in REGISTRY):
+            fnmatch(name, pattern) for name in REGISTRY):
         print(f"error: unknown identity {pattern!r}; known: "
               + ", ".join(sorted(REGISTRY)), file=sys.stderr)
         return EXIT_USAGE
@@ -162,11 +158,6 @@ def cmd_verify(args, rng, threads) -> int:
                        progress=(_progress if args.progress else None))
     print(report.to_text())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
-
-
-def _match(name: str, pattern: str) -> bool:
-    from fnmatch import fnmatch
-    return fnmatch(name, pattern)
 
 
 def _progress(name: str, cases: int) -> None:
@@ -240,9 +231,9 @@ def cmd_rank(args, rng, threads) -> int:
         if not m.all_int():
             raise UsageError("mod-p rank needs an integer matrix kind")
         p = random_prime(rng)
-        computed_rank = rank_modp(m, p)
+        computed_rank = rank_modp(ModMatrix.from_exact(m, p), p)
         p2 = random_prime(rng)
-        second = rank_modp(m, p2)
+        second = rank_modp(ModMatrix.from_exact(m, p2), p2)
         if second != computed_rank:
             computed_rank = max(computed_rank, second)
         print(f"primes: {p}, {p2}")

@@ -46,10 +46,6 @@ class SubsetFamily:
     def __len__(self) -> int:
         return binomial(self.v, self.s)
 
-    @property
-    def size(self) -> int:
-        return binomial(self.v, self.s)
-
     def subsets(self) -> Iterator[tuple[int, ...]]:
         return combinations(range(1, self.v + 1), self.s)
 
@@ -94,14 +90,6 @@ class SubsetFamily:
         co = SubsetFamily(self.v, self.v - self.s)
         full = set(range(1, self.v + 1))
         return [co.rank(tuple(sorted(full - set(sub)))) for sub in self.subsets()]
-
-
-def rank_subset(subset: tuple[int, ...], fam: SubsetFamily) -> int:
-    return fam.rank(subset)
-
-
-def unrank_subset(r: int, fam: SubsetFamily) -> tuple[int, ...]:
-    return fam.unrank(r)
 
 
 @lru_cache(maxsize=None)

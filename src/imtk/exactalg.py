@@ -1,13 +1,20 @@
 """Exact dense linear algebra over rationals and univariate polynomials.
 
-Scalars are Python ints or ``fractions.Fraction``; polynomial entries are
-``Poly`` objects in the indeterminate z.  Matrices are immutable after
-construction and all arithmetic is exact.  The mod-p kernels are exact too.
-The mat-vec runs on numpy int64 in column chunks sized so that partial sums
-stay below 2^62.  Gaussian rank is blocked elimination on float64 whose
-products are BLAS GEMMs: residues are centred in (-p/2, p/2], so a product
-with inner dimension nb is exact while nb * ((p-1)/2)^2 + p < 2^53 (see
-``_panel_plan``).
+A matrix M(z) = (C_0 + C_1 z + ... + C_d z^d) / den is stored as one integer
+coefficient stack C of shape (d+1, rows, cols) and one positive common
+denominator, so integer, rational and polynomial matrices are one type.  The
+form is canonical: trailing zero degrees are trimmed (degree 0 is always
+kept) and den is coprime to the entries taken together.  The stack is numpy
+int64; it holds Python ints (object dtype) only when some |entry| >= 2^62.
+Every operation first bounds the magnitude of its result from its operands'
+and runs in int64 only while that bound is below 2^62, so no int64
+intermediate can wrap.  ``Poly`` remains for scalar polynomials.
+
+The mod-p kernels are exact too.  The mat-vec runs on numpy int64 in column
+chunks sized so that partial sums stay below 2^62.  Gaussian rank is blocked
+elimination on float64 whose products are BLAS GEMMs: residues are centred
+in (-p/2, p/2], so a product with inner dimension nb is exact while
+nb * ((p-1)/2)^2 + p < 2^53 (see ``_panel_plan``).
 """
 
 from __future__ import annotations
@@ -15,12 +22,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .combinat import SubsetFamily
 
 Scalar = int | Fraction
 
@@ -196,286 +200,296 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-Z = Poly((0, 1))
-ONE = Poly((1,))
-
-
-def poly_derive(p: Poly) -> Poly:
-    return Poly._lift(p).derive()
-
-
-def poly_eval(p: Poly, a: Scalar):
-    return Poly._lift(p).eval(a)
-
-
-def poly_shift_basis(p: Poly, c: Scalar) -> list:
-    return Poly._lift(p).shift_basis(c)
-
-
-def _canon_entry(x):
-    """Normalize a matrix entry: constant Poly -> scalar, integral Fraction -> int."""
-    if isinstance(x, Poly):
-        return _canon_scalar(x.constant_value()) if x.is_constant() else x
-    return _canon_scalar(x)
-
-
 # ---------------------------------------------------------------------------
-# integer / rational / polynomial matrix kernels
+# coefficient-stack matrices
 
 _INT64_SAFE = 1 << 62
 
 
-def _int_matmul(a_rows, b_rows, inner: int):
-    """Exact integer matmul; numpy int64 when magnitudes allow, else Python ints."""
-    if inner == 0:
-        return [[0] * (len(b_rows[0]) if b_rows else 0) for _ in a_rows]
-    max_a = max((abs(x) for row in a_rows for x in row), default=0)
-    max_b = max((abs(x) for row in b_rows for x in row), default=0)
-    if max_a and max_b and inner * max_a * max_b < _INT64_SAFE:
-        arr = np.array(a_rows, dtype=np.int64) @ np.array(b_rows, dtype=np.int64)
-        return arr.tolist()
-    bt = list(zip(*b_rows))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a_rows]
+def _dtype(bound: int):
+    """int64 while every value is known to stay below 2^62, else Python ints."""
+    return np.int64 if bound < _INT64_SAFE else object
 
 
-def _scalar_matmul(a_rows, b_rows, inner: int):
-    """Exact matmul of scalar (int/Fraction) matrices via denominator scaling."""
-    da = 1
-    for row in a_rows:
-        for x in row:
-            if isinstance(x, Fraction):
-                da = da * x.denominator // _gcd(da, x.denominator)
-    db = 1
-    for row in b_rows:
-        for x in row:
-            if isinstance(x, Fraction):
-                db = db * x.denominator // _gcd(db, x.denominator)
-    if da == 1 and db == 1:
-        return _int_matmul(a_rows, b_rows, inner)
-    ai = [[int(x * da) for x in row] for row in a_rows]
-    bi = [[int(x * db) for x in row] for row in b_rows]
-    prod = _int_matmul(ai, bi, inner)
-    d = da * db
-    return [[_canon_scalar(Fraction(x, d)) for x in row] for row in prod]
+def _integral(values) -> tuple[list[int], int]:
+    """Integers n_i and the least den > 0 with n_i / den == values[i]."""
+    den = math.lcm(1, *(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _entry(coeffs, den: int):
+    """The canonical int, Fraction or Poly with these coefficients over den."""
+    p = Poly([Fraction(c, den) for c in coeffs] if den != 1 else coeffs)
+    return p if p.degree > 0 else p.constant_value()
+
+
+def _stack_of(rows) -> tuple[np.ndarray, int]:
+    """Coefficient stack and common denominator of nested int/Fraction/Poly rows."""
+    rows = [list(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix data")
+    flat = [x for row in rows for x in row]
+    depth = 1
+    if any(isinstance(x, Poly) for x in flat):
+        depth = max(len(x.coeffs) if isinstance(x, Poly) else 1 for x in flat) or 1
+        flat = [x.coeff(d) if isinstance(x, Poly) else x if d == 0 else 0
+                for d in range(depth) for x in flat]
+    ints, den = _integral(flat)
+    stack = np.array(ints)  # int64 when every value fits
+    if stack.dtype != np.int64:
+        stack = np.array(ints, dtype=object)
+    return stack.reshape(depth, len(rows), ncols), den
+
+
+def _magnitude(stack: np.ndarray) -> int:
+    return max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
+
+
+def _lifted(stack: np.ndarray, dtype, factor: int, depth: int) -> np.ndarray:
+    """factor * stack in dtype, zero-padded to depth degrees."""
+    stack = stack.astype(dtype, copy=False)
+    if factor != 1:
+        stack = stack * factor
+    if len(stack) < depth:
+        stack = np.concatenate((stack, np.zeros((depth - len(stack), *stack.shape[1:]), dtype)))
+    return stack
 
 
 class ExactMatrix:
-    """Dense exact matrix; entries are int, Fraction, or Poly.
+    """Dense exact matrix (C_0 + C_1 z + ... + C_d z^d) / den.
+
+    ``stack`` holds the integer coefficients C, shape (d+1, rows, cols), and
+    is read-only; ``den`` is the positive common denominator.  The form is
+    canonical (see the module docstring), so equal matrices have equal
+    denominators and stacks of equal values.  A matrix is made from nested
+    rows of int / Fraction / Poly entries, or from an integer array of shape
+    (rows, cols) or (d+1, rows, cols) whose entries are divided by ``den``;
+    such an array is kept without a copy and must not be changed afterwards.
+    ``data`` gives the entries back as rows of canonical Python values.
 
     Optionally tagged with the subset families indexing rows and columns;
     tags propagate through arithmetic and are checked on multiplication.
     """
 
-    __slots__ = ("nrows", "ncols", "data", "row_family", "col_family", "_int_cache")
+    __slots__ = ("stack", "den", "row_family", "col_family", "_mag")
 
-    def __init__(self, data: Sequence[Sequence], row_family=None, col_family=None,
-                 _canon: bool = True):
-        rows = [list(r) for r in data]
-        if _canon:
-            rows = [[_canon_entry(x) for x in r] for r in rows]
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix data")
-        self.data = rows
+    def __init__(self, data, row_family=None, col_family=None, den: int = 1):
+        if isinstance(data, np.ndarray):
+            if data.dtype.kind not in "iuO":
+                raise TypeError("coefficient arrays must have an integer dtype")
+            stack = data if data.ndim == 3 else data[None]
+        else:
+            stack, d = _stack_of(data)
+            den *= d
+        if stack.ndim != 3 or not stack.shape[0] or den < 1:
+            raise ValueError("need a (deg+1, rows, cols) stack and den >= 1")
+        depth = stack.shape[0]
+        while depth > 1 and not stack[depth - 1].any():
+            depth -= 1
+        stack = stack[:depth]
+        if stack.dtype != np.int64:
+            stack = stack.astype(object)
+        if den != 1:
+            g = math.gcd(den, int(np.gcd.reduce(stack, axis=None)))
+            if g != 1:
+                stack, den = stack // g, den // g
+        if stack.dtype == object and _magnitude(stack) < _INT64_SAFE:
+            stack = stack.astype(np.int64)
+        stack = stack.view()
+        stack.flags.writeable = False
+        self.stack, self.den, self._mag = stack, den, None
         self.row_family = row_family
         self.col_family = col_family
-        self._int_cache = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                   _canon=False)
+        return cls(np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int, row_family=None, col_family=None) -> "ExactMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], row_family, col_family,
-                   _canon=False)
+        return cls(np.zeros((nrows, ncols), dtype=np.int64), row_family, col_family)
 
     @classmethod
     def ones(cls, nrows: int, ncols: int, row_family=None, col_family=None) -> "ExactMatrix":
-        return cls([[1] * ncols for _ in range(nrows)], row_family, col_family,
-                   _canon=False)
-
-    @classmethod
-    def from_int_array(cls, arr: np.ndarray, row_family=None, col_family=None) -> "ExactMatrix":
-        m = cls(arr.tolist(), row_family, col_family, _canon=False)
-        m._int_cache = np.ascontiguousarray(arr, dtype=np.int64)
-        return m
+        return cls(np.ones((nrows, ncols), dtype=np.int64), row_family, col_family)
 
     # -- basic accessors ----------------------------------------------------
     @property
+    def nrows(self) -> int:
+        return self.stack.shape[1]
+
+    @property
+    def ncols(self) -> int:
+        return self.stack.shape[2]
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+        return self.stack.shape[1:]
+
+    @property
+    def mag(self) -> int:
+        """The largest |entry| of the stack, computed on first use."""
+        if self._mag is None:
+            self._mag = _magnitude(self.stack)
+        return self._mag
+
+    @property
+    def data(self) -> list[list]:
+        """Rows of canonical int / Fraction / Poly entries, made on each access."""
+        if self.stack.shape[0] == 1 and self.den == 1:
+            return self.stack[0].tolist()
+        return [[_entry(c, self.den) for c in row]
+                for row in self.stack.transpose(1, 2, 0).tolist()]
 
     def entry(self, i: int, j: int):
-        return self.data[i][j]
-
-    def row(self, i: int) -> list:
-        return list(self.data[i])
+        return _entry(self.stack[:, i, j].tolist(), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.data == other.data
+        return (self.den == other.den and self.stack.shape == other.stack.shape
+                and bool((self.stack == other.stack).all()))
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
     def is_symmetric(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(self.data[i][j] == self.data[j][i]
-                   for i in range(self.nrows) for j in range(i))
+        return (self.nrows == self.ncols
+                and np.array_equal(self.stack, self.stack.transpose(0, 2, 1)))
 
     def max_degree(self) -> int:
-        d = 0
-        for row in self.data:
-            for x in row:
-                if isinstance(x, Poly) and x.degree > d:
-                    d = x.degree
-        return d
+        return self.stack.shape[0] - 1
 
     def all_int(self) -> bool:
-        return all(isinstance(x, int) for row in self.data for x in row)
+        return self.stack.shape[0] == 1 and self.den == 1
 
     def trace(self):
         if self.nrows != self.ncols:
             raise ValueError("trace of non-square matrix")
-        t = sum(self.data[i][i] for i in range(self.nrows))
-        return _canon_entry(t)
+        diagonal = self.stack.diagonal(axis1=1, axis2=2).tolist()
+        return _entry([sum(d) for d in diagonal], self.den)
 
     def as_int_array(self) -> np.ndarray:
-        """int64 view of an integer matrix; raises on non-int or oversized entries."""
-        if self._int_cache is not None:
-            return self._int_cache
-        for row in self.data:
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("matrix has non-integer entries")
-                if abs(x) >= _INT64_SAFE:
-                    raise OverflowError("entry exceeds int64-safe range")
-        arr = np.array(self.data, dtype=np.int64) if self.nrows else np.zeros((0, self.ncols), dtype=np.int64)
-        self._int_cache = arr
-        return arr
+        """The stored int64 array of an integer matrix, not copied (read-only).
+
+        Raises TypeError on non-integer entries and OverflowError when an entry
+        has |x| >= 2^62.
+        """
+        if not self.all_int():
+            raise TypeError("matrix has non-integer entries")
+        if self.mag >= _INT64_SAFE:
+            raise OverflowError("entry exceeds int64-safe range")
+        return self.stack[0]
 
     # -- arithmetic ---------------------------------------------------------
-    def map_entries(self, f) -> "ExactMatrix":
-        return ExactMatrix([[f(x) for x in row] for row in self.data],
-                           self.row_family, self.col_family)
-
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
-        return ExactMatrix([row[c0:c1] for row in self.data[r0:r1]], _canon=False)
+        return ExactMatrix(self.stack[:, r0:r1, c0:c1], den=self.den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([list(col) for col in zip(*self.data)] if self.data else
-                           [[] for _ in range(self.ncols)],
-                           self.col_family, self.row_family, _canon=False)
+        return ExactMatrix(self.stack.transpose(0, 2, 1), self.col_family,
+                           self.row_family, self.den)
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return ExactMatrix([[x + y for x, y in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)],
-                           self.row_family or other.row_family,
-                           self.col_family or other.col_family)
+        den = math.lcm(self.den, other.den)
+        depth = max(self.stack.shape[0], other.stack.shape[0])
+        dtype = _dtype(self.mag * (den // self.den) + other.mag * (den // other.den))
+        a, b = (_lifted(m.stack, dtype, den // m.den, depth) for m in (self, other))
+        return ExactMatrix(a + b, self.row_family or other.row_family,
+                           self.col_family or other.col_family, den)
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return ExactMatrix([[x - y for x, y in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)],
-                           self.row_family or other.row_family,
-                           self.col_family or other.col_family)
+        return self + (-other)
 
     def __neg__(self):
-        return self.map_entries(lambda x: -x)
+        return ExactMatrix(-self.stack.astype(_dtype(self.mag), copy=False),
+                           self.row_family, self.col_family, self.den)
+
+    def along_degrees(self, t) -> "ExactMatrix":
+        """The matrix whose degree-i coefficient is sum_j t[i][j] C_j.
+
+        t is a rational matrix with one column per degree of self.  Products
+        by a scalar or a Poly, evaluation, coefficient extraction, derivatives
+        and changes of polynomial basis are all maps of this form.
+        """
+        width = self.stack.shape[0]
+        ints, den = _integral([x for row in t for x in row])
+        bound = self.mag * max(sum(map(abs, ints[i:i + width]))
+                               for i in range(0, len(ints), width))
+        dtype = _dtype(bound)
+        _, nr, nc = self.stack.shape
+        flat = self.stack.astype(dtype, copy=False).reshape(width, nr * nc)
+        out = np.array(ints, dtype=dtype).reshape(len(t), width) @ flat
+        return ExactMatrix(out.reshape(len(t), nr, nc), self.row_family,
+                           self.col_family, den * self.den)
 
     def scale(self, c) -> "ExactMatrix":
-        return self.map_entries(lambda x: x * c if not isinstance(c, Poly) else c * Poly._lift(x))
+        """c * M for an int, Fraction or Poly c (a convolution over degrees)."""
+        cs = (c.coeffs if isinstance(c, Poly) else (c,)) or (0,)
+        width = self.stack.shape[0]
+        return self.along_degrees([[cs[i - j] if 0 <= i - j < len(cs) else 0
+                                    for j in range(width)]
+                                   for i in range(width + len(cs) - 1)])
 
     def __matmul__(self, other):
         return mat_mul(self, other)
 
     def eval_at(self, a: Scalar) -> "ExactMatrix":
-        return self.map_entries(lambda x: x.eval(a) if isinstance(x, Poly) else x)
+        """M(a) = sum_j C_j a^j / den, for an int or Fraction a."""
+        return self.along_degrees([[Fraction(a) ** j for j in range(self.stack.shape[0])]])
 
     def coeff_matrix(self, i: int) -> "ExactMatrix":
-        def pick(x):
-            if isinstance(x, Poly):
-                return x.coeff(i)
-            return x if i == 0 else 0
-        return self.map_entries(pick)
+        """The coefficient of z^i, zero beyond the degree."""
+        return self.along_degrees([[int(j == i) for j in range(self.stack.shape[0])]])
 
+    def derive(self) -> "ExactMatrix":
+        """Entrywise d/dz."""
+        width = self.stack.shape[0]
+        return self.along_degrees([[j if j == i + 1 else 0 for j in range(width)]
+                                   for i in range(max(width - 1, 1))])
 
-def mat_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a + b
+    def shift_basis(self, c: Scalar) -> "ExactMatrix":
+        """Taylor coefficients at c: degree l holds A_l with M = sum_l A_l (z - c)^l."""
+        width = self.stack.shape[0]
+        c = Fraction(c)
+        return self.along_degrees([[math.comb(j, l) * c ** (j - l) if j >= l else 0
+                                    for j in range(width)] for l in range(width)])
 
-
-def mat_sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a - b
-
-
-def mat_scale(a: ExactMatrix, c) -> ExactMatrix:
-    return a.scale(c)
-
-
-def mat_transpose(a: ExactMatrix) -> ExactMatrix:
-    return a.transpose()
-
-
-def mat_eval(a: ExactMatrix, x: Scalar) -> ExactMatrix:
-    return a.eval_at(x)
-
-
-def mat_coeff(a: ExactMatrix, i: int) -> ExactMatrix:
-    return a.coeff_matrix(i)
+    def divexact_linear(self, c: Scalar, e: int = 1) -> "ExactMatrix":
+        """Exact entrywise division by (z - c)^e; raises if any remainder is nonzero."""
+        taylor = self.shift_basis(c)
+        if taylor.stack[:e].any():
+            raise ValueError(f"matrix not divisible by (z - {c})^{e}")
+        rest = taylor.stack[e:] if len(taylor.stack) > e else np.zeros_like(taylor.stack)
+        return ExactMatrix(rest, self.row_family, self.col_family,
+                           taylor.den).shift_basis(-c)
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact product; polynomial matrices multiply by coefficient decomposition."""
+    """Exact product: the sum of C_i D_j over degree pairs, placed at degree i + j.
+
+    All pairs come from one matmul of the stacked coefficient slices.
+    """
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch {a.shape} @ {b.shape}")
     if a.col_family is not None and b.row_family is not None and a.col_family != b.row_family:
         raise ValueError("inner family tags do not match")
-    da, db = a.max_degree(), b.max_degree()
-    if da == 0 and db == 0:
-        rows = _scalar_matmul(a.data, b.data, a.ncols)
-        return ExactMatrix(rows, a.row_family, b.col_family)
-    acoef = [a.coeff_matrix(i).data for i in range(da + 1)]
-    bcoef = [b.coeff_matrix(i).data for i in range(db + 1)]
-    parts = {}
-    for i in range(da + 1):
-        for j in range(db + 1):
-            prod = _scalar_matmul(acoef[i], bcoef[j], a.ncols)
-            if (i + j) in parts:
-                acc = parts[i + j]
-                for r in range(len(prod)):
-                    row_acc, row_p = acc[r], prod[r]
-                    for c in range(len(row_p)):
-                        row_acc[c] += row_p[c]
-            else:
-                parts[i + j] = prod
-    nr, nc = a.nrows, b.ncols
-    out = [[None] * nc for _ in range(nr)]
-    degs = sorted(parts)
-    for r in range(nr):
-        for c in range(nc):
-            out[r][c] = Poly([parts[d][r][c] if d in parts else 0
-                              for d in range(degs[-1] + 1)])
-    return ExactMatrix(out, a.row_family, b.col_family)
+    (da, nr, inner), (db, _, nc) = a.stack.shape, b.stack.shape
+    dtype = _dtype(inner * a.mag * b.mag * min(da, db))
+    left = a.stack.astype(dtype, copy=False).reshape(da * nr, inner)
+    right = b.stack.astype(dtype, copy=False).transpose(1, 0, 2).reshape(inner, db * nc)
+    prod = (left @ right).reshape(da, nr, db, nc).transpose(0, 2, 1, 3)
+    out = np.zeros((da + db - 1, nr, nc), dtype)
+    for i in range(da):
+        out[i:i + db] += prod[i]
+    return ExactMatrix(out, a.row_family, b.col_family, a.den * b.den)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +502,7 @@ def equiv_check(a: ExactMatrix, b: ExactMatrix,
         raise ValueError("shape mismatch")
     if sorted(row_perm) != list(range(a.nrows)) or sorted(col_perm) != list(range(a.ncols)):
         raise ValueError("non-bijective permutation")
-    for i in range(a.nrows):
-        bi = b.data[row_perm[i]]
-        ai = a.data[i]
-        for j in range(a.ncols):
-            if ai[j] != bi[col_perm[j]]:
-                return False
-    return True
+    return a == ExactMatrix(b.stack[:, list(row_perm)][:, :, list(col_perm)], den=b.den)
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +514,9 @@ def rank_exact(m: ExactMatrix) -> int:
     Intended as an oracle for small matrices (entry growth is severe); the
     mod-p kernel handles large orders.
     """
-    den = 1
-    for row in m.data:
-        for x in row:
-            if isinstance(x, Poly):
-                raise TypeError("rank_exact needs scalar entries")
-            if isinstance(x, Fraction):
-                den = den * x.denominator // _gcd(den, x.denominator)
-    a = [[int(x * den) for x in row] for row in m.data]
+    if m.max_degree():
+        raise TypeError("rank_exact needs scalar entries")
+    a = m.stack[0].tolist()  # den * m has the same rank
     nr, nc = m.nrows, m.ncols
     rank = 0
     prev = 1
@@ -626,20 +629,16 @@ class ModMatrix:
 
     @classmethod
     def from_exact(cls, m: ExactMatrix, p: int) -> "ModMatrix":
-        if m.all_int():
-            return cls(m.as_int_array(), p)
-        rows = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-        for i, row in enumerate(m.data):
-            for j, x in enumerate(row):
-                if isinstance(x, Poly):
-                    raise TypeError("polynomial entries have no mod-p reduction here")
-                if isinstance(x, Fraction):
-                    if x.denominator % p == 0:
-                        raise ValueError(f"prime {p} divides a denominator")
-                    rows[i, j] = x.numerator % p * pow(x.denominator, -1, p) % p
-                else:
-                    rows[i, j] = x % p
-        return cls(rows, p)
+        if m.max_degree():
+            raise TypeError("polynomial entries have no mod-p reduction here")
+        if m.den % p == 0:
+            raise ValueError(f"prime {p} divides a denominator")
+        a = m.stack[0]
+        if a.dtype == object:
+            a = (a % p).astype(np.int64)
+        if m.den != 1:
+            a = a % p * pow(m.den, -1, p)
+        return cls(a, p)
 
     @property
     def shape(self):

@@ -159,17 +159,9 @@ def L(s: int, i: int) -> OperatorExpr:
 def op_apply(p: OperatorExpr, m: ExactMatrix) -> ExactMatrix:
     """Apply an operator to a polynomial matrix entrywise.
 
-    Uses the per-degree weights of apply_poly, computed once for the whole
-    matrix.
+    z^r D^r acts diagonally on degrees, so each degree slice of the
+    coefficient stack is scaled by its weight, as in apply_poly.
     """
-    weights = [p._weight(d) for d in range(m.max_degree() + 1)]
-
-    def act(e):
-        e = Poly._lift(e)
-        return Poly([weights[d] * c for d, c in enumerate(e.coeffs)])
-
-    return m.map_entries(act)
-
-
-def apply_poly(p: OperatorExpr, poly: Poly) -> Poly:
-    return p.apply_poly(poly)
+    width = m.max_degree() + 1
+    return m.along_degrees([[p._weight(i) if i == j else 0 for j in range(width)]
+                            for i in range(width)])

@@ -404,7 +404,9 @@ def float_eigenvalues(m: ExactMatrix) -> np.ndarray:
     """Double-precision eigenvalues of a small symmetric matrix, ascending."""
     if m.nrows > FLOAT_CHECK_MAX_ORDER:
         raise ValueError(f"float cross-check limited to order <= {FLOAT_CHECK_MAX_ORDER}")
-    arr = np.array([[float(x) for x in row] for row in m.data])
+    if m.max_degree():
+        raise TypeError("float cross-check needs scalar entries")
+    arr = m.stack[0].astype(float) / m.den
     if not np.allclose(arr, arr.T):
         raise ValueError("float cross-check needs a symmetric matrix")
     return np.linalg.eigvalsh(arr)

@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import opcalc
 from .build import (A, F, N, U, Uge, Utl, W, Wbar, X, Y, block_decompose,
                     build, row_support_formula)
@@ -26,17 +28,21 @@ from .scheme import intersection_p, intersection_r
 # ---------------------------------------------------------------------------
 # small helpers
 
+def _first_difference(lhs: ExactMatrix, rhs: ExactMatrix) -> tuple[int, int]:
+    """Row and column of the first entry, in row-major order, where two
+    unequal matrices of one shape differ."""
+    i, j = np.argwhere((lhs - rhs).stack.any(axis=0))[0]
+    return int(i), int(j)
+
+
 def _cmp(lhs: ExactMatrix, rhs: ExactMatrix) -> str | None:
     """None when equal, else a witness naming the first differing entry."""
     if lhs.shape != rhs.shape:
         return f"shape {lhs.shape} != {rhs.shape}"
     if lhs == rhs:
         return None
-    for i in range(lhs.nrows):
-        for j in range(lhs.ncols):
-            if lhs.data[i][j] != rhs.data[i][j]:
-                return f"entry ({i},{j}): {lhs.data[i][j]!r} != {rhs.data[i][j]!r}"
-    return None
+    i, j = _first_difference(lhs, rhs)
+    return f"entry ({i},{j}): {lhs.entry(i, j)!r} != {rhs.entry(i, j)!r}"
 
 
 def _cmp_poly(lhs: Poly, rhs: Poly, what: str) -> str | None:
@@ -53,7 +59,7 @@ def _scale_zp1(m: ExactMatrix, e: int) -> ExactMatrix:
     """Multiply by (z+1)^e; negative e divides exactly entrywise."""
     if e >= 0:
         return m.scale(_zp1(e))
-    return m.map_entries(lambda x: Poly._lift(x).divexact_linear(-1, -e))
+    return m.divexact_linear(-1, -e)
 
 
 def _lincomb(pairs, shape, families=(None, None)) -> ExactMatrix:
@@ -62,10 +68,6 @@ def _lincomb(pairs, shape, families=(None, None)) -> ExactMatrix:
         if c:
             acc = acc + m.scale(c)
     return acc
-
-
-def _mins(s: int, k: int) -> int:
-    return min(s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ def _dom_isk(v_max):
     for v in range(1, v_max + 1):
         for s in range(v + 1):
             for k in range(v + 1):
-                for i in range(_mins(s, k) + 1):
+                for i in range(min(s, k) + 1):
                     yield {"i": i, "s": s, "k": k, "v": v}
 
 
@@ -169,7 +171,7 @@ def _dom_tsk(v_max):
     for v in range(1, v_max + 1):
         for s in range(v + 1):
             for k in range(v + 1):
-                for t in range(_mins(s, k) + 1):
+                for t in range(min(s, k) + 1):
                     yield {"t": t, "s": s, "k": k, "v": v}
 
 
@@ -180,7 +182,7 @@ def _chk_eq6(t, s, k, v):
     bad = _cmp(build(N(t, s, k, v)), rhs)
     if bad:
         return bad
-    if t == _mins(s, k):
+    if t == min(s, k):
         lhs = build(Wbar(s, k, v))
         return _cmp(lhs, build(N(t, s, k, v)).scale((-1) ** t))
     return None
@@ -201,7 +203,7 @@ def _dom_tlsk(v_max):
     for v in range(1, v_max + 1):
         for s in range(v + 1):
             for k in range(v + 1):
-                for t in range(_mins(s, k) + 1):
+                for t in range(min(s, k) + 1):
                     for l in range(t + 1):
                         yield {"t": t, "l": l, "s": s, "k": k, "v": v}
 
@@ -218,7 +220,7 @@ def _dom_eq16(v_max):
     for v in range(1, v_max + 1):
         for s in range(v + 1):
             for k in range(v + 1):
-                for t in range(_mins(s, k) + 1):
+                for t in range(min(s, k) + 1):
                     for i in range(t + 1):
                         yield {"t": t, "i": i, "s": s, "k": k, "v": v}
 
@@ -235,7 +237,7 @@ def _dom_thm2(v_max):
     for v in range(1, v_max + 1):
         for s in range(v + 1):
             for k in range(v + 1):
-                for t in range(_mins(s, k) + 2):
+                for t in range(min(s, k) + 2):
                     for l in range(t + 1):
                         yield {"t": t, "l": l, "s": s, "k": k, "v": v}
 
@@ -244,26 +246,24 @@ def _dom_thm2(v_max):
 def _chk_thm2_i(t, l, s, k, v):
     # dual route: Taylor coefficients at z = -1 of the built F^t
     got = build(Utl(t, l, s, k, v))
-    fmat = build(F(t, s, k, v))
-    for r in range(got.nrows):
-        for c in range(got.ncols):
-            coeffs = Poly._lift(fmat.data[r][c]).shift_basis(-1)
-            want = coeffs[l] if l < len(coeffs) else 0
-            if got.data[r][c] != want:
-                return f"entry ({r},{c}): built {got.data[r][c]}, Taylor {want}"
-    support_set = {l} | set(range(t + 1, _mins(s, k) + 1))
+    want = build(F(t, s, k, v)).shift_basis(-1).coeff_matrix(l)
+    if got != want:
+        r, c = _first_difference(got, want)
+        return f"entry ({r},{c}): built {got.entry(r, c)}, Taylor {want.entry(r, c)}"
+    support_set = {l} | set(range(t + 1, min(s, k) + 1))
     theta_ok = all(
         (th in support_set) == (((-1) ** (t - l) * binomial(th, l)
                                  * binomial(th - l - 1, t - l)) != 0)
-        for th in range(_mins(s, k) + 1))
+        for th in range(min(s, k) + 1))
     if not theta_ok:
         return "nonzero set differs from {l} u {t+1..min(s,k)}"
-    if l <= t <= _mins(s, k):
+    if l <= t <= min(s, k):
         want_support = row_support_formula(t, l, s, k, v)
-        for r in range(got.nrows):
-            sup = sum(1 for x in got.data[r] if x != 0)
-            if sup != want_support:
-                return f"row {r} support {sup}, formula {want_support}"
+        support = got.stack.any(axis=0).sum(axis=1)
+        bad = np.flatnonzero(support != want_support)
+        if bad.size:
+            r = int(bad[0])
+            return f"row {r} support {support[r]}, formula {want_support}"
     return None
 
 
@@ -284,7 +284,7 @@ def _chk_thm2_ii(t, s, k, v):
 def _chk_thm2_iii(t, l, s, k, v):
     shape = (binomial(v, s), binomial(v, k))
     pairs = [(1, build(U(l, s, k, v)))]
-    for th in range(t + 1, _mins(s, k) + 1):
+    for th in range(t + 1, min(s, k) + 1):
         c = (-1) ** (t - l) * binomial(th, l) * binomial(th - l - 1, t - l)
         pairs.append((c, build(U(th, s, k, v))))
     return _cmp(build(Utl(t, l, s, k, v)), _lincomb(pairs, shape))
@@ -299,7 +299,7 @@ def _dom_l3ii(v_max):
     for v in range(1, v_max + 1):
         for s in range(v + 1):
             for k in range(v + 1):
-                for t in (_mins(s, k), _mins(s, k) + 1, _mins(s, k) + 3):
+                for t in (min(s, k), min(s, k) + 1, min(s, k) + 3):
                     yield {"t": t, "s": s, "k": k, "v": v}
 
 
@@ -378,7 +378,7 @@ def _dom_eq18(v_max):
 def _chk_eq18(a, b, k, v):
     lhs = build(W(a, k, v)) @ build(W(b, k, v)).transpose()
     rhs = _lincomb(((binomial(v - b - a, v - k - n), build(A(n, a, b, v)))
-                    for n in range(_mins(a, b) + 1)),
+                    for n in range(min(a, b) + 1)),
                    (binomial(v, a), binomial(v, b)))
     return _cmp(lhs, rhs)
 
@@ -388,8 +388,8 @@ def _dom_abc(v_max):
         for a in range(v + 1):
             for b in range(v + 1):
                 for c in range(v + 1):
-                    for i in range(_mins(a, b) + 1):
-                        for j in range(_mins(b, c) + 1):
+                    for i in range(min(a, b) + 1):
+                        for j in range(min(b, c) + 1):
                             yield {"a": a, "b": b, "c": c, "i": i, "j": j, "v": v}
 
 
@@ -398,7 +398,7 @@ def _chk_eq19(a, b, c, i, j, v):
     lhs = build(A(i, a, b, v)) @ build(A(j, b, c, v))
     rhs = _lincomb(((binomial(a - n, i - n) * binomial(c - n, j - n)
                      * binomial(v - i - j, b + n - i - j), build(A(n, a, c, v)))
-                    for n in range(_mins(i, j) + 1)),
+                    for n in range(min(i, j) + 1)),
                    (binomial(v, a), binomial(v, c)))
     return _cmp(lhs, rhs)
 
@@ -407,7 +407,7 @@ def _chk_eq19(a, b, c, i, j, v):
 def _chk_eq20(a, b, c, i, j, v):
     lhs = build(U(i, a, b, v)) @ build(U(j, b, c, v))
     pairs = []
-    for l in range(_mins(a, c) + 1):
+    for l in range(min(a, c) + 1):
         coef = sum(binomial(l, n) * binomial(c - l, j - n) * binomial(a - l, i - n)
                    * binomial(v - a - c + l, b - i - j + n) for n in range(l + 1))
         pairs.append((coef, build(U(l, a, c, v))))
@@ -504,7 +504,7 @@ def _dom_p5(v_max):
     for v in range(1, v_max + 1):
         for s in range(1, v + 1):
             for k in range(v + 1):
-                for t in range(_mins(s, k) + 1):
+                for t in range(min(s, k) + 1):
                     yield {"t": t, "s": s, "k": k, "v": v}
 
 
@@ -520,7 +520,7 @@ def _dom_p5p(v_max):
     for v in range(1, v_max + 1):
         for s in range(v + 1):
             for k in range(1, v + 1):
-                for t in range(_mins(s, k) + 1):
+                for t in range(min(s, k) + 1):
                     yield {"t": t, "s": s, "k": k, "v": v}
 
 
@@ -566,7 +566,7 @@ def _dom_p5iii(v_max):
     for v in range(1, v_max + 1):
         for s in range(1, v + 1):
             for k in range(v + 1):
-                for t in range(_mins(s, k) + 1):
+                for t in range(min(s, k) + 1):
                     for l in range(t + 1):
                         yield {"t": t, "l": l, "s": s, "k": k, "v": v}
 
@@ -586,7 +586,7 @@ def _dom_p5iiip(v_max):
     for v in range(1, v_max + 1):
         for s in range(v + 1):
             for k in range(1, v + 1):
-                for t in range(_mins(s, k) + 1):
+                for t in range(min(s, k) + 1):
                     for l in range(t + 1):
                         yield {"t": t, "l": l, "s": s, "k": k, "v": v}
 
@@ -606,7 +606,7 @@ def _dom_p5iv(v_max):
     for v in range(1, v_max + 1):
         for s in range(1, v + 1):
             for k in range(v + 1):
-                for l in range(_mins(s, k) + 1):
+                for l in range(min(s, k) + 1):
                     yield {"l": l, "s": s, "k": k, "v": v}
 
 
@@ -624,7 +624,7 @@ def _dom_p5ivp(v_max):
     for v in range(1, v_max + 1):
         for s in range(v + 1):
             for k in range(1, v + 1):
-                for l in range(_mins(s, k) + 1):
+                for l in range(min(s, k) + 1):
                     yield {"l": l, "s": s, "k": k, "v": v}
 
 
@@ -659,7 +659,7 @@ def _dom_p7ii(v_max):
         for k in range(min(v, 4) + 1):
             for s in range(k + 1):
                 for i in range(s + 1):
-                    for t in range(_mins(s, k) + 1):
+                    for t in range(min(s, k) + 1):
                         for l in range(t + 1):
                             yield {"i": i, "l": l, "t": t, "s": s, "k": k, "v": v}
 
@@ -680,7 +680,7 @@ def _dom_p7iip(v_max):
         for k in range(min(v, 4) + 1):
             for s in range(k + 1):
                 for i in range(s + 1):
-                    for l in range(_mins(i, k) + 1):
+                    for l in range(min(i, k) + 1):
                         yield {"i": i, "l": l, "s": s, "k": k, "v": v}
 
 
@@ -742,7 +742,7 @@ def _chk_eq24(s, j, k, v):
             outer = outer + _zp1(n - l) * ((-1) ** l * a_pl(p, l, s, j, k, v))
         dmat = fsk
         for _ in range(p):
-            dmat = dmat.map_entries(lambda e: Poly._lift(e).derive())
+            dmat = dmat.derive()
         part = dmat.scale(_zp1(p) * outer).scale(Fraction(1, factorial(p)))
         acc = acc + part
     return _cmp(lhs, acc)
@@ -841,7 +841,7 @@ def _dom_blocks_tl(v_max):
     for v in range(1, v_max + 1):
         for s in range(1, v + 1):
             for k in range(1, v + 1):
-                for t in range(_mins(s, k) + 1):
+                for t in range(min(s, k) + 1):
                     yield {"t": t, "s": s, "k": k, "v": v}
 
 
@@ -849,7 +849,7 @@ def _dom_blocks_tll(v_max):
     for v in range(1, v_max + 1):
         for s in range(1, v + 1):
             for k in range(1, v + 1):
-                for t in range(_mins(s, k) + 1):
+                for t in range(min(s, k) + 1):
                     for l in range(t + 1):
                         yield {"t": t, "l": l, "s": s, "k": k, "v": v}
 
@@ -865,7 +865,7 @@ def _dom_blocks_l(v_max):
     for v in range(1, v_max + 1):
         for s in range(1, v + 1):
             for k in range(1, v + 1):
-                for l in range(_mins(s, k) + 1):
+                for l in range(min(s, k) + 1):
                     yield {"l": l, "s": s, "k": k, "v": v}
 
 

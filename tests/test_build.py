@@ -6,7 +6,7 @@ from imtk.build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y,
                         block_decompose, build, membership_matrix,
                         row_support_formula, theta_matrix)
 from imtk.combinat import binomial
-from imtk.exactalg import ExactMatrix, Poly, mat_coeff
+from imtk.exactalg import ExactMatrix, Poly
 
 
 def test_w_example():

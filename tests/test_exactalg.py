@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from imtk.build import A, F, N, U, Utl, W, Wbar, build
 from imtk.combinat import SubsetFamily, binomial, psi
 from imtk.exactalg import (_INT64_SAFE, ExactMatrix, ModMatrix, Poly,
-                           _panel_plan, equiv_check, is_prime, mat_coeff,
-                           mat_eval, mat_inverse, mat_mul, poly_derive,
-                           poly_eval, poly_shift_basis, random_prime,
-                           rank_exact, rank_modp)
+                           _panel_plan, equiv_check, is_prime, mat_inverse,
+                           mat_mul, random_prime, rank_exact, rank_modp)
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +30,13 @@ def test_poly_arith():
 
 
 def test_poly_derive():
-    assert poly_derive(Poly((1, 3, 0, 1))) == Poly((3, 0, 3))
+    assert Poly((1, 3, 0, 1)).derive() == Poly((3, 0, 3))
 
 
 def test_poly_eval():
     p = Poly((1, 0, 2))
-    assert poly_eval(p, 3) == 19
-    assert poly_eval(p, Fraction(1, 2)) == Fraction(3, 2)
+    assert p.eval(3) == 19
+    assert p.eval(Fraction(1, 2)) == Fraction(3, 2)
 
 
 def test_shift_basis_simple():
@@ -55,7 +53,7 @@ def test_shift_basis_of_psi_closed_form():
     # Taylor coefficients of psi at -1
     for theta in range(9):
         for t in range(9):
-            coeffs = poly_shift_basis(psi(theta, t), -1)
+            coeffs = psi(theta, t).shift_basis(-1)
             for l, a in enumerate(coeffs):
                 want = ((-1) ** (t - l) * binomial(theta, l)
                         * binomial(theta - l - 1, t - l))
@@ -107,7 +105,7 @@ def test_polynomial_matmul_matches_pointwise_evaluation():
                      [3, z + 4]])
     prod = a @ b
     for point in (0, 1, -2, Fraction(1, 3)):
-        assert mat_eval(prod, point) == mat_eval(a, point) @ mat_eval(b, point)
+        assert prod.eval_at(point) == a.eval_at(point) @ b.eval_at(point)
 
 
 def test_w_chain_product_row_of_twos():
@@ -129,7 +127,7 @@ def test_mat_coeff_extracts_a_matrices():
                 t = min(s, k)
                 f = build(F(t, s, k, v))
                 for i in range(t + 1):
-                    assert mat_coeff(f, i) == build(A(i, s, k, v))
+                    assert f.coeff_matrix(i) == build(A(i, s, k, v))
 
 
 def test_transpose_of_f():
@@ -366,3 +364,98 @@ def test_panel_plan_keeps_the_update_exact():
             assert nb == 32 or (nb + 1) * h * h + p >= 2 ** 53
     assert _panel_plan(33554393) == (32, 0)
     assert _panel_plan(2147483647)[1] == 2 ** 16
+
+
+# ---------------------------------------------------------------------------
+# int64 guards at their exact edges: an operation runs in int64 only while a
+# bound on its result is below 2^62, and is exact on both sides of the edge
+
+EDGE = 2 ** 62
+
+
+def _python_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("a_entry,b_entry,inner,want_dtype", [
+    (2 ** 31 - 1, 715827883, 3, np.int64),   # bound 3 (2^31 - 1) 715827883 = 2^62 - 1
+    (2 ** 30, 2 ** 30, 4, object),           # bound 2^62
+    (-(2 ** 31), 2 ** 31, 4, object),        # bound 2^64: int64 would wrap
+    (2 ** 31 - 1, 2 ** 31 - 1, 4, object),   # each term < 2^62, the sum is not
+    # three degree pairs meet at z^2: m^2 < 2^62 <= 3 m^2
+    (Poly((1925000000,) * 3), Poly((1925000000,) * 3), 1, object),
+])
+def test_matmul_at_the_int64_edge(a_entry, b_entry, inner, want_dtype):
+    a = ExactMatrix([[a_entry] * inner, [1] * inner])
+    b = ExactMatrix([[b_entry] for _ in range(inner)])
+    prod = a @ b
+    assert prod.data == _python_product(a.data, b.data)
+    assert prod.stack.dtype == want_dtype
+
+
+@pytest.mark.parametrize("x,y,want_dtype", [
+    (2 ** 61, 2 ** 61 - 1, np.int64),        # bound 2^62 - 1
+    (2 ** 61, 2 ** 61, object),              # bound 2^62
+    (Fraction(2 ** 61, 3), Fraction(2 ** 61 - 1, 3), np.int64),
+])
+def test_linear_combination_at_the_int64_edge(x, y, want_dtype):
+    a, b = ExactMatrix([[x, -x]]), ExactMatrix([[y, -y]])
+    total = a + b
+    assert total.data == [[x + y, -x - y]]
+    assert total.stack.dtype == want_dtype
+    assert (a - b.scale(-1)).data == [[x + y, -x - y]]
+    # common denominator 15: bound 5 * 2^60 + 3 * 2^60 = 2^63
+    mixed = ExactMatrix([[Fraction(2 ** 60, 3)]]) + ExactMatrix([[Fraction(2 ** 60, 5)]])
+    assert mixed.data == [[Fraction(2 ** 60, 3) + Fraction(2 ** 60, 5)]]
+
+
+@pytest.mark.parametrize("entry,c,want_dtype", [
+    (2 ** 31 - 1, 2 ** 31 + 1, np.int64),    # bound 2^62 - 1
+    (2 ** 31, 2 ** 31, object),              # bound 2^62
+    (2 ** 31 - 1, Poly((2 ** 31 + 1, 1)), np.int64),
+    (2 ** 31, Poly((1, -(2 ** 31))), object),
+    (2 ** 31 - 1, Fraction(2 ** 31 + 1, 7), np.int64),
+])
+def test_scale_at_the_int64_edge(entry, c, want_dtype):
+    m = ExactMatrix([[entry, -entry, 0]])
+    got = m.scale(c)
+    assert got.data == [[(c * x if isinstance(c, Poly) else x * c) for x in row]
+                        for row in m.data]
+    assert got.stack.dtype == want_dtype
+
+
+@pytest.mark.parametrize("coeff,point,want_dtype", [
+    (2 ** 31 - 1, 2 ** 31, np.int64),        # bound (2^31 - 1)(1 + 2^31) = 2^62 - 1
+    (2 ** 31, 2 ** 31 - 1, object),          # bound 2^62
+    (2 ** 31, -(2 ** 31 - 1), object),
+    (2 ** 31 - 1, Fraction(2 ** 31 - 1, 2), np.int64),
+])
+def test_eval_at_the_int64_edge(coeff, point, want_dtype):
+    m = ExactMatrix([[Poly((coeff, coeff)), Poly((-coeff, coeff))]])
+    got = m.eval_at(point)
+    assert got.data == [[x.eval(point) for x in row] for row in m.data]
+    assert got.stack.dtype == want_dtype
+
+
+def test_as_int_array_raises_at_2_62_and_not_below():
+    ok = ExactMatrix([[EDGE - 1, -(EDGE - 1)]])
+    arr = ok.as_int_array()
+    assert arr.dtype == np.int64 and arr.tolist() == [[EDGE - 1, -(EDGE - 1)]]
+    assert np.shares_memory(arr, ok.stack)  # the stored array, not a copy
+    for bad in ([[EDGE]], [[-EDGE]], [[1, EDGE + 5]]):
+        with pytest.raises(OverflowError):
+            ExactMatrix(bad).as_int_array()
+    # int64 storage may hold entries in [2^62, 2^63); the guard still applies
+    with pytest.raises(OverflowError):
+        ExactMatrix(np.array([[EDGE]], dtype=np.int64)).as_int_array()
+    with pytest.raises(TypeError):
+        ExactMatrix([[Fraction(1, 2)]]).as_int_array()
+
+
+def test_modmatrix_prime_width_edge():
+    p = 2 ** 31 - 1
+    assert is_prime(p)
+    assert ModMatrix(np.array([[p + 3]]), p).array.tolist() == [[3]]
+    above = next(n for n in range(2 ** 31 + 1, 2 ** 31 + 100) if is_prime(n))
+    with pytest.raises(ValueError, match="too large"):
+        ModMatrix(np.array([[1]]), above)

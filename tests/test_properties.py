@@ -1,0 +1,189 @@
+"""Property tests: ExactMatrix against an entrywise oracle, and the
+combinatorial properties of the built matrices over random small parameters.
+
+The oracle works on ``.data`` with Python int / Fraction / Poly arithmetic,
+one entry at a time, and never touches the coefficient stack.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from imtk.build import F, Utl, build, row_support_formula
+from imtk.combinat import SubsetFamily
+from imtk.exactalg import ExactMatrix, Poly
+from imtk.verify import run_identity
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# the entrywise oracle
+
+def canon(x):
+    """Constant Poly -> scalar, integral Fraction -> int."""
+    if isinstance(x, Poly):
+        x = x if x.degree > 0 else x.constant_value()
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
+
+
+def typed(rows):
+    """Entries with their types, so an int never equals an integral Fraction."""
+    return [[(type(x).__name__, x) for x in row] for row in rows]
+
+
+def same(m: ExactMatrix, rows) -> bool:
+    return m.shape == (len(rows), len(rows[0]) if rows else m.ncols) and \
+        typed(m.data) == typed([[canon(x) for x in row] for row in rows])
+
+
+def o_mul(a, b, ncols):
+    bt = [[row[j] for row in b] for j in range(ncols)]
+    return [[sum((x * y for x, y in zip(row, col)), 0) for col in bt] for row in a]
+
+
+def o_eval(x, point):
+    return x.eval(point) if isinstance(x, Poly) else x
+
+
+def o_coeff(x, i):
+    if isinstance(x, Poly):
+        return x.coeff(i)
+    return x if i == 0 else 0
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+small_int = st.integers(-6, 6)
+fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+poly = st.builds(Poly, st.lists(st.one_of(small_int, fraction), max_size=4))
+ENTRIES = {"int": small_int, "rational": st.one_of(small_int, fraction),
+           "poly": st.one_of(small_int, fraction, poly)}
+dims = st.integers(0, 4)
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    kind = draw(st.sampled_from(sorted(ENTRIES)))
+    # nested rows cannot say how many columns a 0-row matrix has; and a zero
+    # operand now and then
+    if rows == 0 or draw(st.integers(0, 5)) == 0:
+        return ExactMatrix.zeros(rows, cols)
+    return ExactMatrix([[draw(ENTRIES[kind]) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def pairs(draw):
+    r, c = draw(dims), draw(dims)
+    return draw(matrices(r, c)), draw(matrices(r, c))
+
+
+@st.composite
+def products(draw):
+    r, n, c = draw(dims), draw(dims), draw(dims)
+    return draw(matrices(r, n)), draw(matrices(n, c))
+
+
+scalars = st.one_of(small_int, fraction, poly, st.integers(-2 ** 40, 2 ** 40))
+
+
+# ---------------------------------------------------------------------------
+# ExactMatrix against the oracle
+
+@SETTINGS
+@given(products())
+def test_matmul_matches_oracle(ab):
+    a, b = ab
+    assert same(a @ b, o_mul(a.data, b.data, b.ncols))
+
+
+@SETTINGS
+@given(pairs())
+def test_add_sub_eq_match_oracle(ab):
+    a, b = ab
+    ad, bd = a.data, b.data
+    assert same(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ad, bd)])
+    assert same(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ad, bd)])
+    assert same(-a, [[-x for x in r] for r in ad])
+    assert (a == b) == all(x == y for r, s in zip(ad, bd) for x, y in zip(r, s))
+    assert a == ExactMatrix(ad) or not a.nrows
+
+
+@SETTINGS
+@given(dims.flatmap(lambda r: dims.flatmap(lambda c: matrices(r, c))), scalars)
+def test_scale_matches_oracle(a, c):
+    want = [[(c * x if isinstance(c, Poly) else x * c) for x in row] for row in a.data]
+    assert same(a.scale(c), want)
+
+
+@SETTINGS
+@given(dims.flatmap(lambda r: dims.flatmap(lambda c: matrices(r, c))),
+       st.one_of(small_int, fraction), st.integers(-1, 5))
+def test_eval_coeff_transpose_match_oracle(a, point, i):
+    d = a.data
+    assert same(a.eval_at(point), [[o_eval(x, point) for x in row] for row in d])
+    assert same(a.coeff_matrix(i), [[o_coeff(x, i) for x in row] for row in d])
+    t = a.transpose()
+    assert t.shape == (a.ncols, a.nrows)
+    assert same(t, [[row[j] for row in d] for j in range(a.ncols)])
+
+
+@SETTINGS
+@given(dims.flatmap(lambda n: matrices(n, n)))
+def test_trace_matches_oracle(a):
+    want = canon(sum((a.data[i][i] for i in range(a.nrows)), 0))
+    got = a.trace()
+    assert (type(got), got) == (type(want), want)
+
+
+# ---------------------------------------------------------------------------
+# combinatorial properties over random small parameters
+
+@SETTINGS
+@given(st.integers(0, 10).flatmap(lambda v: st.tuples(
+    st.just(v), st.integers(0, v))), st.data())
+def test_rank_unrank_bijection(vs, data):
+    v, s = vs
+    fam = SubsetFamily(v, s)
+    r = data.draw(st.integers(0, len(fam) - 1))
+    assert fam.rank(fam.unrank(r)) == r
+    subset = tuple(sorted(data.draw(st.permutations(range(1, v + 1)))[:s]))
+    assert fam.unrank(fam.rank(subset)) == subset
+
+
+@st.composite
+def tsk(draw, v_max=7):
+    v = draw(st.integers(1, v_max))
+    s, k = draw(st.integers(0, v)), draw(st.integers(0, v))
+    t = draw(st.integers(0, min(s, k)))
+    return t, s, k, v
+
+
+@SETTINGS
+@given(tsk())
+def test_f_transpose_swaps_s_and_k(params):
+    t, s, k, v = params
+    assert build(F(t, s, k, v)).transpose() == build(F(t, k, s, v))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 9).flatmap(lambda v: st.tuples(
+    st.integers(0, v), st.integers(0, v), st.just(v))))
+def test_eq17_complement_symmetry(abv):
+    a, b, v = abv
+    assert run_identity("eq17", a=a, b=b, v=v).ok
+
+
+@SETTINGS
+@given(tsk(v_max=9), st.data())
+def test_row_support_matches_built_utl(params, data):
+    t, s, k, v = params
+    l = data.draw(st.integers(0, t))
+    want = row_support_formula(t, l, s, k, v)
+    m = build(Utl(t, l, s, k, v))
+    assume(m.nrows)
+    assert all(sum(1 for x in row if x) == want for row in m.data)

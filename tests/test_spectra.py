@@ -7,11 +7,11 @@ import pytest
 from imtk.build import A, F, N, U, Uge, Utl, W, build
 from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, Poly, mat_inverse, rank_modp
-from imtk.spectra import (SpectrumSpec, alpha, eberlein, float_crosscheck,
-                          float_eigenvalues, lambda_uge, lambda_utl, mu,
-                          multiplicity, rank_formula, sampled_eval_points,
-                          spectrum_of, tau, verify_spectrum, wf_spectrum,
-                          wu_spectrum)
+from imtk.spectra import (SpectrumSpec, _shifted_int_array, alpha, eberlein,
+                          float_crosscheck, float_eigenvalues, lambda_uge,
+                          lambda_utl, mu, multiplicity, rank_formula,
+                          sampled_eval_points, spectrum_of, tau,
+                          verify_spectrum, wf_spectrum, wu_spectrum)
 
 RNG_SEED = 1234
 
@@ -403,3 +403,15 @@ def test_projector_eigenrelation_for_a_matrices():
                 for j in range(k + 1):
                     lam = a_matrix_eigenvalue(v, k, i, j)
                     assert a @ projectors[j] == projectors[j].scale(lam), (v, k, i, j)
+
+
+def test_shifted_int_array_guard_at_2_62():
+    arr = np.array([[2 ** 31 - 1, 1], [1, -(2 ** 31 - 1)]], dtype=np.int64)
+    lam = Fraction(2, 2 ** 31 + 1)   # max|arr| * den = 2^62 - 1
+    got = _shifted_int_array(arr, lam)
+    den = 2 ** 31 + 1
+    want = [[x * den - (2 if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(arr.tolist())]
+    assert got.tolist() == want
+    with pytest.raises(OverflowError):
+        _shifted_int_array(arr + np.sign(arr), Fraction(3, 2 ** 31))  # 2^31 * 2^31 = 2^62
