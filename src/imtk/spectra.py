@@ -283,10 +283,19 @@ def _reduce_scalar(x, p: int) -> int:
 
 
 def _shifted_int_array(arr: np.ndarray, lam) -> np.ndarray:
-    """Integer matrix with the same rank as arr - lam*I (denominator cleared)."""
+    """Integer matrix with the same rank as arr - lam*I (denominator cleared).
+
+    arr is int64 with |entries| < 2^62 (as ``ExactMatrix.as_int_array`` gives).
+    The result stays in int64 while den*|arr| < 2^62 and |num| < 2^62, so every
+    shifted diagonal entry is below 2^63 in magnitude; otherwise OverflowError.
+    """
     n = arr.shape[0]
     num, den = (lam.numerator, lam.denominator) if isinstance(lam, Fraction) else (lam, 1)
-    if den != 1 and int(np.abs(arr).max(initial=0)) * den >= (1 << 62):
+    if abs(num) >= (1 << 62):
+        raise OverflowError("eigenvalue numerator too large for int64 shift")
+    # max and min instead of np.abs(arr): no temporary the size of the matrix
+    if den != 1 and max(int(arr.max(initial=0)),
+                        -int(arr.min(initial=0))) * den >= (1 << 62):
         raise OverflowError("eigenvalue denominator too large for int64 shift")
     out = arr * den if den != 1 else arr.copy()
     idx = np.arange(n)
@@ -310,6 +319,25 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     The rank route equates geometric and algebraic multiplicities, so the
     matrix must be symmetric unless the caller vouches for diagonalizability
     (the W^T F products have a full eigenbasis by construction).
+
+    Soundness of modp mode, for a symmetric M of order n:
+
+    - Annihilation.  If the claim misses an eigenvalue of M, then
+      P = prod_lambda (M - lambda I) over the claimed distinct eigenvalues is
+      nonzero.  At a prime where P stays nonzero, a uniform random probe is
+      annihilated anyway with probability at most #distinct/p (in fact at
+      most 1/p, ker P being a proper subspace), independently per probe and
+      per prime; a wrong set must survive all 2 * probes probes.
+    - Rank.  rank(A mod p) <= rank(A) over Q for an integer A (a minor that
+      vanishes over Q vanishes mod p), so the mod-p nullity of M - lambda I
+      can only over-estimate the true multiplicity of lambda.
+    - Multiplicities.  Once the set is complete, the true multiplicities of
+      the claimed eigenvalues sum to n, as M is diagonalizable, and so do the
+      claimed ones (``SpectrumSpec`` enforces it).  Mod-p nullities that
+      match every claimed multiplicity bound each true one from above, so
+      the sums force each to be exact.  An unlucky prime can only make a
+      true claim fail (a rank that undershoots), never a false one pass;
+      that failure is retried once with a fresh prime.
     """
     if mode not in ("modp", "exact"):
         raise ValueError("mode must be 'modp' or 'exact'")

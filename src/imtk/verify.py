@@ -9,6 +9,7 @@ sharing intermediates.  Registry keys use 'p' for primed variants
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
@@ -97,9 +98,36 @@ class IdentityCheck:
 REGISTRY: dict[str, IdentityCheck] = {}
 
 
-def _register(name: str, description: str, domain, note: str = ""):
+def _grid(spec: str, keys: list[str],
+          where: str = "") -> Callable[[int], Iterable[dict]]:
+    """Compile a domain spec such as ``"v=1..V k=0..v s=0..k"`` once into a
+    function of v_max that yields one parameter dict per grid point.
+
+    Axes run outermost first, each over inclusive bounds that may name outer
+    axes, ``V`` (the suite's v_max), ``min`` and ``max``; the optional
+    ``where`` expression keeps only the points where it is true.  Dict keys
+    come out in ``keys`` order, which is the check function's parameter order.
+    """
+    axes = [axis.split("=") for axis in spec.split()]
+    if sorted(name for name, _ in axes) != sorted(keys):
+        raise ValueError(f"domain {spec!r} does not name exactly {keys}")
+    loops = "".join(" for {} in range({}, {} + 1)".format(name, *bounds.split(".."))
+                    for name, bounds in axes)
+    point = ", ".join(f"{key!r}: {key}" for key in keys)
+    cond = f" if {where}" if where else ""
+    code = compile(f"({{{point}}}{loops}{cond})", spec, "eval")
+    return lambda v_max: eval(code, {"__builtins__": {}, "range": range,
+                                     "min": min, "max": max, "V": v_max})
+
+
+def _register(name: str, description: str, domain: str, where: str = "",
+              note: str = ""):
+    """Register a check over the grid that ``domain`` and ``where`` declare
+    (see ``_grid``)."""
     def deco(fn):
-        REGISTRY[name] = IdentityCheck(name, description, domain, fn, note)
+        keys = list(inspect.signature(fn).parameters)
+        REGISTRY[name] = IdentityCheck(name, description, _grid(domain, keys, where),
+                                       fn, note)
         return fn
     return deco
 
@@ -107,29 +135,14 @@ def _register(name: str, description: str, domain, note: str = ""):
 # ---------------------------------------------------------------------------
 # inclusion, exclusion, and binomial-entry matrices
 
-def _dom_eq1(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(v + 1):
-            for s in range(k + 1):
-                for i in range(s + 1):
-                    yield {"i": i, "s": s, "k": k, "v": v}
-
-
-@_register("eq1", "W_is W_sk = C(k-i, s-i) W_ik", _dom_eq1)
+@_register("eq1", "W_is W_sk = C(k-i, s-i) W_ik", "v=1..V k=0..v s=0..k i=0..s")
 def _chk_eq1(i, s, k, v):
     lhs = build(W(i, s, v)) @ build(W(s, k, v))
     rhs = build(W(i, k, v)).scale(binomial(k - i, s - i))
     return _cmp(lhs, rhs)
 
 
-def _dom_sk(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(v + 1):
-                yield {"s": s, "k": k, "v": v}
-
-
-@_register("eq2", "Wbar_sk = sum (-1)^i W_is^T W_ik", _dom_sk)
+@_register("eq2", "Wbar_sk = sum (-1)^i W_is^T W_ik", "v=1..V s=0..v k=0..v")
 def _chk_eq2(s, k, v):
     rhs = _lincomb((((-1) ** i, build(W(i, s, v)).transpose() @ build(W(i, k, v)))
                     for i in range(s + 1)),
@@ -137,7 +150,7 @@ def _chk_eq2(s, k, v):
     return _cmp(build(Wbar(s, k, v)), rhs)
 
 
-@_register("eq3", "W_sk = sum (-1)^i W_is^T Wbar_ik", _dom_sk)
+@_register("eq3", "W_sk = sum (-1)^i W_is^T Wbar_ik", "v=1..V s=0..v k=0..v")
 def _chk_eq3(s, k, v):
     rhs = _lincomb((((-1) ** i, build(W(i, s, v)).transpose() @ build(Wbar(i, k, v)))
                     for i in range(s + 1)),
@@ -145,37 +158,22 @@ def _chk_eq3(s, k, v):
     return _cmp(build(W(s, k, v)), rhs)
 
 
-def _dom_isk(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(v + 1):
-                for i in range(min(s, k) + 1):
-                    yield {"i": i, "s": s, "k": k, "v": v}
-
-
-@_register("eq4", "A^i_sk = W_is^T W_ik", _dom_isk)
+@_register("eq4", "A^i_sk = W_is^T W_ik", "v=1..V s=0..v k=0..v i=0..min(s,k)")
 def _chk_eq4(i, s, k, v):
     lhs = build(A(i, s, k, v))
     rhs = build(W(i, s, v)).transpose() @ build(W(i, k, v))
     return _cmp(lhs, rhs)
 
 
-@_register("eq5", "Wbar_sk = sum (-1)^i A^i_sk", _dom_sk)
+@_register("eq5", "Wbar_sk = sum (-1)^i A^i_sk", "v=1..V s=0..v k=0..v")
 def _chk_eq5(s, k, v):
     rhs = _lincomb((((-1) ** i, build(A(i, s, k, v))) for i in range(s + 1)),
                    (binomial(v, s), binomial(v, k)))
     return _cmp(build(Wbar(s, k, v)), rhs)
 
 
-def _dom_tsk(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(v + 1):
-                for t in range(min(s, k) + 1):
-                    yield {"t": t, "s": s, "k": k, "v": v}
-
-
-@_register("eq6", "N^t_sk = sum (-1)^(t-i) A^i_sk; Wbar = (-1)^min N^min", _dom_tsk)
+@_register("eq6", "N^t_sk = sum (-1)^(t-i) A^i_sk; Wbar = (-1)^min N^min",
+           "v=1..V s=0..v k=0..v t=0..min(s,k)")
 def _chk_eq6(t, s, k, v):
     rhs = _lincomb((((-1) ** (t - i), build(A(i, s, k, v))) for i in range(t + 1)),
                    (binomial(v, s), binomial(v, k)))
@@ -191,7 +189,7 @@ def _chk_eq6(t, s, k, v):
 # ---------------------------------------------------------------------------
 # the generating matrix F, its Taylor coefficients, and product expansions
 
-@_register("eq12", "F^t = sum_l U^{tl} (z+1)^l", _dom_tsk)
+@_register("eq12", "F^t = sum_l U^{tl} (z+1)^l", "v=1..V s=0..v k=0..v t=0..min(s,k)")
 def _chk_eq12(t, s, k, v):
     shape = (binomial(v, s), binomial(v, k))
     rhs = _lincomb(((_zp1(l), build(Utl(t, l, s, k, v))) for l in range(t + 1)),
@@ -199,16 +197,8 @@ def _chk_eq12(t, s, k, v):
     return _cmp(build(F(t, s, k, v)), rhs)
 
 
-def _dom_tlsk(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(v + 1):
-                for t in range(min(s, k) + 1):
-                    for l in range(t + 1):
-                        yield {"t": t, "l": l, "s": s, "k": k, "v": v}
-
-
-@_register("eq15", "U^{tl} = sum_i (-1)^(i-l) C(i,l) A^i", _dom_tlsk)
+@_register("eq15", "U^{tl} = sum_i (-1)^(i-l) C(i,l) A^i",
+           "v=1..V s=0..v k=0..v t=0..min(s,k) l=0..t")
 def _chk_eq15(t, l, s, k, v):
     rhs = _lincomb((((-1) ** (i - l) * binomial(i, l), build(A(i, s, k, v)))
                     for i in range(l, t + 1)),
@@ -216,16 +206,8 @@ def _chk_eq15(t, l, s, k, v):
     return _cmp(build(Utl(t, l, s, k, v)), rhs)
 
 
-def _dom_eq16(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(v + 1):
-                for t in range(min(s, k) + 1):
-                    for i in range(t + 1):
-                        yield {"t": t, "i": i, "s": s, "k": k, "v": v}
-
-
-@_register("eq16", "A^i = sum_l C(l,i) U^{tl}", _dom_eq16)
+@_register("eq16", "A^i = sum_l C(l,i) U^{tl}",
+           "v=1..V s=0..v k=0..v t=0..min(s,k) i=0..t")
 def _chk_eq16(t, i, s, k, v):
     rhs = _lincomb(((binomial(l, i), build(Utl(t, l, s, k, v)))
                     for l in range(i, t + 1)),
@@ -233,16 +215,8 @@ def _chk_eq16(t, i, s, k, v):
     return _cmp(build(A(i, s, k, v)), rhs)
 
 
-def _dom_thm2(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(v + 1):
-                for t in range(min(s, k) + 2):
-                    for l in range(t + 1):
-                        yield {"t": t, "l": l, "s": s, "k": k, "v": v}
-
-
-@_register("thm2.i", "U^{tl} entries, nonzero set, and row support", _dom_thm2)
+@_register("thm2.i", "U^{tl} entries, nonzero set, and row support",
+           "v=1..V s=0..v k=0..v t=0..min(s,k)+1 l=0..t")
 def _chk_thm2_i(t, l, s, k, v):
     # dual route: Taylor coefficients at z = -1 of the built F^t
     got = build(Utl(t, l, s, k, v))
@@ -267,7 +241,8 @@ def _chk_thm2_i(t, l, s, k, v):
     return None
 
 
-@_register("thm2.ii", "U^{t,0} = (-1)^t N^t; U^{s,l} = U^l; U^{t,t} = A^t", _dom_tsk)
+@_register("thm2.ii", "U^{t,0} = (-1)^t N^t; U^{s,l} = U^l; U^{t,t} = A^t",
+           "v=1..V s=0..v k=0..v t=0..min(s,k)")
 def _chk_thm2_ii(t, s, k, v):
     bad = _cmp(build(Utl(t, 0, s, k, v)), build(N(t, s, k, v)).scale((-1) ** t))
     if bad:
@@ -280,7 +255,8 @@ def _chk_thm2_ii(t, s, k, v):
     return ("U^(t,t) vs A^t: " + bad) if bad else None
 
 
-@_register("thm2.iii", "U^{tl} expanded in the U^theta basis", _dom_tlsk)
+@_register("thm2.iii", "U^{tl} expanded in the U^theta basis",
+           "v=1..V s=0..v k=0..v t=0..min(s,k) l=0..t")
 def _chk_thm2_iii(t, l, s, k, v):
     shape = (binomial(v, s), binomial(v, k))
     pairs = [(1, build(U(l, s, k, v)))]
@@ -290,20 +266,13 @@ def _chk_thm2_iii(t, l, s, k, v):
     return _cmp(build(Utl(t, l, s, k, v)), _lincomb(pairs, shape))
 
 
-@_register("lemma3.i", "(F^t_sk)^T = F^t_ks", _dom_tsk)
+@_register("lemma3.i", "(F^t_sk)^T = F^t_ks", "v=1..V s=0..v k=0..v t=0..min(s,k)")
 def _chk_lemma3_i(t, s, k, v):
     return _cmp(build(F(t, s, k, v)).transpose(), build(F(t, k, s, v)))
 
 
-def _dom_l3ii(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(v + 1):
-                for t in (min(s, k), min(s, k) + 1, min(s, k) + 3):
-                    yield {"t": t, "s": s, "k": k, "v": v}
-
-
-@_register("lemma3.ii", "F^t_sk = F_sk for t >= min(s,k)", _dom_l3ii)
+@_register("lemma3.ii", "F^t_sk = F_sk for t >= min(s,k)",
+           "v=1..V s=0..v k=0..v t=min(s,k)..min(s,k)+3", where="t != min(s, k) + 2")
 def _chk_lemma3_ii(t, s, k, v):
     return _cmp(build(F(t, s, k, v)), build(F(None, s, k, v)))
 
@@ -311,13 +280,8 @@ def _chk_lemma3_ii(t, s, k, v):
 _SAMPLE_PAIRS = ((1, 2), (1, -2), (2, -2))
 
 
-def _dom_kk(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(v + 1):
-            yield {"k": k, "v": v}
-
-
-@_register("lemma3.iii", "F_kk(z) F_kk(u) commute (sampled rational points)", _dom_kk)
+@_register("lemma3.iii", "F_kk(z) F_kk(u) commute (sampled rational points)",
+           "v=1..V k=0..v")
 def _chk_lemma3_iii(k, v):
     f = build(F(None, k, k, v))
     for a, b in _SAMPLE_PAIRS:
@@ -328,34 +292,20 @@ def _chk_lemma3_iii(k, v):
     return None
 
 
-def _dom_ijkk(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(v + 1):
-            for i in range(k + 1):
-                for j in range(i, k + 1):
-                    yield {"i": i, "j": j, "k": k, "v": v}
-
-
-@_register("lemma3.iv", "A^i_kk and A^j_kk commute", _dom_ijkk)
+@_register("lemma3.iv", "A^i_kk and A^j_kk commute", "v=1..V k=0..v i=0..k j=i..k")
 def _chk_lemma3_iv(i, j, k, v):
     ai, aj = build(A(i, k, k, v)), build(A(j, k, k, v))
     return _cmp(ai @ aj, aj @ ai)
 
 
-@_register("lemma3.v", "U^i_kk and U^j_kk commute", _dom_ijkk)
+@_register("lemma3.v", "U^i_kk and U^j_kk commute", "v=1..V k=0..v i=0..k j=i..k")
 def _chk_lemma3_v(i, j, k, v):
     ui, uj = build(U(i, k, k, v)), build(U(j, k, k, v))
     return _cmp(ui @ uj, uj @ ui)
 
 
-def _dom_ab(v_max):
-    for v in range(1, v_max + 1):
-        for a in range(v + 1):
-            for b in range(v + 1):
-                yield {"a": a, "b": b, "v": v}
-
-
-@_register("eq17", "F_{v-a,v-b} ~ (z+1)^{v-a-b} F_ab under complements", _dom_ab)
+@_register("eq17", "F_{v-a,v-b} ~ (z+1)^{v-a-b} F_ab under complements",
+           "v=1..V a=0..v b=0..v")
 def _chk_eq17(a, b, v):
     lhs = build(F(None, v - a, v - b, v))
     rhs = _scale_zp1(build(F(None, a, b, v)), v - a - b)
@@ -366,15 +316,8 @@ def _chk_eq17(a, b, v):
     return None
 
 
-def _dom_eq18(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(v + 1):
-            for a in range(k + 1):
-                for b in range(k + 1):
-                    yield {"a": a, "b": b, "k": k, "v": v}
-
-
-@_register("eq18", "W_ak W_bk^T = sum_n C(v-b-a, v-k-n) A^n_ab", _dom_eq18)
+@_register("eq18", "W_ak W_bk^T = sum_n C(v-b-a, v-k-n) A^n_ab",
+           "v=1..V k=0..v a=0..k b=0..k")
 def _chk_eq18(a, b, k, v):
     lhs = build(W(a, k, v)) @ build(W(b, k, v)).transpose()
     rhs = _lincomb(((binomial(v - b - a, v - k - n), build(A(n, a, b, v)))
@@ -383,17 +326,8 @@ def _chk_eq18(a, b, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_abc(v_max):
-    for v in range(1, v_max + 1):
-        for a in range(v + 1):
-            for b in range(v + 1):
-                for c in range(v + 1):
-                    for i in range(min(a, b) + 1):
-                        for j in range(min(b, c) + 1):
-                            yield {"a": a, "b": b, "c": c, "i": i, "j": j, "v": v}
-
-
-@_register("eq19", "A^i_ab A^j_bc expansion in A^n_ac", _dom_abc)
+@_register("eq19", "A^i_ab A^j_bc expansion in A^n_ac",
+           "v=1..V a=0..v b=0..v c=0..v i=0..min(a,b) j=0..min(b,c)")
 def _chk_eq19(a, b, c, i, j, v):
     lhs = build(A(i, a, b, v)) @ build(A(j, b, c, v))
     rhs = _lincomb(((binomial(a - n, i - n) * binomial(c - n, j - n)
@@ -403,7 +337,8 @@ def _chk_eq19(a, b, c, i, j, v):
     return _cmp(lhs, rhs)
 
 
-@_register("eq20", "U^i_ab U^j_bc expansion in U^l_ac", _dom_abc)
+@_register("eq20", "U^i_ab U^j_bc expansion in U^l_ac",
+           "v=1..V a=0..v b=0..v c=0..v i=0..min(a,b) j=0..min(b,c)")
 def _chk_eq20(a, b, c, i, j, v):
     lhs = build(U(i, a, b, v)) @ build(U(j, b, c, v))
     pairs = []
@@ -418,17 +353,9 @@ def _chk_eq20(a, b, c, i, j, v):
 # ---------------------------------------------------------------------------
 # the summation identity, the zD calculus, and the W^T F ladder
 
-def _dom_eq21(v_max):
-    hi = max(8, min(v_max, 10))
-    for l in range(hi + 1):
-        for m in range(hi + 1):
-            for n in range(hi + 1):
-                for s in range(hi + 1):
-                    yield {"l": l, "m": m, "n": n, "s": s}
-
-
 @_register("eq21", "sum_k (-1)^k C(l-k,m) C(s,k-n) = (-1)^(l+m) C(s-m-1, l-m-n)",
-           _dom_eq21)
+           "l=0..max(8,min(V,10)) m=0..max(8,min(V,10)) "
+           "n=0..max(8,min(V,10)) s=0..max(8,min(V,10))")
 def _chk_eq21(l, m, n, s):
     lhs = sum((-1) ** k * binomial(l - k, m) * binomial(s, k - n)
               for k in range(l + 1))
@@ -438,12 +365,7 @@ def _chk_eq21(l, m, n, s):
     return None
 
 
-def _dom_n8(v_max):
-    for n in range(9):
-        yield {"n": n}
-
-
-@_register("lemma6.i", "(zD)^n = sum_k S(n,k) z^k D^k", _dom_n8)
+@_register("lemma6.i", "(zD)^n = sum_k S(n,k) z^k D^k", "n=0..8")
 def _chk_lemma6_i(n):
     brute = opcalc.identity_op()
     for _ in range(n):
@@ -453,7 +375,7 @@ def _chk_lemma6_i(n):
     return None
 
 
-@_register("lemma6.ii", "(zD)_n = z^n D^n", _dom_n8)
+@_register("lemma6.ii", "(zD)_n = z^n D^n", "n=0..8")
 def _chk_lemma6_ii(n):
     brute = opcalc.identity_op()
     for i in range(n):
@@ -463,13 +385,7 @@ def _chk_lemma6_ii(n):
     return None
 
 
-def _dom_kn8(v_max):
-    for k in range(9):
-        for n in range(9):
-            yield {"k": k, "n": n}
-
-
-@_register("lemma6.iii", "(zD-k)_n closed form", _dom_kn8)
+@_register("lemma6.iii", "(zD-k)_n closed form", "k=0..8 n=0..8")
 def _chk_lemma6_iii(k, n):
     brute = opcalc.identity_op()
     for i in range(n):
@@ -479,16 +395,8 @@ def _chk_lemma6_iii(k, n):
     return None
 
 
-def _dom_eq22(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(min(v, 4) + 1):
-            for s in range(k + 1):
-                for i in range(s + 1):
-                    for t in range(s + 1):
-                        yield {"i": i, "s": s, "t": t, "k": k, "v": v}
-
-
-@_register("eq22", "W_is^T F^t_ik = L_si F^t_sk (product-form operator)", _dom_eq22)
+@_register("eq22", "W_is^T F^t_ik = L_si F^t_sk (product-form operator)",
+           "v=1..V k=0..min(v,4) s=0..k i=0..s t=0..s")
 def _chk_eq22(i, s, t, k, v):
     lhs = build(W(i, s, v)).transpose() @ build(F(t, i, k, v))
     # independent route: L_si as the composed product (s-zD)...(i+1-zD)/(s-i)!
@@ -500,15 +408,8 @@ def _chk_eq22(i, s, t, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_p5(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(1, v + 1):
-            for k in range(v + 1):
-                for t in range(min(s, k) + 1):
-                    yield {"t": t, "s": s, "k": k, "v": v}
-
-
-@_register("prop5.i", "W_{s-1,s}^T F^t_{s-1,k} = s F^t_sk - z D F^t_sk", _dom_p5)
+@_register("prop5.i", "W_{s-1,s}^T F^t_{s-1,k} = s F^t_sk - z D F^t_sk",
+           "v=1..V s=1..v k=0..v t=0..min(s,k)")
 def _chk_prop5_i(t, s, k, v):
     lhs = build(W(s - 1, s, v)).transpose() @ build(F(t, s - 1, k, v))
     fm = build(F(t, s, k, v))
@@ -516,15 +417,8 @@ def _chk_prop5_i(t, s, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_p5p(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(1, v + 1):
-                for t in range(min(s, k) + 1):
-                    yield {"t": t, "s": s, "k": k, "v": v}
-
-
-@_register("prop5.ip", "F^t_{s,k-1} W_{k-1,k} = k F^t_sk - z D F^t_sk", _dom_p5p)
+@_register("prop5.ip", "F^t_{s,k-1} W_{k-1,k} = k F^t_sk - z D F^t_sk",
+           "v=1..V s=0..v k=1..v t=0..min(s,k)")
 def _chk_prop5_ip(t, s, k, v):
     lhs = build(F(t, s, k - 1, v)) @ build(W(k - 1, k, v))
     fm = build(F(t, s, k, v))
@@ -532,14 +426,8 @@ def _chk_prop5_ip(t, s, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_sk1(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(1, v + 1):
-            for k in range(v + 1):
-                yield {"s": s, "k": k, "v": v}
-
-
-@_register("prop5.ii", "W_{s-1,s}^T F_{s-1,k} = s F_sk - z D F_sk", _dom_sk1)
+@_register("prop5.ii", "W_{s-1,s}^T F_{s-1,k} = s F_sk - z D F_sk",
+           "v=1..V s=1..v k=0..v")
 def _chk_prop5_ii(s, k, v):
     lhs = build(W(s - 1, s, v)).transpose() @ build(F(None, s - 1, k, v))
     fm = build(F(None, s, k, v))
@@ -547,14 +435,8 @@ def _chk_prop5_ii(s, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_sk2(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(1, v + 1):
-                yield {"s": s, "k": k, "v": v}
-
-
-@_register("prop5.iip", "F_{s,k-1} W_{k-1,k} = k F_sk - z D F_sk", _dom_sk2)
+@_register("prop5.iip", "F_{s,k-1} W_{k-1,k} = k F_sk - z D F_sk",
+           "v=1..V s=0..v k=1..v")
 def _chk_prop5_iip(s, k, v):
     lhs = build(F(None, s, k - 1, v)) @ build(W(k - 1, k, v))
     fm = build(F(None, s, k, v))
@@ -562,18 +444,9 @@ def _chk_prop5_iip(s, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_p5iii(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(1, v + 1):
-            for k in range(v + 1):
-                for t in range(min(s, k) + 1):
-                    for l in range(t + 1):
-                        yield {"t": t, "l": l, "s": s, "k": k, "v": v}
-
-
 @_register("prop5.iii",
            "W_{s-1,s}^T U^{t,l}_{s-1,k} = (s-l) U^{t,l}_sk + (l+1) U^{t,l+1}_sk",
-           _dom_p5iii)
+           "v=1..V s=1..v k=0..v t=0..min(s,k) l=0..t")
 def _chk_prop5_iii(t, l, s, k, v):
     lhs = build(W(s - 1, s, v)).transpose() @ build(Utl(t, l, s - 1, k, v))
     rhs = _lincomb(((s - l, build(Utl(t, l, s, k, v))),
@@ -582,18 +455,9 @@ def _chk_prop5_iii(t, l, s, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_p5iiip(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(1, v + 1):
-                for t in range(min(s, k) + 1):
-                    for l in range(t + 1):
-                        yield {"t": t, "l": l, "s": s, "k": k, "v": v}
-
-
 @_register("prop5.iiip",
            "U^{t,l}_{s,k-1} W_{k-1,k} = (k-l) U^{t,l}_sk + (l+1) U^{t,l+1}_sk",
-           _dom_p5iiip)
+           "v=1..V s=0..v k=1..v t=0..min(s,k) l=0..t")
 def _chk_prop5_iiip(t, l, s, k, v):
     lhs = build(Utl(t, l, s, k - 1, v)) @ build(W(k - 1, k, v))
     rhs = _lincomb(((k - l, build(Utl(t, l, s, k, v))),
@@ -602,16 +466,9 @@ def _chk_prop5_iiip(t, l, s, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_p5iv(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(1, v + 1):
-            for k in range(v + 1):
-                for l in range(min(s, k) + 1):
-                    yield {"l": l, "s": s, "k": k, "v": v}
-
-
 @_register("prop5.iv",
-           "W_{s-1,s}^T U^l_{s-1,k} = (s-l) U^l_sk + (l+1) U^{l+1}_sk", _dom_p5iv)
+           "W_{s-1,s}^T U^l_{s-1,k} = (s-l) U^l_sk + (l+1) U^{l+1}_sk",
+           "v=1..V s=1..v k=0..v l=0..min(s,k)")
 def _chk_prop5_iv(l, s, k, v):
     lhs = build(W(s - 1, s, v)).transpose() @ build(U(l, s - 1, k, v))
     rhs = _lincomb(((s - l, build(U(l, s, k, v))),
@@ -620,16 +477,9 @@ def _chk_prop5_iv(l, s, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_p5ivp(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(1, v + 1):
-                for l in range(min(s, k) + 1):
-                    yield {"l": l, "s": s, "k": k, "v": v}
-
-
 @_register("prop5.ivp",
-           "U^l_{s,k-1} W_{k-1,k} = (k-l) U^l_sk + (l+1) U^{l+1}_sk", _dom_p5ivp)
+           "U^l_{s,k-1} W_{k-1,k} = (k-l) U^l_sk + (l+1) U^{l+1}_sk",
+           "v=1..V s=0..v k=1..v l=0..min(s,k)")
 def _chk_prop5_ivp(l, s, k, v):
     lhs = build(U(l, s, k - 1, v)) @ build(W(k - 1, k, v))
     rhs = _lincomb(((k - l, build(U(l, s, k, v))),
@@ -639,7 +489,7 @@ def _chk_prop5_ivp(l, s, k, v):
 
 
 @_register("prop7.i", "W_is^T F^t_ik = L(s,i) F^t_sk, plus the transposed twin",
-           _dom_eq22,
+           "v=1..V k=0..min(v,4) s=0..k i=0..s t=0..s",
            note="the right-multiplication twin is checked by transposition")
 def _chk_prop7_i(i, s, t, k, v):
     lhs = build(W(i, s, v)).transpose() @ build(F(t, i, k, v))
@@ -654,18 +504,8 @@ def _chk_prop7_i(i, s, t, k, v):
     return ("transposed twin: " + bad) if bad else None
 
 
-def _dom_p7ii(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(min(v, 4) + 1):
-            for s in range(k + 1):
-                for i in range(s + 1):
-                    for t in range(min(s, k) + 1):
-                        for l in range(t + 1):
-                            yield {"i": i, "l": l, "t": t, "s": s, "k": k, "v": v}
-
-
 @_register("prop7.ii", "W_is^T U^{tl}_ik = sum_h C(h,l) C(s-h,i-l) U^{th}_sk",
-           _dom_p7ii)
+           "v=1..V k=0..min(v,4) s=0..k i=0..s t=0..min(s,k) l=0..t")
 def _chk_prop7_ii(i, l, t, s, k, v):
     lhs = build(W(i, s, v)).transpose() @ build(Utl(t, l, i, k, v))
     rhs = _lincomb(((binomial(h, l) * binomial(s - h, i - l),
@@ -675,17 +515,8 @@ def _chk_prop7_ii(i, l, t, s, k, v):
     return _cmp(lhs, rhs)
 
 
-def _dom_p7iip(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(min(v, 4) + 1):
-            for s in range(k + 1):
-                for i in range(s + 1):
-                    for l in range(min(i, k) + 1):
-                        yield {"i": i, "l": l, "s": s, "k": k, "v": v}
-
-
 @_register("prop7.iip", "W_is^T U^l_ik = sum_h C(h,l) C(s-h,i-l) U^h_sk",
-           _dom_p7iip)
+           "v=1..V k=0..min(v,4) s=0..k i=0..s l=0..min(i,k)")
 def _chk_prop7_iip(i, l, s, k, v):
     lhs = build(W(i, s, v)).transpose() @ build(U(l, i, k, v))
     rhs = _lincomb(((binomial(h, l) * binomial(s - h, i - l), build(U(h, s, k, v)))
@@ -697,15 +528,8 @@ def _chk_prop7_iip(i, l, s, k, v):
 # ---------------------------------------------------------------------------
 # products W F (left multiplication by an inclusion matrix)
 
-def _dom_prop8(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(min(v, 4) + 1):
-            for j in range(k + 1):
-                for s in range(j + 1):
-                    yield {"s": s, "j": j, "k": k, "v": v}
-
-
-@_register("eq23", "W_sj F_jk as a (z+1)-conjugated operator expression", _dom_prop8)
+@_register("eq23", "W_sj F_jk as a (z+1)-conjugated operator expression",
+           "v=1..V k=0..min(v,4) j=0..k s=0..j")
 def _chk_eq23(s, j, k, v):
     lhs = build(W(s, j, v)) @ build(F(None, j, k, v))
     g = _scale_zp1(build(F(None, s, k, v)), v - s - k)
@@ -729,7 +553,7 @@ def a_pl(p: int, l: int, s: int, j: int, k: int, v: int) -> int:
 
 
 @_register("eq24", "W_sj F_jk = sum_p (z+1)^p D^p F_sk / p! * sum_l ...",
-           _dom_prop8,
+           "v=1..V k=0..min(v,4) j=0..k s=0..j",
            note="a_{p,l} carries (-1)^r inside the r-sum (validated variant)")
 def _chk_eq24(s, j, k, v):
     lhs = build(W(s, j, v)) @ build(F(None, j, k, v))
@@ -748,7 +572,8 @@ def _chk_eq24(s, j, k, v):
     return _cmp(lhs, acc)
 
 
-@_register("eq25", "a_{p,l}: terms with r < p vanish", _dom_prop8,
+@_register("eq25", "a_{p,l}: terms with r < p vanish",
+           "v=1..V k=0..min(v,4) j=0..k s=0..j",
            note="C(v-s-k, r-p) = 0 for r < p by the extended convention")
 def _chk_eq25(s, j, k, v):
     n = j - s
@@ -768,38 +593,23 @@ def _chk_eq25(s, j, k, v):
 # ---------------------------------------------------------------------------
 # factoring through W_tk
 
-def _dom_eq26(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(v + 1):
-            for t in range(k + 1):
-                for s in range(v + 1):
-                    yield {"s": s, "t": t, "k": k, "v": v}
-
-
-@_register("eq26", "F^t_sk = X^k_st W_tk", _dom_eq26)
+@_register("eq26", "F^t_sk = X^k_st W_tk", "v=1..V k=0..v t=0..k s=0..v")
 def _chk_eq26(s, t, k, v):
     lhs = build(F(t, s, k, v))
     rhs = build(X(s, t, k, v)) @ build(W(t, k, v))
     return _cmp(lhs, rhs)
 
 
-def _dom_xi(v_max):
-    hi = max(8, min(v_max + 2, 10))
-    for k in range(hi + 1):
-        for t in range(k + 1):
-            for theta in range(t + 1):
-                yield {"theta": theta, "t": t, "k": k}
-
-
 @_register("eq27", "xi^{k+1}_{theta+1,t+1} = xi^{k+1}_{theta,t+1} + z xi^k_{theta,t}",
-           _dom_xi)
+           "k=0..max(8,min(V+2,10)) t=0..k theta=0..t")
 def _chk_eq27(theta, t, k):
     lhs = xi(theta + 1, t + 1, k + 1)
     rhs = xi(theta, t + 1, k + 1) + Poly((0, 1)) * xi(theta, t, k)
     return _cmp_poly(lhs, rhs, f"xi recursion at {(theta, t, k)}")
 
 
-@_register("eq28", "D xi^{k+1}_{theta+1,t+1} = (theta+1) xi^k_{theta,t}", _dom_xi,
+@_register("eq28", "D xi^{k+1}_{theta+1,t+1} = (theta+1) xi^k_{theta,t}",
+           "k=0..max(8,min(V+2,10)) t=0..k theta=0..t",
            note="the derivative carries theta+1 (validated; matches psi's recursion)")
 def _chk_eq28(theta, t, k):
     lhs = xi(theta + 1, t + 1, k + 1).derive()
@@ -808,7 +618,7 @@ def _chk_eq28(theta, t, k):
 
 
 @_register("eq29", "xi^k_{theta,t}(-1) closed form incl. the (0,0) convention",
-           _dom_xi)
+           "k=0..max(8,min(V+2,10)) t=0..k theta=0..t")
 def _chk_eq29(theta, t, k):
     direct = xi(theta, t, k).eval(-1)
     closed = xi_at_minus1(theta, t, k)
@@ -817,16 +627,7 @@ def _chk_eq29(theta, t, k):
     return None
 
 
-def _dom_eq30(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(v + 1):
-            for t in range(k + 1):
-                for s in range(v + 1):
-                    for l in range(t + 1):
-                        yield {"s": s, "t": t, "k": k, "l": l, "v": v}
-
-
-@_register("eq30", "U^{tl}_sk = Y^{kl}_st W_tk", _dom_eq30,
+@_register("eq30", "U^{tl}_sk = Y^{kl}_st W_tk", "v=1..V k=0..v t=0..k s=0..v l=0..t",
            note="Y numerator (k-t) validated; the (k-l) variant fails the grid")
 def _chk_eq30(s, t, k, l, v):
     lhs = build(Utl(t, l, s, k, v))
@@ -837,38 +638,6 @@ def _chk_eq30(s, t, k, l, v):
 # ---------------------------------------------------------------------------
 # block decompositions
 
-def _dom_blocks_tl(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(1, v + 1):
-            for k in range(1, v + 1):
-                for t in range(min(s, k) + 1):
-                    yield {"t": t, "s": s, "k": k, "v": v}
-
-
-def _dom_blocks_tll(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(1, v + 1):
-            for k in range(1, v + 1):
-                for t in range(min(s, k) + 1):
-                    for l in range(t + 1):
-                        yield {"t": t, "l": l, "s": s, "k": k, "v": v}
-
-
-def _dom_blocks_sk(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(1, v + 1):
-            for k in range(1, v + 1):
-                yield {"s": s, "k": k, "v": v}
-
-
-def _dom_blocks_l(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(1, v + 1):
-            for k in range(1, v + 1):
-                for l in range(min(s, k) + 1):
-                    yield {"l": l, "s": s, "k": k, "v": v}
-
-
 def _check_blocks(kind, part):
     actual, expected = block_decompose(kind, part)
     for pos, (got, want) in zip(("TL", "TR", "BL", "BR"), zip(actual, expected)):
@@ -878,32 +647,37 @@ def _check_blocks(kind, part):
     return None
 
 
-@_register("blocks.i", "recursive structure of F^t_sk(v)", _dom_blocks_tl)
+@_register("blocks.i", "recursive structure of F^t_sk(v)",
+           "v=1..V s=1..v k=1..v t=0..min(s,k)")
 def _chk_blocks_i(t, s, k, v):
     return _check_blocks(F(t, s, k, v), "i")
 
 
-@_register("blocks.ii", "recursive structure of F_sk(v)", _dom_blocks_sk)
+@_register("blocks.ii", "recursive structure of F_sk(v)", "v=1..V s=1..v k=1..v")
 def _chk_blocks_ii(s, k, v):
     return _check_blocks(F(None, s, k, v), "ii")
 
 
-@_register("blocks.iii", "recursive structure of U^{t,l}_sk(v)", _dom_blocks_tll)
+@_register("blocks.iii", "recursive structure of U^{t,l}_sk(v)",
+           "v=1..V s=1..v k=1..v t=0..min(s,k) l=0..t")
 def _chk_blocks_iii(t, l, s, k, v):
     return _check_blocks(Utl(t, l, s, k, v), "iii")
 
 
-@_register("blocks.iv", "recursive structure of U^l_sk(v)", _dom_blocks_l)
+@_register("blocks.iv", "recursive structure of U^l_sk(v)",
+           "v=1..V s=1..v k=1..v l=0..min(s,k)")
 def _chk_blocks_iv(l, s, k, v):
     return _check_blocks(U(l, s, k, v), "iv")
 
 
-@_register("blocks.v", "recursive structure of N^t_sk(v)", _dom_blocks_tl)
+@_register("blocks.v", "recursive structure of N^t_sk(v)",
+           "v=1..V s=1..v k=1..v t=0..min(s,k)")
 def _chk_blocks_v(t, s, k, v):
     return _check_blocks(N(t, s, k, v), "v")
 
 
-@_register("blocks.vi", "recursive structure of A^t_sk(v)", _dom_blocks_tl)
+@_register("blocks.vi", "recursive structure of A^t_sk(v)",
+           "v=1..V s=1..v k=1..v t=0..min(s,k)")
 def _chk_blocks_vi(t, s, k, v):
     return _check_blocks(A(t, s, k, v), "vi")
 
@@ -911,7 +685,8 @@ def _chk_blocks_vi(t, s, k, v):
 # ---------------------------------------------------------------------------
 # scheme relations
 
-@_register("sec7.remark", "(U^t_sk)^T = U^t_ks and sum_l U^{tl}_sk = J", _dom_tsk)
+@_register("sec7.remark", "(U^t_sk)^T = U^t_ks and sum_l U^{tl}_sk = J",
+           "v=1..V s=0..v k=0..v t=0..min(s,k)")
 def _chk_sec7_remark(t, s, k, v):
     bad = _cmp(build(U(t, s, k, v)).transpose(), build(U(t, k, s, v)))
     if bad:
@@ -922,16 +697,8 @@ def _chk_sec7_remark(t, s, k, v):
     return ("row sum: " + bad) if bad else None
 
 
-def _dom_eq31(v_max):
-    for v in range(1, v_max + 1):
-        for s in range(v + 1):
-            for k in range(v + 1):
-                for l in range(1, s + 1):
-                    yield {"l": l, "s": s, "k": k, "v": v}
-
-
 @_register("eq31", "U^{>=l}_sk = sum_i (-1)^(i-l) C(i-1,l-1) A^i_sk (l >= 1)",
-           _dom_eq31)
+           "v=1..V s=0..v k=0..v l=1..s")
 def _chk_eq31(l, s, k, v):
     rhs = _lincomb((((-1) ** (i - l) * binomial(i - 1, l - 1), build(A(i, s, k, v)))
                     for i in range(l, s + 1)),
@@ -939,15 +706,8 @@ def _chk_eq31(l, s, k, v):
     return _cmp(build(Uge(l, s, k, v)), rhs)
 
 
-def _dom_prop11(v_max):
-    for v in range(1, v_max + 1):
-        for k in range(v + 1):
-            for i in range(k + 1):
-                for j in range(k + 1):
-                    yield {"i": i, "j": j, "k": k, "v": v}
-
-
-@_register("prop11", "r and p intersection numbers of J(v,k)", _dom_prop11)
+@_register("prop11", "r and p intersection numbers of J(v,k)",
+           "v=1..V k=0..v i=0..k j=0..k")
 def _chk_prop11(i, j, k, v):
     shape = (binomial(v, k), binomial(v, k))
     lhs = build(A(i, k, k, v)) @ build(A(j, k, k, v))

@@ -119,6 +119,7 @@ def test_criterion_4_identity_suite_v8():
     assert elapsed <= 600, f"took {elapsed:.0f}s, budget 600s"
     total = next(line for line in proc.stdout.splitlines()
                  if line.startswith("total:"))
+    assert total.startswith("total: 93027 cases, 0 failures"), total
     _report(4, f"full registry at v<=8: {total.strip()} (budget 600s, "
                f"took {elapsed:.0f}s)")
 

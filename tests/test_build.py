@@ -26,9 +26,10 @@ def test_f_untruncated_entries_are_binomial_powers():
             for k in range(v + 1):
                 f = build(F(None, s, k, v))
                 th = theta_matrix(v, s, k)
+                data = f.data
                 for i in range(f.nrows):
                     for j in range(f.ncols):
-                        assert Poly._lift(f.data[i][j]) == Poly((1, 1)) ** th[i, j]
+                        assert Poly._lift(data[i][j]) == Poly((1, 1)) ** th[i, j]
 
 
 def test_f_degree_bound():
@@ -40,20 +41,22 @@ def test_n_14_structure_small_analog():
     # same structure as the order-3432 case: 1 iff equal or disjoint
     m = build(N(2, 3, 3, 6))
     th = theta_matrix(6, 3, 3)
+    data = m.data
     for i in range(m.nrows):
         for j in range(m.ncols):
-            assert m.data[i][j] == (1 if th[i, j] in (0, 3) else 0)
-        assert sum(1 for x in m.data[i] if x) == 2
+            assert data[i][j] == (1 if th[i, j] in (0, 3) else 0)
+        assert sum(1 for x in data[i] if x) == 2
 
 
 def test_n_13_structure_small_analog():
     # +1 on the diagonal, -1 on disjoint pairs, 0 otherwise
     m = build(N(1, 2, 2, 5))
     th = theta_matrix(5, 2, 2)
+    data = m.data
     for i in range(m.nrows):
         for j in range(m.ncols):
             want = 1 if th[i, j] == 2 else (-1 if th[i, j] == 0 else 0)
-            assert m.data[i][j] == want
+            assert data[i][j] == want
 
 
 def test_integer_kinds_expose_int_array():

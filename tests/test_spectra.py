@@ -303,6 +303,20 @@ def test_verify_detects_wrong_multiplicity():
     assert any(not c.ok and c.name.startswith("multiplicity") for c in rep.checks)
 
 
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_verify_detects_wrong_multiplicities_of_the_right_eigenvalues(mode):
+    # order, trace (0+4+2 = 6) and the eigenvalue set all match; only the
+    # rank route can tell 1^4 from 1^2
+    m = ExactMatrix([[x if i == j else 0 for j in range(6)]
+                     for i, x in enumerate((0, 0, 1, 1, 2, 2))])
+    spec = SpectrumSpec(((0, 1), (1, 4), (2, 1)), 0, 6)
+    rep = verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED))
+    status = {c.name: c.ok for c in rep.checks}
+    assert status["order"] and status["trace"] and status["annihilation"]
+    assert not status["multiplicity[1]"]
+    assert not rep.ok
+
+
 def test_verify_detects_wrong_eigenvalue():
     spec = SpectrumSpec(((2, 4),), 0, 4)
     rep = verify_spectrum(ExactMatrix.identity(4), spec,
@@ -415,3 +429,12 @@ def test_shifted_int_array_guard_at_2_62():
     assert got.tolist() == want
     with pytest.raises(OverflowError):
         _shifted_int_array(arr + np.sign(arr), Fraction(3, 2 ** 31))  # 2^31 * 2^31 = 2^62
+
+
+def test_shifted_int_array_counts_the_eigenvalue_in_the_2_62_bound():
+    arr = np.array([[2 ** 62 - 1]], dtype=np.int64)
+    assert _shifted_int_array(arr, -(2 ** 62 - 1)).tolist() == [[2 ** 63 - 2]]
+    with pytest.raises(OverflowError):
+        _shifted_int_array(arr, -(2 ** 62 + 5))   # exact value 2^63 + 4
+    with pytest.raises(OverflowError):
+        _shifted_int_array(np.zeros((1, 1), dtype=np.int64), 2 ** 62)

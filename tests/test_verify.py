@@ -1,6 +1,10 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from imtk.verify import (EXPECTED_REGISTRY_KEYS, REGISTRY, run_identity,
+from imtk.verify import (EXPECTED_REGISTRY_KEYS, REGISTRY, _grid, run_identity,
                          run_suite)
 
 
@@ -15,6 +19,30 @@ def test_registry_entries_have_descriptions_and_domains():
         assert check.description
         params = next(iter(check.domain(3)))
         assert isinstance(params, dict)
+
+
+def test_domains_match_the_recorded_grids():
+    # tests/data/domains.json was recorded from the hand-written generators
+    # that the declarative domain specs replaced: for every identity and v_max
+    # the case count and sha256(repr(list(domain(v_max)))), which pins the
+    # points, their order and the key order of each parameter dict
+    recorded = json.loads(
+        (Path(__file__).resolve().parent / "data" / "domains.json").read_text())
+    assert set(recorded) == set(REGISTRY)
+    for name, by_v in recorded.items():
+        assert set(by_v) == {str(v) for v in range(2, 9)}, name
+        for v_max, want in by_v.items():
+            cases = list(REGISTRY[name].domain(int(v_max)))
+            got = {"cases": len(cases),
+                   "sha256": hashlib.sha256(repr(cases).encode()).hexdigest()}
+            assert got == want, (name, v_max)
+
+
+def test_grid_names_every_parameter_and_applies_where():
+    with pytest.raises(ValueError):
+        _grid("v=1..V k=0..v", ["s", "k", "v"])
+    assert list(_grid("v=1..V k=0..v", ["k", "v"], where="k != 1")(2)) == [
+        {"k": 0, "v": 1}, {"k": 0, "v": 2}, {"k": 2, "v": 2}]
 
 
 def test_run_identity_examples():
