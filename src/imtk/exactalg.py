@@ -10,11 +10,12 @@ Every operation first bounds the magnitude of its result from its operands'
 and runs in int64 only while that bound is below 2^62, so no int64
 intermediate can wrap.  ``Poly`` remains for scalar polynomials.
 
-The mod-p kernels are exact too.  The mat-vec runs on numpy int64 in column
-chunks sized so that partial sums stay below 2^62.  Gaussian rank is blocked
-elimination on float64 whose products are BLAS GEMMs: residues are centred
-in (-p/2, p/2], so a product with inner dimension nb is exact while
-nb * ((p-1)/2)^2 + p < 2^53 (see ``_panel_plan``).
+The mod-p rank is exact too.  It is blocked Gaussian elimination on
+float64 whose products are BLAS GEMMs of centred residues, |x| <= p // 2:
+a product with inner dimension nb is exact while nb * (p // 2)^2 + p < 2^53,
+and a trailing row is reduced only once in as many passes as keep it below
+2^51 (see ``_panel_plan``).  Every partial sum of a product is an integer
+below 2^53, so the rank does not depend on how BLAS splits the sum.
 """
 
 from __future__ import annotations
@@ -594,16 +595,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-DEFAULT_PRIME_BITS = 25
+DEFAULT_PRIME_BITS = 21
 
 
 def random_prime(rng: random.Random | None = None, bits: int = DEFAULT_PRIME_BITS) -> int:
-    """Random prime with the given bit length.
+    """Random prime with the given bit length, uniform over those primes.
 
-    At the default 25 bits the float64 rank kernel runs its widest panels,
-    nb = 32 columns under nb * ((p-1)/2)^2 + p < 2^53, and the int64 mat-vec
-    keeps its partial sums far below 2^63.  Bits above 31 are rejected: the
-    kernels need products of two residues to stay below 2^62.
+    At the default 21 bits the float64 rank kernel closes its panels on 64
+    pivots and reduces a trailing row only once in 32 or more Schur passes
+    (see ``_panel_plan``).  Bits above 31 are rejected: the kernels need
+    products of two residues to stay below 2^62.
+
+    Unlucky primes.  Let A be an integer matrix of rank r over Q and D a
+    nonzero r x r minor of it.  The rank of A mod p drops only if p divides
+    D.  Hadamard's bound caps |D| by the product of the norms of D's rows,
+    and a prime of b bits is at least 2^(b-1), so at most log2|D| / (b - 1)
+    primes of b bits divide D.  There are 73 586 primes of 21 bits and
+    985 818 of 25 bits.  For U^3 on J(13, 6), 1716 rows of 700 ones,
+    log2|D| <= 1716 * log2(sqrt(700)) < 8110: at most 405 of the 21-bit
+    primes are unlucky, a chance of at most 0.55% per draw (0.034% at 25
+    bits), and of at most 0.003% that two independent draws both are.
     """
     if not 8 <= bits <= 31:
         raise ValueError("prime bits must be in [8, 31]")
@@ -614,16 +625,20 @@ def random_prime(rng: random.Random | None = None, bits: int = DEFAULT_PRIME_BIT
             return cand
 
 
+def _check_modulus(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p.bit_length() > 31:
+        raise ValueError("modulus too large for the int64 kernels")
+
+
 class ModMatrix:
     """Dense matrix over GF(p), p < 2^31, stored as a reduced int64 array."""
 
     __slots__ = ("p", "array")
 
     def __init__(self, array: np.ndarray, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p.bit_length() > 31:
-            raise ValueError("modulus too large for the int64 kernels")
+        _check_modulus(p)
         self.p = p
         self.array = np.ascontiguousarray(array, dtype=np.int64) % p
 
@@ -644,48 +659,94 @@ class ModMatrix:
     def shape(self):
         return self.array.shape
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return _matvec_mod(self.array, x, self.p)
+
+_FLOAT_EXACT = 1 << 53    # float64 holds every integer of smaller magnitude
+_CENTRED_EXACT = 1 << 51  # below this one _reduce gives the centred residue
 
 
-_FLOAT_EXACT = 1 << 53   # float64 holds every integer of smaller magnitude
-_PANEL_MAX = 32
+class ShiftedMatrix:
+    """The integer matrix ``array - shift * I``, as ``rank_modp`` takes it.
+
+    Nothing is copied or reduced mod p here: ``rank_modp`` makes its float64
+    working copy straight from ``array`` and subtracts the shift on that
+    copy's diagonal.  The copy must be exact, so max|array| + |shift| < 2^53
+    is required.  ``mag`` is max|array|, computed when not given.
+    """
+
+    __slots__ = ("array", "shift", "mag")
+
+    def __init__(self, array: np.ndarray, shift: int = 0, mag: int | None = None):
+        if array.dtype != np.int64:
+            raise TypeError("ShiftedMatrix needs an int64 array")
+        if shift and array.shape[0] != array.shape[1]:
+            raise ValueError("only a square matrix can be shifted")
+        mag = _magnitude(array) if mag is None else mag
+        if mag + abs(shift) >= _FLOAT_EXACT:
+            raise OverflowError("entries too large for an exact float64 copy")
+        self.array, self.shift, self.mag = array, shift, mag
+
+
+_PANEL_MAX = 64   # measured: 128 slowed the sparse order-3432 golden ranks
 _LIMB = 1 << 16
 _CHUNK_ENTRIES = 1 << 16  # entries per row chunk of the Schur update (512 kB)
 
 
-def _panel_plan(p: int) -> tuple[int, int]:
-    """Panel width nb and limb base of the float64 elimination mod p.
+def _panel_plan(p: int) -> tuple[int, int, int]:
+    """Pivots per panel nb, limb base and reduction interval of the elimination mod p.
 
-    Every product of the elimination subtracts lmat @ u, inner dimension at
-    most nb and operands centred (|x| <= p // 2), from entries with |x| <= p.
-    That is exact in float64 when nb * (p // 2)**2 + p < 2^53, which gives
-    nb = 32 for all primes below 2^25.  Where no nb >= 1 fits (p above about
-    2^27.5), u is split into limbs hi * 2^16 + lo and the product takes two
-    GEMMs; the returned base is then 2^16, otherwise 0.
+    Every product subtracts lmat @ u, inner dimension at most nb and operands
+    centred (|x| <= h = p // 2), so one pass adds at most step = nb * h^2 to
+    an entry.  nb is the largest with nb * h^2 + p < 2^53, capped at 64: 64
+    for every prime below about 2^24.5, 32 at 25 bits.  Where no nb >= 1 fits
+    (p above about 2^27.5), u is split into limbs hi * 2^16 + lo and the
+    high-limb product is reduced before it is scaled; the returned base is
+    then 2^16, otherwise 0, and a pass adds at most p * 2^16 + nb * h * 2^15.
+
+    A stored entry is reduced again once it has taken ``passes`` passes, the
+    most with passes * step + p < 2^51, but at least one: 32 or more for
+    every 21-bit prime, 1 from 24 bits.  Stored entries thus stay below 2^51,
+    where one ``_reduce`` gives the centred residue.
     """
     h = p // 2
     nb = (_FLOAT_EXACT - 1 - p) // (h * h)
     if nb >= 1:
-        return min(nb, _PANEL_MAX), 0
-    # |L @ hi| <= nb*h*(h/B + 1) before its reduction; afterwards the entry
-    # takes p + p*B from the high limb and nb*h*B/2 from the low one.
-    nb = min((_FLOAT_EXACT - 1) // (h * (h // _LIMB + 1)),
-             (_FLOAT_EXACT - 1 - p * (_LIMB + 1)) // (h * (_LIMB // 2)))
-    return min(nb, _PANEL_MAX), _LIMB
+        nb = min(nb, _PANEL_MAX)
+        base, step = 0, nb * h * h
+    else:
+        # |L @ hi| <= nb*h*(h/B + 1) before its reduction
+        nb = min((_FLOAT_EXACT - 1) // (h * (h // _LIMB + 1)),
+                 (_FLOAT_EXACT - 1 - p * (_LIMB + 1)) // (h * (_LIMB // 2)), _PANEL_MAX)
+        base, step = _LIMB, p * _LIMB + nb * h * (_LIMB // 2)
+    return nb, base, max(1, (_CENTRED_EXACT - 1 - p) // step)
 
 
-def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
+def _reduce(x: np.ndarray, p, scratch: np.ndarray) -> None:
     """x -= p * rint(x / p) in place, with x / p taken as x * (1 / p).
 
-    For integral |x| < 2^53 this leaves |x| <= (p + 3) / 2 <= p.  For |x| <= p
-    the quotient is off by less than 1 / (2p), so x becomes the centred
-    residue, |x| <= p // 2.
+    For integral |x| < 2^53 this leaves |x| <= (p + 3) / 2 <= p.  For odd p
+    and |x| < 2^51 it leaves the centred residue, |x| <= p // 2: x / p is
+    then at least 1 / (2p) from a half-integer and the computed quotient
+    errs by less, so rint rounds it as it would the exact one.  p may be an
+    array that broadcasts against x.
     """
     np.multiply(x, 1.0 / p, out=scratch)
     np.rint(scratch, out=scratch)
     scratch *= p
     x -= scratch
+
+
+def _centre(x: np.ndarray, p, scratch: np.ndarray) -> None:
+    """Integral |x| < 2^53 to centred residues, |x| <= p // 2, in place."""
+    _reduce(x, p, scratch)
+    _reduce(x, p, scratch)
+
+
+def _reduce_rows(x: np.ndarray, p: int, buf: np.ndarray) -> None:
+    """_reduce on a 2-D block, in row chunks through buf."""
+    step = max(1, _CHUNK_ENTRIES // max(1, x.shape[1]))
+    for s in range(0, x.shape[0], step):
+        chunk = x[s:s + step]
+        _reduce(chunk, p, _scratch(buf, chunk.shape)[0])
 
 
 def _limbs(u: np.ndarray, base: int):
@@ -697,11 +758,11 @@ def _limbs(u: np.ndarray, base: int):
 
 
 def _sub_product(dst, lmat, limbs, p, scratch) -> None:
-    """dst -= lmat @ u and reduce mod p, with u given by its limbs.
+    """dst -= lmat @ u, with u given by its limbs; dst is left unreduced.
 
-    Exact for centred operands and |dst| <= p under the bounds of
-    ``_panel_plan``; each high-limb product is reduced before it is scaled.
-    ``scratch`` holds two arrays of dst's shape.
+    Adds at most one pass of ``_panel_plan`` to dst; each high-limb product
+    is reduced before it is scaled.  ``scratch`` holds two arrays of dst's
+    shape.
     """
     prod, spare = scratch
     for limb, scale in limbs:
@@ -710,14 +771,13 @@ def _sub_product(dst, lmat, limbs, p, scratch) -> None:
             _reduce(prod, p, spare)
             prod *= scale
         dst -= prod
-    _reduce(dst, p, prod)
 
 
 def _sub_centred(dst, lmat, u, p, base, buf) -> None:
     """dst -= lmat @ u, left as centred residues (a small operand's update)."""
     scratch = _scratch(buf, dst.shape)
     _sub_product(dst, lmat, _limbs(u, base), p, scratch)
-    _reduce(dst, p, scratch[0])
+    _centre(dst, p, scratch[0])
 
 
 def _scratch(buf: np.ndarray, shape) -> np.ndarray:
@@ -731,88 +791,143 @@ def _swap_rows(a: np.ndarray, i: int, j: int, tmp: np.ndarray) -> None:
     a[j] = tmp
 
 
-def _rank_kernel(a: np.ndarray, p: int) -> int:
-    """Rank of a reduced matrix over GF(p) by right-looking blocked elimination.
+def _rank_kernel(w: np.ndarray, p: int, bound: int) -> int:
+    """Rank over GF(p) of the float64 integer matrix w, |w| <= bound < 2^53.
 
-    Works on one float64 copy of ``a``.  Each panel of nb columns is factored
-    with row pivoting and column skipping.  The pivot rows get their trailing
-    part U12 by forward substitution, and the rows whose multipliers L21 are
-    not all zero get the Schur update L21 @ U12.  Every product is a float64
-    GEMM that ``_panel_plan`` keeps exact, followed by a reduction mod p.
+    Right-looking blocked elimination, in place on w.  ``_factor_panel``
+    gathers a panel of nb pivots, or as many as the columns hold.  The pivot
+    rows then get their trailing part U12 = L11^-1 T, and the rows whose
+    multipliers L21 are not all zero get the Schur update L21 @ U12.  Every
+    product is a float64 GEMM of operands reduced to centred residues.  The
+    trailing rows are not reduced after every pass: a row is reduced right
+    after the pass that uses up its interval from ``_panel_plan``, which
+    keeps every stored entry below 2^51.
     """
-    m, n = a.shape
+    m, n = w.shape
     if m == 0 or n == 0:
         return 0
-    nb, base = _panel_plan(p)
-    w = a.astype(np.float64)
-    tmp = np.empty(n)
+    nb, base, passes = _panel_plan(p)
+    tmp = np.empty(max(n, nb))
     buf = np.empty((2, max(_CHUNK_ENTRIES + n, nb * max(m, n))))
+    if bound > p:
+        _reduce_rows(w, p, buf)
+    ages = np.zeros(m, dtype=np.int64)  # passes taken by each row since its last reduction
     r = c = 0
     while r < m and c < n:
-        c1 = min(c + nb, n)
-        k, mult, strict = _factor_panel(w, r, c, c1, p, base, buf, tmp)
-        if k and c1 < n:
+        k, c, mult = _factor_panel(w, r, c, p, nb, base, buf, tmp, ages)
+        if r + k < m and c < n:  # a full panel with a trailing block
             # U12 = L11^-1 T = T - (I - L11^-1) T
-            u12 = w[r:r + k, c1:].copy()
+            u12 = w[r:r + k, c:].copy()
             _reduce(u12, p, _scratch(buf, u12.shape)[0])
-            if strict.any():
-                _sub_centred(u12, strict, u12, p, base, buf)
-            _schur_update(w, r + k, c1, mult[:k, k:].T, u12, p, base, buf, tmp)
+            if mult[:k, :k].any():
+                _sub_centred(u12, _strict_inverse(mult[:k, :k], p, base, buf), u12,
+                             p, base, buf)
+            _schur_update(w, r + k, c, mult[k:, :k], u12, p, base, passes, buf, tmp, ages)
         r += k
-        c = c1
     return r
 
 
-def _factor_panel(w, r, c, c1, p, base, buf, tmp):
-    """Eliminate columns [c, c1) below row r, left-looking (Crout).
+def _strict_inverse(low: np.ndarray, p: int, base: int, buf: np.ndarray) -> np.ndarray:
+    """I - L^-1 mod p, centred, for L = I + low with low strictly lower triangular.
 
-    Returns the pivot count k, the multipliers transposed (mult[t, i] is that
-    of row r + i on pivot t) and strict = I - L11^-1.  Column j is brought up
-    to date with the k pivots so far by two products: its pivot-row part
-    becomes U[:k, j] = L11^-1 a_top, its other rows a_bot - L21 @ U[:k, j].
-    The pivots end up in rows r .. r + k - 1; rows of w are swapped past
-    column c1 only, since the panel's own columns are not read again.
+    low is nilpotent, so L^-1 = sum_i (-low)^i = (I + q)(I + q^2)(I + q^4)...
+    with q = -low: a doubling that takes about 2 log2(k) products of k x k.
     """
-    # one row per column of the panel; transposing a compact copy is faster
-    pt = w[r:, c:c1].copy().T.copy()
-    _reduce(pt, p, _scratch(buf, pt.shape)[0])
-    bw, rows = pt.shape
-    mult = np.zeros_like(pt)
-    strict = np.zeros((bw, bw))
+    k = low.shape[0]
+    q = -low
+    inv = np.eye(k) + q
+    span = 2
+    while span < k and q.any():
+        square = np.zeros_like(q)
+        _sub_centred(square, -q, q, p, base, buf)
+        q = square
+        _sub_centred(inv, -inv, q, p, base, buf)  # inv += inv @ q
+        span *= 2
+    return np.eye(k) - inv
+
+
+def _factor_panel(w, r, c, p, nb, base, buf, tmp, ages):
+    """Gather up to nb pivots below row r, from column c on (left-looking).
+
+    The panel pulls blocks of nb columns.  A block is first brought up to
+    date with the panel's k pivots so far by two products: its pivot-row
+    part becomes U = L11^-1 T, its other rows B - L21 @ U.  A block that is
+    then zero below the pivot rows holds no pivot and is skipped whole; the
+    others are factored column by column (Crout) against the pivots found in
+    the block so far; the U row of each new pivot is brought up to date on
+    the block's later columns as soon as the pivot is found.  The panel
+    closes on its nb-th pivot or at the last column, so elimination ends
+    once the trailing columns are used up.
+
+    Returns the pivot count k, the column where the panel ends and the
+    multipliers (mult[i, t] is that of row r + i on pivot t).  The pivots end
+    up in rows r .. r + k - 1; rows of w are swapped from the current block
+    on, since the columns before it are not read again.
+    """
+    m, n = w.shape
+    rows = m - r
+    h = p // 2
+    mult = np.zeros((rows, nb))
     k = 0
-    for j in range(bw):
-        top = pt[j, :k].copy()
-        if strict[:k, :k].any() and top.any():
-            _sub_centred(top, strict[:k, :k], top, p, base, buf)
-        bot = pt[j, k:].copy()
-        if top.any():
-            _sub_centred(bot, mult[:k, k:].T, top, p, base, buf)
-        nz = np.flatnonzero(bot)
-        if nz.size == 0:
+    while c < n and k < min(nb, rows):
+        c1 = min(c + nb, n)
+        # one row per column of the block; transposing a compact copy is faster
+        pt = w[r:, c:c1].copy().T.copy()
+        _reduce(pt, p, _scratch(buf, pt.shape)[0])
+        k0 = k
+        if k and pt[:, :k].any():
+            # transposed: U^T = T^T - T^T strict^T, then B^T -= U^T L21^T
+            u = pt[:, :k].copy()
+            if mult[:k, :k].any():
+                _sub_centred(u, pt[:, :k], _strict_inverse(mult[:k, :k], p, base, buf).T,
+                             p, base, buf)
+            _sub_centred(pt[:, k:], u, mult[k:, :k].T, p, base, buf)
+        if not pt[:, k:].any():
+            c = c1
             continue
-        if nz[0]:
-            # the rows before nz[0] are zero here, so nz[1:] stays put
-            piv = k + int(nz[0])
-            pt[:, [k, piv]] = pt[:, [piv, k]]
-            mult[:, [k, piv]] = mult[:, [piv, k]]
-            _swap_rows(w[:, c1:], r + k, r + piv, tmp[:w.shape[1] - c1])
-        if nz.size > 1:
-            f = (bot[nz[1:]].astype(np.int64) * pow(int(bot[nz[0]]), -1, p)) % p
-            mult[k, k + nz[1:]] = np.where(f > p // 2, f - p, f)
-        if k and mult[:k, k].any():
-            # row k of I - L11^-1 is l - l @ (I - L11^-1)[:k, :k], l = L11[k, :k]
-            row = mult[:k, k].copy()
-            _sub_centred(row, mult[:k, k], strict[:k, :k], p, base, buf)
-            strict[k, :k] = row
-        k += 1
-    return k, mult, strict[:k, :k]
+        bw = c1 - c
+        for j in range(bw):
+            # Column j is current with the pivots before k0, and rows k0..k-1
+            # of pt already hold U; bring the other rows up to date with the
+            # block's pivots (left-looking).  pt[j] is not read again.
+            bot, top = pt[j, k:], pt[j, k0:k]
+            if top.any():
+                scratch = _scratch(buf, bot.shape)
+                _sub_product(bot, mult[k:, k0:k], _limbs(top, base), p, scratch)
+                _reduce(bot, p, scratch[0])
+            nz = bot.nonzero()[0]
+            if nz.size == 0:
+                continue
+            if nz[0]:
+                # the rows before nz[0] are zero here, so nz[1:] stays put
+                piv = k + int(nz[0])
+                pt[:, [k, piv]] = pt[:, [piv, k]]
+                _swap_rows(mult, k, piv, tmp[:nb])
+                _swap_rows(w[:, c:], r + k, r + piv, tmp[:n - c])
+                ages[r + k], ages[r + piv] = ages[r + piv], ages[r + k]
+            rest = nz[1:]
+            if rest.size:
+                f = (bot[rest].astype(np.int64) * pow(int(bot[0]), -1, p)) % p
+                f[f > h] -= p
+                mult[k + rest, k] = f
+            k += 1
+            if k == min(nb, rows):
+                return k, c + j + 1, mult
+            if j + 1 < bw and mult[k - 1, k0:k - 1].any():
+                # the new pivot row's U on the later columns of the block
+                _sub_centred(pt[j + 1:, k - 1], pt[j + 1:, k0:k - 1],
+                             mult[k - 1, k0:k - 1], p, base, buf)
+        c = c1
+    return k, c, mult
 
 
-def _schur_update(w, r0, c1, l21, u12, p, base, buf, tmp) -> None:
-    """w[r0:, c1:] -= l21 @ u12 (mod p) on the rows with nonzero multipliers.
+def _schur_update(w, r0, c1, l21, u12, p, base, passes, buf, tmp, ages) -> None:
+    """w[r0:, c1:] -= l21 @ u12 on the rows with nonzero multipliers.
 
     Those rows are first swapped to the front of the block, so the update
-    runs on contiguous row chunks through the buffer.
+    runs on contiguous row chunks through the buffer.  A chunk is reduced
+    right after its product, while still in cache, once one of its rows has
+    taken ``passes`` passes since its last reduction (``ages`` counts them).
     """
     live = l21.any(axis=1)
     q = int(np.count_nonzero(live))
@@ -824,37 +939,39 @@ def _schur_update(w, r0, c1, l21, u12, p, base, buf, tmp) -> None:
     for i, j in zip(holes.tolist(), fills.tolist()):
         _swap_rows(w[:, c1:], r0 + i, r0 + j, tmp[:ncols])
         l21[[i, j]] = l21[[j, i]]
+        ages[r0 + i], ages[r0 + j] = ages[r0 + j], ages[r0 + i]
     limbs = _limbs(u12, base)
     step = max(1, _CHUNK_ENTRIES // ncols)
     for s in range(0, q, step):
         e = min(q, s + step)
-        _sub_product(w[r0 + s:r0 + e, c1:], l21[s:e], limbs, p,
-                     _scratch(buf, (e - s, ncols)))
+        dst, scratch = w[r0 + s:r0 + e, c1:], _scratch(buf, (e - s, ncols))
+        _sub_product(dst, l21[s:e], limbs, p, scratch)
+        taken = ages[r0 + s:r0 + e]
+        taken += 1
+        if taken.max() >= passes:
+            _reduce(dst, p, scratch[0])
+            taken[:] = 0
 
 
-def rank_modp(m: ExactMatrix | ModMatrix, p: int) -> int:
+def rank_modp(m: ExactMatrix | ModMatrix | ShiftedMatrix, p: int) -> int:
     """Rank over GF(p) of the matrix reduced mod p.
 
     The error is one-sided: rank mod p <= rank over Q, because a minor that
     vanishes over Q vanishes mod p.  The rank drops exactly when p divides
-    every nonzero minor of order r, r the rank over Q, so only finitely many
-    primes undershoot.
+    every nonzero minor of order r, r the rank over Q, so it is enough that
+    p does not divide one of them, D; ``random_prime`` bounds how many
+    primes of a given length can divide D.  A ShiftedMatrix is eliminated
+    from a float64 copy of its integers, with no reduction mod p first.
     """
-    if isinstance(m, ModMatrix):
-        if m.p != p:
-            raise ValueError("modulus mismatch")
-        return _rank_kernel(m.array, p)
-    return _rank_kernel(ModMatrix.from_exact(m, p).array, p)
-
-
-def _matvec_mod(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """(a @ x) mod p with column chunking so partial sums stay below 2^62."""
-    x = np.asarray(x, dtype=np.int64) % p
-    n = a.shape[1]
-    chunk = max(1, _INT64_SAFE // (p * p))
-    if n <= chunk:
-        return (a @ x) % p
-    acc = np.zeros(a.shape[0], dtype=np.int64)
-    for j in range(0, n, chunk):
-        acc = (acc + a[:, j:j + chunk] @ x[j:j + chunk]) % p
-    return acc
+    if isinstance(m, ShiftedMatrix):
+        _check_modulus(p)
+        w = m.array.astype(np.float64)
+        if m.shift:
+            idx = np.arange(w.shape[0])
+            w[idx, idx] -= m.shift
+        return _rank_kernel(w, p, m.mag + abs(m.shift))
+    if isinstance(m, ExactMatrix):
+        m = ModMatrix.from_exact(m, p)
+    elif m.p != p:
+        raise ValueError("modulus mismatch")
+    return _rank_kernel(m.array.astype(np.float64), p, p - 1)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .build import MatrixKind, build
 from .combinat import binomial
-from .exactalg import (ExactMatrix, ModMatrix, Poly, _matvec_mod, random_prime,
-                       rank_modp)
+from .exactalg import (_FLOAT_EXACT, ExactMatrix, ModMatrix, Poly, ShiftedMatrix,
+                       _centre, _reduce, random_prime, rank_modp)
 from .opcalc import L
 
 FLOAT_CHECK_MAX_ORDER = 200
@@ -282,6 +282,11 @@ def _reduce_scalar(x, p: int) -> int:
     return x % p
 
 
+def _centred_residue(x, p: int) -> int:
+    r = _reduce_scalar(x, p)
+    return r - p if r > p // 2 else r
+
+
 def _shifted_int_array(arr: np.ndarray, lam) -> np.ndarray:
     """Integer matrix with the same rank as arr - lam*I (denominator cleared).
 
@@ -301,6 +306,61 @@ def _shifted_int_array(arr: np.ndarray, lam) -> np.ndarray:
     idx = np.arange(n)
     out[idx, idx] -= num
     return out
+
+
+def _shifted_mod(arr: np.ndarray, mag: int, lam, p: int) -> ShiftedMatrix | ModMatrix:
+    """M - lam I as ``rank_modp`` takes it over GF(p); mag is max|M|.
+
+    A ShiftedMatrix of arr and a centred residue of lam, so the rank kernel
+    makes its one float64 working copy straight from arr.  Where that copy
+    would not be exact, or p divides lam's denominator, the int64 matrix
+    den*M - num*I from ``_shifted_int_array``, reduced mod p.
+    """
+    den = lam.denominator if isinstance(lam, Fraction) else 1
+    if den % p and mag + p // 2 < _FLOAT_EXACT:
+        return ShiftedMatrix(arr, _centred_residue(lam, p), mag)
+    return ModMatrix(_shifted_int_array(arr, lam), p)
+
+
+def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, probes: int,
+                           rng: random.Random) -> list[str]:
+    """The probes that prod_lambda (M - lambda I) does not send to 0 mod their prime.
+
+    ``probes`` random residue vectors are drawn per prime, prime by prime, as
+    the columns of one n x (len(primes) * probes) float64 block Y, kept
+    centred.  Each factor M - lambda I is then one GEMM of the integer
+    matrix with Y, after which each prime's columns are reduced mod that
+    prime.  With h the largest p // 2, each product is exact while
+    n * max|M| * h + h^2 < 2^53; where that fails the inner dimension is
+    summed in chunks within the bound, and where not even one column fits,
+    M is first reduced to centred residues mod each prime.
+    """
+    n = arr.shape[0]
+    y = np.array([[rng.randrange(p) for _ in range(n)]
+                  for p in primes for _ in range(probes)], dtype=np.float64).T.copy()
+    mods = np.repeat(np.array(primes, dtype=np.float64), probes)
+    scratch = np.empty_like(y)
+    _centre(y, mods, scratch)
+    h = max(primes) // 2
+    if mag * h + h * h < _FLOAT_EXACT:
+        factors = [(arr.astype(np.float64), mag, slice(None))]
+    else:
+        factors = []
+        for i, p in enumerate(primes):
+            a = (arr % p).astype(np.float64)
+            a[a > p // 2] -= p
+            factors.append((a, p // 2, slice(i * probes, (i + 1) * probes)))
+    for val in values:
+        lam = np.repeat([_centred_residue(val, p) for p in primes], probes)
+        for a, amax, cols in factors:
+            chunk = (_FLOAT_EXACT - 1 - h * h) // max(amax * h, 1)
+            acc = y[:, cols] * -lam[cols]
+            for j in range(0, n, chunk):
+                acc += a[:, j:j + chunk] @ y[j:j + chunk, cols]
+                _reduce(acc, mods[cols], np.empty_like(acc))
+            y[:, cols] = acc
+        _centre(y, mods, scratch)
+    return [f"probe {i % probes} mod {int(mods[i])}" for i in np.flatnonzero(y.any(axis=0))]
 
 
 def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
@@ -338,6 +398,11 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
       the sums force each to be exact.  An unlucky prime can only make a
       true claim fail (a rank that undershoots), never a false one pass;
       that failure is retried once with a fresh prime.
+    - Unlucky primes.  The rank of M - lambda I drops mod p only if p
+      divides a fixed nonzero minor D of order its rank, and at most
+      log2|D| / 20 of the 73 586 primes of 21 bits do (``random_prime``):
+      for U^3 on J(13, 6), at most 405, so at most 0.55% per draw, and at
+      most 0.003% that the retry prime is unlucky too.
     """
     if mode not in ("modp", "exact"):
         raise ValueError("mode must be 'modp' or 'exact'")
@@ -370,17 +435,8 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     report.primes = (p1, p2)
 
     # annihilation: prod_lambda (M - lambda I) x = 0 for random probes x
-    fails = []
-    for p in (p1, p2):
-        ap = arr % p
-        lam_mod = [_reduce_scalar(val, p) for val, _ in distinct]
-        for t in range(probes):
-            x = np.array([rng.randrange(p) for _ in range(m.nrows)], dtype=np.int64)
-            y = x
-            for lm in lam_mod:
-                y = (_matvec_mod(ap, y, p) - lm * y) % p
-            if np.any(y):
-                fails.append(f"probe {t} mod {p}")
+    fails = _annihilation_failures(arr, m.mag, [val for val, _ in distinct],
+                                   (p1, p2), probes, rng)
     report.add("annihilation", not fails,
                f"{2 * probes} probes over primes {p1}, {p2}"
                + (f"; failed: {fails}" if fails else ""))
@@ -394,12 +450,12 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     def rank_one(item):
         (val, mult), stream = item
         want = m.nrows - mult
-        got = rank_modp(ModMatrix(_shifted_int_array(arr, val), p1), p1)
+        got = rank_modp(_shifted_mod(arr, m.mag, val, p1), p1)
         retry = None
         if got != want:
             # rank mod p can undershoot the rational rank for unlucky primes
             retry = random_prime(stream)
-            got = rank_modp(ModMatrix(_shifted_int_array(arr, val), retry), retry)
+            got = rank_modp(_shifted_mod(arr, m.mag, val, retry), retry)
         return val, mult, want, got, retry
 
     items = list(zip(distinct, streams))

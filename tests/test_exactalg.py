@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from imtk.build import A, F, N, U, Utl, W, Wbar, build
 from imtk.combinat import SubsetFamily, binomial, psi
-from imtk.exactalg import (_INT64_SAFE, ExactMatrix, ModMatrix, Poly,
-                           _panel_plan, equiv_check, is_prime, mat_inverse,
-                           mat_mul, random_prime, rank_exact, rank_modp)
+from imtk.exactalg import (_INT64_SAFE, _PANEL_MAX, DEFAULT_PRIME_BITS, ExactMatrix,
+                           ModMatrix, Poly, ShiftedMatrix, _panel_plan, equiv_check,
+                           is_prime, mat_inverse, mat_mul, random_prime, rank_exact,
+                           rank_modp)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,7 @@ def test_random_prime_properties():
     for _ in range(10):
         p = random_prime(rng)
         assert is_prime(p)
-        assert p.bit_length() == 25
+        assert p.bit_length() == DEFAULT_PRIME_BITS == 21
     with pytest.raises(ValueError):
         random_prime(rng, bits=40)
 
@@ -305,19 +306,23 @@ def _oracle_rank(a, p: int) -> int:
     return r
 
 
-# 8, 25, 26, 27 and 31 bits: wide panels, narrow panels (nb = 8, 13, 2) and
-# the two-limb update (31 bits).
-ORACLE_PRIMES = (131, 251, 16777259, 33554393, 50930041, 67108859, 134217689,
-                 1277389331, 2147483647)
+# 8, 21, 25, 26, 27 and 31 bits: panels of 64 pivots with delayed reduction
+# (8 and 21 bits; 2097143 is the largest 21-bit prime), panels of 64, 32, 13,
+# 8 and 2 pivots reduced after every pass (25 to 27 bits), and the two-limb
+# update (31 bits).
+ORACLE_PRIMES = (131, 251, 1048583, 2097143, 16777259, 33554393, 50930041, 67108859,
+                 134217689, 1277389331, 2147483647)
 
 
 @st.composite
 def _low_rank_mod_p(draw):
     p = draw(st.sampled_from(ORACLE_PRIMES))
     nb = _panel_plan(p)[0]
-    dim = st.one_of(st.integers(0, 70), st.sampled_from((nb - 1, nb, nb + 1)))
+    # past 3 * nb, several panels close on pivots and several passes run
+    dim = st.one_of(st.integers(0, 70), st.sampled_from((nb - 1, nb, nb + 1)),
+                    st.integers(3 * nb, 3 * nb + 12))
     m, n = draw(dim), draw(dim)
-    rk = draw(st.integers(0, min(m, n)))
+    rk = draw(st.one_of(st.integers(0, min(m, n)), st.integers(0, min(m, n, 6))))
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # (m x rk) full-range residues times (rk x n) small entries: rank <= rk,
     # and the int64 product cannot overflow
@@ -329,6 +334,15 @@ def _low_rank_mod_p(draw):
         a[:, gen.integers(0, n, size=3)] = 0
     if n and draw(st.booleans()):
         a[:, gen.integers(0, n)] = p - 1
+    if n > 1 and draw(st.booleans()):
+        # a run of columns that are multiples of an earlier one
+        j = int(gen.integers(1, n))
+        run = slice(j, min(n, j + int(gen.integers(1, 2 * nb))))
+        a[:, run] = a[:, [int(gen.integers(0, j))]] * gen.integers(0, p, size=a[:, run].shape[1]) % p
+    if m and n and draw(st.booleans()):
+        a[int(gen.integers(0, m)):, int(gen.integers(0, n)):] = 0  # an all-zero trailing block
+    if draw(st.booleans()):
+        a *= gen.random(a.shape) < 0.02  # a few scattered entries
     return a, p
 
 
@@ -352,18 +366,87 @@ def test_rank_modp_worst_magnitudes_at_2_31_minus_1():
 
 def test_panel_plan_keeps_the_update_exact():
     for p in ORACLE_PRIMES + (2, 3, 1000003):
-        nb, base = _panel_plan(p)
+        nb, base, passes = _panel_plan(p)
         h = p // 2
-        assert 1 <= nb <= 32
+        assert 1 <= nb <= _PANEL_MAX
         if base:
             assert h * h + p >= 2 ** 53
             assert nb * h * (h // base + 1) < 2 ** 53
-            assert p * (base + 1) + nb * h * (base // 2) < 2 ** 53
+            step = p * base + nb * h * (base // 2)
         else:
-            assert nb * h * h + p < 2 ** 53
-            assert nb == 32 or (nb + 1) * h * h + p >= 2 ** 53
-    assert _panel_plan(33554393) == (32, 0)
+            assert nb == _PANEL_MAX or (nb + 1) * h * h + p >= 2 ** 53
+            step = nb * h * h
+        # one pass from a reduced entry is exact ...
+        assert p + step < 2 ** 53
+        # ... and an entry is reduced again before it reaches 2^51, where
+        # one reduction no longer gives the centred residue
+        assert passes == 1 or passes * step + p < 2 ** 51
+        assert (passes + 1) * step + p >= 2 ** 51
+    assert _panel_plan(33554393) == (32, 0, 1)
+    assert _panel_plan(2097143) == (64, 0, 32)
+    assert _panel_plan(1048583)[2] == 127
     assert _panel_plan(2147483647)[1] == 2 ** 16
+
+
+@pytest.mark.parametrize("residue", [1, -1])
+def test_the_reduction_interval_is_not_one_pass_too_long(residue):
+    """Two Schur passes that each add nb * (p // 2)^2 to one entry of row z.
+
+    At 25 bits one pass fits between reductions.  Without the reduction in
+    between, the entry would pass 2^53, where float64 holds only even
+    integers; for p = 33554393 and a final residue of -1 the rounded entry
+    is a multiple of p, and the rank would come out one too low.  Rows r1
+    (the first panel's pivots), r2 (the second's, also updated by the first
+    pass) and z; columns c1, c2 and a last one.
+    """
+    p, nb = 33554393, 32
+    h = p // 2
+    assert _panel_plan(p) == (nb, 0, 1)
+    a = np.zeros((2 * nb + 1, 2 * nb + 1), dtype=np.int64)
+    r1, r2, z = slice(0, nb), slice(nb, 2 * nb), 2 * nb
+    a[r1, r1] = a[r2, r2] = np.eye(nb, dtype=np.int64)
+    a[r1, -1] = h
+    a[r2, 0] = 1          # r2 is updated by the first pass, keeping its pivots
+    a[r2, -1] = 2 * h     # so that its U12 is 2h - h = h
+    a[z, :2 * nb] = -h    # multipliers -h on every pivot
+    a[z, -1] = (residue - 2 * nb * h * h) % p
+    assert _oracle_rank(a, p) == 2 * nb + 1
+    assert rank_modp(ModMatrix(a, p), p) == 2 * nb + 1
+
+
+@pytest.mark.parametrize("row", [1, 4])
+def test_a_block_is_skipped_only_when_every_row_below_the_pivots_is_zero(row):
+    # the first block yields one pivot (row 0); in the second block only one
+    # row below it, the first or the last, is nonzero
+    a = np.zeros((5, 200), dtype=np.int64)
+    a[0, 0] = 1
+    a[row, 100] = 7
+    p = 2097143
+    assert rank_modp(ModMatrix(a, p), p) == 2 == _oracle_rank(a, p)
+
+
+@pytest.mark.parametrize("p", [2097143, 33554393, 2147483647])
+def test_shifted_matrix_rank_matches_the_reduced_matrix(p):
+    gen = np.random.default_rng(5)
+    a = gen.integers(-3, 4, size=(90, 6)) @ gen.integers(-3, 4, size=(6, 90))
+    for shift in (0, 5, -(p // 2), 3 * p + 1):
+        want = _oracle_rank(a - shift * np.eye(90, dtype=np.int64), p)
+        assert rank_modp(ShiftedMatrix(a, shift), p) == want
+    # entries beyond p are reduced before elimination
+    big = a * (2 ** 40)
+    assert rank_modp(ShiftedMatrix(big), p) == _oracle_rank(big % p, p)
+
+
+def test_shifted_matrix_refuses_what_float64_cannot_hold():
+    with pytest.raises(OverflowError):
+        ShiftedMatrix(np.array([[2 ** 52, 0], [0, 1]]), 2 ** 52)
+    ShiftedMatrix(np.array([[2 ** 52, 0], [0, 1]]), 2 ** 52 - 1)
+    with pytest.raises(ValueError):
+        ShiftedMatrix(np.ones((2, 3), dtype=np.int64), 1)
+    with pytest.raises(TypeError):
+        ShiftedMatrix(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="not prime"):
+        rank_modp(ShiftedMatrix(np.eye(2, dtype=np.int64)), 2 ** 21)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,22 @@ def test_verify_detects_wrong_multiplicities_of_the_right_eigenvalues(mode):
     assert not rep.ok
 
 
+@pytest.mark.parametrize("scale", [1, 2 ** 32 + 1, 2 ** 40 + 1, 2 ** 55 + 1])
+def test_verify_spectrum_is_exact_at_every_entry_size(scale):
+    # scale * J of order 4 has eigenvalues 4 * scale once and 0 three times.
+    # Odd scales, so that a sum past 2^53 would be rounded: near 2^32 the
+    # probe products are summed in chunks, near 2^40 M is first reduced mod
+    # each prime, and near 2^55 the rank takes the int64 route.
+    n = 4
+    m = ExactMatrix.ones(n, n).scale(scale)
+    good = SpectrumSpec(((n * scale, 1), (0, n - 1)), 0, n)
+    assert verify_spectrum(m, good, rng=random.Random(RNG_SEED)).ok
+    # the right order and trace, the wrong eigenvalue set
+    bad = SpectrumSpec(((n * scale - 1, 1), (1, 1), (0, n - 2)), 0, n)
+    status = {c.name: c.ok for c in verify_spectrum(m, bad, rng=random.Random(RNG_SEED)).checks}
+    assert status["order"] and status["trace"] and not status["annihilation"]
+
+
 def test_verify_detects_wrong_eigenvalue():
     spec = SpectrumSpec(((2, 4),), 0, 4)
     rep = verify_spectrum(ExactMatrix.identity(4), spec,
