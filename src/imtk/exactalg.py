@@ -10,8 +10,11 @@ Every operation first bounds the magnitude of its result from its operands'
 and runs in int64 only while that bound is below 2^62, so no int64
 intermediate can wrap.  ``Poly`` remains for scalar polynomials.
 
-The mod-p rank is exact too.  It is blocked Gaussian elimination on
-float64 whose products are BLAS GEMMs of centred residues, |x| <= p // 2:
+The mod-p rank is exact too.  Its one input is a ``ModMatrix``: M - shift*I
+over GF(p), kept as M's own int64 array while max|M| + |shift| < 2^53 and
+copied and reduced mod p only past that.  The rank is blocked Gaussian
+elimination on a float64 copy whose products are BLAS GEMMs of centred
+residues, |x| <= p // 2:
 a product with inner dimension nb is exact while nb * (p // 2)^2 + p < 2^53,
 and a trailing row is reduced only once in as many passes as keep it below
 2^51 (see ``_panel_plan``).  Every partial sum of a product is an integer
@@ -632,15 +635,32 @@ def _check_modulus(p: int) -> None:
         raise ValueError("modulus too large for the int64 kernels")
 
 
+_FLOAT_EXACT = 1 << 53    # float64 holds every integer of smaller magnitude
+_CENTRED_EXACT = 1 << 51  # below this one _reduce gives the centred residue
+
+
 class ModMatrix:
-    """Dense matrix over GF(p), p < 2^31, stored as a reduced int64 array."""
+    """The integer matrix ``array - shift * I`` over GF(p), p < 2^31.
 
-    __slots__ = ("p", "array")
+    While max|array| + |shift| < 2^53 an int64 ``array`` is kept as given,
+    without a copy, and must not be changed afterwards: ``rank_modp`` makes
+    its float64 working copy straight from it, exactly.  Otherwise ``array``
+    is reduced once with ``% p`` and ``shift`` mod p.  ``mag`` is max|array|,
+    computed when not given.
+    """
 
-    def __init__(self, array: np.ndarray, p: int):
+    __slots__ = ("p", "array", "shift", "mag")
+
+    def __init__(self, array: np.ndarray, p: int, shift: int = 0, mag: int | None = None):
         _check_modulus(p)
-        self.p = p
-        self.array = np.ascontiguousarray(array, dtype=np.int64) % p
+        array = np.asarray(array)
+        if shift and array.shape[0] != array.shape[1]:
+            raise ValueError("only a square matrix can be shifted")
+        mag = _magnitude(array) if mag is None else mag
+        if mag + abs(shift) >= _FLOAT_EXACT:
+            array, shift, mag = array % p, shift % p, p - 1
+        self.p, self.shift, self.mag = p, shift, mag
+        self.array = array.astype(np.int64, copy=False)
 
     @classmethod
     def from_exact(cls, m: ExactMatrix, p: int) -> "ModMatrix":
@@ -648,42 +668,9 @@ class ModMatrix:
             raise TypeError("polynomial entries have no mod-p reduction here")
         if m.den % p == 0:
             raise ValueError(f"prime {p} divides a denominator")
-        a = m.stack[0]
-        if a.dtype == object:
-            a = (a % p).astype(np.int64)
-        if m.den != 1:
-            a = a % p * pow(m.den, -1, p)
-        return cls(a, p)
-
-    @property
-    def shape(self):
-        return self.array.shape
-
-
-_FLOAT_EXACT = 1 << 53    # float64 holds every integer of smaller magnitude
-_CENTRED_EXACT = 1 << 51  # below this one _reduce gives the centred residue
-
-
-class ShiftedMatrix:
-    """The integer matrix ``array - shift * I``, as ``rank_modp`` takes it.
-
-    Nothing is copied or reduced mod p here: ``rank_modp`` makes its float64
-    working copy straight from ``array`` and subtracts the shift on that
-    copy's diagonal.  The copy must be exact, so max|array| + |shift| < 2^53
-    is required.  ``mag`` is max|array|, computed when not given.
-    """
-
-    __slots__ = ("array", "shift", "mag")
-
-    def __init__(self, array: np.ndarray, shift: int = 0, mag: int | None = None):
-        if array.dtype != np.int64:
-            raise TypeError("ShiftedMatrix needs an int64 array")
-        if shift and array.shape[0] != array.shape[1]:
-            raise ValueError("only a square matrix can be shifted")
-        mag = _magnitude(array) if mag is None else mag
-        if mag + abs(shift) >= _FLOAT_EXACT:
-            raise OverflowError("entries too large for an exact float64 copy")
-        self.array, self.shift, self.mag = array, shift, mag
+        if m.den == 1:
+            return cls(m.stack[0], p, mag=m.mag)
+        return cls(m.stack[0] % p * pow(m.den, -1, p) % p, p)
 
 
 _PANEL_MAX = 64   # measured: 128 slowed the sparse order-3432 golden ranks
@@ -726,8 +713,10 @@ def _reduce(x: np.ndarray, p, scratch: np.ndarray) -> None:
     For integral |x| < 2^53 this leaves |x| <= (p + 3) / 2 <= p.  For odd p
     and |x| < 2^51 it leaves the centred residue, |x| <= p // 2: x / p is
     then at least 1 / (2p) from a half-integer and the computed quotient
-    errs by less, so rint rounds it as it would the exact one.  p may be an
-    array that broadcasts against x.
+    errs by less, so rint rounds it as it would the exact one.  p = 2 also
+    leaves |x| <= 1: 1 / 2 is a power of two, so x / 2 is computed exactly,
+    and rint moves an integer or half-integer by at most 1 / 2.  p may be
+    an array that broadcasts against x.
     """
     np.multiply(x, 1.0 / p, out=scratch)
     np.rint(scratch, out=scratch)
@@ -953,25 +942,25 @@ def _schur_update(w, r0, c1, l21, u12, p, base, passes, buf, tmp, ages) -> None:
             taken[:] = 0
 
 
-def rank_modp(m: ExactMatrix | ModMatrix | ShiftedMatrix, p: int) -> int:
+def rank_modp(m: ExactMatrix | ModMatrix, p: int) -> int:
     """Rank over GF(p) of the matrix reduced mod p.
 
     The error is one-sided: rank mod p <= rank over Q, because a minor that
     vanishes over Q vanishes mod p.  The rank drops exactly when p divides
     every nonzero minor of order r, r the rank over Q, so it is enough that
     p does not divide one of them, D; ``random_prime`` bounds how many
-    primes of a given length can divide D.  A ShiftedMatrix is eliminated
-    from a float64 copy of its integers, with no reduction mod p first.
+    primes of a given length can divide D.  The input is one ``ModMatrix``
+    (an ExactMatrix is first made one by ``ModMatrix.from_exact``): M -
+    shift*I over GF(p), copied and reduced only past 2^53.  Its float64
+    working copy is made from M's integers and the shift subtracted on the
+    copy's diagonal.
     """
-    if isinstance(m, ShiftedMatrix):
-        _check_modulus(p)
-        w = m.array.astype(np.float64)
-        if m.shift:
-            idx = np.arange(w.shape[0])
-            w[idx, idx] -= m.shift
-        return _rank_kernel(w, p, m.mag + abs(m.shift))
     if isinstance(m, ExactMatrix):
         m = ModMatrix.from_exact(m, p)
     elif m.p != p:
         raise ValueError("modulus mismatch")
-    return _rank_kernel(m.array.astype(np.float64), p, p - 1)
+    w = m.array.astype(np.float64)
+    if m.shift:
+        idx = np.arange(w.shape[0])
+        w[idx, idx] -= m.shift
+    return _rank_kernel(w, p, m.mag + abs(m.shift))

@@ -16,8 +16,8 @@ import numpy as np
 
 from .build import MatrixKind, build
 from .combinat import binomial
-from .exactalg import (_FLOAT_EXACT, ExactMatrix, ModMatrix, Poly, ShiftedMatrix,
-                       _centre, _reduce, random_prime, rank_modp)
+from .exactalg import (_FLOAT_EXACT, ExactMatrix, ModMatrix, Poly, _centre, _reduce,
+                       random_prime, rank_modp)
 from .opcalc import L
 
 FLOAT_CHECK_MAX_ORDER = 200
@@ -287,41 +287,6 @@ def _centred_residue(x, p: int) -> int:
     return r - p if r > p // 2 else r
 
 
-def _shifted_int_array(arr: np.ndarray, lam) -> np.ndarray:
-    """Integer matrix with the same rank as arr - lam*I (denominator cleared).
-
-    arr is int64 with |entries| < 2^62 (as ``ExactMatrix.as_int_array`` gives).
-    The result stays in int64 while den*|arr| < 2^62 and |num| < 2^62, so every
-    shifted diagonal entry is below 2^63 in magnitude; otherwise OverflowError.
-    """
-    n = arr.shape[0]
-    num, den = (lam.numerator, lam.denominator) if isinstance(lam, Fraction) else (lam, 1)
-    if abs(num) >= (1 << 62):
-        raise OverflowError("eigenvalue numerator too large for int64 shift")
-    # max and min instead of np.abs(arr): no temporary the size of the matrix
-    if den != 1 and max(int(arr.max(initial=0)),
-                        -int(arr.min(initial=0))) * den >= (1 << 62):
-        raise OverflowError("eigenvalue denominator too large for int64 shift")
-    out = arr * den if den != 1 else arr.copy()
-    idx = np.arange(n)
-    out[idx, idx] -= num
-    return out
-
-
-def _shifted_mod(arr: np.ndarray, mag: int, lam, p: int) -> ShiftedMatrix | ModMatrix:
-    """M - lam I as ``rank_modp`` takes it over GF(p); mag is max|M|.
-
-    A ShiftedMatrix of arr and a centred residue of lam, so the rank kernel
-    makes its one float64 working copy straight from arr.  Where that copy
-    would not be exact, or p divides lam's denominator, the int64 matrix
-    den*M - num*I from ``_shifted_int_array``, reduced mod p.
-    """
-    den = lam.denominator if isinstance(lam, Fraction) else 1
-    if den % p and mag + p // 2 < _FLOAT_EXACT:
-        return ShiftedMatrix(arr, _centred_residue(lam, p), mag)
-    return ModMatrix(_shifted_int_array(arr, lam), p)
-
-
 def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, probes: int,
                            rng: random.Random) -> list[str]:
     """The probes that prod_lambda (M - lambda I) does not send to 0 mod their prime.
@@ -403,6 +368,10 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
       log2|D| / 20 of the 73 586 primes of 21 bits do (``random_prime``):
       for U^3 on J(13, 6), at most 405, so at most 0.55% per draw, and at
       most 0.003% that the retry prime is unlucky too.
+    - Denominators.  A prime that divides a claimed eigenvalue's denominator
+      raises ValueError, in the annihilation step for the two shared primes
+      and in the rank step for a retry prime.  No true claim is lost so: M
+      is an integer matrix, and its rational eigenvalues are integers.
     """
     if mode not in ("modp", "exact"):
         raise ValueError("mode must be 'modp' or 'exact'")
@@ -450,12 +419,12 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     def rank_one(item):
         (val, mult), stream = item
         want = m.nrows - mult
-        got = rank_modp(_shifted_mod(arr, m.mag, val, p1), p1)
+        got = rank_modp(ModMatrix(arr, p1, _centred_residue(val, p1), m.mag), p1)
         retry = None
         if got != want:
             # rank mod p can undershoot the rational rank for unlucky primes
             retry = random_prime(stream)
-            got = rank_modp(_shifted_mod(arr, m.mag, val, retry), retry)
+            got = rank_modp(ModMatrix(arr, retry, _centred_residue(val, retry), m.mag), retry)
         return val, mult, want, got, retry
 
     items = list(zip(distinct, streams))

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from imtk.build import A, F, N, U, Utl, W, Wbar, build
 from imtk.combinat import SubsetFamily, binomial, psi
 from imtk.exactalg import (_INT64_SAFE, _PANEL_MAX, DEFAULT_PRIME_BITS, ExactMatrix,
-                           ModMatrix, Poly, ShiftedMatrix, _panel_plan, equiv_check,
-                           is_prime, mat_inverse, mat_mul, random_prime, rank_exact,
-                           rank_modp)
+                           ModMatrix, Poly, _panel_plan, equiv_check, is_prime,
+                           mat_inverse, mat_mul, random_prime, rank_exact, rank_modp)
 
 
 # ---------------------------------------------------------------------------
@@ -431,22 +430,79 @@ def test_shifted_matrix_rank_matches_the_reduced_matrix(p):
     a = gen.integers(-3, 4, size=(90, 6)) @ gen.integers(-3, 4, size=(6, 90))
     for shift in (0, 5, -(p // 2), 3 * p + 1):
         want = _oracle_rank(a - shift * np.eye(90, dtype=np.int64), p)
-        assert rank_modp(ShiftedMatrix(a, shift), p) == want
+        assert rank_modp(ModMatrix(a, p, shift), p) == want
     # entries beyond p are reduced before elimination
     big = a * (2 ** 40)
-    assert rank_modp(ShiftedMatrix(big), p) == _oracle_rank(big % p, p)
-
-
-def test_shifted_matrix_refuses_what_float64_cannot_hold():
-    with pytest.raises(OverflowError):
-        ShiftedMatrix(np.array([[2 ** 52, 0], [0, 1]]), 2 ** 52)
-    ShiftedMatrix(np.array([[2 ** 52, 0], [0, 1]]), 2 ** 52 - 1)
-    with pytest.raises(ValueError):
-        ShiftedMatrix(np.ones((2, 3), dtype=np.int64), 1)
-    with pytest.raises(TypeError):
-        ShiftedMatrix(np.ones((2, 2)))
+    assert rank_modp(ModMatrix(big, p), p) == _oracle_rank(big % p, p)
+    with pytest.raises(ValueError, match="square"):
+        ModMatrix(np.ones((2, 3), dtype=np.int64), p, 1)
     with pytest.raises(ValueError, match="not prime"):
-        rank_modp(ShiftedMatrix(np.eye(2, dtype=np.int64)), 2 ** 21)
+        ModMatrix(np.eye(2, dtype=np.int64), 2 ** 21)
+
+
+@pytest.mark.parametrize("p", [2097143, 2147483647])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_modmatrix_is_copied_and_reduced_only_from_2_53(p, sign):
+    # max|array| + |shift| = 2^53 - 1 keeps the array itself for the float64
+    # copy; 2^53 reduces it with % p first
+    gen = np.random.default_rng(53)
+    a = gen.integers(-3, 4, size=(70, 5)) @ gen.integers(-3, 4, size=(5, 70))
+    a[0, 0] = sign * (2 ** 52 + 1)
+    mag = 2 ** 52 + 1
+    for shift, copied in ((2 ** 52 - 2, False), (2 ** 52 - 1, True),
+                          (-(2 ** 52 - 2), False), (-(2 ** 52 - 1), True)):
+        assert mag + abs(shift) == 2 ** 53 - 1 + copied
+        mm = ModMatrix(a, p, shift)
+        assert np.shares_memory(mm.array, a) is not copied
+        if copied:
+            assert 0 <= mm.array.min() and mm.array.max() < p and mm.shift == shift % p
+        else:
+            assert (mm.mag, mm.shift) == (mag, shift)
+        want = _oracle_rank(a - shift * np.eye(70, dtype=np.int64), p)
+        assert rank_modp(mm, p) == want
+        assert rank_modp(ModMatrix(a, p, shift, mag), p) == want
+
+
+def test_modmatrix_ranks_int64_extremes_and_a_bigint_shift():
+    p = 2097143
+    top = 2 ** 63 - 1
+    a = np.array([[top, -top, 1], [-top, top, -1], [5, 7, top]], dtype=np.int64)
+    assert rank_modp(ModMatrix(a, p), p) == 2 == rank_modp(ExactMatrix(a), p)
+    for shift in (2 ** 64 + 3, -(2 ** 70), top):
+        shifted = [[x - (shift if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(a.tolist())]
+        want = _oracle_rank([[x % p for x in row] for row in shifted], p)
+        assert rank_modp(ModMatrix(a, p, shift), p) == want
+
+
+def _wilson_p_rank(v: int, t: int, k: int, p: int) -> int:
+    """rank of W_tk(v) mod p from Wilson's diagonal form, t <= min(k, v - k).
+
+    R. M. Wilson, "A diagonal form for the incidence matrices of t-subsets
+    vs. k-subsets", European J. Combin. 11 (1990).
+    """
+    return sum(binomial(v, i) - binomial(v, i - 1) for i in range(t + 1)
+               if binomial(k - i, t - i) % p)
+
+
+def test_rank_modp_matches_wilson_p_ranks():
+    cases = 0
+    for v in range(2, 11):
+        for k in range(v + 1):
+            for t in range(min(k, v - k) + 1):
+                m = build(W(t, k, v))
+                for p in (2, 3, 5, 7):
+                    assert rank_modp(m, p) == _wilson_p_rank(v, t, k, p), (v, t, k, p)
+                    cases += 1
+    assert cases == 632
+
+
+def test_rank_modp_matches_wilson_below_the_rational_rank_at_golden_scale():
+    # W_{6,7}(14) is 3003 x 3432 of rational rank 3003; its rank drops mod 7
+    # and mod 2, so these are true ranks that an unlucky prime would give
+    m = build(W(6, 7, 14))
+    assert rank_modp(m, 7) == 3002 == _wilson_p_rank(14, 6, 7, 7)
+    assert rank_modp(m, 2) == 1716 == _wilson_p_rank(14, 6, 7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +594,8 @@ def test_as_int_array_raises_at_2_62_and_not_below():
 def test_modmatrix_prime_width_edge():
     p = 2 ** 31 - 1
     assert is_prime(p)
-    assert ModMatrix(np.array([[p + 3]]), p).array.tolist() == [[3]]
+    assert rank_modp(ModMatrix(np.array([[p + 3]]), p), p) == 1
+    assert rank_modp(ModMatrix(np.array([[p, 2 * p], [-p, 3]]), p), p) == 1
     above = next(n for n in range(2 ** 31 + 1, 2 ** 31 + 100) if is_prime(n))
     with pytest.raises(ValueError, match="too large"):
         ModMatrix(np.array([[1]]), above)

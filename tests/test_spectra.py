@@ -7,11 +7,11 @@ import pytest
 from imtk.build import A, F, N, U, Uge, Utl, W, build
 from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, Poly, mat_inverse, rank_modp
-from imtk.spectra import (SpectrumSpec, _shifted_int_array, alpha, eberlein,
-                          float_crosscheck, float_eigenvalues, lambda_uge,
-                          lambda_utl, mu, multiplicity, rank_formula,
-                          sampled_eval_points, spectrum_of, tau,
-                          verify_spectrum, wf_spectrum, wu_spectrum)
+from imtk.spectra import (SpectrumSpec, alpha, eberlein, float_crosscheck,
+                          float_eigenvalues, lambda_uge, lambda_utl, mu,
+                          multiplicity, rank_formula, sampled_eval_points,
+                          spectrum_of, tau, verify_spectrum, wf_spectrum,
+                          wu_spectrum)
 
 RNG_SEED = 1234
 
@@ -333,6 +333,35 @@ def test_verify_spectrum_is_exact_at_every_entry_size(scale):
     assert status["order"] and status["trace"] and not status["annihilation"]
 
 
+def test_verify_spectrum_fails_a_claimed_eigenvalue_beyond_2_62():
+    # M - lambda I has an entry near -2^62: its rank is taken mod p like any
+    # other, and the false claim fails its checks instead of raising
+    n, scale, lam = 4, 2 ** 55 + 1, 2 ** 62 + 1
+    m = ExactMatrix.ones(n, n).scale(scale)
+    spec = SpectrumSpec(((lam, 1), (0, n - 1)), 0, n)
+    rep = verify_spectrum(m, spec, rng=random.Random(RNG_SEED))
+    status = {c.name: c.ok for c in rep.checks}
+    assert not status["trace"] and not status["annihilation"]
+    assert not status[f"multiplicity[{lam}]"] and status["multiplicity[0]"]
+    assert not rep.ok
+
+
+def test_verify_spectrum_ranks_rational_claims_mod_p():
+    # rational eigenvalues of an integer matrix are always false claims: the
+    # rank of M - lambda I is taken with lambda's residue, and fails; a
+    # prime that divides a denominator raises
+    m = ExactMatrix.identity(2)
+    half = SpectrumSpec(((Fraction(1, 2), 1), (Fraction(3, 2), 1)), 0, 2)
+    status = {c.name: c.ok for c in verify_spectrum(m, half, rng=random.Random(RNG_SEED)).checks}
+    assert status["trace"] and not status["annihilation"]
+    assert not status["multiplicity[1/2]"] and not status["multiplicity[3/2]"]
+    from imtk.exactalg import random_prime
+    p1 = random_prime(random.Random(RNG_SEED))
+    bad = SpectrumSpec(((Fraction(1, p1), 1), (2 - Fraction(1, p1), 1)), 0, 2)
+    with pytest.raises(ValueError, match="denominator"):
+        verify_spectrum(m, bad, rng=random.Random(RNG_SEED))
+
+
 def test_verify_detects_wrong_eigenvalue():
     spec = SpectrumSpec(((2, 4),), 0, 4)
     rep = verify_spectrum(ExactMatrix.identity(4), spec,
@@ -433,24 +462,3 @@ def test_projector_eigenrelation_for_a_matrices():
                 for j in range(k + 1):
                     lam = a_matrix_eigenvalue(v, k, i, j)
                     assert a @ projectors[j] == projectors[j].scale(lam), (v, k, i, j)
-
-
-def test_shifted_int_array_guard_at_2_62():
-    arr = np.array([[2 ** 31 - 1, 1], [1, -(2 ** 31 - 1)]], dtype=np.int64)
-    lam = Fraction(2, 2 ** 31 + 1)   # max|arr| * den = 2^62 - 1
-    got = _shifted_int_array(arr, lam)
-    den = 2 ** 31 + 1
-    want = [[x * den - (2 if i == j else 0) for j, x in enumerate(row)]
-            for i, row in enumerate(arr.tolist())]
-    assert got.tolist() == want
-    with pytest.raises(OverflowError):
-        _shifted_int_array(arr + np.sign(arr), Fraction(3, 2 ** 31))  # 2^31 * 2^31 = 2^62
-
-
-def test_shifted_int_array_counts_the_eigenvalue_in_the_2_62_bound():
-    arr = np.array([[2 ** 62 - 1]], dtype=np.int64)
-    assert _shifted_int_array(arr, -(2 ** 62 - 1)).tolist() == [[2 ** 63 - 2]]
-    with pytest.raises(OverflowError):
-        _shifted_int_array(arr, -(2 ** 62 + 5))   # exact value 2^63 + 4
-    with pytest.raises(OverflowError):
-        _shifted_int_array(np.zeros((1, 1), dtype=np.int64), 2 ** 62)
