@@ -10,8 +10,8 @@ from .build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y,
                     block_decompose, build, row_support_formula)
 from .combinat import (SubsetFamily, binomial, falling_factorial, psi,
                        stirling1, stirling2, xi)
-from .exactalg import (ExactMatrix, ModMatrix, Poly, equiv_check, mat_inverse,
-                       mat_mul, random_prime, rank_exact, rank_modp)
+from .exactalg import (ExactMatrix, ModMatrix, Poly, equiv_check, mat_mul,
+                       random_prime, rank_modp)
 from .opcalc import (L, OperatorExpr, identity_op, op_apply, op_compose, zD,
                      zD_falling, zD_power, zD_shifted_falling)
 from .scheme import (SchemeBasis, basis_convert, conversion_matrix,
@@ -29,8 +29,8 @@ __all__ = [
     "block_decompose", "build", "row_support_formula",
     "SubsetFamily", "binomial", "falling_factorial", "psi",
     "stirling1", "stirling2", "xi",
-    "ExactMatrix", "ModMatrix", "Poly", "equiv_check", "mat_inverse", "mat_mul",
-    "random_prime", "rank_exact", "rank_modp",
+    "ExactMatrix", "ModMatrix", "Poly", "equiv_check", "mat_mul",
+    "random_prime", "rank_modp",
     "L", "OperatorExpr", "identity_op", "op_apply", "op_compose", "zD",
     "zD_falling", "zD_power", "zD_shifted_falling",
     "SchemeBasis", "basis_convert", "conversion_matrix", "intersection_p",

@@ -237,10 +237,10 @@ def cmd_rank(args, rng, threads) -> int:
     if args.method == "formula":
         print(f"rank[formula] = {formula_rank}")
         return EXIT_OK
-    if args.method == "modp":
+    if args.method == "modp" or formula_rank is None:  # nothing to compare with
         print(f"rank[modp] = {computed_rank}")
         return EXIT_OK
-    match = formula_rank is not None and formula_rank == computed_rank
+    match = formula_rank == computed_rank
     print(f"rank[formula] = {formula_rank}")
     print(f"rank[modp]    = {computed_rank}")
     print("match" if match else "MISMATCH")

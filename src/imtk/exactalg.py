@@ -17,8 +17,10 @@ elimination on a float64 copy whose products are BLAS GEMMs of centred
 residues, |x| <= p // 2:
 a product with inner dimension nb is exact while nb * (p // 2)^2 + p < 2^53,
 and a trailing row is reduced only once in as many passes as keep it below
-2^51 (see ``_panel_plan``).  Every partial sum of a product is an integer
-below 2^53, so the rank does not depend on how BLAS splits the sum.
+2^51 (see ``_panel_plan``).  Primes are refused from 2^27 on, where nb
+would fall below 2; the program draws 21-bit primes.  Every partial sum of
+a product is an integer below 2^53, so the rank does not depend on how BLAS
+splits the sum.
 """
 
 from __future__ import annotations
@@ -510,64 +512,6 @@ def equiv_check(a: ExactMatrix, b: ExactMatrix,
 
 
 # ---------------------------------------------------------------------------
-# exact rank (fraction-free Bareiss) and rational inverse
-
-def rank_exact(m: ExactMatrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
-
-    Intended as an oracle for small matrices (entry growth is severe); the
-    mod-p kernel handles large orders.
-    """
-    if m.max_degree():
-        raise TypeError("rank_exact needs scalar entries")
-    a = m.stack[0].tolist()  # den * m has the same rank
-    nr, nc = m.nrows, m.ncols
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = next((i for i in range(rank, nr) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][col]
-        for i in range(rank + 1, nr):
-            fi = a[i][col]
-            row_i, row_p = a[i], a[rank]
-            for j in range(col, nc):
-                row_i[j] = (pv * row_i[j] - fi * row_p[j]) // prev
-        prev = pv
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def mat_inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
-    if m.nrows != m.ncols:
-        raise ValueError("inverse of non-square matrix")
-    n = m.nrows
-    a = [[Fraction(x) for x in row] for row in m.data]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for i in range(n):
-            if i == col or a[i][col] == 0:
-                continue
-            f = a[i][col]
-            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-            inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return ExactMatrix(inv)
-
-
-# ---------------------------------------------------------------------------
 # mod-p arithmetic
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -601,13 +545,12 @@ def is_prime(n: int) -> bool:
 DEFAULT_PRIME_BITS = 21
 
 
-def random_prime(rng: random.Random | None = None, bits: int = DEFAULT_PRIME_BITS) -> int:
-    """Random prime with the given bit length, uniform over those primes.
+def random_prime(rng: random.Random | None = None) -> int:
+    """Random prime of DEFAULT_PRIME_BITS = 21 bits, uniform over those primes.
 
-    At the default 21 bits the float64 rank kernel closes its panels on 64
-    pivots and reduces a trailing row only once in 32 or more Schur passes
-    (see ``_panel_plan``).  Bits above 31 are rejected: the kernels need
-    products of two residues to stay below 2^62.
+    At 21 bits the float64 rank kernel closes its panels on 64 pivots and
+    reduces a trailing row only once in 32 or more Schur passes (see
+    ``_panel_plan``).
 
     Unlucky primes.  Let A be an integer matrix of rank r over Q and D a
     nonzero r x r minor of it.  The rank of A mod p drops only if p divides
@@ -619,20 +562,20 @@ def random_prime(rng: random.Random | None = None, bits: int = DEFAULT_PRIME_BIT
     primes are unlucky, a chance of at most 0.55% per draw (0.034% at 25
     bits), and of at most 0.003% that two independent draws both are.
     """
-    if not 8 <= bits <= 31:
-        raise ValueError("prime bits must be in [8, 31]")
     rng = rng or random.Random()
     while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        cand = rng.getrandbits(DEFAULT_PRIME_BITS) | (1 << (DEFAULT_PRIME_BITS - 1)) | 1
         if is_prime(cand):
             return cand
 
 
 def _check_modulus(p: int) -> None:
+    # below 2^27, 2 * (p // 2)^2 + p < 2^53: a panel holds nb >= 2 pivots with
+    # one exact product per update (see _panel_plan)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p.bit_length() > 31:
-        raise ValueError("modulus too large for the int64 kernels")
+    if p.bit_length() > 27:
+        raise ValueError(f"modulus {p} too large: the float64 rank kernel needs p < 2^27")
 
 
 _FLOAT_EXACT = 1 << 53    # float64 holds every integer of smaller magnitude
@@ -640,7 +583,7 @@ _CENTRED_EXACT = 1 << 51  # below this one _reduce gives the centred residue
 
 
 class ModMatrix:
-    """The integer matrix ``array - shift * I`` over GF(p), p < 2^31.
+    """The integer matrix ``array - shift * I`` over GF(p), p < 2^27.
 
     While max|array| + |shift| < 2^53 an int64 ``array`` is kept as given,
     without a copy, and must not be changed afterwards: ``rank_modp`` makes
@@ -664,47 +607,33 @@ class ModMatrix:
 
     @classmethod
     def from_exact(cls, m: ExactMatrix, p: int) -> "ModMatrix":
-        if m.max_degree():
-            raise TypeError("polynomial entries have no mod-p reduction here")
-        if m.den % p == 0:
-            raise ValueError(f"prime {p} divides a denominator")
-        if m.den == 1:
-            return cls(m.stack[0], p, mag=m.mag)
-        return cls(m.stack[0] % p * pow(m.den, -1, p) % p, p)
+        """The integer matrix m over GF(p), its stack not copied below 2^53."""
+        if not m.all_int():
+            raise TypeError("only an integer matrix has a mod-p reduction here")
+        return cls(m.stack[0], p, mag=m.mag)
 
 
 _PANEL_MAX = 64   # measured: 128 slowed the sparse order-3432 golden ranks
-_LIMB = 1 << 16
 _CHUNK_ENTRIES = 1 << 16  # entries per row chunk of the Schur update (512 kB)
 
 
-def _panel_plan(p: int) -> tuple[int, int, int]:
-    """Pivots per panel nb, limb base and reduction interval of the elimination mod p.
+def _panel_plan(p: int) -> tuple[int, int]:
+    """Pivots per panel nb and reduction interval of the elimination mod p.
 
     Every product subtracts lmat @ u, inner dimension at most nb and operands
-    centred (|x| <= h = p // 2), so one pass adds at most step = nb * h^2 to
-    an entry.  nb is the largest with nb * h^2 + p < 2^53, capped at 64: 64
-    for every prime below about 2^24.5, 32 at 25 bits.  Where no nb >= 1 fits
-    (p above about 2^27.5), u is split into limbs hi * 2^16 + lo and the
-    high-limb product is reduced before it is scaled; the returned base is
-    then 2^16, otherwise 0, and a pass adds at most p * 2^16 + nb * h * 2^15.
+    centred (|x| <= h = p // 2), so one pass adds at most nb * h^2 to an
+    entry.  nb is the largest with nb * h^2 + p < 2^53, capped at 64: 64 for
+    every prime below about 2^24.5, 32 at 25 bits and 2 at 134217689, the
+    largest prime below 2^27 that ``_check_modulus`` lets through.
 
     A stored entry is reduced again once it has taken ``passes`` passes, the
-    most with passes * step + p < 2^51, but at least one: 32 or more for
+    most with passes * nb * h^2 + p < 2^51, but at least one: 32 or more for
     every 21-bit prime, 1 from 24 bits.  Stored entries thus stay below 2^51,
     where one ``_reduce`` gives the centred residue.
     """
     h = p // 2
-    nb = (_FLOAT_EXACT - 1 - p) // (h * h)
-    if nb >= 1:
-        nb = min(nb, _PANEL_MAX)
-        base, step = 0, nb * h * h
-    else:
-        # |L @ hi| <= nb*h*(h/B + 1) before its reduction
-        nb = min((_FLOAT_EXACT - 1) // (h * (h // _LIMB + 1)),
-                 (_FLOAT_EXACT - 1 - p * (_LIMB + 1)) // (h * (_LIMB // 2)), _PANEL_MAX)
-        base, step = _LIMB, p * _LIMB + nb * h * (_LIMB // 2)
-    return nb, base, max(1, (_CENTRED_EXACT - 1 - p) // step)
+    nb = min((_FLOAT_EXACT - 1 - p) // (h * h), _PANEL_MAX)
+    return nb, max(1, (_CENTRED_EXACT - 1 - p) // (nb * h * h))
 
 
 def _reduce(x: np.ndarray, p, scratch: np.ndarray) -> None:
@@ -735,43 +664,20 @@ def _reduce_rows(x: np.ndarray, p: int, buf: np.ndarray) -> None:
     step = max(1, _CHUNK_ENTRIES // max(1, x.shape[1]))
     for s in range(0, x.shape[0], step):
         chunk = x[s:s + step]
-        _reduce(chunk, p, _scratch(buf, chunk.shape)[0])
+        _reduce(chunk, p, _scratch(buf, chunk.shape))
 
 
-def _limbs(u: np.ndarray, base: int):
-    """(limb, scale) pairs with u = sum of limb * (scale or 1)."""
-    if not base:
-        return ((u, 0),)
-    lo = u - base * np.rint(u / base)
-    return (((u - lo) / base, base), (lo, 0))
-
-
-def _sub_product(dst, lmat, limbs, p, scratch) -> None:
-    """dst -= lmat @ u, with u given by its limbs; dst is left unreduced.
-
-    Adds at most one pass of ``_panel_plan`` to dst; each high-limb product
-    is reduced before it is scaled.  ``scratch`` holds two arrays of dst's
-    shape.
-    """
-    prod, spare = scratch
-    for limb, scale in limbs:
-        np.matmul(lmat, limb, out=prod)
-        if scale:
-            _reduce(prod, p, spare)
-            prod *= scale
-        dst -= prod
-
-
-def _sub_centred(dst, lmat, u, p, base, buf) -> None:
+def _sub_centred(dst, lmat, u, p, buf) -> None:
     """dst -= lmat @ u, left as centred residues (a small operand's update)."""
-    scratch = _scratch(buf, dst.shape)
-    _sub_product(dst, lmat, _limbs(u, base), p, scratch)
-    _centre(dst, p, scratch[0])
+    prod = _scratch(buf, dst.shape)
+    np.matmul(lmat, u, out=prod)
+    dst -= prod
+    _centre(dst, p, prod)
 
 
 def _scratch(buf: np.ndarray, shape) -> np.ndarray:
-    """Two arrays of the given shape carved from the front of buf."""
-    return buf[:, :math.prod(shape)].reshape(2, *shape)
+    """An array of the given shape carved from the front of buf."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def _swap_rows(a: np.ndarray, i: int, j: int, tmp: np.ndarray) -> None:
@@ -795,28 +701,27 @@ def _rank_kernel(w: np.ndarray, p: int, bound: int) -> int:
     m, n = w.shape
     if m == 0 or n == 0:
         return 0
-    nb, base, passes = _panel_plan(p)
+    nb, passes = _panel_plan(p)
     tmp = np.empty(max(n, nb))
-    buf = np.empty((2, max(_CHUNK_ENTRIES + n, nb * max(m, n))))
+    buf = np.empty(max(_CHUNK_ENTRIES + n, nb * max(m, n)))
     if bound > p:
         _reduce_rows(w, p, buf)
     ages = np.zeros(m, dtype=np.int64)  # passes taken by each row since its last reduction
     r = c = 0
     while r < m and c < n:
-        k, c, mult = _factor_panel(w, r, c, p, nb, base, buf, tmp, ages)
+        k, c, mult = _factor_panel(w, r, c, p, nb, buf, tmp, ages)
         if r + k < m and c < n:  # a full panel with a trailing block
             # U12 = L11^-1 T = T - (I - L11^-1) T
             u12 = w[r:r + k, c:].copy()
-            _reduce(u12, p, _scratch(buf, u12.shape)[0])
+            _reduce(u12, p, _scratch(buf, u12.shape))
             if mult[:k, :k].any():
-                _sub_centred(u12, _strict_inverse(mult[:k, :k], p, base, buf), u12,
-                             p, base, buf)
-            _schur_update(w, r + k, c, mult[k:, :k], u12, p, base, passes, buf, tmp, ages)
+                _sub_centred(u12, _strict_inverse(mult[:k, :k], p, buf), u12, p, buf)
+            _schur_update(w, r + k, c, mult[k:, :k], u12, p, passes, buf, tmp, ages)
         r += k
     return r
 
 
-def _strict_inverse(low: np.ndarray, p: int, base: int, buf: np.ndarray) -> np.ndarray:
+def _strict_inverse(low: np.ndarray, p: int, buf: np.ndarray) -> np.ndarray:
     """I - L^-1 mod p, centred, for L = I + low with low strictly lower triangular.
 
     low is nilpotent, so L^-1 = sum_i (-low)^i = (I + q)(I + q^2)(I + q^4)...
@@ -828,14 +733,14 @@ def _strict_inverse(low: np.ndarray, p: int, base: int, buf: np.ndarray) -> np.n
     span = 2
     while span < k and q.any():
         square = np.zeros_like(q)
-        _sub_centred(square, -q, q, p, base, buf)
+        _sub_centred(square, -q, q, p, buf)
         q = square
-        _sub_centred(inv, -inv, q, p, base, buf)  # inv += inv @ q
+        _sub_centred(inv, -inv, q, p, buf)  # inv += inv @ q
         span *= 2
     return np.eye(k) - inv
 
 
-def _factor_panel(w, r, c, p, nb, base, buf, tmp, ages):
+def _factor_panel(w, r, c, p, nb, buf, tmp, ages):
     """Gather up to nb pivots below row r, from column c on (left-looking).
 
     The panel pulls blocks of nb columns.  A block is first brought up to
@@ -862,15 +767,14 @@ def _factor_panel(w, r, c, p, nb, base, buf, tmp, ages):
         c1 = min(c + nb, n)
         # one row per column of the block; transposing a compact copy is faster
         pt = w[r:, c:c1].copy().T.copy()
-        _reduce(pt, p, _scratch(buf, pt.shape)[0])
+        _reduce(pt, p, _scratch(buf, pt.shape))
         k0 = k
         if k and pt[:, :k].any():
             # transposed: U^T = T^T - T^T strict^T, then B^T -= U^T L21^T
             u = pt[:, :k].copy()
             if mult[:k, :k].any():
-                _sub_centred(u, pt[:, :k], _strict_inverse(mult[:k, :k], p, base, buf).T,
-                             p, base, buf)
-            _sub_centred(pt[:, k:], u, mult[k:, :k].T, p, base, buf)
+                _sub_centred(u, pt[:, :k], _strict_inverse(mult[:k, :k], p, buf).T, p, buf)
+            _sub_centred(pt[:, k:], u, mult[k:, :k].T, p, buf)
         if not pt[:, k:].any():
             c = c1
             continue
@@ -881,9 +785,10 @@ def _factor_panel(w, r, c, p, nb, base, buf, tmp, ages):
             # block's pivots (left-looking).  pt[j] is not read again.
             bot, top = pt[j, k:], pt[j, k0:k]
             if top.any():
-                scratch = _scratch(buf, bot.shape)
-                _sub_product(bot, mult[k:, k0:k], _limbs(top, base), p, scratch)
-                _reduce(bot, p, scratch[0])
+                prod = _scratch(buf, bot.shape)
+                np.matmul(mult[k:, k0:k], top, out=prod)
+                bot -= prod
+                _reduce(bot, p, prod)
             nz = bot.nonzero()[0]
             if nz.size == 0:
                 continue
@@ -905,12 +810,12 @@ def _factor_panel(w, r, c, p, nb, base, buf, tmp, ages):
             if j + 1 < bw and mult[k - 1, k0:k - 1].any():
                 # the new pivot row's U on the later columns of the block
                 _sub_centred(pt[j + 1:, k - 1], pt[j + 1:, k0:k - 1],
-                             mult[k - 1, k0:k - 1], p, base, buf)
+                             mult[k - 1, k0:k - 1], p, buf)
         c = c1
     return k, c, mult
 
 
-def _schur_update(w, r0, c1, l21, u12, p, base, passes, buf, tmp, ages) -> None:
+def _schur_update(w, r0, c1, l21, u12, p, passes, buf, tmp, ages) -> None:
     """w[r0:, c1:] -= l21 @ u12 on the rows with nonzero multipliers.
 
     Those rows are first swapped to the front of the block, so the update
@@ -929,16 +834,16 @@ def _schur_update(w, r0, c1, l21, u12, p, base, passes, buf, tmp, ages) -> None:
         _swap_rows(w[:, c1:], r0 + i, r0 + j, tmp[:ncols])
         l21[[i, j]] = l21[[j, i]]
         ages[r0 + i], ages[r0 + j] = ages[r0 + j], ages[r0 + i]
-    limbs = _limbs(u12, base)
     step = max(1, _CHUNK_ENTRIES // ncols)
     for s in range(0, q, step):
         e = min(q, s + step)
-        dst, scratch = w[r0 + s:r0 + e, c1:], _scratch(buf, (e - s, ncols))
-        _sub_product(dst, l21[s:e], limbs, p, scratch)
+        dst, prod = w[r0 + s:r0 + e, c1:], _scratch(buf, (e - s, ncols))
+        np.matmul(l21[s:e], u12, out=prod)
+        dst -= prod
         taken = ages[r0 + s:r0 + e]
         taken += 1
         if taken.max() >= passes:
-            _reduce(dst, p, scratch[0])
+            _reduce(dst, p, prod)
             taken[:] = 0
 
 
@@ -950,7 +855,8 @@ def rank_modp(m: ExactMatrix | ModMatrix, p: int) -> int:
     every nonzero minor of order r, r the rank over Q, so it is enough that
     p does not divide one of them, D; ``random_prime`` bounds how many
     primes of a given length can divide D.  The input is one ``ModMatrix``
-    (an ExactMatrix is first made one by ``ModMatrix.from_exact``): M -
+    with p < 2^27 (an ExactMatrix must have integer entries and is first made
+    one by ``ModMatrix.from_exact``; other entries raise TypeError): M -
     shift*I over GF(p), copied and reduced only past 2^53.  Its float64
     working copy is made from M's integers and the shift subtracted on the
     copy's diagonal.

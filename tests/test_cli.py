@@ -144,6 +144,16 @@ def test_rank_both_small():
     assert "match" in proc.stdout
 
 
+def test_rank_both_without_a_formula_reports_the_modp_rank():
+    # Wbar has no closed-form rank: nothing is compared, so nothing mismatches
+    proc = run_cli("--seed", "1", "rank", "--kind", "Wbar", "--s", "2", "--k", "2",
+                   "--v", "5")
+    assert proc.returncode == 0
+    assert "note: no rank formula" in proc.stdout
+    assert "rank[modp] = 10" in proc.stdout
+    assert "MISMATCH" not in proc.stdout and "rank[formula]" not in proc.stdout
+
+
 def test_rank_formula_outside_hypotheses_exits_2():
     proc = run_cli("rank", "--kind", "N", "--t", "2", "--k", "3", "--v", "5",
                    "--method", "formula")
