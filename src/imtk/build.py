@@ -91,11 +91,11 @@ class MatrixKind:
 
     @property
     def row_family(self) -> SubsetFamily:
-        return SubsetFamily(self.v, self.row_size)
+        return _family(self.v, self.row_size)
 
     @property
     def col_family(self) -> SubsetFamily:
-        return SubsetFamily(self.v, self.col_size)
+        return _family(self.v, self.col_size)
 
     def effective_t(self) -> int:
         if self.tag == "F" and self.t is None:
@@ -164,6 +164,10 @@ def Y(s: int, t: int, k: int, l: int, v: int) -> MatrixKind:
     return MatrixKind("Y", v, s, k, t=t, l=l)
 
 
+# one shared SubsetFamily per (v, s), so the tags of a cached matrix cost nothing
+_family = lru_cache(maxsize=1024)(SubsetFamily)
+
+
 # ---------------------------------------------------------------------------
 # theta matrices
 
@@ -210,12 +214,6 @@ def _y_entry(theta: int, t: int, k: int, l: int) -> Fraction:
     return binomial(theta, l) * xi_at_minus1(theta - l, t - l, k - l)
 
 
-@lru_cache(maxsize=256)
-def _entry_table(kind: MatrixKind) -> ExactMatrix:
-    """One row: the entry of ``kind`` at each theta = 0 .. min(row, column size)."""
-    return ExactMatrix([_entries(kind)])
-
-
 def _entries(kind: MatrixKind) -> list:
     tag, thetas = kind.tag, range(min(kind.row_size, kind.col_size) + 1)
     if tag == "W":
@@ -239,17 +237,35 @@ def _entries(kind: MatrixKind) -> list:
     return [_y_entry(th, kind.t, kind.k, kind.l) for th in thetas]
 
 
+# build keeps the _BUILT_MAX most recently used matrices of at most
+# _BUILT_ENTRIES stack entries each (16 MB of int64 in all); larger ones are
+# built on every call.  A built matrix is read-only, so callers share it.
+_BUILT_MAX = 2048
+_BUILT_ENTRIES = 1 << 10
+_built: dict[tuple, ExactMatrix] = {}  # in order of last use
+
+
 def build(kind: MatrixKind) -> ExactMatrix:
     """Construct the matrix for ``kind`` entrywise from its theta formula.
 
     The entries per theta form a one-row coefficient table; indexing its
     columns by the theta matrix gives the coefficient stack of the result.
+    A small matrix is built once, then served from a bounded LRU cache.
     """
-    kind.validate()
+    key = (kind.tag, kind.v, kind.s, kind.k, kind.t, kind.l, kind.i)
+    got = _built.pop(key, None)
+    if got is not None:
+        _built[key] = got
+        return got
     theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
-    table = _entry_table(kind)
-    return ExactMatrix(table.stack[:, 0].take(theta, axis=1), kind.row_family,
-                       kind.col_family, table.den)
+    table = ExactMatrix([_entries(kind)])
+    m = ExactMatrix(table.stack[:, 0].take(theta, axis=1), kind.row_family,
+                    kind.col_family, table.den)
+    if m.stack.size <= _BUILT_ENTRIES:
+        _built[key] = m
+        if len(_built) > _BUILT_MAX:
+            del _built[next(iter(_built))]
+    return m
 
 
 def row_support_formula(t: int, l: int, s: int, k: int, v: int) -> int:
@@ -277,11 +293,16 @@ def _safe_build(tag: str, w: int, s: int, k: int, **extra) -> ExactMatrix:
 def _expected_blocks(kind: MatrixKind, part: str):
     v, s, k = kind.v, kind.s, kind.k
     w = v - 1
+
+    def top_left(*terms):  # sum c * _safe_build(tag, w, s-1, k-1, **extra), c != 0
+        return ExactMatrix.lincomb([(c, _safe_build(tag, w, s - 1, k - 1, **extra))
+                                    for c, tag, extra in terms if c],
+                                   binomial(w, s - 1), binomial(w, k - 1))
+
     if part == "i":
         t = kind.effective_t()
-        tl = _safe_build("A", w, s - 1, k - 1, i=t).scale(Poly([0] * t + [1]))
-        if t >= 1:
-            tl = tl + _safe_build("F", w, s - 1, k - 1, t=t - 1).scale(Poly((1, 1)))
+        tl = top_left((Poly([0] * t + [1]), "A", {"i": t}),
+                      (Poly((1, 1)) if t >= 1 else 0, "F", {"t": t - 1}))
         return (tl, _safe_build("F", w, s - 1, k, t=t),
                 _safe_build("F", w, s, k - 1, t=t), _safe_build("F", w, s, k, t=t))
     if part == "ii":
@@ -290,10 +311,8 @@ def _expected_blocks(kind: MatrixKind, part: str):
                 _safe_build("F", w, s, k))
     if part == "iii":
         t, l = kind.t, kind.l
-        c = (-1) ** (t - l) * binomial(t, l)
-        tl = _safe_build("A", w, s - 1, k - 1, i=t).scale(c)
-        if t >= 1 and l >= 1:
-            tl = tl + _safe_build("Utl", w, s - 1, k - 1, t=t - 1, l=l - 1)
+        tl = top_left(((-1) ** (t - l) * binomial(t, l), "A", {"i": t}),
+                      (int(t >= 1 and l >= 1), "Utl", {"t": t - 1, "l": l - 1}))
         return (tl, _safe_build("Utl", w, s - 1, k, t=t, l=l),
                 _safe_build("Utl", w, s, k - 1, t=t, l=l),
                 _safe_build("Utl", w, s, k, t=t, l=l))
@@ -310,9 +329,7 @@ def _expected_blocks(kind: MatrixKind, part: str):
                 _safe_build("N", w, s, k - 1, t=t), _safe_build("N", w, s, k, t=t))
     if part == "vi":
         t = kind.i
-        tl = _safe_build("A", w, s - 1, k - 1, i=t)
-        if t >= 1:
-            tl = tl + _safe_build("A", w, s - 1, k - 1, i=t - 1)
+        tl = top_left((1, "A", {"i": t}), (int(t >= 1), "A", {"i": t - 1}))
         return (tl, _safe_build("A", w, s - 1, k, i=t),
                 _safe_build("A", w, s, k - 1, i=t), _safe_build("A", w, s, k, i=t))
     raise ValueError(f"unknown decomposition part {part!r}")

@@ -8,7 +8,10 @@ kept) and den is coprime to the entries taken together.  The stack is numpy
 int64; it holds Python ints (object dtype) only when some |entry| >= 2^62.
 Every operation first bounds the magnitude of its result from its operands'
 and runs in int64 only while that bound is below 2^62, so no int64
-intermediate can wrap.  ``Poly`` remains for scalar polynomials.
+intermediate can wrap.  A linear combination sum c * M with int, Fraction
+or Poly coefficients (``ExactMatrix.lincomb``) is one matmul of a table of
+integer coefficients against the stacked degree slices of every M.
+``Poly`` remains for scalar polynomials.
 
 The mod-p rank is exact too.  Its one input is a ``ModMatrix``: M - shift*I
 over GF(p), kept as M's own int64 array while max|M| + |shift| < 2^53 and
@@ -232,7 +235,9 @@ def _entry(coeffs, den: int):
 def _stack_of(rows) -> tuple[np.ndarray, int]:
     """Coefficient stack and common denominator of nested int/Fraction/Poly rows."""
     rows = [list(row) for row in rows]
-    ncols = len(rows[0]) if rows else 0
+    if not rows:
+        raise ValueError("no rows give no column count: use ExactMatrix.zeros(0, n)")
+    ncols = len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix data")
     flat = [x for row in rows for x in row]
@@ -260,6 +265,18 @@ def _lifted(stack: np.ndarray, dtype, factor: int, depth: int) -> np.ndarray:
     if len(stack) < depth:
         stack = np.concatenate((stack, np.zeros((depth - len(stack), *stack.shape[1:]), dtype)))
     return stack
+
+
+def _combine(table, mats, den: int, row_family, col_family) -> "ExactMatrix":
+    """Degree i holds sum_j table[i][j] S_j / den, S_j the stacked degree slices
+    of mats: one matmul, int64 while all sum_j |table[i][j]| max(mag S_j, 1) < 2^62
+    (a zero S_j counts as 1, so its coefficient must fit in int64 too)."""
+    mags = [max(m.mag, 1) for m in mats for _ in range(len(m.stack))]
+    dtype = _dtype(max(sum(abs(x) * g for x, g in zip(row, mags)) for row in table))
+    _, nr, nc = mats[0].stack.shape
+    flat = [m.stack.astype(dtype, copy=False).reshape(len(m.stack), nr * nc) for m in mats]
+    out = np.array(table, dtype=dtype) @ (flat[0] if len(flat) == 1 else np.concatenate(flat))
+    return ExactMatrix(out.reshape(len(table), nr, nc), row_family, col_family, den)
 
 
 class ExactMatrix:
@@ -421,28 +438,42 @@ class ExactMatrix:
     def along_degrees(self, t) -> "ExactMatrix":
         """The matrix whose degree-i coefficient is sum_j t[i][j] C_j.
 
-        t is a rational matrix with one column per degree of self.  Products
-        by a scalar or a Poly, evaluation, coefficient extraction, derivatives
-        and changes of polynomial basis are all maps of this form.
+        t is a rational matrix with one column per degree of self.
+        Evaluation, coefficient extraction, derivatives and changes of
+        polynomial basis are all maps of this form.
         """
         width = self.stack.shape[0]
         ints, den = _integral([x for row in t for x in row])
-        bound = self.mag * max(sum(map(abs, ints[i:i + width]))
-                               for i in range(0, len(ints), width))
-        dtype = _dtype(bound)
-        _, nr, nc = self.stack.shape
-        flat = self.stack.astype(dtype, copy=False).reshape(width, nr * nc)
-        out = np.array(ints, dtype=dtype).reshape(len(t), width) @ flat
-        return ExactMatrix(out.reshape(len(t), nr, nc), self.row_family,
-                           self.col_family, den * self.den)
+        return _combine([ints[i:i + width] for i in range(0, len(ints), width)], [self],
+                        den * self.den, self.row_family, self.col_family)
+
+    @staticmethod
+    def lincomb(pairs, nrows: int, ncols: int) -> "ExactMatrix":
+        """sum c * M over the (c, M) pairs, for int, Fraction or Poly c.
+
+        One matmul of an integer table against the stacked degree slices of
+        every M over the common denominator den: c * M puts c_d den / M.den
+        on M's slice C_j at degree d + j.  The tags are the first M's; with
+        no nonzero c the result is the zero nrows x ncols matrix.
+        """
+        pairs = [(c.coeffs if isinstance(c, Poly) else (c,), m) for c, m in pairs]
+        if any(m.shape != (nrows, ncols) for _, m in pairs):
+            raise ValueError(f"shape mismatch: every term must be {nrows} x {ncols}")
+        tags = (pairs[0][1].row_family, pairs[0][1].col_family) if pairs else (None, None)
+        terms = [(cs, m) for cs, m in pairs if any(cs)]
+        if not terms:
+            return ExactMatrix.zeros(nrows, ncols, *tags)
+        den = math.lcm(*(m.den * x.denominator for cs, m in terms for x in cs))
+        depth = max(len(cs) + len(m.stack) - 1 for cs, m in terms)
+        cols = []  # one column of the table per stacked slice
+        for cs, m in terms:
+            ints = [x.numerator * (den // m.den // x.denominator) for x in cs]
+            cols += ([0] * j + ints + [0] * (depth - j - len(ints)) for j in range(len(m.stack)))
+        return _combine(list(zip(*cols)), [m for _, m in terms], den, *tags)
 
     def scale(self, c) -> "ExactMatrix":
         """c * M for an int, Fraction or Poly c (a convolution over degrees)."""
-        cs = (c.coeffs if isinstance(c, Poly) else (c,)) or (0,)
-        width = self.stack.shape[0]
-        return self.along_degrees([[cs[i - j] if 0 <= i - j < len(cs) else 0
-                                    for j in range(width)]
-                                   for i in range(width + len(cs) - 1)])
+        return ExactMatrix.lincomb(((c, self),), *self.shape)
 
     def __matmul__(self, other):
         return mat_mul(self, other)

@@ -133,15 +133,8 @@ def conversion_matrix(v: int, k: int, from_tag: str, to_tag: str) -> list[list[i
 def basis_convert(basis: SchemeBasis, to_tag: str) -> SchemeBasis:
     """Exact change of basis; round trips are the identity."""
     coef = conversion_matrix(basis.v, basis.k, basis.tag, to_tag)
-    n = basis.k + 1
-    mats = []
-    for m in range(n):
-        acc = ExactMatrix.zeros(basis.mats[0].nrows, basis.mats[0].ncols)
-        for j in range(n):
-            if coef[m][j]:
-                acc = acc + basis.mats[j].scale(coef[m][j])
-        mats.append(acc)
-    return SchemeBasis(basis.v, basis.k, to_tag, tuple(mats))
+    return SchemeBasis(basis.v, basis.k, to_tag, tuple(
+        ExactMatrix.lincomb(zip(row, basis.mats), *basis.mats[0].shape) for row in coef))
 
 
 @dataclass
@@ -171,10 +164,7 @@ def verify_scheme_axioms(v: int, k: int) -> SchemeAxiomReport:
     report = SchemeAxiomReport(v, k)
     xs = scheme_basis(v, k, "X").mats
     n = binomial(v, k)
-    total = xs[0]
-    for x in xs[1:]:
-        total = total + x
-    if total != ExactMatrix.ones(n, n):
+    if ExactMatrix.lincomb(((1, x) for x in xs), n, n) != ExactMatrix.ones(n, n):
         report.fail("sum of class matrices is not the all-ones matrix")
     if xs[0] != ExactMatrix.identity(n):
         report.fail("X_0 is not the identity")
@@ -184,11 +174,8 @@ def verify_scheme_axioms(v: int, k: int) -> SchemeAxiomReport:
     for i in range(k + 1):
         for j in range(k + 1):
             prod = xs[i] @ xs[j]
-            expected = ExactMatrix.zeros(n, n)
-            for l in range(k + 1):
-                c = p_distance(v, k, i, j, l)
-                if c:
-                    expected = expected + xs[l].scale(c)
+            expected = ExactMatrix.lincomb(
+                ((p_distance(v, k, i, j, l), xs[l]) for l in range(k + 1)), n, n)
             report.products_checked += 1
             if prod != expected:
                 report.fail(f"X_{i} X_{j} does not match its p-number expansion")

@@ -63,14 +63,6 @@ def _scale_zp1(m: ExactMatrix, e: int) -> ExactMatrix:
     return m.divexact_linear(-1, -e)
 
 
-def _lincomb(pairs, shape, families=(None, None)) -> ExactMatrix:
-    acc = ExactMatrix.zeros(*shape, *families)
-    for c, m in pairs:
-        if c:
-            acc = acc + m.scale(c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # registry plumbing
 
@@ -144,17 +136,15 @@ def _chk_eq1(i, s, k, v):
 
 @_register("eq2", "Wbar_sk = sum (-1)^i W_is^T W_ik", "v=1..V s=0..v k=0..v")
 def _chk_eq2(s, k, v):
-    rhs = _lincomb((((-1) ** i, build(W(i, s, v)).transpose() @ build(W(i, k, v)))
-                    for i in range(s + 1)),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb((((-1) ** i, build(W(i, s, v)).transpose() @ build(W(i, k, v)))
+                                for i in range(s + 1)), binomial(v, s), binomial(v, k))
     return _cmp(build(Wbar(s, k, v)), rhs)
 
 
 @_register("eq3", "W_sk = sum (-1)^i W_is^T Wbar_ik", "v=1..V s=0..v k=0..v")
 def _chk_eq3(s, k, v):
-    rhs = _lincomb((((-1) ** i, build(W(i, s, v)).transpose() @ build(Wbar(i, k, v)))
-                    for i in range(s + 1)),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb((((-1) ** i, build(W(i, s, v)).transpose() @ build(Wbar(i, k, v)))
+                                for i in range(s + 1)), binomial(v, s), binomial(v, k))
     return _cmp(build(W(s, k, v)), rhs)
 
 
@@ -167,16 +157,16 @@ def _chk_eq4(i, s, k, v):
 
 @_register("eq5", "Wbar_sk = sum (-1)^i A^i_sk", "v=1..V s=0..v k=0..v")
 def _chk_eq5(s, k, v):
-    rhs = _lincomb((((-1) ** i, build(A(i, s, k, v))) for i in range(s + 1)),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb((((-1) ** i, build(A(i, s, k, v))) for i in range(s + 1)),
+                               binomial(v, s), binomial(v, k))
     return _cmp(build(Wbar(s, k, v)), rhs)
 
 
 @_register("eq6", "N^t_sk = sum (-1)^(t-i) A^i_sk; Wbar = (-1)^min N^min",
            "v=1..V s=0..v k=0..v t=0..min(s,k)")
 def _chk_eq6(t, s, k, v):
-    rhs = _lincomb((((-1) ** (t - i), build(A(i, s, k, v))) for i in range(t + 1)),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb((((-1) ** (t - i), build(A(i, s, k, v))) for i in range(t + 1)),
+                               binomial(v, s), binomial(v, k))
     bad = _cmp(build(N(t, s, k, v)), rhs)
     if bad:
         return bad
@@ -192,26 +182,23 @@ def _chk_eq6(t, s, k, v):
 @_register("eq12", "F^t = sum_l U^{tl} (z+1)^l", "v=1..V s=0..v k=0..v t=0..min(s,k)")
 def _chk_eq12(t, s, k, v):
     shape = (binomial(v, s), binomial(v, k))
-    rhs = _lincomb(((_zp1(l), build(Utl(t, l, s, k, v))) for l in range(t + 1)),
-                   shape)
+    rhs = ExactMatrix.lincomb(((_zp1(l), build(Utl(t, l, s, k, v))) for l in range(t + 1)), *shape)
     return _cmp(build(F(t, s, k, v)), rhs)
 
 
 @_register("eq15", "U^{tl} = sum_i (-1)^(i-l) C(i,l) A^i",
            "v=1..V s=0..v k=0..v t=0..min(s,k) l=0..t")
 def _chk_eq15(t, l, s, k, v):
-    rhs = _lincomb((((-1) ** (i - l) * binomial(i, l), build(A(i, s, k, v)))
-                    for i in range(l, t + 1)),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb((((-1) ** (i - l) * binomial(i, l), build(A(i, s, k, v)))
+                                for i in range(l, t + 1)), binomial(v, s), binomial(v, k))
     return _cmp(build(Utl(t, l, s, k, v)), rhs)
 
 
 @_register("eq16", "A^i = sum_l C(l,i) U^{tl}",
            "v=1..V s=0..v k=0..v t=0..min(s,k) i=0..t")
 def _chk_eq16(t, i, s, k, v):
-    rhs = _lincomb(((binomial(l, i), build(Utl(t, l, s, k, v)))
-                    for l in range(i, t + 1)),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb(((binomial(l, i), build(Utl(t, l, s, k, v)))
+                                for l in range(i, t + 1)), binomial(v, s), binomial(v, k))
     return _cmp(build(A(i, s, k, v)), rhs)
 
 
@@ -263,7 +250,7 @@ def _chk_thm2_iii(t, l, s, k, v):
     for th in range(t + 1, min(s, k) + 1):
         c = (-1) ** (t - l) * binomial(th, l) * binomial(th - l - 1, t - l)
         pairs.append((c, build(U(th, s, k, v))))
-    return _cmp(build(Utl(t, l, s, k, v)), _lincomb(pairs, shape))
+    return _cmp(build(Utl(t, l, s, k, v)), ExactMatrix.lincomb(pairs, *shape))
 
 
 @_register("lemma3.i", "(F^t_sk)^T = F^t_ks", "v=1..V s=0..v k=0..v t=0..min(s,k)")
@@ -320,9 +307,8 @@ def _chk_eq17(a, b, v):
            "v=1..V k=0..v a=0..k b=0..k")
 def _chk_eq18(a, b, k, v):
     lhs = build(W(a, k, v)) @ build(W(b, k, v)).transpose()
-    rhs = _lincomb(((binomial(v - b - a, v - k - n), build(A(n, a, b, v)))
-                    for n in range(min(a, b) + 1)),
-                   (binomial(v, a), binomial(v, b)))
+    rhs = ExactMatrix.lincomb(((binomial(v - b - a, v - k - n), build(A(n, a, b, v)))
+                                for n in range(min(a, b) + 1)), binomial(v, a), binomial(v, b))
     return _cmp(lhs, rhs)
 
 
@@ -330,10 +316,9 @@ def _chk_eq18(a, b, k, v):
            "v=1..V a=0..v b=0..v c=0..v i=0..min(a,b) j=0..min(b,c)")
 def _chk_eq19(a, b, c, i, j, v):
     lhs = build(A(i, a, b, v)) @ build(A(j, b, c, v))
-    rhs = _lincomb(((binomial(a - n, i - n) * binomial(c - n, j - n)
-                     * binomial(v - i - j, b + n - i - j), build(A(n, a, c, v)))
-                    for n in range(min(i, j) + 1)),
-                   (binomial(v, a), binomial(v, c)))
+    rhs = ExactMatrix.lincomb(((binomial(a - n, i - n) * binomial(c - n, j - n)
+                                 * binomial(v - i - j, b + n - i - j), build(A(n, a, c, v)))
+                                for n in range(min(i, j) + 1)), binomial(v, a), binomial(v, c))
     return _cmp(lhs, rhs)
 
 
@@ -346,7 +331,7 @@ def _chk_eq20(a, b, c, i, j, v):
         coef = sum(binomial(l, n) * binomial(c - l, j - n) * binomial(a - l, i - n)
                    * binomial(v - a - c + l, b - i - j + n) for n in range(l + 1))
         pairs.append((coef, build(U(l, a, c, v))))
-    rhs = _lincomb(pairs, (binomial(v, a), binomial(v, c)))
+    rhs = ExactMatrix.lincomb(pairs, binomial(v, a), binomial(v, c))
     return _cmp(lhs, rhs)
 
 
@@ -449,9 +434,9 @@ def _chk_prop5_iip(s, k, v):
            "v=1..V s=1..v k=0..v t=0..min(s,k) l=0..t")
 def _chk_prop5_iii(t, l, s, k, v):
     lhs = build(W(s - 1, s, v)).transpose() @ build(Utl(t, l, s - 1, k, v))
-    rhs = _lincomb(((s - l, build(Utl(t, l, s, k, v))),
-                    (l + 1, build(Utl(t, l + 1, s, k, v)))),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb(((s - l, build(Utl(t, l, s, k, v))),
+                                (l + 1, build(Utl(t, l + 1, s, k, v)))),
+                               binomial(v, s), binomial(v, k))
     return _cmp(lhs, rhs)
 
 
@@ -460,9 +445,9 @@ def _chk_prop5_iii(t, l, s, k, v):
            "v=1..V s=0..v k=1..v t=0..min(s,k) l=0..t")
 def _chk_prop5_iiip(t, l, s, k, v):
     lhs = build(Utl(t, l, s, k - 1, v)) @ build(W(k - 1, k, v))
-    rhs = _lincomb(((k - l, build(Utl(t, l, s, k, v))),
-                    (l + 1, build(Utl(t, l + 1, s, k, v)))),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb(((k - l, build(Utl(t, l, s, k, v))),
+                                (l + 1, build(Utl(t, l + 1, s, k, v)))),
+                               binomial(v, s), binomial(v, k))
     return _cmp(lhs, rhs)
 
 
@@ -471,9 +456,8 @@ def _chk_prop5_iiip(t, l, s, k, v):
            "v=1..V s=1..v k=0..v l=0..min(s,k)")
 def _chk_prop5_iv(l, s, k, v):
     lhs = build(W(s - 1, s, v)).transpose() @ build(U(l, s - 1, k, v))
-    rhs = _lincomb(((s - l, build(U(l, s, k, v))),
-                    (l + 1, build(U(l + 1, s, k, v)))),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb(((s - l, build(U(l, s, k, v))),
+                                (l + 1, build(U(l + 1, s, k, v)))), binomial(v, s), binomial(v, k))
     return _cmp(lhs, rhs)
 
 
@@ -482,9 +466,8 @@ def _chk_prop5_iv(l, s, k, v):
            "v=1..V s=0..v k=1..v l=0..min(s,k)")
 def _chk_prop5_ivp(l, s, k, v):
     lhs = build(U(l, s, k - 1, v)) @ build(W(k - 1, k, v))
-    rhs = _lincomb(((k - l, build(U(l, s, k, v))),
-                    (l + 1, build(U(l + 1, s, k, v)))),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb(((k - l, build(U(l, s, k, v))),
+                                (l + 1, build(U(l + 1, s, k, v)))), binomial(v, s), binomial(v, k))
     return _cmp(lhs, rhs)
 
 
@@ -508,10 +491,9 @@ def _chk_prop7_i(i, s, t, k, v):
            "v=1..V k=0..min(v,4) s=0..k i=0..s t=0..min(s,k) l=0..t")
 def _chk_prop7_ii(i, l, t, s, k, v):
     lhs = build(W(i, s, v)).transpose() @ build(Utl(t, l, i, k, v))
-    rhs = _lincomb(((binomial(h, l) * binomial(s - h, i - l),
-                     build(Utl(t, h, s, k, v)))
-                    for h in range(l, l + s - i + 1)),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb(((binomial(h, l) * binomial(s - h, i - l),
+                                 build(Utl(t, h, s, k, v)))
+                                for h in range(l, l + s - i + 1)), binomial(v, s), binomial(v, k))
     return _cmp(lhs, rhs)
 
 
@@ -519,9 +501,8 @@ def _chk_prop7_ii(i, l, t, s, k, v):
            "v=1..V k=0..min(v,4) s=0..k i=0..s l=0..min(i,k)")
 def _chk_prop7_iip(i, l, s, k, v):
     lhs = build(W(i, s, v)).transpose() @ build(U(l, i, k, v))
-    rhs = _lincomb(((binomial(h, l) * binomial(s - h, i - l), build(U(h, s, k, v)))
-                    for h in range(l, s + 1)),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb(((binomial(h, l) * binomial(s - h, i - l), build(U(h, s, k, v)))
+                                for h in range(l, s + 1)), binomial(v, s), binomial(v, k))
     return _cmp(lhs, rhs)
 
 
@@ -533,12 +514,9 @@ def _chk_prop7_iip(i, l, s, k, v):
 def _chk_eq23(s, j, k, v):
     lhs = build(W(s, j, v)) @ build(F(None, j, k, v))
     g = _scale_zp1(build(F(None, s, k, v)), v - s - k)
-    acc = ExactMatrix.zeros(binomial(v, s), binomial(v, k))
-    for r in range(j - s + 1):
-        coef = Fraction((-1) ** r * binomial(v - s - r, v - j), factorial(r))
-        term = opcalc.op_apply(opcalc.OperatorExpr({r: coef}), g)
-        acc = acc + term
-    rhs = _scale_zp1(acc, j + k - v)
+    op = opcalc.OperatorExpr({r: Fraction((-1) ** r * binomial(v - s - r, v - j), factorial(r))
+                              for r in range(j - s + 1)})
+    rhs = _scale_zp1(opcalc.op_apply(op, g), j + k - v)
     return _cmp(lhs, rhs)
 
 
@@ -559,17 +537,13 @@ def _chk_eq24(s, j, k, v):
     lhs = build(W(s, j, v)) @ build(F(None, j, k, v))
     fsk = build(F(None, s, k, v))
     n = j - s
-    acc = ExactMatrix.zeros(binomial(v, s), binomial(v, k))
+    pairs = []
     for p in range(n + 1):
-        outer = Poly()
-        for l in range(n + 1):
-            outer = outer + _zp1(n - l) * ((-1) ** l * a_pl(p, l, s, j, k, v))
-        dmat = fsk
-        for _ in range(p):
-            dmat = dmat.derive()
-        part = dmat.scale(_zp1(p) * outer).scale(Fraction(1, factorial(p)))
-        acc = acc + part
-    return _cmp(lhs, acc)
+        outer = sum((_zp1(n - l) * ((-1) ** l * a_pl(p, l, s, j, k, v))
+                     for l in range(n + 1)), Poly())
+        pairs.append((_zp1(p) * outer * Fraction(1, factorial(p)), fsk))
+        fsk = fsk.derive()
+    return _cmp(lhs, ExactMatrix.lincomb(pairs, *fsk.shape))
 
 
 @_register("eq25", "a_{p,l}: terms with r < p vanish",
@@ -691,8 +665,8 @@ def _chk_sec7_remark(t, s, k, v):
     bad = _cmp(build(U(t, s, k, v)).transpose(), build(U(t, k, s, v)))
     if bad:
         return "transpose: " + bad
-    total = _lincomb(((1, build(Utl(t, l, s, k, v))) for l in range(t + 1)),
-                     (binomial(v, s), binomial(v, k)))
+    total = ExactMatrix.lincomb(((1, build(Utl(t, l, s, k, v))) for l in range(t + 1)),
+                                 binomial(v, s), binomial(v, k))
     bad = _cmp(total, ExactMatrix.ones(binomial(v, s), binomial(v, k)))
     return ("row sum: " + bad) if bad else None
 
@@ -700,9 +674,8 @@ def _chk_sec7_remark(t, s, k, v):
 @_register("eq31", "U^{>=l}_sk = sum_i (-1)^(i-l) C(i-1,l-1) A^i_sk (l >= 1)",
            "v=1..V s=0..v k=0..v l=1..s")
 def _chk_eq31(l, s, k, v):
-    rhs = _lincomb((((-1) ** (i - l) * binomial(i - 1, l - 1), build(A(i, s, k, v)))
-                    for i in range(l, s + 1)),
-                   (binomial(v, s), binomial(v, k)))
+    rhs = ExactMatrix.lincomb((((-1) ** (i - l) * binomial(i - 1, l - 1), build(A(i, s, k, v)))
+                                for i in range(l, s + 1)), binomial(v, s), binomial(v, k))
     return _cmp(build(Uge(l, s, k, v)), rhs)
 
 
@@ -711,14 +684,14 @@ def _chk_eq31(l, s, k, v):
 def _chk_prop11(i, j, k, v):
     shape = (binomial(v, k), binomial(v, k))
     lhs = build(A(i, k, k, v)) @ build(A(j, k, k, v))
-    rhs = _lincomb(((intersection_r(v, k, i, j, l), build(A(l, k, k, v)))
-                    for l in range(k + 1)), shape)
+    rhs = ExactMatrix.lincomb(((intersection_r(v, k, i, j, l), build(A(l, k, k, v)))
+                                for l in range(k + 1)), *shape)
     bad = _cmp(lhs, rhs)
     if bad:
         return "A-basis (r numbers): " + bad
     lhs = build(U(i, k, k, v)) @ build(U(j, k, k, v))
-    rhs = _lincomb(((intersection_p(v, k, i, j, l), build(U(l, k, k, v)))
-                    for l in range(k + 1)), shape)
+    rhs = ExactMatrix.lincomb(((intersection_p(v, k, i, j, l), build(U(l, k, k, v)))
+                                for l in range(k + 1)), *shape)
     bad = _cmp(lhs, rhs)
     return ("U-basis (p numbers): " + bad) if bad else None
 

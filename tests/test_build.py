@@ -1,12 +1,16 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
-from imtk.build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y,
+from imtk.build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y, _entries,
                         block_decompose, build, membership_matrix,
                         row_support_formula, theta_matrix)
 from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, Poly
+
+# the package binds the name imtk.build to the function, so fetch the module
+build_module = importlib.import_module("imtk.build")
 
 
 def test_w_example():
@@ -137,6 +141,76 @@ def test_row_support_formula_validation():
         row_support_formula(1, 2, 3, 3, 6)  # l > t
     with pytest.raises(ValueError):
         row_support_formula(4, 0, 3, 3, 6)  # t > min(s, k)
+
+
+# ---------------------------------------------------------------------------
+# the build cache
+
+def _kinds_of_every_tag(v_max):
+    """For each (v, s, k) with v <= v_max, one kind of every tag, with its
+    parameters inside their valid range."""
+    for v in range(1, v_max + 1):
+        for s in range(v + 1):
+            for k in range(v + 1):
+                m, t = min(s, k), k // 2
+                yield from (W(s, k, v), Wbar(s, k, v), U(m // 2, s, k, v),
+                            Uge((m + 1) // 2, s, k, v), A(m // 2, s, k, v),
+                            N(m // 2, s, k, v), Utl(m, m // 2, s, k, v), F(None, s, k, v),
+                            X(s, t, k, v), Y(s, t, k, t // 2, v))
+
+
+def _fresh(kind):
+    """The matrix of kind made entry by entry from |S cap K|, with no cache."""
+    table = _entries(kind)
+    cols = [set(sub) for sub in kind.col_family.subsets()]
+    return ExactMatrix([[table[len(set(row) & col)] for col in cols]
+                        for row in kind.row_family.subsets()])
+
+
+def test_cached_builds_equal_fresh_entrywise_builds_of_every_tag():
+    seen = set()
+    for kind in _kinds_of_every_tag(6):
+        m = build(kind)
+        seen.add(kind.tag)
+        assert m == _fresh(kind), kind.describe()
+        # one shared SubsetFamily per (v, s) tags every matrix
+        assert m.row_family is kind.row_family and m.col_family is kind.col_family
+        assert not m.stack.flags.writeable
+        with pytest.raises(ValueError):
+            m.stack[(0,) * m.stack.ndim] = 7
+        # a repeated call is served from the cache exactly when m is small enough
+        assert (build(kind) is m) == (m.stack.size <= build_module._BUILT_ENTRIES)
+    assert seen == {"W", "Wbar", "U", "Uge", "A", "N", "Utl", "F", "X", "Y"}
+
+
+def test_build_cache_never_exceeds_its_bound_and_evicts_the_least_recent(monkeypatch):
+    monkeypatch.setattr(build_module, "_BUILT_MAX", 8)
+    monkeypatch.setattr(build_module, "_built", {})
+    kinds = [A(i, 2, 2, v) for v in range(2, 9) for i in range(3)]
+    first, second = build(kinds[0]), build(kinds[1])
+    for kind in kinds[2:]:
+        build(kind)
+        assert build(kinds[0]) is first  # used again, so never the least recent
+        assert len(build_module._built) <= 8
+    assert len(build_module._built) == 8
+    again = build(kinds[1])  # evicted long ago: built afresh, equal but new
+    assert again == second and again is not second
+    for kind in _kinds_of_every_tag(6):
+        build(kind)
+        assert len(build_module._built) <= 8
+
+
+def test_a_matrix_above_the_entry_cap_is_not_retained():
+    cap = build_module._BUILT_ENTRIES
+    assert cap == 32 * 32
+    at_cap = build(W(1, 1, 32))  # 32 x 32, exactly at the cap: retained
+    assert at_cap.stack.size == cap and build(W(1, 1, 32)) is at_cap
+    above = build(W(1, 1, 33))  # 33 x 33: built on every call, never kept
+    assert above.stack.size == cap + 65
+    assert build(W(1, 1, 33)) is not above and build(W(1, 1, 33)) == above
+    assert all(m is not above for m in build_module._built.values())
+    big = build(A(3, 6, 6, 12))  # order 924, as the CLI builds them
+    assert all(m is not big for m in build_module._built.values())
 
 
 # ---------------------------------------------------------------------------

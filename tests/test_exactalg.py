@@ -80,6 +80,14 @@ def _random_matrix(rng, rows, cols, rational=False):
     return ExactMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
 
 
+def test_nested_rows_need_at_least_one_row():
+    # with no rows the column count is unknown; 0 x n matrices come from zeros
+    with pytest.raises(ValueError, match=r"zeros\(0, n\)"):
+        ExactMatrix([])
+    assert ExactMatrix.zeros(0, 3).shape == (0, 3)
+    assert ExactMatrix([[]]).shape == (1, 0)
+
+
 def test_identity_is_neutral():
     rng = random.Random(5)
     a = _random_matrix(rng, 4, 4)
@@ -543,6 +551,35 @@ def test_linear_combination_at_the_int64_edge(x, y, want_dtype):
     # common denominator 15: bound 5 * 2^60 + 3 * 2^60 = 2^63
     mixed = ExactMatrix([[Fraction(2 ** 60, 3)]]) + ExactMatrix([[Fraction(2 ** 60, 5)]])
     assert mixed.data == [[Fraction(2 ** 60, 3) + Fraction(2 ** 60, 5)]]
+
+
+@pytest.mark.parametrize("pairs,want_dtype", [
+    # bound 3 * 2^60 + (2^60 - 1) = 2^62 - 1, reached at entry 0
+    ([(3, [[2 ** 60, -(2 ** 60)]]), (1, [[2 ** 60 - 1, 5]])], np.int64),
+    # bound 2^62, reached: the sum is computed in Python ints
+    ([(3, [[2 ** 60, -(2 ** 60)]]), (1, [[2 ** 60, 5]])], object),
+    # per output degree: z^0 gets 2^61, z^1 gets 2^61 + 2^61 - 1 = 2^62 - 1
+    ([(Poly((1, 1)), [[2 ** 61, 0]]), (Poly((0, 1)), [[2 ** 61 - 1, 1]])], np.int64),
+    ([(Poly((1, 1)), [[2 ** 61, 0]]), (Poly((0, 1)), [[2 ** 61, 1]])], object),
+    # over the common denominator 3: bounds 2^62 - 1 and 2^62
+    ([(Fraction(1, 3), [[2 ** 61 + 1, 0]]), (Fraction(2, 3), [[2 ** 60 - 1, 1]])], np.int64),
+    ([(Fraction(1, 3), [[2 ** 61 + 2, 0]]), (Fraction(2, 3), [[2 ** 60 - 1, 1]])], object),
+])
+def test_lincomb_at_the_int64_edge(pairs, want_dtype):
+    terms = [(c, ExactMatrix(rows)) for c, rows in pairs]
+    got = ExactMatrix.lincomb(terms, 1, 2)
+    want = [sum((c * m.data[0][j] for c, m in terms), Poly()) for j in range(2)]
+    assert [Poly._lift(x) for x in got.data[0]] == want
+    assert got.stack.dtype == want_dtype
+
+
+def test_huge_coefficients_of_zero_matrices_stay_exact():
+    zero = ExactMatrix.zeros(2, 2)
+    assert zero.scale(2 ** 70) == zero
+    assert ExactMatrix.lincomb([(2 ** 70, zero), (Poly((0, 2 ** 80)), zero)], 2, 2) == zero
+    one = ExactMatrix.identity(2)
+    total = ExactMatrix.lincomb([(2 ** 70, zero), (3, one)], 2, 2)
+    assert total.data == [[3, 0], [0, 3]] and total.stack.dtype == np.int64
 
 
 @pytest.mark.parametrize("entry,c,want_dtype", [

@@ -110,7 +110,7 @@ def test_add_sub_eq_match_oracle(ab):
     assert same(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ad, bd)])
     assert same(-a, [[-x for x in r] for r in ad])
     assert (a == b) == all(x == y for r, s in zip(ad, bd) for x, y in zip(r, s))
-    assert a == ExactMatrix(ad) or not a.nrows
+    assert not a.nrows or a == ExactMatrix(ad)
 
 
 @SETTINGS
@@ -118,6 +118,31 @@ def test_add_sub_eq_match_oracle(ab):
 def test_scale_matches_oracle(a, c):
     want = [[(c * x if isinstance(c, Poly) else x * c) for x in row] for row in a.data]
     assert same(a.scale(c), want)
+
+
+@st.composite
+def combinations(draw):
+    """Up to four (c, M) terms of one shape; M of mixed denominators and
+    degrees, c an int, Fraction or Poly and now and then zero."""
+    r, c = draw(dims), draw(dims)
+    coefficient = st.one_of(st.just(0), st.just(Poly()), scalars)
+    return draw(st.lists(st.tuples(coefficient, matrices(r, c)), max_size=4)), r, c
+
+
+@SETTINGS
+@given(combinations())
+def test_lincomb_matches_the_fold_of_scale_and_add(case):
+    pairs, r, c = case
+    got = ExactMatrix.lincomb(pairs, r, c)
+    want = [[0] * c for _ in range(r)]
+    for coef, m in pairs:
+        want = [[w + (coef * x if isinstance(coef, Poly) else x * coef)
+                 for w, x in zip(wrow, mrow)] for wrow, mrow in zip(want, m.data)]
+    assert same(got, want)
+    fold = ExactMatrix.zeros(r, c)
+    for coef, m in pairs:
+        fold = fold + m.scale(coef)
+    assert got == fold
 
 
 @SETTINGS
