@@ -230,10 +230,14 @@ def cmd_rank(args, rng, threads) -> int:
         m = build(kind)
         if not m.all_int():
             raise UsageError("mod-p rank needs an integer matrix kind")
+        # both primes are drawn, so a seed gives the same primes either way
         p, p2 = random_prime(rng), random_prime(rng)
-        # both ranks are lower bounds of the rank over Q
-        computed_rank = max(rank_modp(ModMatrix.from_exact(m, q), q) for q in (p, p2))
-        print(f"primes: {p}, {p2}")
+        # a rank mod p is a lower bound of the rank over Q, so full rank is exact
+        computed_rank, used = rank_modp(ModMatrix.from_exact(m, p), p), [p]
+        if computed_rank < min(m.shape):
+            computed_rank = max(computed_rank, rank_modp(ModMatrix.from_exact(m, p2), p2))
+            used.append(p2)
+        print("primes: " + ", ".join(map(str, used)))
     if args.method == "formula":
         print(f"rank[formula] = {formula_rank}")
         return EXIT_OK

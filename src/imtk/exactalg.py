@@ -592,6 +592,9 @@ def random_prime(rng: random.Random | None = None) -> int:
     log2|D| <= 1716 * log2(sqrt(700)) < 8110: at most 405 of the 21-bit
     primes are unlucky, a chance of at most 0.55% per draw (0.034% at 25
     bits), and of at most 0.003% that two independent draws both are.
+    A rank mod p of min(rows, cols) is the rank over Q with no error at
+    all, so ``imtk rank`` ranks mod its second prime only when the first
+    rank falls below that.
     """
     rng = rng or random.Random()
     while True:
@@ -788,10 +791,17 @@ def _factor_panel(w, r, c, p, nb, buf, tmp, ages):
     multipliers (mult[i, t] is that of row r + i on pivot t).  The pivots end
     up in rows r .. r + k - 1; rows of w are swapped from the current block
     on, since the columns before it are not read again.
+
+    A pivot's multipliers are its column's entries times the centred inverse
+    of the pivot, in float64.  Both factors are centred residues, so the
+    product is at most h^2 < 2^52 in magnitude (h = p // 2 < 2^26) and
+    exact.  While h^2 < 2^51, i.e. p < 2^26.5, one ``_reduce`` then gives
+    the centred residue; above that ``_centre`` reduces twice.
     """
     m, n = w.shape
     rows = m - r
     h = p // 2
+    centre = _reduce if h * h < _CENTRED_EXACT else _centre
     mult = np.zeros((rows, nb))
     k = 0
     while c < n and k < min(nb, rows):
@@ -832,8 +842,9 @@ def _factor_panel(w, r, c, p, nb, buf, tmp, ages):
                 ages[r + k], ages[r + piv] = ages[r + piv], ages[r + k]
             rest = nz[1:]
             if rest.size:
-                f = (bot[rest].astype(np.int64) * pow(int(bot[0]), -1, p)) % p
-                f[f > h] -= p
+                inv = pow(int(bot[0]), -1, p)
+                f = bot[rest] * (inv - p if inv > h else inv)  # |f| <= h^2 < 2^52
+                centre(f, p, _scratch(buf, f.shape))
                 mult[k + rest, k] = f
             k += 1
             if k == min(nb, rows):

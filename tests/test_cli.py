@@ -7,6 +7,7 @@ import pytest
 
 from imtk.build import F, MatrixKind, N, U, Utl, W, X, Y, build
 from imtk.cli import (main, matrix_csv, matrix_document, parse_matrix_document)
+from imtk.exactalg import rank_modp
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -152,6 +153,37 @@ def test_rank_both_without_a_formula_reports_the_modp_rank():
     assert "note: no rank formula" in proc.stdout
     assert "rank[modp] = 10" in proc.stdout
     assert "MISMATCH" not in proc.stdout and "rank[formula]" not in proc.stdout
+
+
+# the two primes `imtk --seed 5 rank` draws, printed by every rank before a
+# full rank stopped taking the second
+SEED5_PRIMES = (1584283, 1667641)
+
+
+@pytest.mark.parametrize("args, rank, eliminations", [
+    # W_23(7), 21 x 35 of rank 21: the first prime proves the rank
+    (["--kind", "W", "--s", "2", "--k", "3", "--v", "7"], 21, 1),
+    # N^1_(2,2)(5), 10 x 10 of rank 5
+    (["--kind", "N", "--t", "1", "--s", "2", "--k", "2", "--v", "5"], 5, 2),
+    # the dense U^3 (full rank) and A^3 over J(13,6) of the rank-dense benchmark
+    (["--kind", "U", "--l", "3", "--k", "6", "--v", "13"], 1716, 1),
+    (["--kind", "A", "--i", "3", "--k", "6", "--v", "13"], 286, 2),
+])
+def test_rank_takes_the_second_prime_only_below_full_rank(capsys, monkeypatch, args,
+                                                          rank, eliminations):
+    primes = []
+
+    def counted(m, p):
+        primes.append(p)
+        return rank_modp(m, p)
+
+    monkeypatch.setattr("imtk.cli.rank_modp", counted)
+    assert main(["--seed", "5", "rank", *args, "--method", "both"]) == 0
+    used = list(SEED5_PRIMES[:eliminations])
+    assert primes == used
+    assert capsys.readouterr().out.splitlines() == [
+        "primes: " + ", ".join(map(str, used)),
+        f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
 
 
 def test_rank_formula_outside_hypotheses_exits_2():

@@ -429,6 +429,35 @@ def test_a_block_is_skipped_only_when_every_row_below_the_pivots_is_zero(row):
     assert rank_modp(ModMatrix(a, p), p) == 2 == _oracle_rank(a, p)
 
 
+@pytest.mark.parametrize("p", [33554393, 134217689])
+@pytest.mark.parametrize("pivot", [2, -2])
+def test_pivot_multipliers_are_exact_at_products_of_h_squared(p, pivot):
+    """Rank 2, and every multiplier on the first pivot a product of size h^2.
+
+    The centred inverse of a pivot +-2 is -+h (h = p // 2), and the first
+    column's other entries are +-h, so the float64 products that make the
+    multipliers reach h^2: above 2^51 at 134217689, where they are reduced
+    twice, below it at 33554393, where once is enough.  Rows 2.. combine
+    rows 0 and 1, so a multiplier off by anything leaves a third pivot.
+    There are more rows than columns, so there are more multipliers per
+    pivot than entries per row.
+    """
+    h = p // 2
+    nb = _panel_plan(p)[0]
+    m, n = 4 * nb + 30, 3 * nb + 5
+    gen = np.random.default_rng(p + pivot)
+    basis = gen.integers(0, p, size=(2, n))
+    basis[:, 0] = pivot, 0
+    inv = pow(pivot, -1, p)
+    assert abs((inv + h) % p - h) == h
+    f = gen.choice([h, -h], size=m - 2) * inv % p
+    g = gen.integers(0, p, size=m - 2)
+    a = np.vstack([basis, (f[:, None] * basis[0] % p + g[:, None] * basis[1] % p) % p])
+    a = (a + h) % p - h  # centred: the first column reads pivot, 0, +-h, ...
+    assert (np.abs(a[2:, 0]) == h).all() and m > n
+    assert rank_modp(ModMatrix(a, p), p) == 2 == _oracle_rank(a, p)
+
+
 @pytest.mark.parametrize("p", [2097143, 33554393, 134217689])
 def test_shifted_matrix_rank_matches_the_reduced_matrix(p):
     gen = np.random.default_rng(5)
