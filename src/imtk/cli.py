@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fnmatch import fnmatch
@@ -19,8 +18,8 @@ from .build import MatrixKind, build
 from .exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from .scheme import (conversion_matrix, intersection_p, intersection_r,
                      scheme_basis, verify_scheme_axioms)
-from .spectra import (SpectrumSpec, rank_formula, sampled_eval_points, spectrum_of,
-                      verify_spectrum)
+from .spectra import (EXACT_CHECK_MAX_ORDER, SpectrumSpec, rank_formula,
+                      sampled_eval_points, spectrum_of, verify_spectrum)
 from .verify import REGISTRY, run_suite
 
 EXIT_OK = 0
@@ -136,7 +135,7 @@ def _write_out(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_build(args, rng, threads) -> int:
+def cmd_build(args, rng) -> int:
     kind = kind_from_args(args)
     m = build(kind)
     if args.format == "csv":
@@ -147,7 +146,7 @@ def cmd_build(args, rng, threads) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, rng, threads) -> int:
+def cmd_verify(args, rng) -> int:
     pattern = args.identity
     if pattern not in ("all", "*") and not any(
             fnmatch(name, pattern) for name in REGISTRY):
@@ -182,12 +181,14 @@ def _fmt_value(val) -> str:
     return str(val)
 
 
-def cmd_spectrum(args, rng, threads) -> int:
+def cmd_spectrum(args, rng) -> int:
     kind = kind_from_args(args, force_square=True)
     try:
         spec = spectrum_of(kind)
     except ValueError as e:
         raise UsageError(str(e)) from None
+    if args.check == "exact" and spec.order > EXACT_CHECK_MAX_ORDER:
+        raise UsageError(f"exact mode limited to order <= {EXACT_CHECK_MAX_ORDER}")
     print(f"spectrum of {kind.describe()}")
     _print_spectrum(spec)
     if args.check == "none":
@@ -196,13 +197,13 @@ def cmd_spectrum(args, rng, threads) -> int:
     ok = True
     if spec.is_scalar():
         report = verify_spectrum(m, spec, mode=args.check, rng=rng,
-                                 threads=threads, label=kind.describe())
+                                 label=kind.describe())
         _print_report(report)
         ok = report.ok
     else:
         for z0 in sampled_eval_points():
             report = verify_spectrum(m.eval_at(z0), spec.eval_at(z0),
-                                     mode=args.check, rng=rng, threads=threads,
+                                     mode=args.check, rng=rng,
                                      label=f"{kind.describe()} at z={z0}")
             _print_report(report)
             ok = ok and report.ok
@@ -216,7 +217,7 @@ def _print_report(report) -> None:
         print(f"  {'ok ' if c.ok else 'FAIL'} {c.name}: {c.detail}")
 
 
-def cmd_rank(args, rng, threads) -> int:
+def cmd_rank(args, rng) -> int:
     kind = kind_from_args(args)
     formula_rank = computed_rank = None
     if args.method in ("formula", "both"):
@@ -251,7 +252,7 @@ def cmd_rank(args, rng, threads) -> int:
     return EXIT_OK if match else EXIT_VERIFY_FAIL
 
 
-def cmd_johnson(args, rng, threads) -> int:
+def cmd_johnson(args, rng) -> int:
     v, k = args.v, args.k
     if not 0 <= k <= v:
         raise UsageError("need 0 <= k <= v")
@@ -304,8 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "suite, spectra, ranks, Johnson scheme tables.")
     top.add_argument("--seed", type=int, default=None,
                      help="seed for mod-p primes and probe vectors")
-    top.add_argument("--threads", type=int, default=None,
-                     help="worker threads for verification (env IMTK_THREADS)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a matrix and write it out")
@@ -343,14 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     rng = random.Random(args.seed)
-    threads = args.threads
-    if threads is None:
-        try:
-            threads = int(os.environ.get("IMTK_THREADS", "1"))
-        except ValueError:
-            threads = 1
     try:
-        return args.func(args, rng, max(1, threads))
+        return args.func(args, rng)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,8 +19,8 @@ copied and reduced mod p only past that.  The rank is blocked Gaussian
 elimination on a float64 copy whose products are BLAS GEMMs of centred
 residues, |x| <= p // 2:
 a product with inner dimension nb is exact while nb * (p // 2)^2 + p < 2^53,
-and a trailing row is reduced only once in as many passes as keep it below
-2^51 (see ``_panel_plan``).  Primes are refused from 2^27 on, where nb
+and the trailing block is reduced only once in as many passes as keep it
+below 2^51 (see ``_panel_plan``).  Primes are refused from 2^27 on, where nb
 would fall below 2; the program draws 21-bit primes.  Every partial sum of
 a product is an integer below 2^53, so the rank does not depend on how BLAS
 splits the sum.
@@ -157,41 +157,6 @@ class Poly:
         for c in reversed(self.coeffs):
             v = v * a + c
         return _canon_scalar(Fraction(v)) if isinstance(v, Fraction) else v
-
-    def shift_basis(self, c: Scalar) -> list:
-        """Coefficients a_l with p(z) = sum a_l (z - c)^l, by synthetic division."""
-        out = []
-        cur = list(self.coeffs)
-        for _ in range(len(self.coeffs)):
-            n = len(cur) - 1
-            q = [0] * n
-            acc = 0
-            for i in range(n, 0, -1):
-                acc = cur[i] + acc * c
-                q[i - 1] = acc
-            rem = cur[0] + (acc * c if n >= 1 else 0)
-            out.append(_canon_scalar(rem))
-            cur = q
-        return out
-
-    def divexact_linear(self, c: Scalar, e: int = 1) -> "Poly":
-        """Exact division by (z - c)^e; raises if any remainder is nonzero."""
-        cur = self
-        for _ in range(e):
-            coefs = list(cur.coeffs)
-            if not coefs:
-                cur = Poly()
-                continue
-            q = [0] * (len(coefs) - 1)
-            acc = 0
-            for i in range(len(coefs) - 1, 0, -1):
-                acc = coefs[i] + acc * c
-                q[i - 1] = acc
-            rem = coefs[0] + acc * c
-            if rem != 0:
-                raise ValueError(f"polynomial not divisible by (z - {c})")
-            cur = Poly(q)
-        return cur
 
     def __repr__(self):
         if not self.coeffs:
@@ -580,7 +545,7 @@ def random_prime(rng: random.Random | None = None) -> int:
     """Random prime of DEFAULT_PRIME_BITS = 21 bits, uniform over those primes.
 
     At 21 bits the float64 rank kernel closes its panels on 64 pivots and
-    reduces a trailing row only once in 32 or more Schur passes (see
+    reduces its trailing block only once in 32 or more Schur passes (see
     ``_panel_plan``).
 
     Unlucky primes.  Let A be an integer matrix of rank r over Q and D a
@@ -660,7 +625,7 @@ def _panel_plan(p: int) -> tuple[int, int]:
     every prime below about 2^24.5, 32 at 25 bits and 2 at 134217689, the
     largest prime below 2^27 that ``_check_modulus`` lets through.
 
-    A stored entry is reduced again once it has taken ``passes`` passes, the
+    The trailing block is reduced again after every ``passes`` passes, the
     most with passes * nb * h^2 + p < 2^51, but at least one: 32 or more for
     every 21-bit prime, 1 from 24 bits.  Stored entries thus stay below 2^51,
     where one ``_reduce`` gives the centred residue.
@@ -728,9 +693,9 @@ def _rank_kernel(w: np.ndarray, p: int, bound: int) -> int:
     rows then get their trailing part U12 = L11^-1 T, and the rows whose
     multipliers L21 are not all zero get the Schur update L21 @ U12.  Every
     product is a float64 GEMM of operands reduced to centred residues.  The
-    trailing rows are not reduced after every pass: a row is reduced right
-    after the pass that uses up its interval from ``_panel_plan``, which
-    keeps every stored entry below 2^51.
+    trailing block is not reduced after every pass but once in every
+    ``passes`` Schur passes, the interval from ``_panel_plan``.  A pass that
+    skips a row still counts for it, so every stored entry stays below 2^51.
     """
     m, n = w.shape
     if m == 0 or n == 0:
@@ -740,17 +705,19 @@ def _rank_kernel(w: np.ndarray, p: int, bound: int) -> int:
     buf = np.empty(max(_CHUNK_ENTRIES + n, nb * max(m, n)))
     if bound > p:
         _reduce_rows(w, p, buf)
-    ages = np.zeros(m, dtype=np.int64)  # passes taken by each row since its last reduction
-    r = c = 0
+    r = c = npass = 0
     while r < m and c < n:
-        k, c, mult = _factor_panel(w, r, c, p, nb, buf, tmp, ages)
+        k, c, mult = _factor_panel(w, r, c, p, nb, buf, tmp)
         if r + k < m and c < n:  # a full panel with a trailing block
             # U12 = L11^-1 T = T - (I - L11^-1) T
             u12 = w[r:r + k, c:].copy()
             _reduce(u12, p, _scratch(buf, u12.shape))
             if mult[:k, :k].any():
                 _sub_centred(u12, _strict_inverse(mult[:k, :k], p, buf), u12, p, buf)
-            _schur_update(w, r + k, c, mult[k:, :k], u12, p, passes, buf, tmp, ages)
+            _schur_update(w, r + k, c, mult[k:, :k], u12, buf, tmp)
+            npass += 1
+            if npass % passes == 0:
+                _reduce_rows(w[r + k:, c:], p, buf)
         r += k
     return r
 
@@ -774,7 +741,7 @@ def _strict_inverse(low: np.ndarray, p: int, buf: np.ndarray) -> np.ndarray:
     return np.eye(k) - inv
 
 
-def _factor_panel(w, r, c, p, nb, buf, tmp, ages):
+def _factor_panel(w, r, c, p, nb, buf, tmp):
     """Gather up to nb pivots below row r, from column c on (left-looking).
 
     The panel pulls blocks of nb columns.  A block is first brought up to
@@ -839,7 +806,6 @@ def _factor_panel(w, r, c, p, nb, buf, tmp, ages):
                 pt[:, [k, piv]] = pt[:, [piv, k]]
                 _swap_rows(mult, k, piv, tmp[:nb])
                 _swap_rows(w[:, c:], r + k, r + piv, tmp[:n - c])
-                ages[r + k], ages[r + piv] = ages[r + piv], ages[r + k]
             rest = nz[1:]
             if rest.size:
                 inv = pow(int(bot[0]), -1, p)
@@ -857,13 +823,11 @@ def _factor_panel(w, r, c, p, nb, buf, tmp, ages):
     return k, c, mult
 
 
-def _schur_update(w, r0, c1, l21, u12, p, passes, buf, tmp, ages) -> None:
-    """w[r0:, c1:] -= l21 @ u12 on the rows with nonzero multipliers.
+def _schur_update(w, r0, c1, l21, u12, buf, tmp) -> None:
+    """w[r0:, c1:] -= l21 @ u12 on the rows with nonzero multipliers, unreduced.
 
     Those rows are first swapped to the front of the block, so the update
-    runs on contiguous row chunks through the buffer.  A chunk is reduced
-    right after its product, while still in cache, once one of its rows has
-    taken ``passes`` passes since its last reduction (``ages`` counts them).
+    runs on contiguous row chunks through the buffer.
     """
     live = l21.any(axis=1)
     q = int(np.count_nonzero(live))
@@ -875,18 +839,12 @@ def _schur_update(w, r0, c1, l21, u12, p, passes, buf, tmp, ages) -> None:
     for i, j in zip(holes.tolist(), fills.tolist()):
         _swap_rows(w[:, c1:], r0 + i, r0 + j, tmp[:ncols])
         l21[[i, j]] = l21[[j, i]]
-        ages[r0 + i], ages[r0 + j] = ages[r0 + j], ages[r0 + i]
     step = max(1, _CHUNK_ENTRIES // ncols)
     for s in range(0, q, step):
         e = min(q, s + step)
         dst, prod = w[r0 + s:r0 + e, c1:], _scratch(buf, (e - s, ncols))
         np.matmul(l21[s:e], u12, out=prod)
         dst -= prod
-        taken = ages[r0 + s:r0 + e]
-        taken += 1
-        if taken.max() >= passes:
-            _reduce(dst, p, prod)
-            taken[:] = 0
 
 
 def rank_modp(m: ExactMatrix | ModMatrix, p: int) -> int:

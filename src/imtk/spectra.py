@@ -22,6 +22,7 @@ from .opcalc import L
 
 FLOAT_CHECK_MAX_ORDER = 200
 EXACT_CHECK_MAX_ORDER = 300
+PROBES = 8  # annihilation probe vectors per prime
 
 
 def multiplicity(v: int, j: int) -> int:
@@ -287,12 +288,12 @@ def _centred_residue(x, p: int) -> int:
     return r - p if r > p // 2 else r
 
 
-def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, probes: int,
+def _annihilation_failures(arr: np.ndarray, mag: int, values, primes,
                            rng: random.Random) -> list[str]:
     """The probes that prod_lambda (M - lambda I) does not send to 0 mod their prime.
 
-    ``probes`` random residue vectors are drawn per prime, prime by prime, as
-    the columns of one n x (len(primes) * probes) float64 block Y, kept
+    ``PROBES`` random residue vectors are drawn per prime, prime by prime, as
+    the columns of one n x (len(primes) * PROBES) float64 block Y, kept
     centred.  Each factor M - lambda I is then one GEMM of the integer
     matrix with Y, after which each prime's columns are reduced mod that
     prime.  With h the largest p // 2, each product is exact while
@@ -302,8 +303,8 @@ def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, probes: in
     """
     n = arr.shape[0]
     y = np.array([[rng.randrange(p) for _ in range(n)]
-                  for p in primes for _ in range(probes)], dtype=np.float64).T.copy()
-    mods = np.repeat(np.array(primes, dtype=np.float64), probes)
+                  for p in primes for _ in range(PROBES)], dtype=np.float64).T.copy()
+    mods = np.repeat(np.array(primes, dtype=np.float64), PROBES)
     scratch = np.empty_like(y)
     _centre(y, mods, scratch)
     h = max(primes) // 2
@@ -314,9 +315,9 @@ def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, probes: in
         for i, p in enumerate(primes):
             a = (arr % p).astype(np.float64)
             a[a > p // 2] -= p
-            factors.append((a, p // 2, slice(i * probes, (i + 1) * probes)))
+            factors.append((a, p // 2, slice(i * PROBES, (i + 1) * PROBES)))
     for val in values:
-        lam = np.repeat([_centred_residue(val, p) for p in primes], probes)
+        lam = np.repeat([_centred_residue(val, p) for p in primes], PROBES)
         for a, amax, cols in factors:
             chunk = (_FLOAT_EXACT - 1 - h * h) // max(amax * h, 1)
             acc = y[:, cols] * -lam[cols]
@@ -325,12 +326,11 @@ def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, probes: in
                 _reduce(acc, mods[cols], np.empty_like(acc))
             y[:, cols] = acc
         _centre(y, mods, scratch)
-    return [f"probe {i % probes} mod {int(mods[i])}" for i in np.flatnonzero(y.any(axis=0))]
+    return [f"probe {i % PROBES} mod {int(mods[i])}" for i in np.flatnonzero(y.any(axis=0))]
 
 
 def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
-                    rng: random.Random | None = None, probes: int = 8,
-                    threads: int = 1, label: str = "",
+                    rng: random.Random | None = None, label: str = "",
                     assume_diagonalizable: bool = False) -> SpectrumReport:
     """Check a claimed spectrum against an explicitly built matrix.
 
@@ -339,7 +339,8 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     fresh prime on mismatch).  ``report.primes`` lists every prime used: the
     two shared primes, then the retry primes in eigenvalue order.  exact mode
     additionally compares trace(M^e) with the spectral power sums for e up to
-    the number of distinct eigenvalues (order <= 300).
+    the number of distinct eigenvalues; above order EXACT_CHECK_MAX_ORDER it
+    raises ValueError before any prime is drawn.
 
     The rank route equates geometric and algebraic multiplicities, so the
     matrix must be symmetric unless the caller vouches for diagonalizability
@@ -352,7 +353,7 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
       nonzero.  At a prime where P stays nonzero, a uniform random probe is
       annihilated anyway with probability at most #distinct/p (in fact at
       most 1/p, ker P being a proper subspace), independently per probe and
-      per prime; a wrong set must survive all 2 * probes probes.
+      per prime; a wrong set must survive all 2 * PROBES probes.
     - Rank.  rank(A mod p) <= rank(A) over Q for an integer A (a minor that
       vanishes over Q vanishes mod p), so the mod-p nullity of M - lambda I
       can only over-estimate the true multiplicity of lambda.
@@ -377,6 +378,8 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
         raise ValueError("mode must be 'modp' or 'exact'")
     if m.nrows != m.ncols:
         raise ValueError("matrix must be square")
+    if mode == "exact" and m.nrows > EXACT_CHECK_MAX_ORDER:
+        raise ValueError(f"exact mode limited to order <= {EXACT_CHECK_MAX_ORDER}")
     if not spec.is_scalar():
         raise TypeError("verify_spectrum needs rational eigenvalues; "
                         "evaluate polynomial spectra at a point first")
@@ -405,44 +408,27 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
 
     # annihilation: prod_lambda (M - lambda I) x = 0 for random probes x
     fails = _annihilation_failures(arr, m.mag, [val for val, _ in distinct],
-                                   (p1, p2), probes, rng)
+                                   (p1, p2), rng)
     report.add("annihilation", not fails,
-               f"{2 * probes} probes over primes {p1}, {p2}"
+               f"{2 * PROBES} probes over primes {p1}, {p2}"
                + (f"; failed: {fails}" if fails else ""))
 
     # multiplicities: rank(M - lambda I) = order - mult(lambda).  Each
-    # eigenvalue draws its retry prime from its own substream, seeded in
-    # eigenvalue order before any worker starts, so the primes do not depend
-    # on how the threads are scheduled.
-    streams = [random.Random(rng.getrandbits(64)) for _ in distinct]
-
-    def rank_one(item):
-        (val, mult), stream = item
+    # eigenvalue seeds its own retry substream, in eigenvalue order, whether
+    # it retries or not, so a seed draws the same primes as it always has.
+    for val, mult in distinct:
+        stream = random.Random(rng.getrandbits(64))
         want = m.nrows - mult
         got = rank_modp(ModMatrix(arr, p1, _centred_residue(val, p1), m.mag), p1)
-        retry = None
         if got != want:
             # rank mod p can undershoot the rational rank for unlucky primes
             retry = random_prime(stream)
-            got = rank_modp(ModMatrix(arr, retry, _centred_residue(val, retry), m.mag), retry)
-        return val, mult, want, got, retry
-
-    items = list(zip(distinct, streams))
-    if threads > 1 and len(distinct) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(rank_one, items))
-    else:
-        results = [rank_one(item) for item in items]
-    for val, mult, want, got, retry in results:
-        if retry is not None:
             report.primes += (retry,)
+            got = rank_modp(ModMatrix(arr, retry, _centred_residue(val, retry), m.mag), retry)
         report.add(f"multiplicity[{val}]", got == want,
                    f"rank(M - {val} I) = {got}, expected {want} (mult {mult})")
 
     if mode == "exact":
-        if m.nrows > EXACT_CHECK_MAX_ORDER:
-            raise ValueError(f"exact mode limited to order <= {EXACT_CHECK_MAX_ORDER}")
         power = ExactMatrix.identity(m.nrows)
         for e in range(1, len(distinct) + 1):
             power = power @ m

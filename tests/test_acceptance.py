@@ -6,6 +6,7 @@ v <= 8 identity grid) run the same code paths as the CLI.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -28,13 +29,15 @@ from imtk.spectra import (eberlein, float_crosscheck, lambda_utl, rank_formula,
 from imtk.verify import REGISTRY, a_pl, run_suite
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the CLI runs in a clean environment, but with the caller's BLAS thread count
+BLAS_ENV = {k: os.environ[k] for k in ("OPENBLAS_NUM_THREADS",) if k in os.environ}
 
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "imtk.cli", *args],
         capture_output=True, text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **BLAS_ENV},
     )
 
 

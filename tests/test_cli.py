@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,15 @@ from imtk.cli import (main, matrix_csv, matrix_document, parse_matrix_document)
 from imtk.exactalg import rank_modp
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the CLI runs in a clean environment, but with the caller's BLAS thread count
+BLAS_ENV = {k: os.environ[k] for k in ("OPENBLAS_NUM_THREADS",) if k in os.environ}
 
 
 def run_cli(*args, check=False):
     proc = subprocess.run(
         [sys.executable, "-m", "imtk.cli", *args],
         capture_output=True, text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **BLAS_ENV},
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stderr}")
@@ -139,6 +142,15 @@ def test_spectrum_outside_hypotheses_exits_2():
     assert proc.returncode == 2
 
 
+def test_spectrum_exact_check_above_the_order_cap_exits_2():
+    # N^2_(4,4)(11) has order 330: refused before the matrix is built
+    proc = run_cli("--seed", "1", "spectrum", "--kind", "N", "--t", "2", "--k", "4",
+                   "--v", "11", "--check", "exact")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: exact mode limited to order <= 300\n"
+    assert proc.stdout == ""
+
+
 def test_rank_both_small():
     proc = run_cli("--seed", "5", "rank", "--kind", "U", "--l", "2", "--s", "2",
                    "--k", "3", "--v", "8", "--method", "both", check=True)
@@ -209,13 +221,3 @@ def test_seed_makes_runs_reproducible():
             "--v", "5", "--check", "modp")
     a, b = run_cli(*args, check=True), run_cli(*args, check=True)
     assert a.stdout == b.stdout
-
-
-def test_threads_env_fallback():
-    proc = subprocess.run(
-        [sys.executable, "-m", "imtk.cli", "--seed", "4", "spectrum", "--kind",
-         "N", "--t", "1", "--k", "2", "--v", "5", "--check", "modp"],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "IMTK_THREADS": "2"},
-    )
-    assert proc.returncode == 0 and "verified" in proc.stdout

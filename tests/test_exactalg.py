@@ -41,10 +41,16 @@ def test_poly_eval():
     assert p.eval(Fraction(1, 2)) == Fraction(3, 2)
 
 
+def _taylor(p: Poly, c) -> list:
+    """Coefficients a_l with p(z) = sum a_l (z - c)^l, through a 1 x 1 ExactMatrix."""
+    m = ExactMatrix([[p]]).shift_basis(c)
+    return [m.coeff_matrix(l).entry(0, 0) for l in range(m.max_degree() + 1)]
+
+
 def test_shift_basis_simple():
-    assert (Poly((1, 1)) ** 2).shift_basis(-1) == [0, 0, 1]
+    assert _taylor(Poly((1, 1)) ** 2, -1) == [0, 0, 1]
     p = Poly((5, -2, 7))
-    coeffs = p.shift_basis(3)
+    coeffs = _taylor(p, 3)
     rebuilt = Poly((0,))
     for l, a in enumerate(coeffs):
         rebuilt = rebuilt + a * (Poly((-3, 1)) ** l)
@@ -55,7 +61,7 @@ def test_shift_basis_of_psi_closed_form():
     # Taylor coefficients of psi at -1
     for theta in range(9):
         for t in range(9):
-            coeffs = psi(theta, t).shift_basis(-1)
+            coeffs = _taylor(psi(theta, t), -1)
             for l, a in enumerate(coeffs):
                 want = ((-1) ** (t - l) * binomial(theta, l)
                         * binomial(theta - l - 1, t - l))
@@ -64,9 +70,9 @@ def test_shift_basis_of_psi_closed_form():
 
 def test_divexact_linear():
     p = (Poly((1, 1)) ** 3) * Poly((2, 5))
-    assert p.divexact_linear(-1, 3) == Poly((2, 5))
+    assert ExactMatrix([[p]]).divexact_linear(-1, 3) == ExactMatrix([[Poly((2, 5))]])
     with pytest.raises(ValueError):
-        Poly((1, 1)).divexact_linear(-1, 2)
+        ExactMatrix([[Poly((1, 1))]]).divexact_linear(-1, 2)
 
 
 # ---------------------------------------------------------------------------
