@@ -17,9 +17,9 @@ from .opcalc import (L, OperatorExpr, identity_op, op_apply, op_compose, zD,
 from .scheme import (SchemeBasis, basis_convert, conversion_matrix,
                      intersection_p, intersection_r, scheme_basis,
                      verify_scheme_axioms)
-from .spectra import (SpectrumSpec, alpha, eberlein, float_crosscheck,
-                      lambda_uge, lambda_utl, mu, rank_formula, spectrum_of,
-                      tau, verify_spectrum, wf_spectrum, wu_spectrum)
+from .spectra import (SpectrumSpec, alpha, eberlein, lambda_uge, lambda_utl,
+                      mu, rank_formula, spectrum_of, tau, verify_spectrum,
+                      wf_spectrum, wu_spectrum)
 from .verify import REGISTRY, run_identity, run_suite
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "zD_falling", "zD_power", "zD_shifted_falling",
     "SchemeBasis", "basis_convert", "conversion_matrix", "intersection_p",
     "intersection_r", "scheme_basis", "verify_scheme_axioms",
-    "SpectrumSpec", "alpha", "eberlein", "float_crosscheck", "lambda_uge",
+    "SpectrumSpec", "alpha", "eberlein", "lambda_uge",
     "lambda_utl", "mu", "rank_formula", "spectrum_of", "tau",
     "verify_spectrum", "wf_spectrum", "wu_spectrum",
     "REGISTRY", "run_identity", "run_suite",

@@ -18,8 +18,8 @@ from .build import MatrixKind, build
 from .exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from .scheme import (conversion_matrix, intersection_p, intersection_r,
                      scheme_basis, verify_scheme_axioms)
-from .spectra import (EXACT_CHECK_MAX_ORDER, SpectrumSpec, rank_formula,
-                      sampled_eval_points, spectrum_of, verify_spectrum)
+from .spectra import (SpectrumSpec, rank_formula, sampled_eval_points, spectrum_of,
+                      verify_spectrum)
 from .verify import REGISTRY, run_suite
 
 EXIT_OK = 0
@@ -187,8 +187,6 @@ def cmd_spectrum(args, rng) -> int:
         spec = spectrum_of(kind)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    if args.check == "exact" and spec.order > EXACT_CHECK_MAX_ORDER:
-        raise UsageError(f"exact mode limited to order <= {EXACT_CHECK_MAX_ORDER}")
     print(f"spectrum of {kind.describe()}")
     _print_spectrum(spec)
     if args.check == "none":

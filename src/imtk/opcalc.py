@@ -67,9 +67,6 @@ class OperatorExpr:
 
     __rmul__ = __mul__
 
-    def compose(self, other: "OperatorExpr") -> "OperatorExpr":
-        return op_compose(self, other)
-
     def apply_poly(self, p: Poly) -> Poly:
         """Apply sum c_r z^r D^r to a polynomial, exactly.
 

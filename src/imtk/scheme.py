@@ -3,8 +3,8 @@ conversions, intersection numbers, and axiom verification.
 
 Indexing convention: the scheme's class matrices X_i are indexed by
 "distance" i (pairs with |K1 cap K2| = k - i), while the intersection
-numbers r and p are indexed by intersection size.  The two index maps are
-exposed explicitly to keep the complement translation visible.
+numbers r and p are indexed by intersection size; ``p_distance`` gives p in
+distance indexing.
 """
 
 from __future__ import annotations
@@ -16,16 +16,6 @@ from .combinat import binomial
 from .exactalg import ExactMatrix
 
 _BASIS_TAGS = ("X", "A", "Uge")
-
-
-def distance_to_intersection(k: int, d: int) -> int:
-    """Class index d (distance) -> intersection size k - d."""
-    return k - d
-
-
-def intersection_to_distance(k: int, theta: int) -> int:
-    """Intersection size theta -> class index k - theta."""
-    return k - theta
 
 
 def intersection_r(v: int, k: int, i: int, j: int, l: int) -> int:

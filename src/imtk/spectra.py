@@ -7,6 +7,7 @@ range rather than an extrapolated answer.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,9 +21,8 @@ from .exactalg import (_FLOAT_EXACT, ExactMatrix, ModMatrix, Poly, _centre, _red
                        random_prime, rank_modp)
 from .opcalc import L
 
-FLOAT_CHECK_MAX_ORDER = 200
-EXACT_CHECK_MAX_ORDER = 300
 PROBES = 8  # annihilation probe vectors per prime
+EYE_BLOCK = 256  # columns of I per exact annihilation block
 
 
 def multiplicity(v: int, j: int) -> int:
@@ -288,45 +288,39 @@ def _centred_residue(x, p: int) -> int:
     return r - p if r > p // 2 else r
 
 
-def _annihilation_failures(arr: np.ndarray, mag: int, values, primes,
-                           rng: random.Random) -> list[str]:
-    """The probes that prod_lambda (M - lambda I) does not send to 0 mod their prime.
+def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) -> list[str]:
+    """A "column c mod p" for each block column prod_lambda (M - lambda I) leaves nonzero.
 
-    ``PROBES`` random residue vectors are drawn per prime, prime by prime, as
-    the columns of one n x (len(primes) * PROBES) float64 block Y, kept
-    centred.  Each factor M - lambda I is then one GEMM of the integer
-    matrix with Y, after which each prime's columns are reduced mod that
-    prime.  With h the largest p // 2, each product is exact while
-    n * max|M| * h + h^2 < 2^53; where that fails the inner dimension is
-    summed in chunks within the bound, and where not even one column fits,
-    M is first reduced to centred residues mod each prime.
+    ``blocks`` yields pairs (c0, Y), Y an n x (len(primes) * w) float64 block
+    of columns c0 .. c0 + w - 1 once per prime, prime by prime, overwritten.
+    Each factor M - lambda I is one GEMM of the integer matrix with centred Y,
+    after which each prime's columns are reduced mod it.  With h the largest
+    p // 2, each product is exact while n * max|M| * h + h^2 < 2^53; where that
+    fails the inner dimension is summed in chunks within the bound, and where
+    not even one column fits, M is first reduced to centred residues mod each prime.
     """
-    n = arr.shape[0]
-    y = np.array([[rng.randrange(p) for _ in range(n)]
-                  for p in primes for _ in range(PROBES)], dtype=np.float64).T.copy()
-    mods = np.repeat(np.array(primes, dtype=np.float64), PROBES)
-    scratch = np.empty_like(y)
-    _centre(y, mods, scratch)
-    h = max(primes) // 2
-    if mag * h + h * h < _FLOAT_EXACT:
-        factors = [(arr.astype(np.float64), mag, slice(None))]
-    else:
-        factors = []
-        for i, p in enumerate(primes):
-            a = (arr % p).astype(np.float64)
-            a[a > p // 2] -= p
-            factors.append((a, p // 2, slice(i * PROBES, (i + 1) * PROBES)))
-    for val in values:
-        lam = np.repeat([_centred_residue(val, p) for p in primes], PROBES)
-        for a, amax, cols in factors:
-            chunk = (_FLOAT_EXACT - 1 - h * h) // max(amax * h, 1)
-            acc = y[:, cols] * -lam[cols]
-            for j in range(0, n, chunk):
-                acc += a[:, j:j + chunk] @ y[j:j + chunk, cols]
-                _reduce(acc, mods[cols], np.empty_like(acc))
-            y[:, cols] = acc
-        _centre(y, mods, scratch)
-    return [f"probe {i % PROBES} mod {int(mods[i])}" for i in np.flatnonzero(y.any(axis=0))]
+    n, h, fails = arr.shape[0], max(primes) // 2, []
+    factors = ([(arr.astype(np.float64), mag, None)] if mag * h + h * h < _FLOAT_EXACT else
+               [(((arr + p // 2) % p - p // 2).astype(np.float64), p // 2, i)
+                for i, p in enumerate(primes)])
+    for c0, y in blocks:
+        w = y.shape[1] // len(primes)
+        mods = np.repeat(np.array(primes, dtype=np.float64), w)
+        _centre(y, mods, np.empty_like(y))
+        for val in values:
+            lam = np.repeat([_centred_residue(val, p) for p in primes], w)
+            for a, amax, i in factors:
+                cols = slice(None) if i is None else slice(i * w, (i + 1) * w)
+                chunk = (_FLOAT_EXACT - 1 - h * h) // max(amax * h, 1)
+                acc = y[:, cols] * -lam[cols]
+                for j in range(0, n, chunk):
+                    acc += a[:, j:j + chunk] @ y[j:j + chunk, cols]
+                    _reduce(acc, mods[cols], np.empty_like(acc))
+                y[:, cols] = acc
+            _centre(y, mods, np.empty_like(y))
+        fails += [f"column {c0 + i % w} mod {primes[i // w]}"
+                  for i in np.flatnonzero(y.any(axis=0))]
+    return fails
 
 
 def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
@@ -334,26 +328,32 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
                     assume_diagonalizable: bool = False) -> SpectrumReport:
     """Check a claimed spectrum against an explicitly built matrix.
 
-    modp mode: multiplicity sum, exact trace, annihilation probes over two
-    random primes, and one mod-p rank per distinct eigenvalue (retried with a
-    fresh prime on mismatch).  ``report.primes`` lists every prime used: the
-    two shared primes, then the retry primes in eigenvalue order.  exact mode
-    additionally compares trace(M^e) with the spectral power sums for e up to
-    the number of distinct eigenvalues; above order EXACT_CHECK_MAX_ORDER it
-    raises ValueError before any prime is drawn.
+    Both modes check the multiplicity sum and the exact trace, that
+    P = prod_lambda (M - lambda I) over the claimed distinct eigenvalues is 0,
+    and one mod-p rank per distinct eigenvalue (retried with a fresh prime on
+    mismatch).  P is applied to 2 * PROBES random probes over two random
+    primes in modp mode, and in exact mode to every column of I over those
+    primes and as many more as it takes for their product to exceed B below.
+    ``report.primes`` lists them all, then the retry primes in eigenvalue order.
 
     The rank route equates geometric and algebraic multiplicities, so the
     matrix must be symmetric unless the caller vouches for diagonalizability
     (the W^T F products have a full eigenbasis by construction).
 
-    Soundness of modp mode, for a symmetric M of order n:
+    Soundness, for a symmetric M of order n:
 
-    - Annihilation.  If the claim misses an eigenvalue of M, then
-      P = prod_lambda (M - lambda I) over the claimed distinct eigenvalues is
+    - Annihilation, modp.  If the claim misses an eigenvalue of M, P is
       nonzero.  At a prime where P stays nonzero, a uniform random probe is
       annihilated anyway with probability at most #distinct/p (in fact at
       most 1/p, ker P being a proper subspace), independently per probe and
       per prime; a wrong set must survive all 2 * PROBES probes.
+    - Annihilation, exact.  For lambda_j = p_j / q_j, no entry of a partial
+      product of the integer matrices q_j M - p_j I exceeds B = prod_j
+      (q_j ||M||_inf + |p_j|), the row-sum norm being submultiplicative
+      (n * max|M| stands in for it if a row sum could overflow int64).  Mod a
+      prime not dividing q_j, that product is 0 exactly when P is.  Zero mod
+      distinct primes whose product exceeds B, an entry is 0 over Z (CRT), so
+      P = 0 and the claimed set holds every eigenvalue, with certainty.
     - Rank.  rank(A mod p) <= rank(A) over Q for an integer A (a minor that
       vanishes over Q vanishes mod p), so the mod-p nullity of M - lambda I
       can only over-estimate the true multiplicity of lambda.
@@ -370,27 +370,25 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
       for U^3 on J(13, 6), at most 405, so at most 0.55% per draw, and at
       most 0.003% that the retry prime is unlucky too.
     - Denominators.  A prime that divides a claimed eigenvalue's denominator
-      raises ValueError, in the annihilation step for the two shared primes
-      and in the rank step for a retry prime.  No true claim is lost so: M
-      is an integer matrix, and its rational eigenvalues are integers.
+      raises ValueError, in the annihilation step for its primes and in the
+      rank step for a retry prime.  No true claim is lost so: M is an
+      integer matrix, and its rational eigenvalues are integers.
     """
     if mode not in ("modp", "exact"):
         raise ValueError("mode must be 'modp' or 'exact'")
     if m.nrows != m.ncols:
         raise ValueError("matrix must be square")
-    if mode == "exact" and m.nrows > EXACT_CHECK_MAX_ORDER:
-        raise ValueError(f"exact mode limited to order <= {EXACT_CHECK_MAX_ORDER}")
     if not spec.is_scalar():
         raise TypeError("verify_spectrum needs rational eigenvalues; "
                         "evaluate polynomial spectra at a point first")
     rng = rng or random.Random()
-    report = SpectrumReport(label or f"matrix of order {m.nrows}", m.nrows, mode)
+    n = m.nrows
+    report = SpectrumReport(label or f"matrix of order {n}", n, mode)
     arr = m.as_int_array()
     if not assume_diagonalizable and not np.array_equal(arr, arr.T):
         raise ValueError("matrix must be symmetric")
 
-    report.add("order", spec.order == m.nrows,
-               f"claimed order {spec.order}, matrix order {m.nrows}")
+    report.add("order", spec.order == n, f"claimed order {spec.order}, matrix order {n}")
     if not report.ok:
         return report
 
@@ -400,25 +398,37 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     report.add("trace", trace == want_trace,
                f"trace {trace}, spectral sum {want_trace}")
 
-    p1 = random_prime(rng)
-    p2 = random_prime(rng)
-    while p2 == p1:
-        p2 = random_prime(rng)
-    report.primes = (p1, p2)
-
-    # annihilation: prod_lambda (M - lambda I) x = 0 for random probes x
-    fails = _annihilation_failures(arr, m.mag, [val for val, _ in distinct],
-                                   (p1, p2), rng)
+    # annihilation: P y = 0 for random probes y mod two primes, or for every
+    # column y of I mod distinct primes whose product exceeds B (exact)
+    bound = 0
+    if mode == "exact":
+        norm = int(np.abs(arr).sum(axis=1).max()) if n * m.mag < 1 << 63 else n * m.mag
+        bound = math.prod(Fraction(v).denominator * norm + abs(Fraction(v).numerator)
+                          for v, _ in distinct)
+    primes = []
+    while len(primes) < 2 or math.prod(primes) <= bound:
+        p = random_prime(rng)
+        if p not in primes:
+            primes.append(p)
+    report.primes, (p1, p2) = tuple(primes), primes[:2]
+    if mode == "modp":
+        blocks = [(0, np.array([[rng.randrange(p) for _ in range(n)] for p in (p1, p2)
+                                for _ in range(PROBES)], dtype=np.float64).T.copy())]
+        detail = f"{2 * PROBES} probes over primes {p1}, {p2}"
+    else:
+        blocks = ((c, np.tile(np.eye(n, min(EYE_BLOCK, n - c), -c), len(primes)))
+                  for c in range(0, n, EYE_BLOCK))
+        detail = f"all {n} columns of I mod primes {primes}, product > B = {bound}"
+    fails = _annihilation_failures(arr, m.mag, [v for v, _ in distinct], primes, blocks)
     report.add("annihilation", not fails,
-               f"{2 * PROBES} probes over primes {p1}, {p2}"
-               + (f"; failed: {fails}" if fails else ""))
+               detail + (f"; {len(fails)} failed, first {fails[0]}" if fails else ""))
 
     # multiplicities: rank(M - lambda I) = order - mult(lambda).  Each
     # eigenvalue seeds its own retry substream, in eigenvalue order, whether
     # it retries or not, so a seed draws the same primes as it always has.
     for val, mult in distinct:
         stream = random.Random(rng.getrandbits(64))
-        want = m.nrows - mult
+        want = n - mult
         got = rank_modp(ModMatrix(arr, p1, _centred_residue(val, p1), m.mag), p1)
         if got != want:
             # rank mod p can undershoot the rational rank for unlucky primes
@@ -427,39 +437,7 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
             got = rank_modp(ModMatrix(arr, retry, _centred_residue(val, retry), m.mag), retry)
         report.add(f"multiplicity[{val}]", got == want,
                    f"rank(M - {val} I) = {got}, expected {want} (mult {mult})")
-
-    if mode == "exact":
-        power = ExactMatrix.identity(m.nrows)
-        for e in range(1, len(distinct) + 1):
-            power = power @ m
-            got = power.trace()
-            want = sum(mult * val ** e for val, mult in distinct)
-            report.add(f"power_sum[{e}]", got == want,
-                       f"trace(M^{e}) = {got}, spectral sum {want}")
     return report
-
-
-def float_eigenvalues(m: ExactMatrix) -> np.ndarray:
-    """Double-precision eigenvalues of a small symmetric matrix, ascending."""
-    if m.nrows > FLOAT_CHECK_MAX_ORDER:
-        raise ValueError(f"float cross-check limited to order <= {FLOAT_CHECK_MAX_ORDER}")
-    if m.max_degree():
-        raise TypeError("float cross-check needs scalar entries")
-    arr = m.stack[0].astype(float) / m.den
-    if not np.allclose(arr, arr.T):
-        raise ValueError("float cross-check needs a symmetric matrix")
-    return np.linalg.eigvalsh(arr)
-
-
-def float_crosscheck(m: ExactMatrix, spec: SpectrumSpec, tol: float = 1e-6) -> bool:
-    """Compare the claimed spectrum with a float eigendecomposition, clustering
-    computed eigenvalues within tol."""
-    got = float_eigenvalues(m)
-    want: list[float] = []
-    for val, mult in spec.distinct():
-        want.extend([float(val)] * mult)
-    want.sort()
-    return len(want) == len(got) and bool(np.all(np.abs(got - np.array(want)) <= tol))
 
 
 def sampled_eval_points() -> Sequence[Fraction]:

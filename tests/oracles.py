@@ -1,12 +1,17 @@
-"""Slow exact oracles that the tests check the library against.
+"""Slow oracles that the tests check the library against.
 
-Both work on Python ints and Fractions, so their entry growth is severe;
-they are meant for small matrices only.
+The exact ones work on Python ints and Fractions, so their entry growth is
+severe; the float ones certify nothing.  All are meant for small matrices.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from imtk.exactalg import ExactMatrix
+from imtk.spectra import SpectrumSpec
+
+FLOAT_CHECK_MAX_ORDER = 200
 
 
 def rank_exact(m: ExactMatrix) -> int:
@@ -58,3 +63,26 @@ def mat_inverse(m: ExactMatrix) -> ExactMatrix:
             a[i] = [x - f * y for x, y in zip(a[i], a[col])]
             inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
     return ExactMatrix(inv)
+
+
+def float_eigenvalues(m: ExactMatrix) -> np.ndarray:
+    """Double-precision eigenvalues of a small symmetric matrix, ascending."""
+    if m.nrows > FLOAT_CHECK_MAX_ORDER:
+        raise ValueError(f"float cross-check limited to order <= {FLOAT_CHECK_MAX_ORDER}")
+    if m.max_degree():
+        raise TypeError("float cross-check needs scalar entries")
+    arr = m.stack[0].astype(float) / m.den
+    if not np.allclose(arr, arr.T):
+        raise ValueError("float cross-check needs a symmetric matrix")
+    return np.linalg.eigvalsh(arr)
+
+
+def float_crosscheck(m: ExactMatrix, spec: SpectrumSpec, tol: float = 1e-6) -> bool:
+    """Compare the claimed spectrum with a float eigendecomposition, clustering
+    computed eigenvalues within tol."""
+    got = float_eigenvalues(m)
+    want: list[float] = []
+    for val, mult in spec.distinct():
+        want.extend([float(val)] * mult)
+    want.sort()
+    return len(want) == len(got) and bool(np.all(np.abs(got - np.array(want)) <= tol))

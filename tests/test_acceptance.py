@@ -24,9 +24,10 @@ from imtk.exactalg import ExactMatrix, Poly, random_prime, rank_modp
 from imtk.opcalc import L, identity_op, op_apply, op_compose, zD, zD_falling, \
     zD_power, zD_shifted_falling
 from imtk.scheme import intersection_p, verify_scheme_axioms
-from imtk.spectra import (eberlein, float_crosscheck, lambda_utl, rank_formula,
-                          spectrum_of, tau)
+from imtk.spectra import eberlein, lambda_utl, rank_formula, spectrum_of, tau
 from imtk.verify import REGISTRY, a_pl, run_suite
+
+from oracles import float_crosscheck
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the CLI runs in a clean environment, but with the caller's BLAS thread count

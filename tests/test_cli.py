@@ -142,13 +142,18 @@ def test_spectrum_outside_hypotheses_exits_2():
     assert proc.returncode == 2
 
 
-def test_spectrum_exact_check_above_the_order_cap_exits_2():
-    # N^2_(4,4)(11) has order 330: refused before the matrix is built
+def test_spectrum_exact_check_above_order_300_verifies():
+    # N^2_(4,4)(11) has order 330; the check line lists every prime, the
+    # annihilation line the same primes and the bound B they exceed
     proc = run_cli("--seed", "1", "spectrum", "--kind", "N", "--t", "2", "--k", "4",
                    "--v", "11", "--check", "exact")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: exact mode limited to order <= 300\n"
-    assert proc.stdout == ""
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.endswith("verified\n")
+    check = next(line for line in proc.stdout.splitlines() if line.startswith("check["))
+    primes = check.split("primes=")[1]
+    assert len(json.loads(primes)) >= 2
+    assert f"ok  annihilation: all 330 columns of I mod primes {primes}, product > B = " \
+        in proc.stdout
 
 
 def test_rank_both_small():

@@ -6,17 +6,10 @@ from imtk.build import A, U, Uge, build
 from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix
 from imtk.scheme import (SchemeBasis, basis_convert, conversion_matrix,
-                         distance_to_intersection, intersection_p,
-                         intersection_r, intersection_to_distance, p_distance,
+                         intersection_p, intersection_r, p_distance,
                          scheme_basis, verify_scheme_axioms)
 
 from oracles import rank_exact
-
-
-def test_index_maps_are_mutually_inverse():
-    for k in range(6):
-        for i in range(k + 1):
-            assert intersection_to_distance(k, distance_to_intersection(k, i)) == i
 
 
 def test_r_at_zero_is_order():

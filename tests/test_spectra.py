@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ import pytest
 from imtk.build import A, F, N, U, Uge, Utl, W, build
 from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, Poly, rank_modp
-from imtk.spectra import (SpectrumSpec, alpha, eberlein, float_crosscheck,
-                          float_eigenvalues, lambda_uge, lambda_utl, mu,
-                          multiplicity, rank_formula, sampled_eval_points,
+from imtk.spectra import (SpectrumSpec, alpha, eberlein, lambda_uge, lambda_utl,
+                          mu, multiplicity, rank_formula, sampled_eval_points,
                           spectrum_of, tau, verify_spectrum, wf_spectrum,
                           wu_spectrum)
 
-from oracles import mat_inverse
+from oracles import float_crosscheck, float_eigenvalues, mat_inverse
 
 RNG_SEED = 1234
 
@@ -304,19 +304,30 @@ def test_verify_detects_wrong_multiplicities_of_the_right_eigenvalues(mode):
     assert not rep.ok
 
 
-@pytest.mark.parametrize("scale", [1, 2 ** 32 + 1, 2 ** 40 + 1, 2 ** 55 + 1])
-def test_verify_spectrum_is_exact_at_every_entry_size(scale):
+@pytest.mark.parametrize("scale, mode", [
+    pytest.param(scale, mode, id=str(scale) + ("-exact" if mode == "exact" else ""))
+    for mode in ("modp", "exact") for scale in (1, 2 ** 32 + 1, 2 ** 40 + 1, 2 ** 55 + 1)])
+def test_verify_spectrum_is_exact_at_every_entry_size(scale, mode):
     # scale * J of order 4 has eigenvalues 4 * scale once and 0 three times.
     # Odd scales, so that a sum past 2^53 would be rounded: near 2^32 the
-    # probe products are summed in chunks, near 2^40 M is first reduced mod
-    # each prime, and near 2^55 the rank takes the int64 route.
+    # annihilation products are summed in chunks, near 2^40 M is first
+    # reduced mod each prime, and near 2^55 the rank takes the int64 route
+    # and exact mode needs a long list of primes for its bound B.
     n = 4
     m = ExactMatrix.ones(n, n).scale(scale)
     good = SpectrumSpec(((n * scale, 1), (0, n - 1)), 0, n)
-    assert verify_spectrum(m, good, rng=random.Random(RNG_SEED)).ok
+    rep = verify_spectrum(m, good, mode=mode, rng=random.Random(RNG_SEED))
+    assert rep.ok
+    if mode == "exact":
+        bound = (n * scale + n * scale) * n * scale  # prod (||M||_inf + |lambda|)
+        primes = rep.primes  # no retry prime: every first rank is right
+        assert len(set(primes)) == len(primes) and prod(primes) > bound
+        assert len(primes) == 2 or prod(primes[:-1]) <= bound
+        assert f"product > B = {bound}" in rep.checks[2].detail
     # the right order and trace, the wrong eigenvalue set
     bad = SpectrumSpec(((n * scale - 1, 1), (1, 1), (0, n - 2)), 0, n)
-    status = {c.name: c.ok for c in verify_spectrum(m, bad, rng=random.Random(RNG_SEED)).checks}
+    rep = verify_spectrum(m, bad, mode=mode, rng=random.Random(RNG_SEED))
+    status = {c.name: c.ok for c in rep.checks}
     assert status["order"] and status["trace"] and not status["annihilation"]
 
 
@@ -363,19 +374,43 @@ def test_verify_rejects_asymmetric_without_flag():
         verify_spectrum(m, spec)
 
 
-def test_verify_exact_order_limit():
+def test_verify_exact_mode_has_no_order_limit():
+    # order 400 spans two blocks of columns of I; B = 1 + 1 needs no third prime
     spec = SpectrumSpec(((1, 400),), 0, 400)
-    with pytest.raises(ValueError):
-        verify_spectrum(ExactMatrix.identity(400), spec, mode="exact")
+    rep = verify_spectrum(ExactMatrix.identity(400), spec, mode="exact",
+                          rng=random.Random(RNG_SEED))
+    assert rep.ok and len(rep.primes) == 2
+    assert rep.checks[2].detail == (f"all 400 columns of I mod primes {list(rep.primes)}, "
+                                    "product > B = 2")
 
 
-def test_verify_exact_order_limit_draws_no_prime():
-    spec = SpectrumSpec(((1, 400),), 0, 400)
+def test_verify_exact_draws_primes_until_their_product_exceeds_b():
+    # M = [[5]] and lambda = 5 - p1 p2: M - lambda I = p1 p2 vanishes mod both
+    # shared primes, and B = 1 * 5 + |lambda| = p1 p2 is not exceeded by their
+    # product, so exact mode draws a third prime, which finds the wrong claim
+    from imtk.exactalg import random_prime
     rng = random.Random(RNG_SEED)
-    state = rng.getstate()
-    with pytest.raises(ValueError, match="exact mode limited to order <= 300"):
-        verify_spectrum(ExactMatrix.identity(400), spec, mode="exact", rng=rng)
-    assert rng.getstate() == state
+    p1, p2 = random_prime(rng), random_prime(rng)
+    assert p1 != p2
+    m, spec = ExactMatrix([[5]]), SpectrumSpec(((5 - p1 * p2, 1),), 0, 1)
+    status = {c.name: c.ok for c in verify_spectrum(m, spec, rng=random.Random(RNG_SEED)).checks}
+    assert status["annihilation"]
+    rep = verify_spectrum(m, spec, mode="exact", rng=random.Random(RNG_SEED))
+    status = {c.name: c.ok for c in rep.checks}
+    assert not status["annihilation"]
+    assert rep.primes[:2] == (p1, p2) and len(rep.primes) == 3
+    assert f"product > B = {p1 * p2};" in rep.checks[2].detail
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_verify_exact_fails_a_wrong_eigenvalue_at_every_seed(seed):
+    # U^1 on J(5, 2) has spectrum 6^1 1^4 (-2)^5; the claim swaps 1^4 for
+    # 3^2 (-1)^2, keeping order and trace, so only annihilation can tell
+    m = build(U(1, 2, 2, 5))
+    spec = SpectrumSpec(((6, 1), (3, 2), (-1, 2), (-2, 5)), 0, 10)
+    status = {c.name: c.ok for c in verify_spectrum(
+        m, spec, mode="exact", rng=random.Random(seed)).checks}
+    assert status["order"] and status["trace"] and not status["annihilation"]
 
 
 def test_f_spectrum_at_sampled_points():
