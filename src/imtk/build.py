@@ -2,20 +2,8 @@
 
 Every matrix is built entrywise from its theta = |S cap K| formula (never
 from product identities, which stay independent verification routes).  The
-supported kinds:
-
-    W       inclusion: 1 iff S is contained in K
-    Wbar    exclusion: 1 iff S and K are disjoint
-    U(l)    indicator of theta = l
-    Uge(l)  indicator of theta >= l
-    A(i)    C(theta, i)
-    N(t)    C(theta - 1, t)
-    F(t)    polynomial entry psi_{theta,t}(z); t = None means min(s, k)
-    Utl(t,l)  coefficient of (z+1)^l in F(t), entry (-1)^(t-l) C(theta,l) C(theta-l-1, t-l)
-    X(s,t;k)  entry xi^k_{theta,t}(z), rows s-subsets, columns t-subsets
-    Y(s,t;k,l) rational entry with F/U factorizations through W_{tk}
-
-Subset order is lexicographic everywhere.
+ten kinds are declared once, in ``KINDS``.  Subset order is lexicographic
+everywhere.
 """
 
 from __future__ import annotations
@@ -29,7 +17,36 @@ import numpy as np
 from .combinat import SubsetFamily, binomial, psi, xi, xi_at_minus1
 from .exactalg import ExactMatrix, Poly
 
-_ALL_TAGS = {"W", "Wbar", "U", "Uge", "A", "N", "Utl", "F", "X", "Y"}
+
+def _utl_entry(theta: int, m: MatrixKind) -> int:
+    # coefficient of (z+1)^l in psi_{theta,t}(z)
+    if m.l > m.t:
+        return 0
+    return (-1) ** (m.t - m.l) * binomial(theta, m.l) * binomial(theta - m.l - 1, m.t - m.l)
+
+
+def _y_entry(theta: int, m: MatrixKind) -> Fraction:
+    # Taylor coefficient of xi at z = -1: C(theta, l) * xi^{k-l}_{theta-l, t-l}(-1)
+    if theta < m.l:
+        return Fraction(0)
+    return binomial(theta, m.l) * xi_at_minus1(theta - m.l, m.t - m.l, m.k - m.l)
+
+
+# tag -> (required parameters, label, entry at theta).  In a label T stands
+# for the effective t.  X and Y index their columns by t-subsets.
+KINDS = {
+    "W": ((), "W[{s},{k}]({v})", lambda th, m: int(th == m.s)),  # S in K
+    "Wbar": ((), "Wbar[{s},{k}]({v})", lambda th, m: int(th == 0)),  # S, K disjoint
+    "U": (("l",), "U^{l}[{s},{k}]({v})", lambda th, m: int(th == m.l)),
+    "Uge": (("l",), "U^>={l}[{s},{k}]({v})", lambda th, m: int(th >= m.l)),
+    "A": (("i",), "A^{i}[{s},{k}]({v})", lambda th, m: binomial(th, m.i)),
+    "N": (("t",), "N^{t}[{s},{k}]({v})", lambda th, m: binomial(th - 1, m.t)),
+    # t = None means min(s, k)
+    "F": ((), "F^{T}[{s},{k}]({v})(z)", lambda th, m: psi(th, m.effective_t())),
+    "Utl": (("t", "l"), "U^({t},{l})[{s},{k}]({v})", _utl_entry),
+    "X": (("t",), "X^{k}[{s},{t}]({v})(z)", lambda th, m: xi(th, m.t, m.k)),
+    "Y": (("t", "l"), "Y^({k},{l})[{s},{t}]({v})", _y_entry),
+}
 
 
 @dataclass(frozen=True)
@@ -37,7 +54,8 @@ class MatrixKind:
     """A matrix family member: tag plus its parameters.
 
     Rows are indexed by s-subsets; columns by k-subsets, except X and Y whose
-    columns are t-subsets (k is a formula parameter there).
+    columns are t-subsets (k is a formula parameter there).  A parameter the
+    tag does not use may be given but not negative.
     """
 
     tag: str
@@ -49,37 +67,22 @@ class MatrixKind:
     i: int | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if self.tag not in _ALL_TAGS:
+        if self.tag not in KINDS:
             raise ValueError(f"unknown kind tag {self.tag!r}")
-        v, s, k = self.v, self.s, self.k
-        if v < 0 or not 0 <= s <= v:
-            raise ValueError(f"invalid subset sizes s={s}, v={v}")
-        if self.tag in ("X", "Y"):
-            if self.t is None or not 0 <= self.t <= k <= v:
-                raise ValueError(f"{self.tag} needs 0 <= t <= k <= v")
-            if self.tag == "Y" and (self.l is None or not 0 <= self.l <= self.t):
-                raise ValueError("Y needs 0 <= l <= t")
-            return
-        if not 0 <= k <= v:
-            raise ValueError(f"invalid subset sizes k={k}, v={v}")
-        if self.tag in ("U", "Uge"):
-            if self.l is None or self.l < 0:
-                raise ValueError(f"{self.tag} needs l >= 0")
-        elif self.tag == "A":
-            if self.i is None or self.i < 0:
-                raise ValueError("A needs i >= 0")
-        elif self.tag == "N":
-            if self.t is None or self.t < 0:
-                raise ValueError("N needs t >= 0")
-        elif self.tag == "F":
-            if self.t is not None and self.t < 0:
-                raise ValueError("F needs t >= 0")
-        elif self.tag == "Utl":
-            if self.t is None or self.l is None or self.t < 0 or self.l < 0:
-                raise ValueError("Utl needs t >= 0 and l >= 0")
+        need = KINDS[self.tag][0]
+        v, s, k, t, l, i = self.v, self.s, self.k, self.t, self.l, self.i
+        if v < 0 or not 0 <= s <= v or not 0 <= k <= v:
+            raise ValueError(f"invalid subset sizes s={s}, k={k}, v={v}")
+        if (t is None and "t" in need or l is None and "l" in need
+                or i is None and "i" in need):
+            raise ValueError(f"kind {self.tag} requires {', '.join(need)}")
+        if (t is not None and t < 0 or l is not None and l < 0
+                or i is not None and i < 0):
+            raise ValueError("t, l and i must be >= 0")
+        if self.tag == "X" and t > k:
+            raise ValueError("X needs t <= k")
+        if self.tag == "Y" and not l <= t <= k:
+            raise ValueError("Y needs l <= t <= k")
 
     @property
     def row_size(self) -> int:
@@ -103,25 +106,7 @@ class MatrixKind:
         return self.t  # type: ignore[return-value]
 
     def describe(self) -> str:
-        v, s = self.v, self.s
-        if self.tag == "W":
-            return f"W[{s},{self.k}]({v})"
-        if self.tag == "Wbar":
-            return f"Wbar[{s},{self.k}]({v})"
-        if self.tag in ("U", "Uge"):
-            op = ">=" if self.tag == "Uge" else ""
-            return f"U^{op}{self.l}[{s},{self.k}]({v})"
-        if self.tag == "A":
-            return f"A^{self.i}[{s},{self.k}]({v})"
-        if self.tag == "N":
-            return f"N^{self.t}[{s},{self.k}]({v})"
-        if self.tag == "F":
-            return f"F^{self.effective_t()}[{s},{self.k}]({v})(z)"
-        if self.tag == "Utl":
-            return f"U^({self.t},{self.l})[{s},{self.k}]({v})"
-        if self.tag == "X":
-            return f"X^{self.k}[{s},{self.t}]({v})(z)"
-        return f"Y^({self.k},{self.l})[{s},{self.t}]({v})"
+        return KINDS[self.tag][1].format(T=self.effective_t(), **vars(self))
 
 
 def W(s: int, k: int, v: int) -> MatrixKind:
@@ -201,40 +186,9 @@ def theta_matrix(v: int, a: int, b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # entrywise construction
 
-def _utl_entry(theta: int, t: int, l: int) -> int:
-    if l > t:
-        return 0
-    return (-1) ** (t - l) * binomial(theta, l) * binomial(theta - l - 1, t - l)
-
-
-def _y_entry(theta: int, t: int, k: int, l: int) -> Fraction:
-    # Taylor coefficient of xi at z = -1: C(theta, l) * xi^{k-l}_{theta-l, t-l}(-1)
-    if theta < l:
-        return Fraction(0)
-    return binomial(theta, l) * xi_at_minus1(theta - l, t - l, k - l)
-
-
 def _entries(kind: MatrixKind) -> list:
-    tag, thetas = kind.tag, range(min(kind.row_size, kind.col_size) + 1)
-    if tag == "W":
-        return [1 if th == kind.s else 0 for th in thetas]
-    if tag == "Wbar":
-        return [1 if th == 0 else 0 for th in thetas]
-    if tag == "U":
-        return [1 if th == kind.l else 0 for th in thetas]
-    if tag == "Uge":
-        return [1 if th >= kind.l else 0 for th in thetas]
-    if tag == "A":
-        return [binomial(th, kind.i) for th in thetas]
-    if tag == "N":
-        return [binomial(th - 1, kind.t) for th in thetas]
-    if tag == "Utl":
-        return [_utl_entry(th, kind.t, kind.l) for th in thetas]
-    if tag == "F":
-        return [psi(th, kind.effective_t()) for th in thetas]
-    if tag == "X":
-        return [xi(th, kind.t, kind.k) for th in thetas]
-    return [_y_entry(th, kind.t, kind.k, kind.l) for th in thetas]
+    entry = KINDS[kind.tag][2]
+    return [entry(th, kind) for th in range(min(kind.row_size, kind.col_size) + 1)]
 
 
 # build keeps the _BUILT_MAX most recently used matrices of at most
@@ -279,9 +233,6 @@ def row_support_formula(t: int, l: int, s: int, k: int, v: int) -> int:
 # ---------------------------------------------------------------------------
 # block decompositions (split after the subsets containing the element 1)
 
-_BLOCK_PARTS = ("i", "ii", "iii", "iv", "v", "vi")
-
-
 def _safe_build(tag: str, w: int, s: int, k: int, **extra) -> ExactMatrix:
     """Build at ground size w, degenerating to an empty matrix when a subset
     size exceeds w (happens at the s = v or k = v boundary of the split)."""
@@ -290,71 +241,42 @@ def _safe_build(tag: str, w: int, s: int, k: int, **extra) -> ExactMatrix:
     return build(MatrixKind(tag, w, s, k, **extra))
 
 
-def _expected_blocks(kind: MatrixKind, part: str):
-    v, s, k = kind.v, kind.s, kind.k
-    w = v - 1
-
-    def top_left(*terms):  # sum c * _safe_build(tag, w, s-1, k-1, **extra), c != 0
-        return ExactMatrix.lincomb([(c, _safe_build(tag, w, s - 1, k - 1, **extra))
-                                    for c, tag, extra in terms if c],
-                                   binomial(w, s - 1), binomial(w, k - 1))
-
-    if part == "i":
-        t = kind.effective_t()
-        tl = top_left((Poly([0] * t + [1]), "A", {"i": t}),
-                      (Poly((1, 1)) if t >= 1 else 0, "F", {"t": t - 1}))
-        return (tl, _safe_build("F", w, s - 1, k, t=t),
-                _safe_build("F", w, s, k - 1, t=t), _safe_build("F", w, s, k, t=t))
-    if part == "ii":
-        tl = _safe_build("F", w, s - 1, k - 1).scale(Poly((1, 1)))
-        return (tl, _safe_build("F", w, s - 1, k), _safe_build("F", w, s, k - 1),
-                _safe_build("F", w, s, k))
-    if part == "iii":
-        t, l = kind.t, kind.l
-        tl = top_left(((-1) ** (t - l) * binomial(t, l), "A", {"i": t}),
-                      (int(t >= 1 and l >= 1), "Utl", {"t": t - 1, "l": l - 1}))
-        return (tl, _safe_build("Utl", w, s - 1, k, t=t, l=l),
-                _safe_build("Utl", w, s, k - 1, t=t, l=l),
-                _safe_build("Utl", w, s, k, t=t, l=l))
-    if part == "iv":
-        l = kind.l
-        tl = (_safe_build("U", w, s - 1, k - 1, l=l - 1) if l >= 1
-              else ExactMatrix.zeros(binomial(w, s - 1), binomial(w, k - 1)))
-        return (tl, _safe_build("U", w, s - 1, k, l=l),
-                _safe_build("U", w, s, k - 1, l=l), _safe_build("U", w, s, k, l=l))
-    if part == "v":
-        t = kind.t
-        return (_safe_build("A", w, s - 1, k - 1, i=t),
-                _safe_build("N", w, s - 1, k, t=t),
-                _safe_build("N", w, s, k - 1, t=t), _safe_build("N", w, s, k, t=t))
-    if part == "vi":
-        t = kind.i
-        tl = top_left((1, "A", {"i": t}), (int(t >= 1), "A", {"i": t - 1}))
-        return (tl, _safe_build("A", w, s - 1, k, i=t),
-                _safe_build("A", w, s, k - 1, i=t), _safe_build("A", w, s, k, i=t))
-    raise ValueError(f"unknown decomposition part {part!r}")
+# Where S and K both contain 1, theta is one more than on S - {1}, K - {1}:
+# tag -> terms (c, tag', params') of that top-left block as a sum of
+# c * tag'_{s-1,k-1}(v-1), from the effective t, l and i.  A term with c = 0
+# is left out.  For F at t = min(s, k), the A^t term is zero.
+_TOP_LEFT = {
+    "F": lambda t, l, i: ((Poly([0] * t + [1]), "A", {"i": t}),
+                          (Poly((1, 1)) if t else 0, "F", {"t": t - 1})),
+    "Utl": lambda t, l, i: (((-1) ** (t - l) * binomial(t, l), "A", {"i": t}),
+                            (int(t >= 1 and l >= 1), "Utl", {"t": t - 1, "l": l - 1})),
+    "U": lambda t, l, i: ((int(l >= 1), "U", {"l": l - 1}),),
+    "N": lambda t, l, i: ((1, "A", {"i": t}),),
+    "A": lambda t, l, i: ((1, "A", {"i": i}), (int(i >= 1), "A", {"i": i - 1})),
+}
 
 
-_PART_TAGS = {"i": "F", "ii": "F", "iii": "Utl", "iv": "U", "v": "N", "vi": "A"}
-
-
-def block_decompose(kind: MatrixKind, part: str):
+def block_decompose(kind: MatrixKind):
     """Split build(kind) at row C(v-1, s-1), column C(v-1, k-1).
 
-    Returns (actual_blocks, expected_blocks), each a (TL, TR, BL, BR) tuple;
-    the expected blocks are built from order-(v-1) constructors.
+    Returns (actual_blocks, expected_blocks), each a (TL, TR, BL, BR) tuple.
+    The expected blocks come from order-(v-1) constructors: TR, BL and BR
+    are the same kind at sizes (s-1, k), (s, k-1) and (s, k), and TL is the
+    sum that the paper's parts (i)-(vi) give for F, U^{t,l}, U^l, N^t and
+    A^i (part (ii), the untruncated F, is part (i) at t = min(s, k)).
     """
-    if part not in _BLOCK_PARTS:
-        raise ValueError(f"part must be one of {_BLOCK_PARTS}")
-    if kind.tag != _PART_TAGS[part]:
-        raise ValueError(f"part ({part}) applies to kind {_PART_TAGS[part]}, not {kind.tag}")
-    if part == "ii" and kind.t is not None and kind.t != min(kind.s, kind.k):
-        raise ValueError("part (ii) applies to the untruncated F matrix")
-    if kind.s == 0 or kind.k == 0 or kind.v == 0:
+    if kind.tag not in _TOP_LEFT:
+        raise ValueError(f"no block decomposition for kind {kind.tag}")
+    v, s, k = kind.v, kind.s, kind.k
+    if s == 0 or k == 0 or v == 0:
         raise ValueError("degenerate split: need s, k, v >= 1")
     m = build(kind)
-    r0 = binomial(kind.v - 1, kind.s - 1)
-    c0 = binomial(kind.v - 1, kind.k - 1)
+    r0, c0 = binomial(v - 1, s - 1), binomial(v - 1, k - 1)
     actual = (m.submatrix(0, r0, 0, c0), m.submatrix(0, r0, c0, m.ncols),
               m.submatrix(r0, m.nrows, 0, c0), m.submatrix(r0, m.nrows, c0, m.ncols))
-    return actual, _expected_blocks(kind, part)
+    w = v - 1
+    terms = _TOP_LEFT[kind.tag](kind.effective_t(), kind.l, kind.i)
+    tl = ExactMatrix.lincomb([(c, _safe_build(tag, w, s - 1, k - 1, **params))
+                              for c, tag, params in terms if c], r0, c0)
+    return actual, (tl, *(_safe_build(kind.tag, w, a, b, t=kind.t, l=kind.l, i=kind.i)
+                          for a, b in ((s - 1, k), (s, k - 1), (s, k))))

@@ -14,7 +14,7 @@ import sys
 from fnmatch import fnmatch
 from fractions import Fraction
 
-from .build import MatrixKind, build
+from .build import KINDS, MatrixKind, build
 from .exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from .scheme import (conversion_matrix, intersection_p, intersection_r,
                      scheme_basis, verify_scheme_axioms)
@@ -93,13 +93,11 @@ def matrix_csv(m: ExactMatrix) -> str:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_kind_args(p: argparse.ArgumentParser, *, need_s: bool = True):
-    p.add_argument("--kind", required=True,
-                   choices=["W", "Wbar", "U", "Uge", "A", "N", "F", "Utl", "X", "Y"])
+def _add_kind_args(p: argparse.ArgumentParser):
+    p.add_argument("--kind", required=True, choices=list(KINDS))
     p.add_argument("--v", type=int, required=True)
-    if need_s:
-        p.add_argument("--s", type=int, default=None,
-                       help="row subset size (defaults to --k)")
+    p.add_argument("--s", type=int, default=None,
+                   help="row subset size (defaults to --k)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
@@ -107,16 +105,9 @@ def _add_kind_args(p: argparse.ArgumentParser, *, need_s: bool = True):
 
 
 def kind_from_args(args, *, force_square: bool = False) -> MatrixKind:
-    s = getattr(args, "s", None)
-    if s is None:
-        s = args.k
+    s = args.k if args.s is None else args.s
     if force_square and s != args.k:
         raise UsageError("this command needs a square matrix (--s equal to --k)")
-    need = {"U": ("l",), "Uge": ("l",), "A": ("i",), "N": ("t",),
-            "Utl": ("t", "l"), "X": ("t",), "Y": ("t", "l")}
-    for field in need.get(args.kind, ()):
-        if getattr(args, field, None) is None:
-            raise UsageError(f"kind {args.kind} requires --{field}")
     try:
         return MatrixKind(args.kind, v=args.v, s=s, k=args.k,
                           t=args.t, l=args.l, i=args.i)

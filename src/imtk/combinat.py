@@ -68,23 +68,6 @@ class SubsetFamily:
             prev = c
         return r
 
-    def unrank(self, r: int) -> tuple[int, ...]:
-        if not 0 <= r < len(self):
-            raise ValueError(f"rank {r} out of range for {self}")
-        out = []
-        prev = 0
-        for i in range(self.s):
-            a = prev + 1
-            while True:
-                block = binomial(self.v - a, self.s - i - 1)
-                if r < block:
-                    break
-                r -= block
-                a += 1
-            out.append(a)
-            prev = a
-        return tuple(out)
-
     def complement_permutation(self) -> list[int]:
         """Rank map S -> {1..v} \\ S into the (v, v-s) family."""
         co = SubsetFamily(self.v, self.v - self.s)
@@ -131,11 +114,6 @@ def psi(theta: int, t: int) -> Poly:
     if theta < 0 or t < 0:
         raise ValueError("psi needs theta, t >= 0")
     return Poly([binomial(theta, i) for i in range(t + 1)])
-
-
-def psi_at_minus1(theta: int, t: int) -> int:
-    """psi_{theta,t}(-1) = (-1)^t C(theta - 1, t)."""
-    return (-1) ** t * binomial(theta - 1, t)
 
 
 def xi(theta: int, t: int, k: int) -> Poly:

@@ -120,22 +120,12 @@ class SpectrumSpec:
             raise ValueError("negative multiplicity")
 
     def distinct(self) -> list[tuple[object, int]]:
-        """Pairs merged by eigenvalue, first-appearance order, tail merged into 0."""
-        order: list = []
+        """Pairs merged by eigenvalue, first-appearance order, tail merged into
+        the first 0 (a constant Poly hashes and compares equal to its value)."""
         mult: dict = {}
-        for val, m in self.pairs:
-            if val not in mult:
-                mult[val] = 0
-                order.append(val)
-            mult[val] += m
-        if self.zero_tail:
-            zero = next((v for v in order if v == 0), None)
-            if zero is None:
-                order.append(0)
-                mult[0] = 0
-                zero = 0
-            mult[zero] += self.zero_tail
-        return [(v, mult[v]) for v in order if mult[v] > 0]
+        for val, m in (*self.pairs, (0, self.zero_tail)):
+            mult[val] = mult.get(val, 0) + m
+        return [(v, m) for v, m in mult.items() if m > 0]
 
     def multiplicity_of(self, value) -> int:
         return next((m for v, m in self.distinct() if v == value), 0)
@@ -332,8 +322,8 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     P = prod_lambda (M - lambda I) over the claimed distinct eigenvalues is 0,
     and one mod-p rank per distinct eigenvalue (retried with a fresh prime on
     mismatch).  P is applied to 2 * PROBES random probes over two random
-    primes in modp mode, and in exact mode to every column of I over those
-    primes and as many more as it takes for their product to exceed B below.
+    primes in modp mode, and in exact mode to every column of I over the
+    fewest random primes, drawn one by one, whose product exceeds B below.
     ``report.primes`` lists them all, then the retry primes in eigenvalue order.
 
     The rank route equates geometric and algebraic multiplicities, so the
@@ -399,22 +389,22 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
                f"trace {trace}, spectral sum {want_trace}")
 
     # annihilation: P y = 0 for random probes y mod two primes, or for every
-    # column y of I mod distinct primes whose product exceeds B (exact)
+    # column y of I mod the first distinct primes whose product exceeds B (exact)
     bound = 0
     if mode == "exact":
         norm = int(np.abs(arr).sum(axis=1).max()) if n * m.mag < 1 << 63 else n * m.mag
         bound = math.prod(Fraction(v).denominator * norm + abs(Fraction(v).numerator)
                           for v, _ in distinct)
     primes = []
-    while len(primes) < 2 or math.prod(primes) <= bound:
+    while len(primes) < (2 if mode == "modp" else 1) or math.prod(primes) <= bound:
         p = random_prime(rng)
         if p not in primes:
             primes.append(p)
-    report.primes, (p1, p2) = tuple(primes), primes[:2]
+    report.primes, p1 = tuple(primes), primes[0]
     if mode == "modp":
-        blocks = [(0, np.array([[rng.randrange(p) for _ in range(n)] for p in (p1, p2)
+        blocks = [(0, np.array([[rng.randrange(p) for _ in range(n)] for p in primes
                                 for _ in range(PROBES)], dtype=np.float64).T.copy())]
-        detail = f"{2 * PROBES} probes over primes {p1}, {p2}"
+        detail = f"{2 * PROBES} probes over primes {p1}, {primes[1]}"
     else:
         blocks = ((c, np.tile(np.eye(n, min(EYE_BLOCK, n - c), -c), len(primes)))
                   for c in range(0, n, EYE_BLOCK))
@@ -425,7 +415,7 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
 
     # multiplicities: rank(M - lambda I) = order - mult(lambda).  Each
     # eigenvalue seeds its own retry substream, in eigenvalue order, whether
-    # it retries or not, so a seed draws the same primes as it always has.
+    # it retries or not, so one retry never changes the primes of the next.
     for val, mult in distinct:
         stream = random.Random(rng.getrandbits(64))
         want = n - mult

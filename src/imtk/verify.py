@@ -612,8 +612,8 @@ def _chk_eq30(s, t, k, l, v):
 # ---------------------------------------------------------------------------
 # block decompositions
 
-def _check_blocks(kind, part):
-    actual, expected = block_decompose(kind, part)
+def _check_blocks(kind):
+    actual, expected = block_decompose(kind)
     for pos, (got, want) in zip(("TL", "TR", "BL", "BR"), zip(actual, expected)):
         bad = _cmp(got, want)
         if bad:
@@ -624,36 +624,36 @@ def _check_blocks(kind, part):
 @_register("blocks.i", "recursive structure of F^t_sk(v)",
            "v=1..V s=1..v k=1..v t=0..min(s,k)")
 def _chk_blocks_i(t, s, k, v):
-    return _check_blocks(F(t, s, k, v), "i")
+    return _check_blocks(F(t, s, k, v))
 
 
 @_register("blocks.ii", "recursive structure of F_sk(v)", "v=1..V s=1..v k=1..v")
 def _chk_blocks_ii(s, k, v):
-    return _check_blocks(F(None, s, k, v), "ii")
+    return _check_blocks(F(None, s, k, v))
 
 
 @_register("blocks.iii", "recursive structure of U^{t,l}_sk(v)",
            "v=1..V s=1..v k=1..v t=0..min(s,k) l=0..t")
 def _chk_blocks_iii(t, l, s, k, v):
-    return _check_blocks(Utl(t, l, s, k, v), "iii")
+    return _check_blocks(Utl(t, l, s, k, v))
 
 
 @_register("blocks.iv", "recursive structure of U^l_sk(v)",
            "v=1..V s=1..v k=1..v l=0..min(s,k)")
 def _chk_blocks_iv(l, s, k, v):
-    return _check_blocks(U(l, s, k, v), "iv")
+    return _check_blocks(U(l, s, k, v))
 
 
 @_register("blocks.v", "recursive structure of N^t_sk(v)",
            "v=1..V s=1..v k=1..v t=0..min(s,k)")
 def _chk_blocks_v(t, s, k, v):
-    return _check_blocks(N(t, s, k, v), "v")
+    return _check_blocks(N(t, s, k, v))
 
 
 @_register("blocks.vi", "recursive structure of A^t_sk(v)",
            "v=1..V s=1..v k=1..v t=0..min(s,k)")
 def _chk_blocks_vi(t, s, k, v):
-    return _check_blocks(A(t, s, k, v), "vi")
+    return _check_blocks(A(t, s, k, v))
 
 
 # ---------------------------------------------------------------------------

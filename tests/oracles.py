@@ -8,10 +8,35 @@ from fractions import Fraction
 
 import numpy as np
 
+from imtk.combinat import SubsetFamily, binomial
 from imtk.exactalg import ExactMatrix
 from imtk.spectra import SpectrumSpec
 
 FLOAT_CHECK_MAX_ORDER = 200
+
+
+def unrank(fam: SubsetFamily, r: int) -> tuple[int, ...]:
+    """The subset of lex rank r in fam, the inverse of ``fam.rank``."""
+    if not 0 <= r < len(fam):
+        raise ValueError(f"rank {r} out of range for {fam}")
+    out = []
+    prev = 0
+    for i in range(fam.s):
+        a = prev + 1
+        while True:
+            block = binomial(fam.v - a, fam.s - i - 1)
+            if r < block:
+                break
+            r -= block
+            a += 1
+        out.append(a)
+        prev = a
+    return tuple(out)
+
+
+def psi_at_minus1(theta: int, t: int) -> int:
+    """psi_{theta,t}(-1) = (-1)^t C(theta - 1, t)."""
+    return (-1) ** t * binomial(theta - 1, t)
 
 
 def rank_exact(m: ExactMatrix) -> int:

@@ -1,5 +1,7 @@
 import importlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from imtk.build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y, _entrie
                         row_support_formula, theta_matrix)
 from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, Poly
+
+import kind_grid
 
 # the package binds the name imtk.build to the function, so fetch the module
 build_module = importlib.import_module("imtk.build")
@@ -99,10 +103,50 @@ def test_kind_validation_errors():
         Y(1, 2, 3, 3, 6)     # l > t
 
 
+@pytest.mark.parametrize("tag", kind_grid.TAGS)
+@pytest.mark.parametrize("field", ["t", "l", "i"])
+def test_kind_refuses_a_negative_t_l_or_i_for_every_tag(tag, field):
+    params = {"t": 1, "l": 0, "i": 0, field: -1}
+    with pytest.raises(ValueError):
+        MatrixKind(tag, 4, 1, 2, **params)
+    MatrixKind(tag, 4, 1, 2, **{**params, field: 0})
+
+
 def test_kind_describe():
     assert build(F(None, 2, 3, 6)).max_degree() == 2
-    assert F(None, 2, 3, 6).describe() == "F^2[2,3](6)(z)"
-    assert Utl(2, 1, 2, 3, 6).describe() == "U^(2,1)[2,3](6)"
+    assert [kind.describe() for kind in (
+        W(1, 2, 4), Wbar(1, 2, 4), U(1, 2, 3, 6), Uge(1, 2, 3, 6), A(2, 2, 3, 6),
+        N(1, 2, 3, 6), F(None, 2, 3, 6), F(1, 2, 3, 6), Utl(2, 1, 2, 3, 6),
+        X(2, 1, 3, 6), Y(2, 2, 3, 1, 6))] == [
+        "W[1,2](4)", "Wbar[1,2](4)", "U^1[2,3](6)", "U^>=1[2,3](6)", "A^2[2,3](6)",
+        "N^1[2,3](6)", "F^2[2,3](6)(z)", "F^1[2,3](6)(z)", "U^(2,1)[2,3](6)",
+        "X^3[2,1](6)(z)", "Y^(3,1)[2,2](6)"]
+
+
+# the grid record of the library before the kinds were declared as one table
+GRID = json.loads((Path(__file__).parent / "data" / "kind_grid.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def grid_now():
+    return kind_grid.record()
+
+
+def test_kind_labels_and_builds_match_the_recorded_grid(grid_now):
+    assert grid_now["digest"] == GRID["digest"]
+
+
+def test_kinds_refused_since_the_record_are_exactly_those_with_a_negative_parameter(grid_now):
+    now = grid_now["accepted"]
+    n = len(kind_grid.SIZES) ** 3 * len(kind_grid.PARAMS) ** 3
+    newly_refused = 0
+    for tag in kind_grid.TAGS:
+        was = kind_grid.accepted_bits(GRID["accepted"][tag], n)
+        got = kind_grid.accepted_bits(now[tag], n)
+        for point, before, after in zip(kind_grid.points(tag), was, got):
+            assert after == (before and not kind_grid.is_negative(point)), point
+            newly_refused += before and not after
+    assert newly_refused == 16427  # e.g. W with t = -1 passed before
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +273,7 @@ def test_w_block_structure():
                 assert m.submatrix(r0, m.nrows, c0, m.ncols) == build(W(s, k, v - 1))
 
 
+# the paper's parts (i)-(vi); part (ii) is F at t = min(s, k)
 @pytest.mark.parametrize("part,kind_fn", [
     ("i", lambda t, l, s, k, v: F(t, s, k, v)),
     ("iii", lambda t, l, s, k, v: Utl(t, l, s, k, v)),
@@ -239,8 +284,8 @@ def test_blocks_with_t_and_l(part, kind_fn):
             for k in range(1, v + 1):
                 for t in range(min(s, k) + 1):
                     for l in range(t + 1) if part == "iii" else [0]:
-                        actual, expected = block_decompose(kind_fn(t, l, s, k, v), part)
-                        assert list(actual) == list(expected)
+                        actual, expected = block_decompose(kind_fn(t, l, s, k, v))
+                        assert list(actual) == list(expected), (part, t, l, s, k, v)
 
 
 @pytest.mark.parametrize("part,kind_fn", [
@@ -255,20 +300,21 @@ def test_blocks_single_parameter(part, kind_fn):
             for k in range(1, v + 1):
                 params = [0] if part == "ii" else range(min(s, k) + 1)
                 for p in params:
-                    actual, expected = block_decompose(kind_fn(p, s, k, v), part)
-                    assert list(actual) == list(expected)
+                    actual, expected = block_decompose(kind_fn(p, s, k, v))
+                    assert list(actual) == list(expected), (part, p, s, k, v)
 
 
 def test_block_decompose_part_vi_top_left_sum():
-    actual, expected = block_decompose(A(2, 3, 3, 7), "vi")
+    actual, expected = block_decompose(A(2, 3, 3, 7))
     want = build(A(2, 2, 2, 6)) + build(A(1, 2, 2, 6))
     assert actual[0] == want == expected[0]
 
 
 def test_block_decompose_errors():
+    for kind in (W(1, 2, 4), Wbar(1, 2, 4), X(1, 1, 2, 4), Y(1, 1, 2, 0, 4)):
+        with pytest.raises(ValueError, match="no block decomposition"):
+            block_decompose(kind)
     with pytest.raises(ValueError):
-        block_decompose(W(1, 2, 4), "i")         # wrong kind for the part
-    with pytest.raises(ValueError):
-        block_decompose(F(1, 0, 2, 4), "i")      # degenerate split s = 0
-    with pytest.raises(ValueError):
-        block_decompose(F(1, 1, 2, 4), "vii")    # no such part
+        block_decompose(F(1, 0, 2, 4))      # degenerate split s = 0
+    with pytest.raises(TypeError):
+        block_decompose(F(1, 1, 2, 4), "i")  # the part follows from the kind

@@ -92,6 +92,13 @@ def test_build_invalid_params_exits_2():
     assert proc.returncode == 2  # missing --t
 
 
+def test_build_negative_unused_parameter_exits_2():
+    # W uses none of t, l and i, and still refuses a negative one
+    proc = run_cli("build", "--kind", "W", "--s", "1", "--k", "2", "--v", "4", "--t", "-1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: t, l and i must be >= 0\n"
+
+
 def test_build_io_error_exits_3():
     proc = run_cli("build", "--kind", "W", "--s", "1", "--k", "2", "--v", "3",
                    "--out", "/nonexistent-dir/out.json")
@@ -151,7 +158,7 @@ def test_spectrum_exact_check_above_order_300_verifies():
     assert proc.stdout.endswith("verified\n")
     check = next(line for line in proc.stdout.splitlines() if line.startswith("check["))
     primes = check.split("primes=")[1]
-    assert len(json.loads(primes)) >= 2
+    assert len(json.loads(primes)) == 1  # B = 757944 < 2^20 <= every 21-bit prime
     assert f"ok  annihilation: all 330 columns of I mod primes {primes}, product > B = " \
         in proc.stdout
 

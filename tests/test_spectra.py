@@ -322,7 +322,7 @@ def test_verify_spectrum_is_exact_at_every_entry_size(scale, mode):
         bound = (n * scale + n * scale) * n * scale  # prod (||M||_inf + |lambda|)
         primes = rep.primes  # no retry prime: every first rank is right
         assert len(set(primes)) == len(primes) and prod(primes) > bound
-        assert len(primes) == 2 or prod(primes[:-1]) <= bound
+        assert prod(primes[:-1]) <= bound  # no prime past the first product > B
         assert f"product > B = {bound}" in rep.checks[2].detail
     # the right order and trace, the wrong eigenvalue set
     bad = SpectrumSpec(((n * scale - 1, 1), (1, 1), (0, n - 2)), 0, n)
@@ -375,11 +375,11 @@ def test_verify_rejects_asymmetric_without_flag():
 
 
 def test_verify_exact_mode_has_no_order_limit():
-    # order 400 spans two blocks of columns of I; B = 1 + 1 needs no third prime
+    # order 400 spans two blocks of columns of I; B = 1 + 1 needs one prime
     spec = SpectrumSpec(((1, 400),), 0, 400)
     rep = verify_spectrum(ExactMatrix.identity(400), spec, mode="exact",
                           rng=random.Random(RNG_SEED))
-    assert rep.ok and len(rep.primes) == 2
+    assert rep.ok and len(rep.primes) == 1
     assert rep.checks[2].detail == (f"all 400 columns of I mod primes {list(rep.primes)}, "
                                     "product > B = 2")
 
