@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -156,29 +157,47 @@ _family = lru_cache(maxsize=1024)(SubsetFamily)
 # ---------------------------------------------------------------------------
 # theta matrices
 
+# theta and build work _BLOCK_ENTRIES entries of the result at a time, so the
+# float32 product and take's intp copy of the indices stay one block in size
+_BLOCK_ENTRIES = 1 << 18
 _theta_cache: dict[tuple[int, int, int], np.ndarray] = {}
-_THETA_CACHE_LIMIT = 1 << 20  # cache only arrays up to ~8 MB
+_THETA_CACHE_LIMIT = 8 << 20  # bytes: cache only theta arrays up to 8 MB
+
+
+def _block_rows(ncols: int) -> int:
+    return max(1, _BLOCK_ENTRIES // max(1, ncols))
 
 
 def membership_matrix(v: int, s: int) -> np.ndarray:
-    """0/1 matrix, one row per s-subset in lex order, columns the ground set."""
-    fam = SubsetFamily(v, s)
-    out = np.zeros((len(fam), v), dtype=np.int64)
-    for r, sub in enumerate(fam.subsets()):
-        for x in sub:
-            out[r, x - 1] = 1
+    """0/1 float32 matrix, one row per s-subset in lex order, columns the ground set."""
+    fam = _family(v, s)
+    members = np.fromiter(chain.from_iterable(fam.subsets()), np.intp, len(fam) * s)
+    out = np.zeros((len(fam), v), dtype=np.float32)
+    out[np.arange(len(fam)).repeat(s), members - 1] = 1
     return out
 
 
 def theta_matrix(v: int, a: int, b: int) -> np.ndarray:
-    """Matrix of intersection sizes |S cap K| over (a-subset, b-subset) pairs."""
+    """Matrix of intersection sizes |S cap K| over (a-subset, b-subset) pairs.
+
+    One float32 product of membership matrices per row block.  No entry or
+    partial sum exceeds min(a, b), and float32 holds every integer below
+    2^24 (float64 takes over past that), so the product is exact.  The
+    result is int8 while min(a, b) <= 127, else int64.
+    """
     key = (v, a, b)
     got = _theta_cache.get(key)
     if got is not None:
         return got
-    arr = membership_matrix(v, a) @ membership_matrix(v, b).T
+    work = np.float32 if min(a, b) < 1 << 24 else np.float64
+    ma = membership_matrix(v, a).astype(work, copy=False)
+    mb = membership_matrix(v, b).astype(work, copy=False).T
+    arr = np.empty((len(ma), mb.shape[1]), dtype=np.int8 if min(a, b) <= 127 else np.int64)
+    step = _block_rows(mb.shape[1])
+    for r0 in range(0, len(arr), step):
+        arr[r0:r0 + step] = ma[r0:r0 + step] @ mb
     arr.setflags(write=False)
-    if arr.size <= _THETA_CACHE_LIMIT:
+    if arr.nbytes <= _THETA_CACHE_LIMIT:
         _theta_cache[key] = arr
     return arr
 
@@ -189,6 +208,20 @@ def theta_matrix(v: int, a: int, b: int) -> np.ndarray:
 def _entries(kind: MatrixKind) -> list:
     entry = KINDS[kind.tag][2]
     return [entry(th, kind) for th in range(min(kind.row_size, kind.col_size) + 1)]
+
+
+def _entry_table(kind: MatrixKind) -> tuple[np.ndarray, int]:
+    """Coefficient table (deg+1, min(rows, cols)+1) of the entry at each
+    theta, and its denominator.  Entries that are all ints within int64 skip
+    the nested-entry constructor, which costs more than the rest of a small
+    build."""
+    entries = _entries(kind)
+    if all(type(x) is int for x in entries):
+        table = np.array(entries)
+        if table.dtype == np.int64:
+            return table[None], 1
+    table = ExactMatrix([entries])
+    return table.stack[:, 0], table.den
 
 
 # build keeps the _BUILT_MAX most recently used matrices of at most
@@ -203,8 +236,9 @@ def build(kind: MatrixKind) -> ExactMatrix:
     """Construct the matrix for ``kind`` entrywise from its theta formula.
 
     The entries per theta form a one-row coefficient table; indexing its
-    columns by the theta matrix gives the coefficient stack of the result.
-    A small matrix is built once, then served from a bounded LRU cache.
+    columns by the theta matrix gives the coefficient stack of the result,
+    taken one row block at a time into a stack allocated once.  A small
+    matrix is built once, then served from a bounded LRU cache.
     """
     key = (kind.tag, kind.v, kind.s, kind.k, kind.t, kind.l, kind.i)
     got = _built.pop(key, None)
@@ -212,9 +246,15 @@ def build(kind: MatrixKind) -> ExactMatrix:
         _built[key] = got
         return got
     theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
-    table = ExactMatrix([_entries(kind)])
-    m = ExactMatrix(table.stack[:, 0].take(theta, axis=1), kind.row_family,
-                    kind.col_family, table.den)
+    table, den = _entry_table(kind)
+    if theta.size <= _BLOCK_ENTRIES:
+        stack = table.take(theta, axis=1)
+    else:
+        stack = np.empty((len(table), *theta.shape), dtype=table.dtype)
+        step = _block_rows(theta.shape[1])
+        for r0 in range(0, len(theta), step):
+            stack[:, r0:r0 + step] = table.take(theta[r0:r0 + step], axis=1)
+    m = ExactMatrix(stack, kind.row_family, kind.col_family, den)
     if m.stack.size <= _BUILT_ENTRIES:
         _built[key] = m
         if len(_built) > _BUILT_MAX:
@@ -244,7 +284,8 @@ def _safe_build(tag: str, w: int, s: int, k: int, **extra) -> ExactMatrix:
 # Where S and K both contain 1, theta is one more than on S - {1}, K - {1}:
 # tag -> terms (c, tag', params') of that top-left block as a sum of
 # c * tag'_{s-1,k-1}(v-1), from the effective t, l and i.  A term with c = 0
-# is left out.  For F at t = min(s, k), the A^t term is zero.
+# is left out, and so is A^i_{s-1,k-1} for i > min(s-1, k-1), which is zero
+# (F's A^t term at t = min(s, k) is one).
 _TOP_LEFT = {
     "F": lambda t, l, i: ((Poly([0] * t + [1]), "A", {"i": t}),
                           (Poly((1, 1)) if t else 0, "F", {"t": t - 1})),
@@ -275,8 +316,13 @@ def block_decompose(kind: MatrixKind):
     actual = (m.submatrix(0, r0, 0, c0), m.submatrix(0, r0, c0, m.ncols),
               m.submatrix(r0, m.nrows, 0, c0), m.submatrix(r0, m.nrows, c0, m.ncols))
     w = v - 1
-    terms = _TOP_LEFT[kind.tag](kind.effective_t(), kind.l, kind.i)
-    tl = ExactMatrix.lincomb([(c, _safe_build(tag, w, s - 1, k - 1, **params))
-                              for c, tag, params in terms if c], r0, c0)
+    terms = [(c, tag, params) for c, tag, params
+             in _TOP_LEFT[kind.tag](kind.effective_t(), kind.l, kind.i)
+             if c and not (tag == "A" and params["i"] > min(s, k) - 1)]
+    if len(terms) == 1 and terms[0][0] == 1:  # a lone unit term is a plain build
+        tl = _safe_build(terms[0][1], w, s - 1, k - 1, **terms[0][2])
+    else:
+        tl = ExactMatrix.lincomb([(c, _safe_build(tag, w, s - 1, k - 1, **params))
+                                  for c, tag, params in terms], r0, c0)
     return actual, (tl, *(_safe_build(kind.tag, w, a, b, t=kind.t, l=kind.l, i=kind.i)
                           for a, b in ((s - 1, k), (s, k - 1), (s, k))))

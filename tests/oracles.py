@@ -34,6 +34,19 @@ def unrank(fam: SubsetFamily, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def theta_oracle(v: int, a: int, b: int) -> np.ndarray:
+    """|S cap K| over (a-subset, b-subset) pairs, as an int64 product of
+    0/1 membership matrices filled one subset at a time."""
+    def membership(s):
+        fam = SubsetFamily(v, s)
+        out = np.zeros((len(fam), v), dtype=np.int64)
+        for r, sub in enumerate(fam.subsets()):
+            for x in sub:
+                out[r, x - 1] = 1
+        return out
+    return membership(a) @ membership(b).T
+
+
 def psi_at_minus1(theta: int, t: int) -> int:
     """psi_{theta,t}(-1) = (-1)^t C(theta - 1, t)."""
     return (-1) ** t * binomial(theta - 1, t)

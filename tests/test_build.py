@@ -1,8 +1,10 @@
 import importlib
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from imtk.build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y, _entries,
@@ -12,6 +14,7 @@ from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, Poly
 
 import kind_grid
+import oracles
 
 # the package binds the name imtk.build to the function, so fetch the module
 build_module = importlib.import_module("imtk.build")
@@ -26,6 +29,35 @@ def test_theta_matrix_diagonal():
     assert th.shape == (10, 10)
     assert all(th[i, i] == 2 for i in range(10))
     assert membership_matrix(5, 2).sum() == 20
+
+
+def test_theta_matrix_equals_the_int64_membership_product():
+    for v in range(9):
+        for a in range(v + 1):
+            for b in range(v + 1):
+                th = theta_matrix(v, a, b)
+                assert th.dtype == np.int8 and not th.flags.writeable
+                assert np.array_equal(th, oracles.theta_oracle(v, a, b)), (v, a, b)
+
+
+def test_theta_dtype_widens_exactly_above_127():
+    assert theta_matrix(127, 127, 127).dtype == np.int8
+    assert theta_matrix(127, 127, 127).tolist() == [[127]]
+    assert theta_matrix(128, 128, 128).dtype == np.int64
+    assert theta_matrix(128, 128, 128).tolist() == [[128]]
+    th = theta_matrix(129, 128, 129)  # min(a, b) = 128: one column of 128s
+    assert th.dtype == np.int64 and th.tolist() == [[128]] * 129
+    assert theta_matrix(129, 127, 128).dtype == np.int8
+
+
+def test_theta_cache_limit_is_in_bytes(monkeypatch):
+    th = theta_matrix(6, 3, 3)
+    assert build_module._THETA_CACHE_LIMIT == 8 << 20
+    for limit, kept in ((th.nbytes, True), (th.nbytes - 1, False)):
+        monkeypatch.setattr(build_module, "_theta_cache", {})
+        monkeypatch.setattr(build_module, "_THETA_CACHE_LIMIT", limit)
+        assert np.array_equal(theta_matrix(6, 3, 3), th)
+        assert ((6, 3, 3) in build_module._theta_cache) is kept
 
 
 def test_f_untruncated_entries_are_binomial_powers():
@@ -227,6 +259,32 @@ def test_cached_builds_equal_fresh_entrywise_builds_of_every_tag():
     assert seen == {"W", "Wbar", "U", "Uge", "A", "N", "Utl", "F", "X", "Y"}
 
 
+def test_row_blocked_builds_equal_fresh_entrywise_builds_of_every_tag(monkeypatch):
+    # blocks of 5 entries: theta and every stack of more than 5 entries are
+    # made in row blocks, ragged at the end when the row count does not divide
+    monkeypatch.setattr(build_module, "_BLOCK_ENTRIES", 5)
+    monkeypatch.setattr(build_module, "_theta_cache", {})
+    monkeypatch.setattr(build_module, "_built", {})
+    for kind in _kinds_of_every_tag(5):
+        th = theta_matrix(kind.v, kind.row_size, kind.col_size)
+        assert np.array_equal(th, oracles.theta_oracle(kind.v, kind.row_size, kind.col_size))
+        assert build(kind) == _fresh(kind), kind.describe()
+
+
+@pytest.mark.parametrize("kind", [N(6, 7, 7, 14), U(3, 6, 6, 13)], ids=["N14", "U13"])
+def test_build_allocates_little_beyond_its_result(kind, monkeypatch):
+    # theta and the stack are made one row block at a time, so no temporary
+    # of the result's size exists (the unblocked take peaked at 3x)
+    monkeypatch.setattr(build_module, "_theta_cache", {})
+    tracemalloc.start()
+    try:
+        m = build(kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * m.stack.nbytes, (peak, m.stack.nbytes)
+
+
 def test_build_cache_never_exceeds_its_bound_and_evicts_the_least_recent(monkeypatch):
     monkeypatch.setattr(build_module, "_BUILT_MAX", 8)
     monkeypatch.setattr(build_module, "_built", {})
@@ -308,6 +366,15 @@ def test_block_decompose_part_vi_top_left_sum():
     actual, expected = block_decompose(A(2, 3, 3, 7))
     want = build(A(2, 2, 2, 6)) + build(A(1, 2, 2, 6))
     assert actual[0] == want == expected[0]
+
+
+def test_block_decompose_top_left_skips_lincomb_for_a_lone_unit_term():
+    # N and U at l >= 1 have one term of coefficient 1: the cached build itself
+    assert block_decompose(N(2, 3, 3, 6))[1][0] is build(A(2, 2, 2, 5))
+    assert block_decompose(U(1, 3, 3, 6))[1][0] is build(U(0, 2, 2, 5))
+    # F at t = min(s, k) leaves out the zero A^t term: (z+1) F^{t-1}
+    actual, expected = block_decompose(F(None, 3, 3, 6))
+    assert actual[0] == expected[0] == build(F(2, 2, 2, 5)).scale(Poly((1, 1)))
 
 
 def test_block_decompose_errors():
