@@ -158,7 +158,7 @@ _family = lru_cache(maxsize=1024)(SubsetFamily)
 # theta matrices
 
 # theta and build work _BLOCK_ENTRIES entries of the result at a time, so the
-# float32 product and take's intp copy of the indices stay one block in size
+# float64 product and take's intp copy of the indices stay one block in size
 _BLOCK_ENTRIES = 1 << 18
 _theta_cache: dict[tuple[int, int, int], np.ndarray] = {}
 _THETA_CACHE_LIMIT = 8 << 20  # bytes: cache only theta arrays up to 8 MB
@@ -169,10 +169,10 @@ def _block_rows(ncols: int) -> int:
 
 
 def membership_matrix(v: int, s: int) -> np.ndarray:
-    """0/1 float32 matrix, one row per s-subset in lex order, columns the ground set."""
+    """0/1 float64 matrix, one row per s-subset in lex order, columns the ground set."""
     fam = _family(v, s)
     members = np.fromiter(chain.from_iterable(fam.subsets()), np.intp, len(fam) * s)
-    out = np.zeros((len(fam), v), dtype=np.float32)
+    out = np.zeros((len(fam), v))
     out[np.arange(len(fam)).repeat(s), members - 1] = 1
     return out
 
@@ -180,18 +180,15 @@ def membership_matrix(v: int, s: int) -> np.ndarray:
 def theta_matrix(v: int, a: int, b: int) -> np.ndarray:
     """Matrix of intersection sizes |S cap K| over (a-subset, b-subset) pairs.
 
-    One float32 product of membership matrices per row block.  No entry or
-    partial sum exceeds min(a, b), and float32 holds every integer below
-    2^24 (float64 takes over past that), so the product is exact.  The
-    result is int8 while min(a, b) <= 127, else int64.
+    One float64 product of membership matrices per row block, exact since
+    no entry or partial sum exceeds min(a, b) < 2^53.  The result is int8
+    while min(a, b) <= 127, else int64.
     """
     key = (v, a, b)
     got = _theta_cache.get(key)
     if got is not None:
         return got
-    work = np.float32 if min(a, b) < 1 << 24 else np.float64
-    ma = membership_matrix(v, a).astype(work, copy=False)
-    mb = membership_matrix(v, b).astype(work, copy=False).T
+    ma, mb = membership_matrix(v, a), membership_matrix(v, b).T
     arr = np.empty((len(ma), mb.shape[1]), dtype=np.int8 if min(a, b) <= 127 else np.int64)
     step = _block_rows(mb.shape[1])
     for r0 in range(0, len(arr), step):
@@ -208,20 +205,6 @@ def theta_matrix(v: int, a: int, b: int) -> np.ndarray:
 def _entries(kind: MatrixKind) -> list:
     entry = KINDS[kind.tag][2]
     return [entry(th, kind) for th in range(min(kind.row_size, kind.col_size) + 1)]
-
-
-def _entry_table(kind: MatrixKind) -> tuple[np.ndarray, int]:
-    """Coefficient table (deg+1, min(rows, cols)+1) of the entry at each
-    theta, and its denominator.  Entries that are all ints within int64 skip
-    the nested-entry constructor, which costs more than the rest of a small
-    build."""
-    entries = _entries(kind)
-    if all(type(x) is int for x in entries):
-        table = np.array(entries)
-        if table.dtype == np.int64:
-            return table[None], 1
-    table = ExactMatrix([entries])
-    return table.stack[:, 0], table.den
 
 
 # build keeps the _BUILT_MAX most recently used matrices of at most
@@ -246,15 +229,16 @@ def build(kind: MatrixKind) -> ExactMatrix:
         _built[key] = got
         return got
     theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
-    table, den = _entry_table(kind)
+    table = ExactMatrix([_entries(kind)])
+    coef = table.stack[:, 0]
     if theta.size <= _BLOCK_ENTRIES:
-        stack = table.take(theta, axis=1)
+        stack = coef.take(theta, axis=1)
     else:
-        stack = np.empty((len(table), *theta.shape), dtype=table.dtype)
+        stack = np.empty((len(coef), *theta.shape), dtype=coef.dtype)
         step = _block_rows(theta.shape[1])
         for r0 in range(0, len(theta), step):
-            stack[:, r0:r0 + step] = table.take(theta[r0:r0 + step], axis=1)
-    m = ExactMatrix(stack, kind.row_family, kind.col_family, den)
+            stack[:, r0:r0 + step] = coef.take(theta[r0:r0 + step], axis=1)
+    m = ExactMatrix(stack, kind.row_family, kind.col_family, table.den)
     if m.stack.size <= _BUILT_ENTRIES:
         _built[key] = m
         if len(_built) > _BUILT_MAX:
