@@ -278,22 +278,23 @@ def _centred_residue(x, p: int) -> int:
     return r - p if r > p // 2 else r
 
 
-def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) -> list[str]:
-    """A "column c mod p" for each block column prod_lambda (M - lambda I) leaves nonzero.
+def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) -> set:
+    """The pairs (c, i) for which prod_lambda (M - lambda I) leaves column c nonzero mod primes[i].
 
-    ``blocks`` yields pairs (c0, Y), Y an n x (len(primes) * w) float64 block
-    of columns c0 .. c0 + w - 1 once per prime, prime by prime, overwritten.
-    Each factor M - lambda I is one GEMM of the integer matrix with centred Y,
-    after which each prime's columns are reduced mod it.  With h the largest
-    p // 2, each product is exact while n * max|M| * h + h^2 < 2^53; where that
-    fails the inner dimension is summed in chunks within the bound, and where
-    not even one column fits, M is first reduced to centred residues mod each prime.
+    ``blocks`` yields pairs (labels, Y), Y an n x (len(primes) * w) float64
+    block of the w columns named in labels, once per prime, prime by prime,
+    overwritten.  Each factor M - lambda I is one GEMM of the integer matrix
+    with centred Y, after which each prime's columns are reduced mod it.
+    With h the largest p // 2, each product is exact while
+    n * max|M| * h + h^2 < 2^53; where that fails the inner dimension is
+    summed in chunks within the bound, and where not even one column fits,
+    M is first reduced to centred residues mod each prime.
     """
-    n, h, fails = arr.shape[0], max(primes) // 2, []
+    n, h, fails = arr.shape[0], max(primes) // 2, set()
     factors = ([(arr.astype(np.float64), mag, None)] if mag * h + h * h < _FLOAT_EXACT else
                [(((arr + p // 2) % p - p // 2).astype(np.float64), p // 2, i)
                 for i, p in enumerate(primes)])
-    for c0, y in blocks:
+    for labels, y in blocks:
         w = y.shape[1] // len(primes)
         mods = np.repeat(np.array(primes, dtype=np.float64), w)
         _centre(y, mods, np.empty_like(y))
@@ -308,9 +309,40 @@ def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) ->
                     _reduce(acc, mods[cols], np.empty_like(acc))
                 y[:, cols] = acc
             _centre(y, mods, np.empty_like(y))
-        fails += [f"column {c0 + i % w} mod {primes[i // w]}"
-                  for i in np.flatnonzero(y.any(axis=0))]
+        fails.update((int(labels[i % w]), i // w) for i in np.flatnonzero(y.any(axis=0)))
     return fails
+
+
+def _windows(arr: np.ndarray) -> list[np.ndarray]:
+    """Row sets of diagonal windows of M, each a union of whole components.
+
+    The connected components of the pattern of M + M^T are found by a
+    boolean BFS over ``arr != 0`` in order of their first row, and grouped
+    whole, in that order, into windows of at least EYE_BLOCK rows (the last
+    may have fewer); each window lists its rows ascending.  A connected M,
+    or one with a component of more than n / 2 rows, is one window.
+    """
+    n = arr.shape[0]
+    pattern, unseen = arr != 0, np.ones(n, dtype=bool)
+    windows, window = [], []
+    for start in range(n):
+        if not unseen[start]:
+            continue
+        unseen[start], frontier, component = False, [start], [start]
+        while len(frontier):
+            reach = pattern[frontier].any(axis=0) | pattern[:, frontier].any(axis=1)
+            frontier = np.flatnonzero(reach & unseen)
+            unseen[frontier] = False
+            component += frontier.tolist()
+        if 2 * len(component) > n:
+            return [np.arange(n)]
+        window += component
+        if len(window) >= EYE_BLOCK:
+            windows.append(np.sort(window))
+            window = []
+    if window:
+        windows.append(np.sort(window))
+    return windows
 
 
 def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
@@ -363,6 +395,17 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
       raises ValueError, in the annihilation step for its primes and in the
       rank step for a retry prime.  No true claim is lost so: M is an
       integer matrix, and its rational eigenvalues are integers.
+    - Blocks.  The rows of each connected component of the pattern of
+      M + M^T span a subspace that M and M^T both leave invariant, so up to
+      a permutation M is the direct sum of its windows' principal blocks M_b
+      (``_windows``).  Rank is additive over diagonal blocks, mod p as over
+      Q, so rank(M - lambda I) is the sum of the rank(M_b - lambda I), and
+      P(M) y = 0 exactly when P(M_b) y_b = 0 for every block, y_b the
+      window's rows of y.  The probes are the same vectors as unsplit, cut
+      by rows, and the columns of I are those of each block's I, so every
+      bound above holds as it stands.  A connected M, or one with a
+      component of more than n / 2 rows, is checked whole, so no input
+      needs more memory than unsplit.
     """
     if mode not in ("modp", "exact"):
         raise ValueError("mode must be 'modp' or 'exact'")
@@ -383,16 +426,24 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
         return report
 
     distinct = spec.distinct()
-    trace = int(arr.trace())
+    trace = m.trace()  # in Python ints: an int64 sum of the diagonal could wrap
     want_trace = sum(val * mult for val, mult in distinct)
     report.add("trace", trace == want_trace,
                f"trace {trace}, spectral sum {want_trace}")
+
+    # every check below runs window by window; a window's block is gathered
+    # when it is used, and a matrix of one window is used as it is
+    windows = _windows(arr)
+
+    def block(rows):
+        return arr if len(rows) == n else arr[np.ix_(rows, rows)]
 
     # annihilation: P y = 0 for random probes y mod two primes, or for every
     # column y of I mod the first distinct primes whose product exceeds B (exact)
     bound = 0
     if mode == "exact":
-        norm = int(np.abs(arr).sum(axis=1).max()) if n * m.mag < 1 << 63 else n * m.mag
+        norm = (max(int(np.abs(block(rows)).sum(axis=1).max()) for rows in windows)
+                if n * m.mag < 1 << 63 else n * m.mag)
         bound = math.prod(Fraction(v).denominator * norm + abs(Fraction(v).numerator)
                           for v, _ in distinct)
     primes = []
@@ -402,29 +453,43 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
             primes.append(p)
     report.primes, p1 = tuple(primes), primes[0]
     if mode == "modp":
-        blocks = [(0, np.array([[rng.randrange(p) for _ in range(n)] for p in primes
-                                for _ in range(PROBES)], dtype=np.float64).T.copy())]
+        probes = np.array([[rng.randrange(p) for _ in range(n)] for p in primes
+                           for _ in range(PROBES)], dtype=np.float64).T.copy()
         detail = f"{2 * PROBES} probes over primes {p1}, {primes[1]}"
     else:
-        blocks = ((c, np.tile(np.eye(n, min(EYE_BLOCK, n - c), -c), len(primes)))
-                  for c in range(0, n, EYE_BLOCK))
         detail = f"all {n} columns of I mod primes {primes}, product > B = {bound}"
-    fails = _annihilation_failures(arr, m.mag, [v for v, _ in distinct], primes, blocks)
+    values, fails = [v for v, _ in distinct], set()
+    for rows in windows:
+        if mode == "modp":
+            blocks = [(range(PROBES), probes[rows])]
+        else:
+            blocks = ((rows[c:c + EYE_BLOCK],
+                       np.tile(np.eye(len(rows), min(EYE_BLOCK, len(rows) - c), -c), len(primes)))
+                      for c in range(0, len(rows), EYE_BLOCK))
+        fails |= _annihilation_failures(block(rows), m.mag, values, primes, blocks)
+    # listed as the unsplit matrix lists them: by block of columns, prime, column
+    fails = [f"column {c} mod {primes[i]}"
+             for c, i in sorted(fails, key=lambda f: (f[0] // EYE_BLOCK, f[1], f[0]))]
     report.add("annihilation", not fails,
                detail + (f"; {len(fails)} failed, first {fails[0]}" if fails else ""))
 
-    # multiplicities: rank(M - lambda I) = order - mult(lambda).  Each
-    # eigenvalue seeds its own retry substream, in eigenvalue order, whether
-    # it retries or not, so one retry never changes the primes of the next.
+    # multiplicities: rank(M - lambda I) = order - mult(lambda), the sum of
+    # the windows' ranks.  Each eigenvalue seeds its own retry substream, in
+    # eigenvalue order, whether it retries or not, so one retry never changes
+    # the primes of the next.
+    def rank(val, p):
+        shift = _centred_residue(val, p)
+        return sum(rank_modp(ModMatrix(block(rows), p, shift, m.mag), p) for rows in windows)
+
     for val, mult in distinct:
         stream = random.Random(rng.getrandbits(64))
         want = n - mult
-        got = rank_modp(ModMatrix(arr, p1, _centred_residue(val, p1), m.mag), p1)
+        got = rank(val, p1)
         if got != want:
             # rank mod p can undershoot the rational rank for unlucky primes
             retry = random_prime(stream)
             report.primes += (retry,)
-            got = rank_modp(ModMatrix(arr, retry, _centred_residue(val, retry), m.mag), retry)
+            got = rank(val, retry)
         report.add(f"multiplicity[{val}]", got == want,
                    f"rank(M - {val} I) = {got}, expected {want} (mult {mult})")
     return report

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -7,9 +9,10 @@ import pytest
 
 from imtk.build import A, F, N, U, Uge, Utl, W, build
 from imtk.combinat import binomial
-from imtk.exactalg import ExactMatrix, Poly, rank_modp
-from imtk.spectra import (SpectrumSpec, alpha, eberlein, lambda_uge, lambda_utl,
-                          mu, multiplicity, rank_formula, sampled_eval_points,
+from imtk.exactalg import ExactMatrix, Poly, random_prime, rank_modp
+from imtk.spectra import (EYE_BLOCK, PROBES, SpectrumSpec, _annihilation_failures,
+                          _windows, alpha, eberlein, lambda_uge, lambda_utl, mu,
+                          multiplicity, rank_formula, sampled_eval_points,
                           spectrum_of, tau, verify_spectrum, wf_spectrum,
                           wu_spectrum)
 
@@ -411,6 +414,157 @@ def test_verify_exact_fails_a_wrong_eigenvalue_at_every_seed(seed):
     status = {c.name: c.ok for c in verify_spectrum(
         m, spec, mode="exact", rng=random.Random(seed)).checks}
     assert status["order"] and status["trace"] and not status["annihilation"]
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+@pytest.mark.parametrize("last", [2 ** 61 - 1, 2 ** 61])
+def test_verify_spectrum_sums_the_trace_exactly_past_int64(mode, last):
+    # diagonal sums of 2^63 - 1, the largest int64, and of 2^63, where an
+    # int64 sum wraps to -2^63 and a true claim would fail its trace
+    big = 2 ** 61
+    diagonal = (big, big, big, last)
+    m = ExactMatrix([[x if i == j else 0 for j in range(4)] for i, x in enumerate(diagonal)])
+    spec = SpectrumSpec(((big, 3), (last, 1)), 0, 4)
+    rep = verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED))
+    assert rep.checks[1].detail == f"trace {sum(diagonal)}, spectral sum {sum(diagonal)}"
+    assert rep.ok
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_verify_keeps_a_one_sided_coupling_in_one_window(mode):
+    # M - I != 0, so a claim of 1^n fails annihilation however M is split
+    rep = verify_spectrum(ExactMatrix([[1, 1], [0, 1]]), SpectrumSpec(((1, 2),), 0, 2),
+                          mode=mode, rng=random.Random(RNG_SEED), assume_diagonalizable=True)
+    assert not {c.name: c.ok for c in rep.checks}["annihilation"]
+    # at order 2 * EYE_BLOCK, rows 0 and n - 1 share a window only through
+    # the entry that couples them: a split on the pattern of M alone (rows)
+    # or of M^T alone (columns) would put them apart in one of the two cases
+    n = 2 * EYE_BLOCK
+    for i, j in ((0, n - 1), (n - 1, 0)):
+        arr = np.eye(n, dtype=np.int64)
+        arr[i, j] = 1
+        windows = _windows(arr)
+        assert len(windows) == 2 and {0, n - 1} <= set(windows[0].tolist())
+        rep = verify_spectrum(ExactMatrix(arr), SpectrumSpec(((1, n),), 0, n), mode=mode,
+                              rng=random.Random(RNG_SEED), assume_diagonalizable=True)
+        assert not {c.name: c.ok for c in rep.checks}["annihilation"]
+
+
+def test_windows_split_a_matrix_only_when_no_component_exceeds_half_its_order():
+    n = 600
+    for size in (n // 2, n // 2 + 1):
+        # a one-sided path over the first `size` rows, then isolated rows
+        arr = np.eye(n, dtype=np.int64)
+        arr[np.arange(size - 1), np.arange(1, size)] = 1
+        windows = _windows(arr)
+        if size > n // 2:
+            assert len(windows) == 1 and np.array_equal(windows[0], np.arange(n))
+            continue
+        assert [w.tolist() for w in windows] == [list(range(size)), list(range(size, size + 256)),
+                                                 list(range(size + 256, n))]
+    assert [w.tolist() for w in _windows(np.eye(3, dtype=np.int64))] == [[0, 1, 2]]
+
+
+# blocks with known spectra: a swap, [[2, 1], [1, 2]], J_3 and [1]
+_DIRECT_SUM_BLOCKS = (([[0, 1], [1, 0]], (1, -1)), ([[2, 1], [1, 2]], (3, 1)),
+                      ([[1, 1, 1]] * 3, (3, 0, 0)), ([[1]], (1,)))
+
+
+def _permuted_direct_sum(copies, seed):
+    """P (B_1 + ... + B_r) P^T, `copies` of each block, and its multiplicities."""
+    blocks = [b for b in _DIRECT_SUM_BLOCKS for _ in range(copies)]
+    n = sum(len(b) for b, _ in blocks)
+    arr, mult, r = np.zeros((n, n), dtype=np.int64), {}, 0
+    for b, values in blocks:
+        arr[r:r + len(b), r:r + len(b)] = b
+        r += len(b)
+        for val in values:
+            mult[val] = mult.get(val, 0) + 1
+    perm = np.random.default_rng(seed).permutation(n)
+    return ExactMatrix(arr[np.ix_(perm, perm)]), mult
+
+
+def _spec(mult):
+    return SpectrumSpec(tuple(mult.items()), 0, sum(mult.values()))
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_verify_certifies_a_permuted_direct_sum(mode):
+    m, mult = _permuted_direct_sum(75, seed=3)
+    # order 600 in components of at most 3 rows: three windows
+    assert [len(w) for w in _windows(m.as_int_array())] == [256, 256, 88]
+    rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(RNG_SEED))
+    assert rep.ok, rep.checks
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_fails_a_wrong_multiplicity_in_a_direct_sum_at_every_seed(mode, seed):
+    # two 1s traded for a -1 and a 3: order, trace and eigenvalue set all
+    # match, so only the sum of the windows' ranks can tell
+    m, mult = _permuted_direct_sum(75, seed)
+    mult[1], mult[-1], mult[3] = mult[1] - 2, mult[-1] + 1, mult[3] + 1
+    rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(seed))
+    status = {c.name: c.ok for c in rep.checks}
+    assert status["order"] and status["trace"] and status["annihilation"]
+    assert not status["multiplicity[1]"] and not rep.ok
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_a_split_annihilation_reports_what_the_unsplit_matrix_does(mode):
+    # the claim misses eigenvalue 0, so P(M) leaves every column of each J_3 nonzero
+    m, mult = _permuted_direct_sum(75, seed=5)
+    mult[2] = mult.pop(0)
+    rng = random.Random(RNG_SEED)
+    rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(RNG_SEED))
+    detail = rep.checks[2].detail
+    arr, n, values = m.as_int_array(), m.nrows, list(mult)
+    if mode == "modp":
+        # the primes and the probe block, drawn as verify_spectrum draws them
+        primes = []
+        while len(primes) < 2:
+            p = random_prime(rng)
+            if p not in primes:
+                primes.append(p)
+        probes = np.array([[rng.randrange(p) for _ in range(n)] for p in primes
+                           for _ in range(PROBES)], dtype=np.float64).T.copy()
+        blocks = [(range(PROBES), probes)]
+    else:
+        listed = re.search(r"mod primes \[([0-9, ]+)\]", detail).group(1)
+        primes = [int(p) for p in listed.split(", ")]
+        blocks = [(range(c, c + EYE_BLOCK),
+                   np.tile(np.eye(n, min(EYE_BLOCK, n - c), -c), len(primes)))
+                  for c in range(0, n, EYE_BLOCK)]
+    # the unsplit matrix, one block of columns at a time, each by prime, then column
+    fails = [f for block in blocks for f in sorted(
+        _annihilation_failures(arr, m.mag, values, primes, [block]), key=lambda f: (f[1], f[0]))]
+    if mode == "exact":
+        j3_rows = np.flatnonzero((arr.diagonal() == 1) & (arr.sum(axis=1) == 3))
+        assert sorted({c for c, _ in fails}) == j3_rows.tolist()
+    c, i = fails[0]
+    assert detail.endswith(f"; {len(fails)} failed, first column {c} mod {primes[i]}")
+
+
+def test_verify_spectrum_makes_no_dense_copy_of_a_split_matrix():
+    kind = N(5, 6, 6, 12)  # order 924, 462 pairs {K, complement of K}
+    m, spec = build(kind), spectrum_of(kind)
+    n = m.nrows
+    windows = _windows(m.as_int_array())
+    assert [len(w) for w in windows] == [256, 256, 256, 156]
+    assert all(np.array_equal(w, np.sort(n - 1 - w)) for w in windows)
+    m.mag  # computed before tracing
+    for mode in ("modp", "exact"):
+        tracemalloc.start()
+        try:
+            rep = verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        # one float64 copy of M, the unsplit rank's working copy, is n * n * 8
+        # bytes; ranking one 256-row window (its int64 block, rank_modp's
+        # float64 copy and 0.5 MB buffer) already takes about 0.31 of that
+        assert peak < n * n * 8 / 2, (mode, peak)
 
 
 def test_f_spectrum_at_sampled_points():
