@@ -231,13 +231,10 @@ def build(kind: MatrixKind) -> ExactMatrix:
     theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
     table = ExactMatrix([_entries(kind)])
     coef = table.stack[:, 0]
-    if theta.size <= _BLOCK_ENTRIES:
-        stack = coef.take(theta, axis=1)
-    else:
-        stack = np.empty((len(coef), *theta.shape), dtype=coef.dtype)
-        step = _block_rows(theta.shape[1])
-        for r0 in range(0, len(theta), step):
-            stack[:, r0:r0 + step] = coef.take(theta[r0:r0 + step], axis=1)
+    stack = np.empty((len(coef), *theta.shape), dtype=coef.dtype)
+    step = _block_rows(theta.shape[1])
+    for r0 in range(0, len(theta), step):
+        stack[:, r0:r0 + step] = coef.take(theta[r0:r0 + step], axis=1)
     m = ExactMatrix(stack, kind.row_family, kind.col_family, table.den)
     if m.stack.size <= _BUILT_ENTRIES:
         _built[key] = m

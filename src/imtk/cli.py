@@ -144,6 +144,8 @@ def cmd_verify(args, rng) -> int:
         print(f"error: unknown identity {pattern!r}; known: "
               + ", ".join(sorted(REGISTRY)), file=sys.stderr)
         return EXIT_USAGE
+    if args.v_max < 2:
+        raise UsageError("--v-max must be >= 2")
     report = run_suite(args.v_max, pattern,
                        progress=(_progress if args.progress else None))
     print(report.to_text())

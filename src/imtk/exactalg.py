@@ -15,15 +15,14 @@ integer coefficients against the stacked degree slices of every M.
 
 The mod-p rank is exact too.  Its one input is a ``ModMatrix``: M - shift*I
 over GF(p), kept as M's own int64 array while max|M| + |shift| < 2^53 and
-copied and reduced mod p only past that.  The rank is blocked Gaussian
-elimination on a float64 copy whose products are BLAS GEMMs of centred
-residues, |x| <= p // 2:
-a product with inner dimension nb is exact while nb * (p // 2)^2 + p < 2^53,
-and the trailing block is reduced only once in as many passes as keep it
-below 2^51 (see ``_panel_plan``).  Primes are refused from 2^27 on, where nb
-would fall below 2; the program draws 21-bit primes.  Every partial sum of
-a product is an integer below 2^53, so the rank does not depend on how BLAS
-splits the sum.
+copied and reduced mod p only past that.  The prime has at most
+DEFAULT_PRIME_BITS = 21 bits, the width ``random_prime`` draws.  The rank
+is blocked Gaussian elimination on a float64 copy whose products are BLAS
+GEMMs of centred residues, |x| <= p // 2 < 2^20: a product with inner
+dimension _NB = 64 adds at most 2^46 to an entry, and the trailing block is
+reduced once in every _PASSES = 32 passes, which keeps it below 2^51.
+Every partial sum of a product is an integer below 2^53, so the rank does
+not depend on how BLAS splits the sum.
 """
 
 from __future__ import annotations
@@ -222,16 +221,6 @@ def _magnitude(stack: np.ndarray) -> int:
     return max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
 
 
-def _lifted(stack: np.ndarray, dtype, factor: int, depth: int) -> np.ndarray:
-    """factor * stack in dtype, zero-padded to depth degrees."""
-    stack = stack.astype(dtype, copy=False)
-    if factor != 1:
-        stack = stack * factor
-    if len(stack) < depth:
-        stack = np.concatenate((stack, np.zeros((depth - len(stack), *stack.shape[1:]), dtype)))
-    return stack
-
-
 def _combine(table, mats, den: int, row_family, col_family) -> "ExactMatrix":
     """Degree i holds sum_j table[i][j] S_j / den, S_j the stacked degree slices
     of mats: one matmul, int64 while all sum_j |table[i][j]| max(mag S_j, 1) < 2^62
@@ -385,11 +374,11 @@ class ExactMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         den = math.lcm(self.den, other.den)
-        depth = max(self.stack.shape[0], other.stack.shape[0])
-        dtype = _dtype(self.mag * (den // self.den) + other.mag * (den // other.den))
-        a, b = (_lifted(m.stack, dtype, den // m.den, depth) for m in (self, other))
-        return ExactMatrix(a + b, self.row_family or other.row_family,
-                           self.col_family or other.col_family, den)
+        depth = max(len(self.stack), len(other.stack))
+        cols = [[den // m.den * (d == j) for d in range(depth)]  # one per stacked slice
+                for m in (self, other) for j in range(len(m.stack))]
+        return _combine(list(zip(*cols)), [self, other], den, self.row_family or other.row_family,
+                        self.col_family or other.col_family)
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -397,8 +386,7 @@ class ExactMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix(-self.stack.astype(_dtype(self.mag), copy=False),
-                           self.row_family, self.col_family, self.den)
+        return self.scale(-1)
 
     def along_degrees(self, t) -> "ExactMatrix":
         """The matrix whose degree-i coefficient is sum_j t[i][j] C_j.
@@ -544,19 +532,14 @@ DEFAULT_PRIME_BITS = 21
 def random_prime(rng: random.Random | None = None) -> int:
     """Random prime of DEFAULT_PRIME_BITS = 21 bits, uniform over those primes.
 
-    At 21 bits the float64 rank kernel closes its panels on 64 pivots and
-    reduces its trailing block only once in 32 or more Schur passes (see
-    ``_panel_plan``).
-
     Unlucky primes.  Let A be an integer matrix of rank r over Q and D a
     nonzero r x r minor of it.  The rank of A mod p drops only if p divides
     D.  Hadamard's bound caps |D| by the product of the norms of D's rows,
     and a prime of b bits is at least 2^(b-1), so at most log2|D| / (b - 1)
-    primes of b bits divide D.  There are 73 586 primes of 21 bits and
-    985 818 of 25 bits.  For U^3 on J(13, 6), 1716 rows of 700 ones,
-    log2|D| <= 1716 * log2(sqrt(700)) < 8110: at most 405 of the 21-bit
-    primes are unlucky, a chance of at most 0.55% per draw (0.034% at 25
-    bits), and of at most 0.003% that two independent draws both are.
+    primes of b bits divide D.  There are 73 586 primes of 21 bits.  For
+    U^3 on J(13, 6), 1716 rows of 700 ones, log2|D| <= 1716 * log2(sqrt(700))
+    < 8110: at most 405 of them are unlucky, a chance of at most 0.55% per
+    draw, and of at most 0.003% that two independent draws both are.
     A rank mod p of min(rows, cols) is the rank over Q with no error at
     all, so ``imtk rank`` ranks mod its second prime only when the first
     rank falls below that.
@@ -569,20 +552,18 @@ def random_prime(rng: random.Random | None = None) -> int:
 
 
 def _check_modulus(p: int) -> None:
-    # below 2^27, 2 * (p // 2)^2 + p < 2^53: a panel holds nb >= 2 pivots with
-    # one exact product per update (see _panel_plan)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p.bit_length() > 27:
-        raise ValueError(f"modulus {p} too large: the float64 rank kernel needs p < 2^27")
+    if p.bit_length() > DEFAULT_PRIME_BITS:
+        raise ValueError(f"modulus {p} too large: the float64 rank kernel needs "
+                         f"p < 2^{DEFAULT_PRIME_BITS}")
 
 
 _FLOAT_EXACT = 1 << 53    # float64 holds every integer of smaller magnitude
-_CENTRED_EXACT = 1 << 51  # below this one _reduce gives the centred residue
 
 
 class ModMatrix:
-    """The integer matrix ``array - shift * I`` over GF(p), p < 2^27.
+    """The integer matrix ``array - shift * I`` over GF(p), p < 2^21.
 
     While max|array| + |shift| < 2^53 an int64 ``array`` is kept as given,
     without a copy, and must not be changed afterwards: ``rank_modp`` makes
@@ -612,27 +593,16 @@ class ModMatrix:
         return cls(m.stack[0], p, mag=m.mag)
 
 
-_PANEL_MAX = 64   # measured: 128 slowed the sparse order-3432 golden ranks
+# The elimination's two constants, sound for every p < 2^21 that
+# _check_modulus lets through.  Products are of centred residues, |x| <= h =
+# p // 2 < 2^20, with inner dimension at most _NB, so one pass adds at most
+# _NB * h^2 < 2^46 to an entry and is exact from any entry below 2^52.
+# Entries start below p, so after _PASSES passes they are below
+# p + _PASSES * _NB * h^2 < 2^51, where one _reduce gives the centred
+# residue; at 2097143, the largest 21-bit prime, 33 passes could reach 2^51.
+_NB = 64  # pivots per panel; measured: 128 slowed the sparse order-3432 golden ranks
+_PASSES = 32  # Schur passes between reductions of the trailing block
 _CHUNK_ENTRIES = 1 << 16  # entries per row chunk of the Schur update (512 kB)
-
-
-def _panel_plan(p: int) -> tuple[int, int]:
-    """Pivots per panel nb and reduction interval of the elimination mod p.
-
-    Every product subtracts lmat @ u, inner dimension at most nb and operands
-    centred (|x| <= h = p // 2), so one pass adds at most nb * h^2 to an
-    entry.  nb is the largest with nb * h^2 + p < 2^53, capped at 64: 64 for
-    every prime below about 2^24.5, 32 at 25 bits and 2 at 134217689, the
-    largest prime below 2^27 that ``_check_modulus`` lets through.
-
-    The trailing block is reduced again after every ``passes`` passes, the
-    most with passes * nb * h^2 + p < 2^51, but at least one: 32 or more for
-    every 21-bit prime, 1 from 24 bits.  Stored entries thus stay below 2^51,
-    where one ``_reduce`` gives the centred residue.
-    """
-    h = p // 2
-    nb = min((_FLOAT_EXACT - 1 - p) // (h * h), _PANEL_MAX)
-    return nb, max(1, (_CENTRED_EXACT - 1 - p) // (nb * h * h))
 
 
 def _reduce(x: np.ndarray, p, scratch: np.ndarray) -> None:
@@ -667,11 +637,16 @@ def _reduce_rows(x: np.ndarray, p: int, buf: np.ndarray) -> None:
 
 
 def _sub_centred(dst, lmat, u, p, buf) -> None:
-    """dst -= lmat @ u, left as centred residues (a small operand's update)."""
+    """dst -= lmat @ u, left as centred residues (a small operand's update).
+
+    Every operand is a centred residue and the inner dimension is at most
+    _NB, so before the reduction |dst| <= h + _NB * h^2 < 2^47 (h = p // 2
+    < 2^20), below 2^51: one ``_reduce`` gives the centred residue.
+    """
     prod = _scratch(buf, dst.shape)
     np.matmul(lmat, u, out=prod)
     dst -= prod
-    _centre(dst, p, prod)
+    _reduce(dst, p, prod)
 
 
 def _scratch(buf: np.ndarray, shape) -> np.ndarray:
@@ -689,25 +664,24 @@ def _rank_kernel(w: np.ndarray, p: int, bound: int) -> int:
     """Rank over GF(p) of the float64 integer matrix w, |w| <= bound < 2^53.
 
     Right-looking blocked elimination, in place on w.  ``_factor_panel``
-    gathers a panel of nb pivots, or as many as the columns hold.  The pivot
+    gathers a panel of _NB pivots, or as many as the columns hold.  The pivot
     rows then get their trailing part U12 = L11^-1 T, and the rows whose
     multipliers L21 are not all zero get the Schur update L21 @ U12.  Every
     product is a float64 GEMM of operands reduced to centred residues.  The
     trailing block is not reduced after every pass but once in every
-    ``passes`` Schur passes, the interval from ``_panel_plan``.  A pass that
-    skips a row still counts for it, so every stored entry stays below 2^51.
+    _PASSES Schur passes.  A pass that skips a row still counts for it, so
+    every stored entry stays below 2^51.
     """
     m, n = w.shape
     if m == 0 or n == 0:
         return 0
-    nb, passes = _panel_plan(p)
-    tmp = np.empty(max(n, nb))
-    buf = np.empty(max(_CHUNK_ENTRIES + n, nb * max(m, n)))
+    tmp = np.empty(max(n, _NB))
+    buf = np.empty(max(_CHUNK_ENTRIES + n, _NB * max(m, n)))
     if bound > p:
         _reduce_rows(w, p, buf)
     r = c = npass = 0
     while r < m and c < n:
-        k, c, mult = _factor_panel(w, r, c, p, nb, buf, tmp)
+        k, c, mult = _factor_panel(w, r, c, p, buf, tmp)
         if r + k < m and c < n:  # a full panel with a trailing block
             # U12 = L11^-1 T = T - (I - L11^-1) T
             u12 = w[r:r + k, c:].copy()
@@ -716,7 +690,7 @@ def _rank_kernel(w: np.ndarray, p: int, bound: int) -> int:
                 _sub_centred(u12, _strict_inverse(mult[:k, :k], p, buf), u12, p, buf)
             _schur_update(w, r + k, c, mult[k:, :k], u12, buf, tmp)
             npass += 1
-            if npass % passes == 0:
+            if npass % _PASSES == 0:
                 _reduce_rows(w[r + k:, c:], p, buf)
         r += k
     return r
@@ -741,17 +715,17 @@ def _strict_inverse(low: np.ndarray, p: int, buf: np.ndarray) -> np.ndarray:
     return np.eye(k) - inv
 
 
-def _factor_panel(w, r, c, p, nb, buf, tmp):
-    """Gather up to nb pivots below row r, from column c on (left-looking).
+def _factor_panel(w, r, c, p, buf, tmp):
+    """Gather up to _NB pivots below row r, from column c on (left-looking).
 
-    The panel pulls blocks of nb columns.  A block is first brought up to
+    The panel pulls blocks of _NB columns.  A block is first brought up to
     date with the panel's k pivots so far by two products: its pivot-row
     part becomes U = L11^-1 T, its other rows B - L21 @ U.  A block that is
     then zero below the pivot rows holds no pivot and is skipped whole; the
     others are factored column by column (Crout) against the pivots found in
     the block so far; the U row of each new pivot is brought up to date on
     the block's later columns as soon as the pivot is found.  The panel
-    closes on its nb-th pivot or at the last column, so elimination ends
+    closes on its _NB-th pivot or at the last column, so elimination ends
     once the trailing columns are used up.
 
     Returns the pivot count k, the column where the panel ends and the
@@ -761,18 +735,16 @@ def _factor_panel(w, r, c, p, nb, buf, tmp):
 
     A pivot's multipliers are its column's entries times the centred inverse
     of the pivot, in float64.  Both factors are centred residues, so the
-    product is at most h^2 < 2^52 in magnitude (h = p // 2 < 2^26) and
-    exact.  While h^2 < 2^51, i.e. p < 2^26.5, one ``_reduce`` then gives
-    the centred residue; above that ``_centre`` reduces twice.
+    product is at most h^2 < 2^40 in magnitude (h = p // 2 < 2^20): exact,
+    and one ``_reduce`` gives the centred residue.
     """
     m, n = w.shape
     rows = m - r
     h = p // 2
-    centre = _reduce if h * h < _CENTRED_EXACT else _centre
-    mult = np.zeros((rows, nb))
+    mult = np.zeros((rows, _NB))
     k = 0
-    while c < n and k < min(nb, rows):
-        c1 = min(c + nb, n)
+    while c < n and k < min(_NB, rows):
+        c1 = min(c + _NB, n)
         # one row per column of the block; transposing a compact copy is faster
         pt = w[r:, c:c1].copy().T.copy()
         _reduce(pt, p, _scratch(buf, pt.shape))
@@ -804,16 +776,16 @@ def _factor_panel(w, r, c, p, nb, buf, tmp):
                 # the rows before nz[0] are zero here, so nz[1:] stays put
                 piv = k + int(nz[0])
                 pt[:, [k, piv]] = pt[:, [piv, k]]
-                _swap_rows(mult, k, piv, tmp[:nb])
+                _swap_rows(mult, k, piv, tmp[:_NB])
                 _swap_rows(w[:, c:], r + k, r + piv, tmp[:n - c])
             rest = nz[1:]
             if rest.size:
                 inv = pow(int(bot[0]), -1, p)
-                f = bot[rest] * (inv - p if inv > h else inv)  # |f| <= h^2 < 2^52
-                centre(f, p, _scratch(buf, f.shape))
+                f = bot[rest] * (inv - p if inv > h else inv)  # |f| <= h^2 < 2^40
+                _reduce(f, p, _scratch(buf, f.shape))
                 mult[k + rest, k] = f
             k += 1
-            if k == min(nb, rows):
+            if k == min(_NB, rows):
                 return k, c + j + 1, mult
             if j + 1 < bw and mult[k - 1, k0:k - 1].any():
                 # the new pivot row's U on the later columns of the block
@@ -855,7 +827,7 @@ def rank_modp(m: ExactMatrix | ModMatrix, p: int) -> int:
     every nonzero minor of order r, r the rank over Q, so it is enough that
     p does not divide one of them, D; ``random_prime`` bounds how many
     primes of a given length can divide D.  The input is one ``ModMatrix``
-    with p < 2^27 (an ExactMatrix must have integer entries and is first made
+    with p < 2^21 (an ExactMatrix must have integer entries and is first made
     one by ``ModMatrix.from_exact``; other entries raise TypeError): M -
     shift*I over GF(p), copied and reduced only past 2^53.  Its float64
     working copy is made from M's integers and the shift subtracted on the

@@ -120,6 +120,16 @@ def test_verify_single_identity_and_exit_codes():
     assert proc.returncode == 2
 
 
+def test_verify_v_max_below_2_exits_2():
+    for v_max in ("1", "-3"):
+        proc = run_cli("verify", "--v-max", v_max)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "--v-max" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    proc = run_cli("verify", "--identity", "eq1", "--v-max", "2", check=True)
+    assert "0 failures" in proc.stdout
+
+
 def test_verify_eq30_records_variant_note():
     proc = run_cli("verify", "--identity", "eq30", "--v-max", "4", check=True)
     assert "(k-t)" in proc.stdout

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from imtk.build import A, F, N, U, Utl, W, Wbar, build
 from imtk.combinat import SubsetFamily, binomial, psi
-from imtk.exactalg import (_INT64_SAFE, _PANEL_MAX, DEFAULT_PRIME_BITS, ExactMatrix,
-                           ModMatrix, Poly, _panel_plan, equiv_check, is_prime,
-                           mat_mul, random_prime, rank_modp)
+from imtk.exactalg import (_INT64_SAFE, _NB, _PASSES, DEFAULT_PRIME_BITS, ExactMatrix,
+                           ModMatrix, Poly, equiv_check, is_prime, mat_mul, random_prime,
+                           rank_modp)
 
 from oracles import mat_inverse, rank_exact
 
@@ -215,6 +215,9 @@ def test_rank_n_small():
     assert binomial(4, 2) // 2 == 3
 
 
+LARGEST_PRIME = 2097143  # the largest prime of DEFAULT_PRIME_BITS bits
+
+
 def test_rank_modp_matches_exact_oracle():
     rng = random.Random(99)
     for trial in range(12):
@@ -228,9 +231,9 @@ def test_rank_modp_matches_exact_oracle():
         exact = rank_exact(m)
         assert exact <= rk
         assert rank_modp(m, random_prime(rng)) <= exact
-        # the largest prime below 2^27; entries here are far too small for it
-        # to be unlucky
-        assert rank_modp(m, 134217689) == exact
+        # the largest prime the kernel takes; entries here are far too small
+        # for it to be unlucky
+        assert rank_modp(m, LARGEST_PRIME) == exact
 
 
 def test_rank_modp_rational_entries_and_denominator_rejection():
@@ -321,21 +324,17 @@ def _oracle_rank(a, p: int) -> int:
     return r
 
 
-# 8, 21, 25, 26 and 27 bits: panels of 64 pivots with delayed reduction
-# (8 and 21 bits; 2097143 is the largest 21-bit prime), and panels of 64, 32,
-# 13, 8 and 2 pivots reduced after every pass (25 to 27 bits; 134217689 is
-# the largest prime the kernel takes).
-ORACLE_PRIMES = (131, 251, 1048583, 2097143, 16777259, 33554393, 50930041, 67108859,
-                 134217689)
+# 8 and 21 bits: 1048583 and 2097143 are the smallest and the largest prime
+# of DEFAULT_PRIME_BITS = 21 bits, the widest the kernel takes.
+ORACLE_PRIMES = (131, 251, 1048583, LARGEST_PRIME)
 
 
 @st.composite
 def _low_rank_mod_p(draw):
     p = draw(st.sampled_from(ORACLE_PRIMES))
-    nb = _panel_plan(p)[0]
-    # past 3 * nb, several panels close on pivots and several passes run
-    dim = st.one_of(st.integers(0, 70), st.sampled_from((nb - 1, nb, nb + 1)),
-                    st.integers(3 * nb, 3 * nb + 12))
+    # past 3 * _NB, several panels close on pivots and several passes run
+    dim = st.one_of(st.integers(0, 70), st.sampled_from((_NB - 1, _NB, _NB + 1)),
+                    st.integers(3 * _NB, 3 * _NB + 12))
     m, n = draw(dim), draw(dim)
     rk = draw(st.one_of(st.integers(0, min(m, n)), st.integers(0, min(m, n, 6))))
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -352,7 +351,7 @@ def _low_rank_mod_p(draw):
     if n > 1 and draw(st.booleans()):
         # a run of columns that are multiples of an earlier one
         j = int(gen.integers(1, n))
-        run = slice(j, min(n, j + int(gen.integers(1, 2 * nb))))
+        run = slice(j, min(n, j + int(gen.integers(1, 2 * _NB))))
         a[:, run] = a[:, [int(gen.integers(0, j))]] * gen.integers(0, p, size=a[:, run].shape[1]) % p
     if m and n and draw(st.booleans()):
         a[int(gen.integers(0, m)):, int(gen.integers(0, n)):] = 0  # an all-zero trailing block
@@ -368,8 +367,8 @@ def test_rank_modp_matches_int64_oracle(case):
     assert rank_modp(ModMatrix(a, p), p) == _oracle_rank(a, p)
 
 
-def test_rank_modp_worst_magnitudes_at_the_largest_27_bit_prime():
-    p = 134217689
+def test_rank_modp_worst_magnitudes_at_the_largest_prime():
+    p = LARGEST_PRIME
     for shape in ((70, 70), (33, 65), (65, 33), (1, 40)):
         a = np.full(shape, p - 1, dtype=np.int64)
         assert rank_modp(ModMatrix(a, p), p) == 1 == _oracle_rank(a, p)
@@ -380,48 +379,20 @@ def test_rank_modp_worst_magnitudes_at_the_largest_27_bit_prime():
 
 
 def test_panel_plan_keeps_the_update_exact():
-    for p in ORACLE_PRIMES + (2, 3, 1000003):
-        nb, passes = _panel_plan(p)
-        h = p // 2
-        assert 2 <= nb <= _PANEL_MAX
-        assert nb == _PANEL_MAX or (nb + 1) * h * h + p >= 2 ** 53
-        step = nb * h * h
-        # one pass from a reduced entry is exact ...
-        assert p + step < 2 ** 53
-        # ... and an entry is reduced again before it reaches 2^51, where
-        # one reduction no longer gives the centred residue
-        assert passes == 1 or passes * step + p < 2 ** 51
-        assert (passes + 1) * step + p >= 2 ** 51
-    assert _panel_plan(33554393) == (32, 1)
-    assert _panel_plan(2097143) == (64, 32)
-    assert _panel_plan(1048583)[1] == 127
-    assert _panel_plan(134217689) == (2, 1)
-
-
-@pytest.mark.parametrize("residue", [1, -1])
-def test_the_reduction_interval_is_not_one_pass_too_long(residue):
-    """Two Schur passes that each add nb * (p // 2)^2 to one entry of row z.
-
-    At 25 bits one pass fits between reductions.  Without the reduction in
-    between, the entry would pass 2^53, where float64 holds only even
-    integers; for p = 33554393 and a final residue of -1 the rounded entry
-    is a multiple of p, and the rank would come out one too low.  Rows r1
-    (the first panel's pivots), r2 (the second's, also updated by the first
-    pass) and z; columns c1, c2 and a last one.
-    """
-    p, nb = 33554393, 32
+    """_NB pivots per panel and a reduction once in _PASSES passes, checked
+    at the largest prime the kernel takes, where h = p // 2 is largest."""
+    p = next(n for n in range(2 ** DEFAULT_PRIME_BITS - 1, 0, -2) if is_prime(n))
+    assert p == LARGEST_PRIME
     h = p // 2
-    assert _panel_plan(p) == (nb, 1)
-    a = np.zeros((2 * nb + 1, 2 * nb + 1), dtype=np.int64)
-    r1, r2, z = slice(0, nb), slice(nb, 2 * nb), 2 * nb
-    a[r1, r1] = a[r2, r2] = np.eye(nb, dtype=np.int64)
-    a[r1, -1] = h
-    a[r2, 0] = 1          # r2 is updated by the first pass, keeping its pivots
-    a[r2, -1] = 2 * h     # so that its U12 is 2h - h = h
-    a[z, :2 * nb] = -h    # multipliers -h on every pivot
-    a[z, -1] = (residue - 2 * nb * h * h) % p
-    assert _oracle_rank(a, p) == 2 * nb + 1
-    assert rank_modp(ModMatrix(a, p), p) == 2 * nb + 1
+    step = _NB * h * h  # one pass of products of centred residues
+    # one pass from a reduced entry, |x| <= p, is exact ...
+    assert p + step < 2 ** 53
+    # ... and _PASSES is the longest interval that keeps the trailing block
+    # below 2^51, where one reduction still gives the centred residue
+    assert _PASSES * step + p < 2 ** 51 <= (_PASSES + 1) * step + p
+    # a multiplier (a product of two centred residues) and a small operand's
+    # update (a centred residue minus one pass) are reduced once
+    assert h * h < 2 ** 51 and h + step < 2 ** 51
 
 
 @pytest.mark.parametrize("row", [1, 4])
@@ -431,26 +402,25 @@ def test_a_block_is_skipped_only_when_every_row_below_the_pivots_is_zero(row):
     a = np.zeros((5, 200), dtype=np.int64)
     a[0, 0] = 1
     a[row, 100] = 7
-    p = 2097143
+    p = LARGEST_PRIME
     assert rank_modp(ModMatrix(a, p), p) == 2 == _oracle_rank(a, p)
 
 
-@pytest.mark.parametrize("p", [33554393, 134217689])
+@pytest.mark.parametrize("p", [1048583, LARGEST_PRIME])
 @pytest.mark.parametrize("pivot", [2, -2])
 def test_pivot_multipliers_are_exact_at_products_of_h_squared(p, pivot):
     """Rank 2, and every multiplier on the first pivot a product of size h^2.
 
     The centred inverse of a pivot +-2 is -+h (h = p // 2), and the first
     column's other entries are +-h, so the float64 products that make the
-    multipliers reach h^2: above 2^51 at 134217689, where they are reduced
-    twice, below it at 33554393, where once is enough.  Rows 2.. combine
+    multipliers reach h^2, which one reduction takes back to a centred
+    residue at the smallest and the largest 21-bit prime.  Rows 2.. combine
     rows 0 and 1, so a multiplier off by anything leaves a third pivot.
     There are more rows than columns, so there are more multipliers per
     pivot than entries per row.
     """
     h = p // 2
-    nb = _panel_plan(p)[0]
-    m, n = 4 * nb + 30, 3 * nb + 5
+    m, n = 4 * _NB + 30, 3 * _NB + 5
     gen = np.random.default_rng(p + pivot)
     basis = gen.integers(0, p, size=(2, n))
     basis[:, 0] = pivot, 0
@@ -464,7 +434,7 @@ def test_pivot_multipliers_are_exact_at_products_of_h_squared(p, pivot):
     assert rank_modp(ModMatrix(a, p), p) == 2 == _oracle_rank(a, p)
 
 
-@pytest.mark.parametrize("p", [2097143, 33554393, 134217689])
+@pytest.mark.parametrize("p", [131, 1048583, LARGEST_PRIME])
 def test_shifted_matrix_rank_matches_the_reduced_matrix(p):
     gen = np.random.default_rng(5)
     a = gen.integers(-3, 4, size=(90, 6)) @ gen.integers(-3, 4, size=(6, 90))
@@ -480,7 +450,7 @@ def test_shifted_matrix_rank_matches_the_reduced_matrix(p):
         ModMatrix(np.eye(2, dtype=np.int64), 2 ** 21)
 
 
-@pytest.mark.parametrize("p", [2097143, 134217689])
+@pytest.mark.parametrize("p", [131, LARGEST_PRIME])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_modmatrix_is_copied_and_reduced_only_from_2_53(p, sign):
     # max|array| + |shift| = 2^53 - 1 keeps the array itself for the float64
@@ -504,7 +474,7 @@ def test_modmatrix_is_copied_and_reduced_only_from_2_53(p, sign):
 
 
 def test_modmatrix_ranks_int64_extremes_and_a_bigint_shift():
-    p = 2097143
+    p = LARGEST_PRIME
     top = 2 ** 63 - 1
     a = np.array([[top, -top, 1], [-top, top, -1], [5, 7, top]], dtype=np.int64)
     assert rank_modp(ModMatrix(a, p), p) == 2 == rank_modp(ExactMatrix(a), p)
@@ -661,12 +631,14 @@ def test_as_int_array_raises_at_2_62_and_not_below():
 
 
 def test_modmatrix_prime_width_edge():
-    p = 134217689  # the largest prime below 2^27
-    assert is_prime(p) and not any(is_prime(n) for n in range(p + 1, 2 ** 27))
+    p = LARGEST_PRIME  # the largest prime of DEFAULT_PRIME_BITS bits
+    assert is_prime(p) and not any(is_prime(n) for n in range(p + 1, 2 ** DEFAULT_PRIME_BITS))
     assert rank_modp(ModMatrix(np.array([[p + 3]]), p), p) == 1
     assert rank_modp(ModMatrix(np.array([[p, 2 * p], [-p, 3]]), p), p) == 1
-    above = next(n for n in range(2 ** 27, 2 ** 27 + 100) if is_prime(n))
-    assert above == 134217757
+    assert rank_modp(ExactMatrix.identity(2), p) == 2
+    above = next(n for n in range(2 ** DEFAULT_PRIME_BITS, 2 ** DEFAULT_PRIME_BITS + 100)
+                 if is_prime(n))
+    assert above == 2097169
     with pytest.raises(ValueError, match="too large"):
         ModMatrix(np.array([[1]]), above)
     with pytest.raises(ValueError, match="too large"):
