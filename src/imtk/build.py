@@ -8,7 +8,7 @@ everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -50,7 +50,7 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatrixKind:
     """A matrix family member: tag plus its parameters.
 
@@ -107,45 +107,61 @@ class MatrixKind:
         return self.t  # type: ignore[return-value]
 
     def describe(self) -> str:
-        return KINDS[self.tag][1].format(T=self.effective_t(), **vars(self))
+        return KINDS[self.tag][1].format(T=self.effective_t(), **asdict(self))
 
 
+# The kind constructors are memoized: the identity suite asks for the same
+# few thousand kinds tens of thousands of times, and a frozen MatrixKind can
+# be shared.  A call that raises is not cached, so it raises every time.
+_memo = lru_cache(maxsize=4096)
+
+
+@_memo
 def W(s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("W", v, s, k)
 
 
+@_memo
 def Wbar(s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("Wbar", v, s, k)
 
 
+@_memo
 def U(l: int, s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("U", v, s, k, l=l)
 
 
+@_memo
 def Uge(l: int, s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("Uge", v, s, k, l=l)
 
 
+@_memo
 def A(i: int, s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("A", v, s, k, i=i)
 
 
+@_memo
 def N(t: int, s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("N", v, s, k, t=t)
 
 
+@_memo
 def F(t: int | None, s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("F", v, s, k, t=t)
 
 
+@_memo
 def Utl(t: int, l: int, s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("Utl", v, s, k, t=t, l=l)
 
 
+@_memo
 def X(s: int, t: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("X", v, s, k, t=t)
 
 
+@_memo
 def Y(s: int, t: int, k: int, l: int, v: int) -> MatrixKind:
     return MatrixKind("Y", v, s, k, t=t, l=l)
 
@@ -208,11 +224,12 @@ def _entries(kind: MatrixKind) -> list:
 
 
 # build keeps the _BUILT_MAX most recently used matrices of at most
-# _BUILT_ENTRIES stack entries each (16 MB of int64 in all); larger ones are
-# built on every call.  A built matrix is read-only, so callers share it.
+# _BUILT_ENTRIES stack entries each (at most 16 MB in all, at 8 bytes an
+# entry); larger ones are built on every call.  A built matrix is read-only,
+# so callers share it.
 _BUILT_MAX = 2048
 _BUILT_ENTRIES = 1 << 10
-_built: dict[tuple, ExactMatrix] = {}  # in order of last use
+_built: dict[MatrixKind, ExactMatrix] = {}  # in order of last use
 
 
 def build(kind: MatrixKind) -> ExactMatrix:
@@ -220,24 +237,32 @@ def build(kind: MatrixKind) -> ExactMatrix:
 
     The entries per theta form a one-row coefficient table; indexing its
     columns by the theta matrix gives the coefficient stack of the result,
-    taken one row block at a time into a stack allocated once.  A small
-    matrix is built once, then served from a bounded LRU cache.
+    taken one row block at a time into a stack allocated once.  The stack
+    has the narrowest of int8, int16 and int32 whose range, taken symmetric
+    (so int8 holds -127..127, never -128), holds every entry of the table;
+    otherwise the table's own int64, or Python ints where an entry does not
+    fit int64.  Arithmetic widens a stack before it computes, so the width
+    only saves memory.  A small matrix is built once, then served from a
+    bounded LRU cache.
     """
-    key = (kind.tag, kind.v, kind.s, kind.k, kind.t, kind.l, kind.i)
-    got = _built.pop(key, None)
+    got = _built.pop(kind, None)
     if got is not None:
-        _built[key] = got
+        _built[kind] = got
         return got
     theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
     table = ExactMatrix([_entries(kind)])
     coef = table.stack[:, 0]
+    width = next((w for w in (np.int8, np.int16, np.int32) if table.mag <= np.iinfo(w).max),
+                 coef.dtype)
+    coef = coef.astype(width, copy=False)
     stack = np.empty((len(coef), *theta.shape), dtype=coef.dtype)
     step = _block_rows(theta.shape[1])
     for r0 in range(0, len(theta), step):
         stack[:, r0:r0 + step] = coef.take(theta[r0:r0 + step], axis=1)
+    stack.setflags(write=False)
     m = ExactMatrix(stack, kind.row_family, kind.col_family, table.den)
     if m.stack.size <= _BUILT_ENTRIES:
-        _built[key] = m
+        _built[kind] = m
         if len(_built) > _BUILT_MAX:
             del _built[next(iter(_built))]
     return m

@@ -4,25 +4,28 @@ A matrix M(z) = (C_0 + C_1 z + ... + C_d z^d) / den is stored as one integer
 coefficient stack C of shape (d+1, rows, cols) and one positive common
 denominator, so integer, rational and polynomial matrices are one type.  The
 form is canonical: trailing zero degrees are trimmed (degree 0 is always
-kept) and den is coprime to the entries taken together.  The stack is numpy
-int64; it holds Python ints (object dtype) only when some |entry| >= 2^62.
-Every operation first bounds the magnitude of its result from its operands'
-and runs in int64 only while that bound is below 2^62, so no int64
-intermediate can wrap.  A linear combination sum c * M with int, Fraction
-or Poly coefficients (``ExactMatrix.lincomb``) is one matmul of a table of
-integer coefficients against the stacked degree slices of every M.
-``Poly`` remains for scalar polynomials.
+kept) and den is coprime to the entries taken together.  The stack is a
+numpy signed integer array of any width (``build`` stores each matrix at the
+narrowest of int8, int16, int32 and int64 that holds its entries); it holds
+Python ints (object dtype) only when some |entry| >= 2^62.  Every operation
+first bounds the magnitude of its result from its operands' and widens its
+operands to int64 while that bound is below 2^62, else to Python ints, so no
+intermediate can wrap whatever width a stack is stored at.  A linear
+combination sum c * M with int, Fraction or Poly coefficients
+(``ExactMatrix.lincomb``) is one matmul of a table of integer coefficients
+against the stacked degree slices of every M.  ``Poly`` remains for scalar
+polynomials.
 
 The mod-p rank is exact too.  Its one input is a ``ModMatrix``: M - shift*I
-over GF(p), kept as M's own int64 array while max|M| + |shift| < 2^53 and
-copied and reduced mod p only past that.  The prime has at most
-DEFAULT_PRIME_BITS = 21 bits, the width ``random_prime`` draws.  The rank
-is blocked Gaussian elimination on a float64 copy whose products are BLAS
-GEMMs of centred residues, |x| <= p // 2 < 2^20: a product with inner
-dimension _NB = 64 adds at most 2^46 to an entry, and the trailing block is
-reduced once in every _PASSES = 32 passes, which keeps it below 2^51.
-Every partial sum of a product is an integer below 2^53, so the rank does
-not depend on how BLAS splits the sum.
+over GF(p), kept as M's own integer array, at its own width, while
+max|M| + |shift| < 2^53 and copied and reduced mod p only past that.  The
+prime has at most DEFAULT_PRIME_BITS = 21 bits, the width ``random_prime``
+draws.  The rank is blocked Gaussian elimination on a float64 copy whose
+products are BLAS GEMMs of centred residues, |x| <= p // 2 < 2^20: a product
+with inner dimension _NB = 64 adds at most 2^46 to an entry, and the
+trailing block is reduced once in every _PASSES = 32 passes, which keeps it
+below 2^51.  Every partial sum of a product is an integer below 2^53, so the
+rank does not depend on how BLAS splits the sum.
 """
 
 from __future__ import annotations
@@ -239,10 +242,13 @@ class ExactMatrix:
     ``stack`` holds the integer coefficients C, shape (d+1, rows, cols), and
     is read-only; ``den`` is the positive common denominator.  The form is
     canonical (see the module docstring), so equal matrices have equal
-    denominators and stacks of equal values.  A matrix is made from nested
-    rows of int / Fraction / Poly entries, or from an integer array of shape
-    (rows, cols) or (d+1, rows, cols) whose entries are divided by ``den``;
-    such an array is kept without a copy and must not be changed afterwards.
+    denominators and stacks of equal values, though not always of equal
+    width.  A matrix is made from nested rows of int / Fraction / Poly
+    entries (an int64 stack), or from an integer array of shape (rows, cols)
+    or (d+1, rows, cols) whose entries are divided by ``den``; a signed
+    integer array of any width is kept as given, without a copy, and must
+    not be changed afterwards.  Arithmetic widens a stack before it
+    computes, so a narrow stack only saves memory.
     ``data`` gives the entries back as rows of canonical Python values.
 
     Optionally tagged with the subset families indexing rows and columns;
@@ -264,17 +270,21 @@ class ExactMatrix:
         depth = stack.shape[0]
         while depth > 1 and not stack[depth - 1].any():
             depth -= 1
-        stack = stack[:depth]
-        if stack.dtype != np.int64:
+        if depth < len(stack):
+            stack = stack[:depth]
+        if stack.dtype.kind != "i":
             stack = stack.astype(object)
         if den != 1:
             g = math.gcd(den, int(np.gcd.reduce(stack, axis=None)))
             if g != 1:
+                if stack.dtype != object and g > np.iinfo(stack.dtype).max:
+                    stack = stack.astype(_dtype(g))  # so that g itself fits
                 stack, den = stack // g, den // g
         if stack.dtype == object and _magnitude(stack) < _INT64_SAFE:
             stack = stack.astype(np.int64)
-        stack = stack.view()
-        stack.flags.writeable = False
+        if stack.flags.writeable:  # through a view, so the caller's array stays writable
+            stack = stack.view()
+            stack.flags.writeable = False
         self.stack, self.den, self._mag = stack, den, None
         self.row_family = row_family
         self.col_family = col_family
@@ -349,7 +359,8 @@ class ExactMatrix:
         return _entry([sum(d) for d in diagonal], self.den)
 
     def as_int_array(self) -> np.ndarray:
-        """The stored int64 array of an integer matrix, not copied (read-only).
+        """The stored array of an integer matrix, at its stored width, not
+        copied (read-only): widen it before computing with it.
 
         Raises TypeError on non-integer entries and OverflowError when an entry
         has |x| >= 2^62.
@@ -565,11 +576,12 @@ _FLOAT_EXACT = 1 << 53    # float64 holds every integer of smaller magnitude
 class ModMatrix:
     """The integer matrix ``array - shift * I`` over GF(p), p < 2^21.
 
-    While max|array| + |shift| < 2^53 an int64 ``array`` is kept as given,
-    without a copy, and must not be changed afterwards: ``rank_modp`` makes
-    its float64 working copy straight from it, exactly.  Otherwise ``array``
-    is reduced once with ``% p`` and ``shift`` mod p.  ``mag`` is max|array|,
-    computed when not given.
+    While max|array| + |shift| < 2^53 a signed integer ``array`` of any
+    width is kept as given, without a copy, and must not be changed
+    afterwards: ``rank_modp`` makes its float64 working copy straight from
+    it, exactly.  An array of another dtype is copied to int64.  Past 2^53
+    ``array`` is widened to int64 and reduced once with ``% p``, and
+    ``shift`` mod p.  ``mag`` is max|array|, computed when not given.
     """
 
     __slots__ = ("p", "array", "shift", "mag")
@@ -581,9 +593,11 @@ class ModMatrix:
             raise ValueError("only a square matrix can be shifted")
         mag = _magnitude(array) if mag is None else mag
         if mag + abs(shift) >= _FLOAT_EXACT:
+            if array.dtype.itemsize < 8:  # p may not fit the array's width
+                array = array.astype(np.int64)
             array, shift, mag = array % p, shift % p, p - 1
         self.p, self.shift, self.mag = p, shift, mag
-        self.array = array.astype(np.int64, copy=False)
+        self.array = array if array.dtype.kind == "i" else array.astype(np.int64)
 
     @classmethod
     def from_exact(cls, m: ExactMatrix, p: int) -> "ModMatrix":
@@ -830,8 +844,8 @@ def rank_modp(m: ExactMatrix | ModMatrix, p: int) -> int:
     with p < 2^21 (an ExactMatrix must have integer entries and is first made
     one by ``ModMatrix.from_exact``; other entries raise TypeError): M -
     shift*I over GF(p), copied and reduced only past 2^53.  Its float64
-    working copy is made from M's integers and the shift subtracted on the
-    copy's diagonal.
+    working copy is made straight from M's integers, at their stored width,
+    and the shift subtracted on the copy's diagonal.
     """
     if isinstance(m, ExactMatrix):
         m = ModMatrix.from_exact(m, p)

@@ -212,6 +212,8 @@ def wu_spectrum(v: int, k: int, s: int, l: int) -> SpectrumSpec:
 def rank_formula(kind: MatrixKind) -> int:
     """Closed-form rank where one is available."""
     v, s, k = kind.v, kind.s, kind.k
+    if kind.tag == "A" and kind.i > min(s, k):
+        return 0  # C(theta, i) = 0 for every theta <= min(s, k): A^i is zero
     if kind.tag in ("U", "W"):
         l = s if kind.tag == "W" else kind.l
         _require(0 <= s <= k and 2 * k <= v, "rank formula needs s <= k <= v/2")
@@ -291,8 +293,9 @@ def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) ->
     M is first reduced to centred residues mod each prime.
     """
     n, h, fails = arr.shape[0], max(primes) // 2, set()
+    # the residues are taken in int64, which holds p // 2 whatever arr's width
     factors = ([(arr.astype(np.float64), mag, None)] if mag * h + h * h < _FLOAT_EXACT else
-               [(((arr + p // 2) % p - p // 2).astype(np.float64), p // 2, i)
+               [((np.add(arr, p // 2, dtype=np.int64) % p - p // 2).astype(np.float64), p // 2, i)
                 for i, p in enumerate(primes)])
     for labels, y in blocks:
         w = y.shape[1] // len(primes)
@@ -442,7 +445,8 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     # column y of I mod the first distinct primes whose product exceeds B (exact)
     bound = 0
     if mode == "exact":
-        norm = (max(int(np.abs(block(rows)).sum(axis=1).max()) for rows in windows)
+        norm = (max(int(np.abs(block(rows), dtype=np.int64).sum(axis=1).max())
+                    for rows in windows)
                 if n * m.mag < 1 << 63 else n * m.mag)
         bound = math.prod(Fraction(v).denominator * norm + abs(Fraction(v).numerator)
                           for v, _ in distinct)

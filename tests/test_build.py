@@ -155,6 +155,19 @@ def test_kind_describe():
         "X^3[2,1](6)(z)", "Y^(3,1)[2,2](6)"]
 
 
+def test_kind_constructors_share_one_kind_and_refuse_bad_calls_every_time():
+    constructors = ((W, (1, 2, 4)), (Wbar, (1, 2, 4)), (U, (1, 2, 3, 6)), (Uge, (1, 2, 3, 6)),
+                    (A, (2, 2, 3, 6)), (N, (1, 2, 3, 6)), (F, (None, 2, 3, 6)),
+                    (Utl, (2, 1, 2, 3, 6)), (X, (2, 1, 3, 6)), (Y, (2, 2, 3, 1, 6)))
+    for make, args in constructors:
+        assert make(*args) is make(*args)
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError, match="X needs t <= k"):
+            X(2, 4, 3, 6)
+        with pytest.raises(ValueError, match="invalid subset sizes"):
+            A(1, 7, 3, 6)
+
+
 # the grid record of the library before the kinds were declared as one table
 GRID = json.loads((Path(__file__).parent / "data" / "kind_grid.json").read_text())
 
@@ -273,8 +286,10 @@ def test_row_blocked_builds_equal_fresh_entrywise_builds_of_every_tag(monkeypatc
 
 @pytest.mark.parametrize("kind", [N(6, 7, 7, 14), U(3, 6, 6, 13)], ids=["N14", "U13"])
 def test_build_allocates_little_beyond_its_result(kind, monkeypatch):
-    # theta and the stack are made one row block at a time, so no temporary
-    # of the result's size exists (the unblocked take peaked at 3x)
+    # theta and the stack are made one row block at a time, so besides the
+    # int8 theta and the result only block-sized temporaries exist: the
+    # float64 product, then take's intp copy of the indices (the unblocked
+    # take held a theta-sized intp copy and a result-sized temporary)
     monkeypatch.setattr(build_module, "_theta_cache", {})
     tracemalloc.start()
     try:
@@ -282,7 +297,33 @@ def test_build_allocates_little_beyond_its_result(kind, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * m.stack.nbytes, (peak, m.stack.nbytes)
+    theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
+    assert m.stack.dtype == theta.dtype == np.int8
+    bound = theta.nbytes + m.stack.nbytes + 2 * 8 * build_module._BLOCK_ENTRIES
+    assert peak <= bound, (peak, bound)
+
+
+def test_build_stores_the_golden_n_and_a_wider_entry_at_their_widths():
+    assert build(N(6, 7, 7, 14)).stack.dtype == np.int8  # entries 0 and 1
+    a3 = build(A(3, 11, 11, 11))  # 1 x 1: C(11, 3) = 165 > 127
+    assert a3.stack.dtype == np.int16 and a3.data == [[165]]
+    assert build(A(9, 18, 18, 18)).stack.dtype == np.int32  # C(18, 9) = 48620
+    assert build(A(17, 34, 34, 34)).stack.dtype == np.int64  # C(34, 17) > 2^31
+    assert build(A(34, 68, 68, 68)).stack.dtype == object  # C(68, 34) > 2^64
+
+
+@pytest.mark.parametrize("entry,dtype", [
+    (127, np.int8), (-127, np.int8), (128, np.int16), (-128, np.int16),
+    (2 ** 15 - 1, np.int16), (-(2 ** 15), np.int32), (2 ** 31 - 1, np.int32),
+    (-(2 ** 31), np.int64), (-(2 ** 63), np.int64), (2 ** 63, object),
+])
+def test_build_width_is_the_narrowest_symmetric_range(monkeypatch, entry, dtype):
+    # the range is taken symmetric, so -128 widens int8 to int16 as 128 does
+    monkeypatch.setitem(build_module.KINDS, "W", ((), "W", lambda th, m: entry * (th == m.s)))
+    monkeypatch.setattr(build_module, "_built", {})
+    m = build(W(1, 2, 4))
+    assert m.stack.dtype == dtype
+    assert m.data == [[entry * (th == 1) for th in row] for row in theta_matrix(4, 1, 2).tolist()]
 
 
 def test_build_cache_never_exceeds_its_bound_and_evicts_the_least_recent(monkeypatch):

@@ -189,6 +189,14 @@ def test_rank_both_without_a_formula_reports_the_modp_rank():
     assert "MISMATCH" not in proc.stdout and "rank[formula]" not in proc.stdout
 
 
+def test_rank_formula_of_a_zero_power_of_a_is_0():
+    # A^9_(2,2)(5) has entries C(theta, 9) with theta <= 2: the zero matrix
+    proc = run_cli("--seed", "1", "rank", "--kind", "A", "--i", "9", "--s", "2", "--k", "2",
+                   "--v", "5", "--method", "both", check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[1:] == ["rank[formula] = 0", "rank[modp]    = 0", "match"], proc.stdout
+
+
 # the two primes `imtk --seed 5 rank` draws, printed by every rank before a
 # full rank stopped taking the second
 SEED5_PRIMES = (1584283, 1667641)

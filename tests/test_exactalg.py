@@ -643,3 +643,82 @@ def test_modmatrix_prime_width_edge():
         ModMatrix(np.array([[1]]), above)
     with pytest.raises(ValueError, match="too large"):
         rank_modp(ExactMatrix.identity(2), above)
+
+
+# ---------------------------------------------------------------------------
+# narrow stacks: a stack of int8, int16 or int32 is kept at its width, and
+# every operation widens it first, so it gives what the int64 copy gives
+
+NARROW = [(np.int8, 127), (np.int16, 2 ** 15 - 1), (np.int32, 2 ** 31 - 1)]
+
+
+def _narrow_and_wide(rows, dtype, den=1):
+    return (ExactMatrix(np.array(rows, dtype=dtype), den=den),
+            ExactMatrix(np.array(rows, dtype=np.int64), den=den))
+
+
+@pytest.mark.parametrize("dtype,top", NARROW, ids=["int8", "int16", "int32"])
+def test_narrow_stacks_compute_as_their_int64_copies(dtype, top):
+    m, wide = _narrow_and_wide([[top, -top, 0], [-top, 1, top], [top, top, -1]], dtype)
+    o, owide = _narrow_and_wide([[top] * 3, [-top, top, -top], [1, -top, 0]], dtype)
+    # (z - 1) C: degree slices -C and C, each at the width's extremes
+    c1 = np.array(m.stack[0])
+    lin, lin_wide = _narrow_and_wide([-c1, c1], dtype)
+    assert m.stack.dtype == o.stack.dtype == lin.stack.dtype == dtype  # kept as given
+    assert np.shares_memory(m.as_int_array(), m.stack) and m.mag == top
+    pairs = [
+        (m + o, wide + owide), (m - o, wide - owide), (-m, -wide), (-o, -owide),
+        (m.scale(top), wide.scale(top)),
+        (m.scale(Fraction(-1, top)), wide.scale(Fraction(-1, top))),
+        (m.scale(Poly((top, -top))), wide.scale(Poly((top, -top)))),
+        (ExactMatrix.lincomb([(top, m), (Poly((0, -1)), o)], 3, 3),
+         ExactMatrix.lincomb([(top, wide), (Poly((0, -1)), owide)], 3, 3)),
+        (m @ o, wide @ owide), (m @ m, wide @ wide), (lin @ lin, lin_wide @ lin_wide),
+        (lin.divexact_linear(1), lin_wide.divexact_linear(1)),
+    ]
+    for got, want in pairs:
+        assert got == want and got.den == want.den and got.data == want.data
+    assert lin.divexact_linear(1) == wide
+    assert m == wide and wide == m and lin == lin_wide and m != o and m != lin
+    assert m.trace() == wide.trace() == top and lin.trace() == lin_wide.trace()
+    p = LARGEST_PRIME
+    for shift in (0, top, -top, 2 ** 53):  # 2^53 reduces mod p, widened first
+        mm = ModMatrix(m.as_int_array(), p, shift)
+        assert mm.array.dtype == (dtype if shift != 2 ** 53 else np.int64)
+        assert rank_modp(mm, p) == rank_modp(ModMatrix(wide.as_int_array(), p, shift), p)
+    assert np.shares_memory(ModMatrix(m.as_int_array(), p).array, m.stack)  # not copied
+    assert rank_modp(m, p) == rank_modp(wide, p) == 3
+    assert rank_modp(lin.divexact_linear(1), p) == 3
+
+
+def test_narrow_minimum_is_widened_before_negation_and_division():
+    # build never stores -128 in int8, but a caller's array may hold it
+    m = ExactMatrix(np.array([[-128, 0], [0, 127]], dtype=np.int8))
+    assert m.stack.dtype == np.int8 and m.mag == 128
+    assert (-m).data == [[128, 0], [0, -127]]
+    assert (m - m.scale(2)).data == [[128, 0], [0, -127]]
+    # den 256 and gcd 128 = -(-128): 128 does not fit int8
+    half = ExactMatrix(np.array([[-128, 0]], dtype=np.int8), den=256)
+    assert half.den == 2 and half.data == [[Fraction(-1, 2), 0]]
+
+
+def test_a_given_array_is_kept_read_only_and_the_caller_s_flag_is_left_alone():
+    writable = np.arange(6, dtype=np.int8).reshape(1, 2, 3)
+    m = ExactMatrix(writable)
+    assert np.shares_memory(m.stack, writable) and not m.stack.flags.writeable
+    assert writable.flags.writeable  # made read-only through a view
+    frozen = np.arange(6, dtype=np.int16).reshape(1, 2, 3)
+    frozen.setflags(write=False)
+    assert ExactMatrix(frozen).stack is frozen  # already read-only: kept itself
+    assert build(N(1, 2, 2, 5)).stack.base is None  # build's own array, no view
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_a_zero_narrow_stack_over_a_large_denominator_is_canonical(dtype):
+    # gcd(1000, 0) = 1000, which an int8 stack cannot hold
+    zero = ExactMatrix(np.zeros((2, 3), dtype=dtype), den=1000)
+    assert zero.den == 1 and zero == ExactMatrix.zeros(2, 3)
+    big = ExactMatrix(np.zeros((1, 1), dtype=dtype), den=2 ** 70)  # beyond int64 too
+    assert big.den == 1 and big.data == [[0]]
+    third = ExactMatrix(np.array([[3, -6]], dtype=dtype), den=1000)
+    assert third.den == 1000 and third.data == [[Fraction(3, 1000), Fraction(-6, 1000)]]

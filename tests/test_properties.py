@@ -7,6 +7,7 @@ one entry at a time, and never touches the coefficient stack.
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -65,15 +66,24 @@ poly = st.builds(Poly, st.lists(st.one_of(small_int, fraction), max_size=4))
 ENTRIES = {"int": small_int, "rational": st.one_of(small_int, fraction),
            "poly": st.one_of(small_int, fraction, poly)}
 dims = st.integers(0, 4)
+# integer stacks stored narrow, as build stores them, with entries up to the
+# width's symmetric extremes
+NARROW = (np.int8, np.int16, np.int32)
 
 
 @st.composite
 def matrices(draw, rows, cols):
-    kind = draw(st.sampled_from(sorted(ENTRIES)))
+    kind = draw(st.sampled_from(sorted(ENTRIES) + ["narrow"]))
     # nested rows cannot say how many columns a 0-row matrix has; and a zero
     # operand now and then
     if rows == 0 or draw(st.integers(0, 5)) == 0:
         return ExactMatrix.zeros(rows, cols)
+    if kind == "narrow":
+        width = draw(st.sampled_from(NARROW))
+        top = int(np.iinfo(width).max)
+        entry = st.one_of(small_int, st.sampled_from((top, -top)), st.integers(-top, top))
+        rows = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+        return ExactMatrix(np.array(rows, dtype=width))
     return ExactMatrix([[draw(ENTRIES[kind]) for _ in range(cols)] for _ in range(rows)])
 
 

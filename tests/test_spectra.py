@@ -201,6 +201,16 @@ def test_rank_formula_golden():
     assert rank_formula(N(5, 6, 6, 13)) == 1287
 
 
+def test_rank_formula_of_a_above_min_s_k_is_0():
+    # A^i is zero once i > min(s, k), square or not, whatever v is
+    for v in range(1, 7):
+        for s in range(v + 1):
+            for k in range(v + 1):
+                for i in range(min(s, k) + 1, min(s, k) + 3):
+                    assert not build(A(i, s, k, v)).stack.any()
+                    assert rank_formula(A(i, s, k, v)) == 0
+
+
 def test_rank_formula_n_cases():
     for k in range(2, 6):
         assert rank_formula(N(k - 1, k, k, 2 * k)) == binomial(2 * k, k) // 2
@@ -428,6 +438,15 @@ def test_verify_spectrum_sums_the_trace_exactly_past_int64(mode, last):
     rep = verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED))
     assert rep.checks[1].detail == f"trace {sum(diagonal)}, spectral sum {sum(diagonal)}"
     assert rep.ok
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+def test_exact_bound_takes_the_row_sum_norm_of_a_narrow_stack_widened(dtype):
+    # |-128| wraps to -128 in int8, which would give B = 0 for this claim
+    m = ExactMatrix(np.array([[-128, 0], [0, -128]], dtype=dtype))
+    rep = verify_spectrum(m, SpectrumSpec(((-128, 2),), 0, 2), mode="exact",
+                          rng=random.Random(RNG_SEED))
+    assert rep.ok and rep.checks[2].detail.endswith("product > B = 256")
 
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
