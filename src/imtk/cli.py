@@ -15,11 +15,11 @@ from fnmatch import fnmatch
 from fractions import Fraction
 
 from .build import KINDS, MatrixKind, build
-from .exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
+from .exactalg import ExactMatrix, Poly, random_prime
 from .scheme import (conversion_matrix, intersection_p, intersection_r,
                      scheme_basis, verify_scheme_axioms)
-from .spectra import (SpectrumSpec, rank_formula, sampled_eval_points, spectrum_of,
-                      verify_spectrum)
+from .spectra import (SpectrumSpec, _windows, rank_formula, sampled_eval_points,
+                      spectrum_of, verify_spectrum, windowed_rank)
 from .verify import REGISTRY, run_suite
 
 EXIT_OK = 0
@@ -225,9 +225,10 @@ def cmd_rank(args, rng) -> int:
         # both primes are drawn, so a seed gives the same primes either way
         p, p2 = random_prime(rng), random_prime(rng)
         # a rank mod p is a lower bound of the rank over Q, so full rank is exact
-        computed_rank, used = rank_modp(ModMatrix.from_exact(m, p), p), [p]
+        windows = _windows(m.stack[0])  # found once for both primes
+        computed_rank, used = windowed_rank(m, p, windows=windows), [p]
         if computed_rank < min(m.shape):
-            computed_rank = max(computed_rank, rank_modp(ModMatrix.from_exact(m, p2), p2))
+            computed_rank = max(computed_rank, windowed_rank(m, p2, windows=windows))
             used.append(p2)
         print("primes: " + ", ".join(map(str, used)))
     if args.method == "formula":

@@ -16,16 +16,11 @@ combination sum c * M with int, Fraction or Poly coefficients
 against the stacked degree slices of every M.  ``Poly`` remains for scalar
 polynomials.
 
-The mod-p rank is exact too.  Its one input is a ``ModMatrix``: M - shift*I
-over GF(p), kept as M's own integer array, at its own width, while
-max|M| + |shift| < 2^53 and copied and reduced mod p only past that.  The
-prime has at most DEFAULT_PRIME_BITS = 21 bits, the width ``random_prime``
-draws.  The rank is blocked Gaussian elimination on a float64 copy whose
-products are BLAS GEMMs of centred residues, |x| <= p // 2 < 2^20: a product
-with inner dimension _NB = 64 adds at most 2^46 to an entry, and the
-trailing block is reduced once in every _PASSES = 32 passes, which keeps it
-below 2^51.  Every partial sum of a product is an integer below 2^53, so the
-rank does not depend on how BLAS splits the sum.
+The mod-p rank is exact too: ``rank_modp`` eliminates one ``ModMatrix``,
+M - shift*I over GF(p) for a prime of at most 21 bits, by float64 GEMMs whose
+every partial sum is an integer below 2^53 (see _NB and _PASSES), so the rank
+does not depend on how BLAS splits a sum.  ``spectra.windowed_rank`` ranks an
+integer ``ExactMatrix`` through it, one diagonal block at a time.
 """
 
 from __future__ import annotations
@@ -599,13 +594,6 @@ class ModMatrix:
         self.p, self.shift, self.mag = p, shift, mag
         self.array = array if array.dtype.kind == "i" else array.astype(np.int64)
 
-    @classmethod
-    def from_exact(cls, m: ExactMatrix, p: int) -> "ModMatrix":
-        """The integer matrix m over GF(p), its stack not copied below 2^53."""
-        if not m.all_int():
-            raise TypeError("only an integer matrix has a mod-p reduction here")
-        return cls(m.stack[0], p, mag=m.mag)
-
 
 # The elimination's two constants, sound for every p < 2^21 that
 # _check_modulus lets through.  Products are of centred residues, |x| <= h =
@@ -833,23 +821,20 @@ def _schur_update(w, r0, c1, l21, u12, buf, tmp) -> None:
         dst -= prod
 
 
-def rank_modp(m: ExactMatrix | ModMatrix, p: int) -> int:
-    """Rank over GF(p) of the matrix reduced mod p.
+def rank_modp(m: ModMatrix, p: int) -> int:
+    """Rank over GF(p) of one ``ModMatrix``, M - shift*I with p < 2^21.
 
     The error is one-sided: rank mod p <= rank over Q, because a minor that
     vanishes over Q vanishes mod p.  The rank drops exactly when p divides
     every nonzero minor of order r, r the rank over Q, so it is enough that
     p does not divide one of them, D; ``random_prime`` bounds how many
-    primes of a given length can divide D.  The input is one ``ModMatrix``
-    with p < 2^21 (an ExactMatrix must have integer entries and is first made
-    one by ``ModMatrix.from_exact``; other entries raise TypeError): M -
-    shift*I over GF(p), copied and reduced only past 2^53.  Its float64
-    working copy is made straight from M's integers, at their stored width,
-    and the shift subtracted on the copy's diagonal.
+    primes of a given length can divide D.  The float64 working copy is made
+    straight from M's integers, at their stored width, and the shift
+    subtracted on the copy's diagonal.  This is the per-block kernel entry:
+    ``spectra.windowed_rank`` ranks an integer ``ExactMatrix`` as the sum of
+    its diagonal windows' ranks, one ``ModMatrix`` per window.
     """
-    if isinstance(m, ExactMatrix):
-        m = ModMatrix.from_exact(m, p)
-    elif m.p != p:
+    if m.p != p:
         raise ValueError("modulus mismatch")
     w = m.array.astype(np.float64)
     if m.shift:

@@ -170,13 +170,13 @@ def spectrum_of(kind: MatrixKind) -> SpectrumSpec:
         t = kind.effective_t()
         return per_j(lambda j: mu(v, k, t, j), t)
     if kind.tag == "Utl":
-        t, l = kind.t, kind.l
-        _require(l <= t <= k, "Utl spectrum needs l <= t <= k")
+        t, l = min(kind.t, k), kind.l  # U^(t,l) = U^(k,l) for t > k, as for N
+        _require(l <= t, "Utl spectrum needs l <= min(t, k)")
         return per_j(lambda j: lambda_utl(v, k, t, l, j), t)
     if kind.tag == "N":
-        t = kind.t
-        _require(t <= k, "N spectrum needs t <= k")
-        return per_j(lambda j: (-1) ** t * lambda_utl(v, k, t, 0, j), t)
+        # N^t has entries C(theta - 1, t), so from t = k on it is (-1)^(t-k) N^k
+        t, tt = kind.t, min(kind.t, k)
+        return per_j(lambda j: (-1) ** t * lambda_utl(v, k, tt, 0, j), tt)
     if kind.tag == "A":
         i = kind.i
         _require(i <= k, "A spectrum needs i <= k")
@@ -267,16 +267,12 @@ class SpectrumReport:
         }
 
 
-def _reduce_scalar(x, p: int) -> int:
-    if isinstance(x, Fraction):
-        if x.denominator % p == 0:
-            raise ValueError(f"prime {p} divides an eigenvalue denominator")
-        return x.numerator % p * pow(x.denominator, -1, p) % p
-    return x % p
-
-
 def _centred_residue(x, p: int) -> int:
-    r = _reduce_scalar(x, p)
+    """An int or Fraction x mod p, as the residue of least magnitude."""
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ValueError(f"prime {p} divides an eigenvalue denominator")
+    r = x.numerator * pow(x.denominator, -1, p) % p
     return r - p if r > p // 2 else r
 
 
@@ -323,9 +319,12 @@ def _windows(arr: np.ndarray) -> list[np.ndarray]:
     boolean BFS over ``arr != 0`` in order of their first row, and grouped
     whole, in that order, into windows of at least EYE_BLOCK rows (the last
     may have fewer); each window lists its rows ascending.  A connected M,
-    or one with a component of more than n / 2 rows, is one window.
+    one with a component of more than n / 2 rows, one of at most EYE_BLOCK
+    rows and a non-square one are one window.
     """
     n = arr.shape[0]
+    if n <= EYE_BLOCK or n != arr.shape[1]:
+        return [np.arange(n)]
     pattern, unseen = arr != 0, np.ones(n, dtype=bool)
     windows, window = [], []
     for start in range(n):
@@ -337,8 +336,8 @@ def _windows(arr: np.ndarray) -> list[np.ndarray]:
             frontier = np.flatnonzero(reach & unseen)
             unseen[frontier] = False
             component += frontier.tolist()
-        if 2 * len(component) > n:
-            return [np.arange(n)]
+            if 2 * len(component) > n:
+                return [np.arange(n)]
         window += component
         if len(window) >= EYE_BLOCK:
             windows.append(np.sort(window))
@@ -346,6 +345,24 @@ def _windows(arr: np.ndarray) -> list[np.ndarray]:
     if window:
         windows.append(np.sort(window))
     return windows
+
+
+def _block(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The principal block of arr on a window's rows; arr itself for one window."""
+    return arr if len(rows) == arr.shape[0] else arr[np.ix_(rows, rows)]
+
+
+def windowed_rank(m: ExactMatrix, p: int, shift: int = 0, windows=None) -> int:
+    """Rank over GF(p) of the integer matrix M - shift*I, the sum of its
+    windows' ranks (``_windows`` unless given; see ``verify_spectrum``,
+    Blocks): one ``ModMatrix`` per window's block, so a split M is never
+    copied whole.  Integer entries of any size; others raise TypeError.
+    """
+    if not m.all_int():
+        raise TypeError("only an integer matrix has a mod-p reduction here")
+    arr = m.stack[0]
+    return sum(rank_modp(ModMatrix(_block(arr, rows), p, shift, m.mag), p)
+               for rows in (_windows(arr) if windows is None else windows))
 
 
 def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
@@ -402,13 +419,13 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
       M + M^T span a subspace that M and M^T both leave invariant, so up to
       a permutation M is the direct sum of its windows' principal blocks M_b
       (``_windows``).  Rank is additive over diagonal blocks, mod p as over
-      Q, so rank(M - lambda I) is the sum of the rank(M_b - lambda I), and
+      Q, so rank(M - lambda I) is the sum of the rank(M_b - lambda I)
+      (``windowed_rank``, which ``imtk rank`` uses too), and
       P(M) y = 0 exactly when P(M_b) y_b = 0 for every block, y_b the
       window's rows of y.  The probes are the same vectors as unsplit, cut
       by rows, and the columns of I are those of each block's I, so every
-      bound above holds as it stands.  A connected M, or one with a
-      component of more than n / 2 rows, is checked whole, so no input
-      needs more memory than unsplit.
+      bound above holds as it stands.  A matrix of one window is checked
+      whole, so no input needs more memory than unsplit.
     """
     if mode not in ("modp", "exact"):
         raise ValueError("mode must be 'modp' or 'exact'")
@@ -438,14 +455,11 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     # when it is used, and a matrix of one window is used as it is
     windows = _windows(arr)
 
-    def block(rows):
-        return arr if len(rows) == n else arr[np.ix_(rows, rows)]
-
     # annihilation: P y = 0 for random probes y mod two primes, or for every
     # column y of I mod the first distinct primes whose product exceeds B (exact)
     bound = 0
     if mode == "exact":
-        norm = (max(int(np.abs(block(rows), dtype=np.int64).sum(axis=1).max())
+        norm = (max(int(np.abs(_block(arr, rows), dtype=np.int64).sum(axis=1).max())
                     for rows in windows)
                 if n * m.mag < 1 << 63 else n * m.mag)
         bound = math.prod(Fraction(v).denominator * norm + abs(Fraction(v).numerator)
@@ -470,7 +484,7 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
             blocks = ((rows[c:c + EYE_BLOCK],
                        np.tile(np.eye(len(rows), min(EYE_BLOCK, len(rows) - c), -c), len(primes)))
                       for c in range(0, len(rows), EYE_BLOCK))
-        fails |= _annihilation_failures(block(rows), m.mag, values, primes, blocks)
+        fails |= _annihilation_failures(_block(arr, rows), m.mag, values, primes, blocks)
     # listed as the unsplit matrix lists them: by block of columns, prime, column
     fails = [f"column {c} mod {primes[i]}"
              for c, i in sorted(fails, key=lambda f: (f[0] // EYE_BLOCK, f[1], f[0]))]
@@ -482,8 +496,7 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     # eigenvalue order, whether it retries or not, so one retry never changes
     # the primes of the next.
     def rank(val, p):
-        shift = _centred_residue(val, p)
-        return sum(rank_modp(ModMatrix(block(rows), p, shift, m.mag), p) for rows in windows)
+        return windowed_rank(m, p, _centred_residue(val, p), windows)
 
     for val, mult in distinct:
         stream = random.Random(rng.getrandbits(64))

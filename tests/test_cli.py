@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from imtk.build import F, MatrixKind, N, U, Utl, W, X, Y, build
 from imtk.cli import (main, matrix_csv, matrix_document, parse_matrix_document)
-from imtk.exactalg import rank_modp
+from imtk.spectra import _windows, windowed_rank
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the CLI runs in a clean environment, but with the caller's BLAS thread count
@@ -197,6 +198,23 @@ def test_rank_formula_of_a_zero_power_of_a_is_0():
     assert lines[1:] == ["rank[formula] = 0", "rank[modp]    = 0", "match"], proc.stdout
 
 
+@pytest.mark.parametrize("t", [4, 5])
+def test_n_above_k_has_the_spectrum_and_rank_of_plus_or_minus_n_k(capsys, t):
+    # N^t has entries C(theta - 1, t): for t >= k only theta = 0 gives a
+    # nonzero one, (-1)^t, so N^t = (-1)^(t-k) N^k, the disjointness matrix
+    # up to sign
+    assert main(["--seed", "1", "rank", "--kind", "N", "--t", str(t), "--k", "3", "--v", "7",
+                 "--method", "both"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "rank[formula] = 35", "rank[modp]    = 35", "match"]
+    assert main(["--seed", "1", "spectrum", "--kind", "N", "--t", str(t), "--k", "3",
+                 "--v", "7", "--check", "exact"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    sign = (-1) ** t
+    assert f"distinct: {4 * sign}^1 {-3 * sign}^6 {2 * sign}^14 {-sign}^14" in out
+    assert out[-1] == "verified"
+
+
 # the two primes `imtk --seed 5 rank` draws, printed by every rank before a
 # full rank stopped taking the second
 SEED5_PRIMES = (1584283, 1667641)
@@ -215,17 +233,37 @@ def test_rank_takes_the_second_prime_only_below_full_rank(capsys, monkeypatch, a
                                                           rank, eliminations):
     primes = []
 
-    def counted(m, p):
+    def counted(m, p, shift=0, windows=None):
         primes.append(p)
-        return rank_modp(m, p)
+        return windowed_rank(m, p, shift, windows)
 
-    monkeypatch.setattr("imtk.cli.rank_modp", counted)
+    monkeypatch.setattr("imtk.cli.windowed_rank", counted)
     assert main(["--seed", "5", "rank", *args, "--method", "both"]) == 0
     used = list(SEED5_PRIMES[:eliminations])
     assert primes == used
     assert capsys.readouterr().out.splitlines() == [
         "primes: " + ", ".join(map(str, used)),
         f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
+
+
+def test_imtk_rank_makes_no_dense_copy_of_a_split_matrix(monkeypatch, capsys):
+    kind = N(5, 6, 6, 12)  # order 924, four windows, as verify_spectrum splits it
+    m = build(kind)
+    n = m.nrows
+    assert [len(w) for w in _windows(m.as_int_array())] == [256, 256, 256, 156]
+    m.mag  # computed before tracing
+    monkeypatch.setattr("imtk.cli.build", lambda k: m if k == kind else build(k))
+    tracemalloc.start()
+    try:
+        rc = main(["--seed", "1", "rank", "--kind", "N", "--t", "5", "--k", "6", "--v", "12",
+                   "--method", "both"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and capsys.readouterr().out.splitlines()[1:] == [
+        "rank[formula] = 462", "rank[modp]    = 462", "match"]
+    # one float64 copy of M, the unsplit rank's working copy, is n * n * 8 bytes
+    assert peak < n * n * 8 / 2, peak
 
 
 def test_rank_formula_outside_hypotheses_exits_2():

@@ -9,12 +9,12 @@ import pytest
 
 from imtk.build import A, F, N, U, Uge, Utl, W, build
 from imtk.combinat import binomial
-from imtk.exactalg import ExactMatrix, Poly, random_prime, rank_modp
+from imtk.exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from imtk.spectra import (EYE_BLOCK, PROBES, SpectrumSpec, _annihilation_failures,
                           _windows, alpha, eberlein, lambda_uge, lambda_utl, mu,
                           multiplicity, rank_formula, sampled_eval_points,
                           spectrum_of, tau, verify_spectrum, wf_spectrum,
-                          wu_spectrum)
+                          windowed_rank, wu_spectrum)
 
 from oracles import float_crosscheck, float_eigenvalues, mat_inverse
 
@@ -227,6 +227,21 @@ def test_rank_formula_w_equals_subset_count():
                 assert rank_formula(U(s, s, k, v)) == binomial(v, s)
 
 
+def test_n_and_utl_above_k_certify_as_their_t_equals_k_spectra():
+    # for t > k, N^t = (-1)^(t-k) N^k and U^(t,l) = U^(k,l): the binomials
+    # C(theta - 1, t) and C(theta - l - 1, t - l) vanish for l < theta <= k
+    rng = random.Random(RNG_SEED)
+    for v in range(2, 10):
+        for k in range(v // 2 + 1):
+            for t in (k + 1, k + 2):
+                for kind in [N(t, k, k, v)] + [Utl(t, l, k, k, v) for l in range(k + 1)]:
+                    spec = spectrum_of(kind)
+                    for mode in ("modp", "exact"):
+                        rep = verify_spectrum(build(kind), spec, mode=mode, rng=rng)
+                        assert rep.ok, (kind.describe(), mode)
+                    assert rank_formula(kind) == spec.order - spec.multiplicity_of(0)
+
+
 def test_rank_formula_outside_hypotheses():
     with pytest.raises(ValueError):
         rank_formula(N(2, 3, 3, 5))
@@ -243,7 +258,7 @@ def test_u_rank_formula_matches_modp_grid():
                 for l in range(s + 1):
                     want = rank_formula(U(l, s, k, v))
                     m = build(U(l, s, k, v))
-                    assert rank_modp(m, random_prime(rng)) == want
+                    assert windowed_rank(m, random_prime(rng)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +599,43 @@ def test_verify_spectrum_makes_no_dense_copy_of_a_split_matrix():
         # bytes; ranking one 256-row window (its int64 block, rank_modp's
         # float64 copy and 0.5 MB buffer) already takes about 0.31 of that
         assert peak < n * n * 8 / 2, (mode, peak)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+def test_windowed_rank_of_a_permuted_direct_sum_is_the_rank_of_the_whole(wide):
+    m, _ = _permuted_direct_sum(75, seed=7)
+    arr = m.as_int_array()
+    if wide:  # entries past 2^62: an object stack, reduced mod p by ModMatrix
+        arr = arr.astype(object) * (2 ** 70 + 1)
+        m = ExactMatrix(arr)
+        assert m.stack.dtype == object
+    windows = _windows(arr)
+    assert len(windows) == 3 and sum(map(len, windows)) == m.nrows == 600
+    for p in (3, 1000003, 2097143):
+        for shift in (0, 1, -1, 2 ** 53 + 1):
+            want = rank_modp(ModMatrix(arr, p, shift), p)
+            assert windowed_rank(m, p, shift) == want == windowed_rank(m, p, shift, windows)
+    if not wide:  # 1 is an eigenvalue of each swap, [[2, 1], [1, 2]] and [1]
+        assert windowed_rank(m, 1000003, 1) == 600 - 3 * 75
+
+
+@pytest.mark.parametrize("kind", [W(2, 3, 7), U(1, 4, 5, 11)], ids=["W23_7", "U1_45_11"])
+def test_windowed_rank_takes_a_rectangular_matrix_as_one_window(monkeypatch, kind):
+    m = build(kind)
+    arr = m.as_int_array()
+    assert [w.tolist() for w in _windows(arr)] == [list(range(m.nrows))]
+    shapes = []
+
+    def recorded(mm, p):
+        shapes.append(mm.array.shape)
+        return rank_modp(mm, p)
+
+    monkeypatch.setattr("imtk.spectra.rank_modp", recorded)
+    p = 1000003
+    assert windowed_rank(m, p) == rank_modp(ModMatrix(arr, p), p) == rank_formula(kind)
+    assert shapes == [m.shape]
+    with pytest.raises(ValueError, match="square"):
+        windowed_rank(m, p, 1)
 
 
 def test_f_spectrum_at_sampled_points():
