@@ -607,7 +607,7 @@ _PASSES = 32  # Schur passes between reductions of the trailing block
 _CHUNK_ENTRIES = 1 << 16  # entries per row chunk of the Schur update (512 kB)
 
 
-def _reduce(x: np.ndarray, p, scratch: np.ndarray) -> None:
+def _reduce(x: np.ndarray, p) -> None:
     """x -= p * rint(x / p) in place, with x / p taken as x * (1 / p).
 
     For integral |x| < 2^53 this leaves |x| <= (p + 3) / 2 <= p.  For odd p
@@ -616,50 +616,36 @@ def _reduce(x: np.ndarray, p, scratch: np.ndarray) -> None:
     errs by less, so rint rounds it as it would the exact one.  p = 2 also
     leaves |x| <= 1: 1 / 2 is a power of two, so x / 2 is computed exactly,
     and rint moves an integer or half-integer by at most 1 / 2.  p may be
-    an array that broadcasts against x.
+    an array that broadcasts against x.  The one temporary is the size of x.
     """
-    np.multiply(x, 1.0 / p, out=scratch)
-    np.rint(scratch, out=scratch)
-    scratch *= p
-    x -= scratch
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
 
 
-def _centre(x: np.ndarray, p, scratch: np.ndarray) -> None:
+def _centre(x: np.ndarray, p) -> None:
     """Integral |x| < 2^53 to centred residues, |x| <= p // 2, in place."""
-    _reduce(x, p, scratch)
-    _reduce(x, p, scratch)
+    _reduce(x, p)
+    _reduce(x, p)
 
 
-def _reduce_rows(x: np.ndarray, p: int, buf: np.ndarray) -> None:
-    """_reduce on a 2-D block, in row chunks through buf."""
+def _reduce_rows(x: np.ndarray, p: int) -> None:
+    """_reduce on a 2-D block, in row chunks of at most _CHUNK_ENTRIES entries."""
     step = max(1, _CHUNK_ENTRIES // max(1, x.shape[1]))
     for s in range(0, x.shape[0], step):
-        chunk = x[s:s + step]
-        _reduce(chunk, p, _scratch(buf, chunk.shape))
+        _reduce(x[s:s + step], p)
 
 
-def _sub_centred(dst, lmat, u, p, buf) -> None:
+def _sub_centred(dst, lmat, u, p) -> None:
     """dst -= lmat @ u, left as centred residues (a small operand's update).
 
     Every operand is a centred residue and the inner dimension is at most
     _NB, so before the reduction |dst| <= h + _NB * h^2 < 2^47 (h = p // 2
     < 2^20), below 2^51: one ``_reduce`` gives the centred residue.
     """
-    prod = _scratch(buf, dst.shape)
-    np.matmul(lmat, u, out=prod)
-    dst -= prod
-    _reduce(dst, p, prod)
-
-
-def _scratch(buf: np.ndarray, shape) -> np.ndarray:
-    """An array of the given shape carved from the front of buf."""
-    return buf[:math.prod(shape)].reshape(shape)
-
-
-def _swap_rows(a: np.ndarray, i: int, j: int, tmp: np.ndarray) -> None:
-    tmp[:] = a[i]
-    a[i] = a[j]
-    a[j] = tmp
+    dst -= lmat @ u
+    _reduce(dst, p)
 
 
 def _rank_kernel(w: np.ndarray, p: int, bound: int) -> int:
@@ -668,37 +654,33 @@ def _rank_kernel(w: np.ndarray, p: int, bound: int) -> int:
     Right-looking blocked elimination, in place on w.  ``_factor_panel``
     gathers a panel of _NB pivots, or as many as the columns hold.  The pivot
     rows then get their trailing part U12 = L11^-1 T, and the rows whose
-    multipliers L21 are not all zero get the Schur update L21 @ U12.  Every
-    product is a float64 GEMM of operands reduced to centred residues.  The
-    trailing block is not reduced after every pass but once in every
-    _PASSES Schur passes.  A pass that skips a row still counts for it, so
-    every stored entry stays below 2^51.
+    multipliers L21 are not all zero get the Schur update L21 @ U12, where
+    they stand.  Every product is a float64 GEMM of operands reduced to
+    centred residues.  The trailing block is not reduced after every pass
+    but once in every _PASSES Schur passes.  A pass that skips a row still
+    counts for it, so every stored entry stays below 2^51.
     """
     m, n = w.shape
-    if m == 0 or n == 0:
-        return 0
-    tmp = np.empty(max(n, _NB))
-    buf = np.empty(max(_CHUNK_ENTRIES + n, _NB * max(m, n)))
     if bound > p:
-        _reduce_rows(w, p, buf)
+        _reduce_rows(w, p)
     r = c = npass = 0
     while r < m and c < n:
-        k, c, mult = _factor_panel(w, r, c, p, buf, tmp)
+        k, c, mult = _factor_panel(w, r, c, p)
         if r + k < m and c < n:  # a full panel with a trailing block
             # U12 = L11^-1 T = T - (I - L11^-1) T
             u12 = w[r:r + k, c:].copy()
-            _reduce(u12, p, _scratch(buf, u12.shape))
+            _reduce(u12, p)
             if mult[:k, :k].any():
-                _sub_centred(u12, _strict_inverse(mult[:k, :k], p, buf), u12, p, buf)
-            _schur_update(w, r + k, c, mult[k:, :k], u12, buf, tmp)
+                _sub_centred(u12, _strict_inverse(mult[:k, :k], p), u12, p)
+            _schur_update(w, r + k, c, mult[k:, :k], u12)
             npass += 1
             if npass % _PASSES == 0:
-                _reduce_rows(w[r + k:, c:], p, buf)
+                _reduce_rows(w[r + k:, c:], p)
         r += k
     return r
 
 
-def _strict_inverse(low: np.ndarray, p: int, buf: np.ndarray) -> np.ndarray:
+def _strict_inverse(low: np.ndarray, p: int) -> np.ndarray:
     """I - L^-1 mod p, centred, for L = I + low with low strictly lower triangular.
 
     low is nilpotent, so L^-1 = sum_i (-low)^i = (I + q)(I + q^2)(I + q^4)...
@@ -709,15 +691,14 @@ def _strict_inverse(low: np.ndarray, p: int, buf: np.ndarray) -> np.ndarray:
     inv = np.eye(k) + q
     span = 2
     while span < k and q.any():
-        square = np.zeros_like(q)
-        _sub_centred(square, -q, q, p, buf)
-        q = square
-        _sub_centred(inv, -inv, q, p, buf)  # inv += inv @ q
+        q = q @ q
+        _reduce(q, p)
+        _sub_centred(inv, -inv, q, p)  # inv += inv @ q
         span *= 2
     return np.eye(k) - inv
 
 
-def _factor_panel(w, r, c, p, buf, tmp):
+def _factor_panel(w, r, c, p):
     """Gather up to _NB pivots below row r, from column c on (left-looking).
 
     The panel pulls blocks of _NB columns.  A block is first brought up to
@@ -749,14 +730,14 @@ def _factor_panel(w, r, c, p, buf, tmp):
         c1 = min(c + _NB, n)
         # one row per column of the block; transposing a compact copy is faster
         pt = w[r:, c:c1].copy().T.copy()
-        _reduce(pt, p, _scratch(buf, pt.shape))
+        _reduce(pt, p)
         k0 = k
         if k and pt[:, :k].any():
             # transposed: U^T = T^T - T^T strict^T, then B^T -= U^T L21^T
             u = pt[:, :k].copy()
             if mult[:k, :k].any():
-                _sub_centred(u, pt[:, :k], _strict_inverse(mult[:k, :k], p, buf).T, p, buf)
-            _sub_centred(pt[:, k:], u, mult[k:, :k].T, p, buf)
+                _sub_centred(u, pt[:, :k], _strict_inverse(mult[:k, :k], p).T, p)
+            _sub_centred(pt[:, k:], u, mult[k:, :k].T, p)
         if not pt[:, k:].any():
             c = c1
             continue
@@ -767,10 +748,7 @@ def _factor_panel(w, r, c, p, buf, tmp):
             # block's pivots (left-looking).  pt[j] is not read again.
             bot, top = pt[j, k:], pt[j, k0:k]
             if top.any():
-                prod = _scratch(buf, bot.shape)
-                np.matmul(mult[k:, k0:k], top, out=prod)
-                bot -= prod
-                _reduce(bot, p, prod)
+                _sub_centred(bot, mult[k:, k0:k], top, p)
             nz = bot.nonzero()[0]
             if nz.size == 0:
                 continue
@@ -778,13 +756,13 @@ def _factor_panel(w, r, c, p, buf, tmp):
                 # the rows before nz[0] are zero here, so nz[1:] stays put
                 piv = k + int(nz[0])
                 pt[:, [k, piv]] = pt[:, [piv, k]]
-                _swap_rows(mult, k, piv, tmp[:_NB])
-                _swap_rows(w[:, c:], r + k, r + piv, tmp[:n - c])
+                mult[[k, piv]] = mult[[piv, k]]
+                w[[r + k, r + piv], c:] = w[[r + piv, r + k], c:]
             rest = nz[1:]
             if rest.size:
                 inv = pow(int(bot[0]), -1, p)
                 f = bot[rest] * (inv - p if inv > h else inv)  # |f| <= h^2 < 2^40
-                _reduce(f, p, _scratch(buf, f.shape))
+                _reduce(f, p)
                 mult[k + rest, k] = f
             k += 1
             if k == min(_NB, rows):
@@ -792,33 +770,23 @@ def _factor_panel(w, r, c, p, buf, tmp):
             if j + 1 < bw and mult[k - 1, k0:k - 1].any():
                 # the new pivot row's U on the later columns of the block
                 _sub_centred(pt[j + 1:, k - 1], pt[j + 1:, k0:k - 1],
-                             mult[k - 1, k0:k - 1], p, buf)
+                             mult[k - 1, k0:k - 1], p)
         c = c1
     return k, c, mult
 
 
-def _schur_update(w, r0, c1, l21, u12, buf, tmp) -> None:
+def _schur_update(w, r0, c1, l21, u12) -> None:
     """w[r0:, c1:] -= l21 @ u12 on the rows with nonzero multipliers, unreduced.
 
-    Those rows are first swapped to the front of the block, so the update
-    runs on contiguous row chunks through the buffer.
+    Rows stay where they are: the live rows are gathered by index, updated
+    and written back, in chunks of at most _CHUNK_ENTRIES entries.  A row
+    whose multipliers are all zero is not touched.
     """
-    live = l21.any(axis=1)
-    q = int(np.count_nonzero(live))
-    if q == 0:
-        return
-    holes = np.flatnonzero(~live[:q])
-    fills = q + np.flatnonzero(live[q:])
-    ncols = w.shape[1] - c1
-    for i, j in zip(holes.tolist(), fills.tolist()):
-        _swap_rows(w[:, c1:], r0 + i, r0 + j, tmp[:ncols])
-        l21[[i, j]] = l21[[j, i]]
-    step = max(1, _CHUNK_ENTRIES // ncols)
-    for s in range(0, q, step):
-        e = min(q, s + step)
-        dst, prod = w[r0 + s:r0 + e, c1:], _scratch(buf, (e - s, ncols))
-        np.matmul(l21[s:e], u12, out=prod)
-        dst -= prod
+    live = np.flatnonzero(l21.any(axis=1))
+    step = max(1, _CHUNK_ENTRIES // (w.shape[1] - c1))
+    for s in range(0, live.size, step):
+        idx = live[s:s + step]
+        w[r0 + idx, c1:] -= l21[idx] @ u12
 
 
 def rank_modp(m: ModMatrix, p: int) -> int:
@@ -830,7 +798,10 @@ def rank_modp(m: ModMatrix, p: int) -> int:
     p does not divide one of them, D; ``random_prime`` bounds how many
     primes of a given length can divide D.  The float64 working copy is made
     straight from M's integers, at their stored width, and the shift
-    subtracted on the copy's diagonal.  This is the per-block kernel entry:
+    subtracted on the copy's diagonal.  The kernel eliminates on it in place;
+    its own temporaries, a panel of _NB columns with its multipliers and one
+    chunk of the Schur update, add about one more copy for a 256-row block
+    and less for larger ones.  This is the per-block kernel entry:
     ``spectra.windowed_rank`` ranks an integer ``ExactMatrix`` as the sum of
     its diagonal windows' ranks, one ``ModMatrix`` per window.
     """

@@ -151,6 +151,20 @@ class SpectrumSpec:
         }
 
 
+def _is_zero(kind: MatrixKind) -> bool:
+    """Whether the kind's entry vanishes at every theta <= min(s, k).
+
+    A^i has entries C(theta, i), U^l and U^{>=l} are [theta = l] and
+    [theta >= l], and U^(t,l) has a factor C(theta, l) and is zero for l > t.
+    """
+    top = min(kind.s, kind.k)
+    if kind.tag == "A":
+        return kind.i > top
+    if kind.tag in ("U", "Uge"):
+        return kind.l > top
+    return kind.tag == "Utl" and kind.l > min(kind.t, top)
+
+
 def spectrum_of(kind: MatrixKind) -> SpectrumSpec:
     """Full spectrum of a square intersection matrix with k <= v/2."""
     v, s, k = kind.v, kind.s, kind.k
@@ -161,6 +175,8 @@ def spectrum_of(kind: MatrixKind) -> SpectrumSpec:
     if 2 * k > v:
         raise ValueError("spectrum closed forms need k <= v/2")
     order = binomial(v, k)
+    if _is_zero(kind):
+        return SpectrumSpec((), order, order)
 
     def per_j(values, top):
         pairs = tuple((values(j), multiplicity(v, j)) for j in range(top + 1))
@@ -170,24 +186,19 @@ def spectrum_of(kind: MatrixKind) -> SpectrumSpec:
         t = kind.effective_t()
         return per_j(lambda j: mu(v, k, t, j), t)
     if kind.tag == "Utl":
-        t, l = min(kind.t, k), kind.l  # U^(t,l) = U^(k,l) for t > k, as for N
-        _require(l <= t, "Utl spectrum needs l <= min(t, k)")
-        return per_j(lambda j: lambda_utl(v, k, t, l, j), t)
+        t = min(kind.t, k)  # U^(t,l) = U^(k,l) for t > k, as for N
+        return per_j(lambda j: lambda_utl(v, k, t, kind.l, j), t)
     if kind.tag == "N":
         # N^t has entries C(theta - 1, t), so from t = k on it is (-1)^(t-k) N^k
         t, tt = kind.t, min(kind.t, k)
         return per_j(lambda j: (-1) ** t * lambda_utl(v, k, tt, 0, j), tt)
     if kind.tag == "A":
         i = kind.i
-        _require(i <= k, "A spectrum needs i <= k")
         return per_j(lambda j: lambda_utl(v, k, i, i, j), i)
     if kind.tag == "U":
-        l = kind.l
-        _require(l <= k, "U spectrum needs l <= k")
-        return per_j(lambda j: lambda_utl(v, k, k, l, j), k)
+        return per_j(lambda j: lambda_utl(v, k, k, kind.l, j), k)
     # Uge
     l = kind.l
-    _require(l <= k, "Uge spectrum needs l <= k")
     if l == 0:  # U^{>=0} is the all-ones matrix
         return per_j(lambda j: order if j == 0 else 0, k)
     return per_j(lambda j: lambda_uge(v, k, l, j), k)
@@ -212,12 +223,11 @@ def wu_spectrum(v: int, k: int, s: int, l: int) -> SpectrumSpec:
 def rank_formula(kind: MatrixKind) -> int:
     """Closed-form rank where one is available."""
     v, s, k = kind.v, kind.s, kind.k
-    if kind.tag == "A" and kind.i > min(s, k):
-        return 0  # C(theta, i) = 0 for every theta <= min(s, k): A^i is zero
+    if _is_zero(kind):
+        return 0
     if kind.tag in ("U", "W"):
         l = s if kind.tag == "W" else kind.l
         _require(0 <= s <= k and 2 * k <= v, "rank formula needs s <= k <= v/2")
-        _require(l <= s, "rank formula needs l <= s")
         return sum(multiplicity(v, j) for j in range(s + 1)
                    if tau(v, k, s, l, j) != 0)
     if kind.tag == "N" and s == k and kind.t == k - 1:
@@ -296,7 +306,7 @@ def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) ->
     for labels, y in blocks:
         w = y.shape[1] // len(primes)
         mods = np.repeat(np.array(primes, dtype=np.float64), w)
-        _centre(y, mods, np.empty_like(y))
+        _centre(y, mods)
         for val in values:
             lam = np.repeat([_centred_residue(val, p) for p in primes], w)
             for a, amax, i in factors:
@@ -305,9 +315,9 @@ def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) ->
                 acc = y[:, cols] * -lam[cols]
                 for j in range(0, n, chunk):
                     acc += a[:, j:j + chunk] @ y[j:j + chunk, cols]
-                    _reduce(acc, mods[cols], np.empty_like(acc))
+                    _reduce(acc, mods[cols])
                 y[:, cols] = acc
-            _centre(y, mods, np.empty_like(y))
+            _centre(y, mods)
         fails.update((int(labels[i % w]), i // w) for i in np.flatnonzero(y.any(axis=0)))
     return fails
 

@@ -699,24 +699,6 @@ def _chk_prop11(i, j, k, v):
 # ---------------------------------------------------------------------------
 # runner
 
-EXPECTED_REGISTRY_KEYS = frozenset({
-    "eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq12", "eq15", "eq16",
-    "thm2.i", "thm2.ii", "thm2.iii",
-    "lemma3.i", "lemma3.ii", "lemma3.iii", "lemma3.iv", "lemma3.v",
-    "eq17", "eq18", "eq19", "eq20",
-    "eq21",
-    "lemma6.i", "lemma6.ii", "lemma6.iii",
-    "eq22",
-    "prop5.i", "prop5.ip", "prop5.ii", "prop5.iip",
-    "prop5.iii", "prop5.iiip", "prop5.iv", "prop5.ivp",
-    "prop7.i", "prop7.ii", "prop7.iip",
-    "eq23", "eq24", "eq25",
-    "eq26", "eq27", "eq28", "eq29", "eq30",
-    "blocks.i", "blocks.ii", "blocks.iii", "blocks.iv", "blocks.v", "blocks.vi",
-    "sec7.remark", "eq31", "prop11",
-})
-
-
 def run_identity(name: str, **params) -> CheckResult:
     """Run one registered identity at one parameter tuple."""
     if name not in REGISTRY:

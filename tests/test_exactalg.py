@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from imtk.build import A, F, N, U, Utl, W, Wbar, build
 from imtk.combinat import SubsetFamily, binomial, psi
-from imtk.exactalg import (_INT64_SAFE, _NB, _PASSES, DEFAULT_PRIME_BITS, ExactMatrix,
-                           ModMatrix, Poly, equiv_check, is_prime, mat_mul, random_prime,
-                           rank_modp)
+from imtk.exactalg import (_CHUNK_ENTRIES, _INT64_SAFE, _NB, _PASSES, DEFAULT_PRIME_BITS,
+                           ExactMatrix, ModMatrix, Poly, _schur_update, equiv_check, is_prime,
+                           mat_mul, random_prime, rank_modp)
 from imtk.spectra import windowed_rank
 
 from oracles import mat_inverse, rank_exact
@@ -392,6 +392,36 @@ def test_panel_plan_keeps_the_update_exact():
     # a multiplier (a product of two centred residues) and a small operand's
     # update (a centred residue minus one pass) are reduced once
     assert h * h < 2 ** 51 and h + step < 2 ** 51
+
+
+def test_schur_update_changes_only_the_live_rows_in_place():
+    """Live rows first, last and scattered, over more than one chunk.
+
+    A row whose multipliers are all zero keeps every bit and its place; a
+    live row becomes w - l21 @ u12 on the trailing columns, and nothing else
+    of w moves.  The entries are integers of float64 GEMMs below 2^53, so
+    the expected rows compare exactly.
+    """
+    p, h = LARGEST_PRIME, LARGEST_PRIME // 2
+    gen = np.random.default_rng(17)
+    r0, c1, k, rows, ncols = 5, 7, 9, 400, 600
+    step = _CHUNK_ENTRIES // ncols
+    live = np.zeros(rows, dtype=bool)
+    live[[0, rows - 1]] = True
+    live[gen.choice(np.arange(1, rows - 1), size=2 * step + 10, replace=False)] = True
+    assert live.sum() > 2 * step and not live.all()  # three chunks, and holes
+    l21 = gen.integers(-h, h + 1, size=(rows, k)).astype(np.float64) * live[:, None]
+    u12 = gen.integers(-h, h + 1, size=(k, ncols)).astype(np.float64)
+    w = gen.integers(-h, h + 1, size=(r0 + rows, c1 + ncols)).astype(np.float64)
+    w[r0 + np.flatnonzero(~live)[0]] = np.nan  # a dead row no update would keep
+    before = w.copy()
+    _schur_update(w, r0, c1, l21, u12)
+    want = before.copy()
+    want[r0:, c1:][live] -= l21[live] @ u12
+    dead = np.r_[np.arange(r0), r0 + np.flatnonzero(~live)]
+    assert w[dead].tobytes() == before[dead].tobytes()
+    assert w[:, :c1].tobytes() == before[:, :c1].tobytes()
+    assert np.array_equal(w[r0:][live], want[r0:][live])
 
 
 @pytest.mark.parametrize("row", [1, 4])

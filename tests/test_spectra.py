@@ -596,9 +596,33 @@ def test_verify_spectrum_makes_no_dense_copy_of_a_split_matrix():
             tracemalloc.stop()
         assert rep.ok
         # one float64 copy of M, the unsplit rank's working copy, is n * n * 8
-        # bytes; ranking one 256-row window (its int64 block, rank_modp's
-        # float64 copy and 0.5 MB buffer) already takes about 0.31 of that
+        # bytes, and a 256-row window's float64 block 0.077 of that.  modp
+        # peaks at about 0.19 of it, ranking one window (see the next test);
+        # exact at about 0.33, in the annihilation of one window, whose
+        # operands and products are float64 blocks of 256 x 256
         assert peak < n * n * 8 / 2, (mode, peak)
+
+
+def test_rank_modp_of_a_window_peaks_below_two_and_a_half_copies_of_it():
+    # rank_modp holds the float64 working copy of the block and the kernel's
+    # own temporaries: a panel, its multipliers, and one chunk of live rows
+    # (at most _CHUNK_ENTRIES entries) gathered with its product: about 2.0
+    # copies of the block in all
+    m = build(N(5, 6, 6, 12))
+    arr = m.as_int_array()
+    rows = _windows(arr)[0]
+    block = arr[np.ix_(rows, rows)]
+    p = random_prime(random.Random(RNG_SEED))
+    for shift, want in ((0, 128), (3, 256)):  # 128 pairs, each of rank 1
+        mm = ModMatrix(block, p, shift)
+        tracemalloc.start()
+        try:
+            got = rank_modp(mm, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2.5 * block.size * 8, (shift, peak / (block.size * 8))
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])

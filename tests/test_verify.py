@@ -4,13 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from imtk.verify import (EXPECTED_REGISTRY_KEYS, REGISTRY, _grid, run_identity,
-                         run_suite)
+from imtk.verify import REGISTRY, _grid, run_identity, run_suite
 
 
 def test_registry_is_complete():
-    # one entry per catalogued identity, nothing extra
-    assert set(REGISTRY) == set(EXPECTED_REGISTRY_KEYS)
+    # one entry per catalogued identity; test_domains_match_the_recorded_grids
+    # checks the names against those recorded in tests/data/domains.json
     assert len(REGISTRY) == 54
 
 
