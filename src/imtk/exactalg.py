@@ -17,7 +17,7 @@ against the stacked degree slices of every M.  ``Poly`` remains for scalar
 polynomials.
 
 The mod-p rank is exact too: ``rank_modp`` eliminates one ``ModMatrix``,
-M - shift*I over GF(p) for a prime of at most 21 bits, by float64 GEMMs whose
+an integer matrix over GF(p) for a prime of at most 21 bits, by float64 GEMMs whose
 every partial sum is an integer below 2^53 (see _NB and _PASSES), so the rank
 does not depend on how BLAS splits a sum.  ``spectra.windowed_rank`` ranks an
 integer ``ExactMatrix`` through it, one diagonal block at a time.
@@ -569,29 +569,25 @@ _FLOAT_EXACT = 1 << 53    # float64 holds every integer of smaller magnitude
 
 
 class ModMatrix:
-    """The integer matrix ``array - shift * I`` over GF(p), p < 2^21.
+    """The integer matrix ``array`` over GF(p), p < 2^21.
 
-    While max|array| + |shift| < 2^53 a signed integer ``array`` of any
-    width is kept as given, without a copy, and must not be changed
-    afterwards: ``rank_modp`` makes its float64 working copy straight from
-    it, exactly.  An array of another dtype is copied to int64.  Past 2^53
-    ``array`` is widened to int64 and reduced once with ``% p``, and
-    ``shift`` mod p.  ``mag`` is max|array|, computed when not given.
+    While max|array| < 2^53 a signed integer ``array`` of any width is kept
+    as given, without a copy, and must not be changed afterwards:
+    ``rank_modp`` makes its float64 working copy straight from it, exactly.
+    An array of another dtype is copied to int64.  From 2^53 on ``array``
+    is reduced once with ``% p``.  ``mag`` is max|array|, computed when not
+    given.
     """
 
-    __slots__ = ("p", "array", "shift", "mag")
+    __slots__ = ("p", "array", "mag")
 
-    def __init__(self, array: np.ndarray, p: int, shift: int = 0, mag: int | None = None):
+    def __init__(self, array: np.ndarray, p: int, mag: int | None = None):
         _check_modulus(p)
         array = np.asarray(array)
-        if shift and array.shape[0] != array.shape[1]:
-            raise ValueError("only a square matrix can be shifted")
         mag = _magnitude(array) if mag is None else mag
-        if mag + abs(shift) >= _FLOAT_EXACT:
-            if array.dtype.itemsize < 8:  # p may not fit the array's width
-                array = array.astype(np.int64)
-            array, shift, mag = array % p, shift % p, p - 1
-        self.p, self.shift, self.mag = p, shift, mag
+        if mag >= _FLOAT_EXACT:
+            array, mag = array % p, p - 1
+        self.p, self.mag = p, mag
         self.array = array if array.dtype.kind == "i" else array.astype(np.int64)
 
 
@@ -790,25 +786,21 @@ def _schur_update(w, r0, c1, l21, u12) -> None:
 
 
 def rank_modp(m: ModMatrix, p: int) -> int:
-    """Rank over GF(p) of one ``ModMatrix``, M - shift*I with p < 2^21.
+    """Rank over GF(p) of one ``ModMatrix``, p < 2^21.
 
     The error is one-sided: rank mod p <= rank over Q, because a minor that
     vanishes over Q vanishes mod p.  The rank drops exactly when p divides
     every nonzero minor of order r, r the rank over Q, so it is enough that
     p does not divide one of them, D; ``random_prime`` bounds how many
     primes of a given length can divide D.  The float64 working copy is made
-    straight from M's integers, at their stored width, and the shift
-    subtracted on the copy's diagonal.  The kernel eliminates on it in place;
-    its own temporaries, a panel of _NB columns with its multipliers and one
-    chunk of the Schur update, add about one more copy for a 256-row block
-    and less for larger ones.  This is the per-block kernel entry:
-    ``spectra.windowed_rank`` ranks an integer ``ExactMatrix`` as the sum of
-    its diagonal windows' ranks, one ``ModMatrix`` per window.
+    straight from M's integers, at their stored width.  The kernel
+    eliminates on it in place; its own temporaries, a panel of _NB columns
+    with its multipliers and one chunk of the Schur update, add about one
+    more copy for a 256-row block and less for larger ones.  This is the
+    per-block kernel entry: ``spectra.windowed_rank`` ranks an integer
+    ``ExactMatrix`` as the sum of its diagonal windows' ranks, one
+    ``ModMatrix`` per window.
     """
     if m.p != p:
         raise ValueError("modulus mismatch")
-    w = m.array.astype(np.float64)
-    if m.shift:
-        idx = np.arange(w.shape[0])
-        w[idx, idx] -= m.shift
-    return _rank_kernel(w, p, m.mag + abs(m.shift))
+    return _rank_kernel(m.array.astype(np.float64), p, m.mag)

@@ -17,12 +17,15 @@ import numpy as np
 
 from .build import MatrixKind, build
 from .combinat import binomial
-from .exactalg import (_FLOAT_EXACT, ExactMatrix, ModMatrix, Poly, _centre, _reduce,
-                       random_prime, rank_modp)
+from .exactalg import (_FLOAT_EXACT, DEFAULT_PRIME_BITS, ExactMatrix, ModMatrix, Poly,
+                       _centre, _reduce, random_prime, rank_modp)
 from .opcalc import L
 
 PROBES = 8  # annihilation probe vectors per prime
-EYE_BLOCK = 256  # columns of I per exact annihilation block
+EYE_BLOCK = 256  # least rows per window; exact annihilation lists failures by such blocks
+_COLUMNS = 32  # columns per block of I in exact annihilation, and of M^a in the traces
+_ELL_RATIO = 128  # M is applied as ELL when its widest row has <= n / _ELL_RATIO nonzeros
+_GATHER = 4  # ELL slots gathered at a time: at most 4 copies of a block of columns
 
 
 def multiplicity(v: int, j: int) -> int:
@@ -286,75 +289,212 @@ def _centred_residue(x, p: int) -> int:
     return r - p if r > p // 2 else r
 
 
+def _residues(a: np.ndarray, mag: int, p: int) -> np.ndarray:
+    """An integer array's centred residues mod p, |x| <= p // 2, in float64.
+
+    Entries of at most p // 2 (mag = max|a|) are their own; others are
+    reduced in int64, which holds every |entry| < 2^62 plus p // 2,
+    whatever a's width.
+    """
+    if mag <= p // 2:
+        return a.astype(np.float64)
+    return (np.add(a, p // 2, dtype=np.int64) % p - p // 2).astype(np.float64)
+
+
+def _dot(y: np.ndarray, z: np.ndarray, p: int) -> int:
+    """sum(y * z) mod p for two float64 blocks of centred residues mod p.
+
+    Each column is summed over at most ``step`` rows at a time, so every
+    partial sum is an integer below 2^53, exact in any order of summation.
+    """
+    step, total = (_FLOAT_EXACT - 1) // max((p // 2) ** 2, 1), 0
+    for r in range(0, y.shape[0], step):
+        part = np.einsum("ij,ij->j", y[r:r + step], z[r:r + step])
+        _reduce(part, p)  # now |part| <= p, so the int64 sum is exact
+        total += int(part.astype(np.int64).sum())
+    return total % p
+
+
+def _product(arr: np.ndarray, mag: int, primes):
+    """The map (y, start) -> rows start.. of M y, mod each prime on its own columns.
+
+    y is an n x (len(primes) * w) float64 block of centred residues, the w
+    columns of each prime in turn, and so is the result.  M is applied in
+    one of two layouts, chosen by cost from the nonzero count of its widest
+    row against n:
+
+    - ELL, where that row has at most n / _ELL_RATIO nonzeros: each row's
+      nonzeros padded to that width, as column indices and values.  The rows
+      of y are gathered for _GATHER slots at a time, and multiplied and
+      summed by one einsum.  No dense copy of M is made.
+    - Otherwise a float64 copy of M, by GEMM.
+
+    With h the largest p // 2, each term is at most max|M| * h.  The terms,
+    slots or the inner dimension, are summed in chunks whose sums stay below
+    2^53, and reduced after each; where not even one term fits, M is first
+    reduced to centred residues mod each prime.
+    """
+    n, h = arr.shape[0], max(primes) // 2
+    # the nonzeros are sought EYE_BLOCK rows at a time, with small temporaries
+    starts = range(0, n, EYE_BLOCK)
+    width = max(int(np.count_nonzero(arr[r:r + EYE_BLOCK], axis=1).max()) for r in starts)
+    index = None
+    if _ELL_RATIO * width <= n:
+        rows, cols = np.divmod(np.concatenate(
+            [np.flatnonzero(arr[r:r + EYE_BLOCK] != 0) + r * n for r in starts]), n)
+        slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # its place in its row
+        index = np.zeros((width, n), dtype=np.intp)
+        index[slot, rows] = cols
+        ell = np.zeros((width, n), dtype=np.int64)
+        ell[slot, rows] = arr[rows, cols]
+        arr = ell
+    operands = ([(arr.astype(np.float64), mag, None)] if mag * h + h * h < _FLOAT_EXACT else
+                [(_residues(arr, mag, p), p // 2, i) for i, p in enumerate(primes)])
+
+    def mul(y: np.ndarray, start: int = 0) -> np.ndarray:
+        w = y.shape[1] // len(primes)
+        mods = np.repeat(np.array(primes, dtype=np.float64), w)
+        out = np.zeros((n - start, y.shape[1]))
+        for a, amax, i in operands:
+            cols = slice(None) if i is None else slice(i * w, (i + 1) * w)
+            acc, src = out[:, cols], y[:, cols]
+            chunk = (_FLOAT_EXACT - 1 - h * h) // max(amax * h, 1)
+            if index is None:
+                for j in range(0, n, chunk):
+                    acc += a[start:, j:j + chunk] @ src[j:j + chunk]
+                    _reduce(acc, mods[cols])
+                continue
+            chunk = min(chunk, _GATHER)
+            for j in range(0, a.shape[0], chunk):
+                acc += np.einsum("sn,snb->nb", a[j:j + chunk, start:],
+                                 src[index[j:j + chunk, start:]])
+                _reduce(acc, mods[cols])
+        _reduce(out, mods)  # below (p + 3) / 2 < 2^51 now: centred
+        return out
+
+    return mul
+
+
 def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) -> set:
     """The pairs (c, i) for which prod_lambda (M - lambda I) leaves column c nonzero mod primes[i].
 
     ``blocks`` yields pairs (labels, Y), Y an n x (len(primes) * w) float64
-    block of the w columns named in labels, once per prime, prime by prime,
-    overwritten.  Each factor M - lambda I is one GEMM of the integer matrix
-    with centred Y, after which each prime's columns are reduced mod it.
-    With h the largest p // 2, each product is exact while
-    n * max|M| * h + h^2 < 2^53; where that fails the inner dimension is
-    summed in chunks within the bound, and where not even one column fits,
-    M is first reduced to centred residues mod each prime.
+    block of the w columns named in labels, once per prime, prime by prime.
+    Each factor M - lambda I is one ``_product`` of M with centred Y, less
+    lambda Y, after which each prime's columns are reduced mod it.
     """
-    n, h, fails = arr.shape[0], max(primes) // 2, set()
-    # the residues are taken in int64, which holds p // 2 whatever arr's width
-    factors = ([(arr.astype(np.float64), mag, None)] if mag * h + h * h < _FLOAT_EXACT else
-               [((np.add(arr, p // 2, dtype=np.int64) % p - p // 2).astype(np.float64), p // 2, i)
-                for i, p in enumerate(primes)])
+    mul, fails = _product(arr, mag, primes), set()
     for labels, y in blocks:
         w = y.shape[1] // len(primes)
         mods = np.repeat(np.array(primes, dtype=np.float64), w)
         _centre(y, mods)
         for val in values:
-            lam = np.repeat([_centred_residue(val, p) for p in primes], w)
-            for a, amax, i in factors:
-                cols = slice(None) if i is None else slice(i * w, (i + 1) * w)
-                chunk = (_FLOAT_EXACT - 1 - h * h) // max(amax * h, 1)
-                acc = y[:, cols] * -lam[cols]
-                for j in range(0, n, chunk):
-                    acc += a[:, j:j + chunk] @ y[j:j + chunk, cols]
-                    _reduce(acc, mods[cols])
-                y[:, cols] = acc
-            _centre(y, mods)
+            z = mul(y)
+            y *= np.repeat([_centred_residue(val, p) for p in primes], w)
+            z -= y  # |z| <= h + h^2 < 2^51, h = p // 2
+            _reduce(z, mods)
+            y = z
         fails.update((int(labels[i % w]), i // w) for i in np.flatnonzero(y.any(axis=0)))
     return fails
+
+
+def _power_traces(arr: np.ndarray, mag: int, p: int, count: int, symmetric: bool) -> list[int]:
+    """tr(M^k) mod p for 2 <= k < count, from ``_product``s mod p.
+
+    M is taken by blocks of _COLUMNS columns, and each block is carried
+    through the powers X_a = M^a by products, so no power is kept whole.
+    For a symmetric M, t_2a = ||X_a||^2 and t_2a+1 = <X_a, X_a+1>, so the
+    powers go only up to a = count // 2.  The last of them is made only on
+    the rows from the block's first on: its entries above the block mirror
+    entries below earlier blocks, so its inner products take the block's
+    diagonal part once and the rest twice.  Any other M goes through every
+    power below count, t_k = tr(X_k) summed over the blocks' diagonals.
+    """
+    if count <= 2:
+        return []
+    n, t, mul = arr.shape[0], [0] * count, _product(arr, mag, [p])
+    for c0 in range(0, n, _COLUMNS):
+        d = min(_COLUMNS, n - c0)
+        y = _residues(arr[:, c0:c0 + d], mag, p)  # the block of X_1
+        if not symmetric:
+            for k in range(2, count):
+                y = mul(y)
+                t[k] += int(y[c0:c0 + d].trace())  # |.| <= d * p // 2 < 2^53
+            continue
+        t[2] += _dot(y, y, p)
+        for a in range(1, count // 2):
+            last = a + 1 == count // 2
+            z, y = (mul(y, c0), y[c0:]) if last else (mul(y), y)
+            for k, u, v in ((2 * a + 1, y, z), (2 * a + 2, z, z)):
+                if k < count:
+                    t[k] += (_dot(u[:d], v[:d], p) + 2 * _dot(u[d:], v[d:], p) if last
+                             else _dot(u, v, p))
+            y = z
+    return [v % p for v in t[2:]]
+
+
+def _trace_multiplicities(residues, traces, p: int) -> list[int]:
+    """The mu_j, as centred residues mod p, with sum_j mu_j r_j^k = t_k mod p for k < d.
+
+    r_j are d distinct residues and t_k the d traces.  mu_j is tr L_j(M) for
+    the Lagrange polynomial L_j(x) = prod_{i != j} (x - r_i) / (r_j - r_i),
+    which is 1 at r_j and 0 at every other r_i.
+    """
+    out = []
+    for j, rj in enumerate(residues):
+        coeffs, den = [1], 1
+        for i, ri in enumerate(residues):
+            if i != j:  # times (x - r_i)
+                coeffs = [(a - ri * b) % p for a, b in zip([0, *coeffs], [*coeffs, 0])]
+                den = den * (rj - ri) % p
+        mu = sum(c * tk for c, tk in zip(coeffs, traces)) * pow(den, -1, p) % p
+        out.append(mu - p if mu > p // 2 else mu)
+    return out
 
 
 def _windows(arr: np.ndarray) -> list[np.ndarray]:
     """Row sets of diagonal windows of M, each a union of whole components.
 
-    The connected components of the pattern of M + M^T are found by a
-    boolean BFS over ``arr != 0`` in order of their first row, and grouped
-    whole, in that order, into windows of at least EYE_BLOCK rows (the last
-    may have fewer); each window lists its rows ascending.  A connected M,
-    one with a component of more than n / 2 rows, one of at most EYE_BLOCK
-    rows and a non-square one are one window.
+    The connected components of the pattern of M + M^T, each named by its
+    first row, are found by label propagation with pointer jumping over the
+    nonzeros of ``arr``, and grouped whole, in order of their first row, into
+    windows of at least EYE_BLOCK rows (the last may have fewer); each
+    window lists its rows ascending.  A connected M, one with a component of
+    more than n / 2 rows, one of at most EYE_BLOCK rows and a non-square one
+    are one window.
     """
     n = arr.shape[0]
     if n <= EYE_BLOCK or n != arr.shape[1]:
         return [np.arange(n)]
-    pattern, unseen = arr != 0, np.ones(n, dtype=bool)
-    windows, window = [], []
-    for start in range(n):
-        if not unseen[start]:
-            continue
-        unseen[start], frontier, component = False, [start], [start]
-        while len(frontier):
-            reach = pattern[frontier].any(axis=0) | pattern[:, frontier].any(axis=1)
-            frontier = np.flatnonzero(reach & unseen)
-            unseen[frontier] = False
-            component += frontier.tolist()
-            if 2 * len(component) > n:
-                return [np.arange(n)]
-        window += component
-        if len(window) >= EYE_BLOCK:
-            windows.append(np.sort(window))
-            window = []
-    if window:
-        windows.append(np.sort(window))
-    return windows
+    pattern = arr != 0
+    # a shortcut for a dense M: rows two steps from row 0 lie in its component
+    near = pattern[0] | pattern[:, 0]
+    if 2 * np.count_nonzero(pattern[near].any(axis=0) | pattern[:, near].any(axis=1)) > n:
+        return [np.arange(n)]
+    rows, cols = np.divmod(np.flatnonzero(pattern), n)
+    label = np.arange(n)
+    while True:
+        # hook each edge's larger root under its smaller one, then jump every
+        # row to its root; a label only falls, to a row of the same component
+        low = np.minimum(label[rows], label[cols])
+        hooked = label.copy()
+        np.minimum.at(hooked, label[rows], low)
+        np.minimum.at(hooked, label[cols], low)
+        while not np.array_equal(hooked, hooked[hooked]):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    sizes = np.bincount(label, minlength=n)
+    if 2 * sizes.max() > n:
+        return [np.arange(n)]
+    window_of, fill, win = np.zeros(n, dtype=np.intp), 0, 0
+    for root in np.flatnonzero(sizes).tolist():
+        window_of[root], fill = win, fill + int(sizes[root])
+        if fill >= EYE_BLOCK:
+            win, fill = win + 1, 0
+    window_of = window_of[label]
+    return [np.flatnonzero(window_of == w) for w in range(int(window_of.max()) + 1)]
 
 
 def _block(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -362,16 +502,19 @@ def _block(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return arr if len(rows) == arr.shape[0] else arr[np.ix_(rows, rows)]
 
 
-def windowed_rank(m: ExactMatrix, p: int, shift: int = 0, windows=None) -> int:
-    """Rank over GF(p) of the integer matrix M - shift*I, the sum of its
-    windows' ranks (``_windows`` unless given; see ``verify_spectrum``,
-    Blocks): one ``ModMatrix`` per window's block, so a split M is never
-    copied whole.  Integer entries of any size; others raise TypeError.
+def windowed_rank(m: ExactMatrix, p: int, windows=None) -> int:
+    """Rank over GF(p) of the integer matrix M, the sum of its windows' ranks
+    (``_windows`` unless given): one ``ModMatrix`` per window's block, so a
+    split M is never copied whole.  The rows of each connected component of
+    the pattern of M + M^T span a subspace that M and M^T both leave
+    invariant, so up to a permutation M is the direct sum of its windows'
+    principal blocks, and rank is additive over diagonal blocks, mod p as
+    over Q.  Integer entries of any size; others raise TypeError.
     """
     if not m.all_int():
         raise TypeError("only an integer matrix has a mod-p reduction here")
     arr = m.stack[0]
-    return sum(rank_modp(ModMatrix(_block(arr, rows), p, shift, m.mag), p)
+    return sum(rank_modp(ModMatrix(_block(arr, rows), p, m.mag), p)
                for rows in (_windows(arr) if windows is None else windows))
 
 
@@ -381,18 +524,19 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     """Check a claimed spectrum against an explicitly built matrix.
 
     Both modes check the multiplicity sum and the exact trace, that
-    P = prod_lambda (M - lambda I) over the claimed distinct eigenvalues is 0,
-    and one mod-p rank per distinct eigenvalue (retried with a fresh prime on
-    mismatch).  P is applied to 2 * PROBES random probes over two random
-    primes in modp mode, and in exact mode to every column of I over the
-    fewest random primes, drawn one by one, whose product exceeds B below.
-    ``report.primes`` lists them all, then the retry primes in eigenvalue order.
+    P = prod_lambda (M - lambda I) over the d claimed distinct eigenvalues
+    is 0, and every multiplicity from the power traces t_k = tr(M^k) mod p1,
+    k < d.  P is applied to 2 * PROBES random probes over two random primes
+    in modp mode, and in exact mode to every column of I over the fewest
+    random primes, drawn one by one, whose product exceeds B below.
+    ``report.primes`` lists them all, p1 first, then any replacement for
+    p1 in the trace step.
 
-    The rank route equates geometric and algebraic multiplicities, so the
-    matrix must be symmetric unless the caller vouches for diagonalizability
-    (the W^T F products have a full eigenbasis by construction).
+    The matrix must be symmetric unless the caller passes
+    ``assume_diagonalizable`` (the W^T F products); a symmetric M has its
+    power traces from about half as many products (``_power_traces``).
 
-    Soundness, for a symmetric M of order n:
+    Soundness, for M of order n:
 
     - Annihilation, modp.  If the claim misses an eigenvalue of M, P is
       nonzero.  At a prime where P stays nonzero, a uniform random probe is
@@ -406,36 +550,25 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
       prime not dividing q_j, that product is 0 exactly when P is.  Zero mod
       distinct primes whose product exceeds B, an entry is 0 over Z (CRT), so
       P = 0 and the claimed set holds every eigenvalue, with certainty.
-    - Rank.  rank(A mod p) <= rank(A) over Q for an integer A (a minor that
-      vanishes over Q vanishes mod p), so the mod-p nullity of M - lambda I
-      can only over-estimate the true multiplicity of lambda.
-    - Multiplicities.  Once the set is complete, the true multiplicities of
-      the claimed eigenvalues sum to n, as M is diagonalizable, and so do the
-      claimed ones (``SpectrumSpec`` enforces it).  Mod-p nullities that
-      match every claimed multiplicity bound each true one from above, so
-      the sums force each to be exact.  An unlucky prime can only make a
-      true claim fail (a rank that undershoots), never a false one pass;
-      that failure is retried once with a fresh prime.
-    - Unlucky primes.  The rank of M - lambda I drops mod p only if p
-      divides a fixed nonzero minor D of order its rank, and at most
-      log2|D| / 20 of the 73 586 primes of 21 bits do (``random_prime``):
-      for U^3 on J(13, 6), at most 405, so at most 0.55% per draw, and at
-      most 0.003% that the retry prime is unlucky too.
+    - Multiplicities.  Once P = 0, every eigenvalue of M is a claimed
+      lambda_j, and M is diagonalizable, its minimal polynomial dividing a
+      product of distinct linear factors.  The true multiplicities mu_j then
+      satisfy sum_j mu_j lambda_j^k = tr(M^k) over Q, for every k.  If the
+      lambda_j are distinct mod p1, the Vandermonde system of k < d mod p1
+      is invertible, so its solution (``_trace_multiplicities``) is mu_j mod
+      p1.  Both mu_j and the claimed m_j lie in [0, n], and n < 2^20 < p1,
+      so a residue that equals m_j proves m_j = mu_j, and rank(M - lambda_j
+      I) = n - mu_j over Q.  No prime is unlucky here: while two lambda_j
+      coincide mod p1, a replacement prime is drawn, recorded and takes
+      p1's place.  A multiplicity passes only when annihilation does,
+      since without P = 0 the traces prove nothing about it.  So a verified
+      claim is proved in exact mode, and in modp mode its one error is the
+      probes'.  t_0 = n and t_1, the exact trace, need no product, so
+      d <= 2 needs none at all (``_power_traces``).
     - Denominators.  A prime that divides a claimed eigenvalue's denominator
       raises ValueError, in the annihilation step for its primes and in the
-      rank step for a retry prime.  No true claim is lost so: M is an
+      trace step for a replacement prime.  No true claim is lost so: M is an
       integer matrix, and its rational eigenvalues are integers.
-    - Blocks.  The rows of each connected component of the pattern of
-      M + M^T span a subspace that M and M^T both leave invariant, so up to
-      a permutation M is the direct sum of its windows' principal blocks M_b
-      (``_windows``).  Rank is additive over diagonal blocks, mod p as over
-      Q, so rank(M - lambda I) is the sum of the rank(M_b - lambda I)
-      (``windowed_rank``, which ``imtk rank`` uses too), and
-      P(M) y = 0 exactly when P(M_b) y_b = 0 for every block, y_b the
-      window's rows of y.  The probes are the same vectors as unsplit, cut
-      by rows, and the columns of I are those of each block's I, so every
-      bound above holds as it stands.  A matrix of one window is checked
-      whole, so no input needs more memory than unsplit.
     """
     if mode not in ("modp", "exact"):
         raise ValueError("mode must be 'modp' or 'exact'")
@@ -446,9 +579,12 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
                         "evaluate polynomial spectra at a point first")
     rng = rng or random.Random()
     n = m.nrows
+    _require(n < 1 << (DEFAULT_PRIME_BITS - 1), "the trace route needs order < 2^20")
     report = SpectrumReport(label or f"matrix of order {n}", n, mode)
     arr = m.as_int_array()
-    if not assume_diagonalizable and not np.array_equal(arr, arr.T):
+    if not assume_diagonalizable and not all(
+            np.array_equal(arr[r:r + EYE_BLOCK], arr[:, r:r + EYE_BLOCK].T)
+            for r in range(0, n, EYE_BLOCK)):
         raise ValueError("matrix must be symmetric")
 
     report.add("order", spec.order == n, f"claimed order {spec.order}, matrix order {n}")
@@ -461,16 +597,12 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     report.add("trace", trace == want_trace,
                f"trace {trace}, spectral sum {want_trace}")
 
-    # every check below runs window by window; a window's block is gathered
-    # when it is used, and a matrix of one window is used as it is
-    windows = _windows(arr)
-
     # annihilation: P y = 0 for random probes y mod two primes, or for every
     # column y of I mod the first distinct primes whose product exceeds B (exact)
     bound = 0
     if mode == "exact":
-        norm = (max(int(np.abs(_block(arr, rows), dtype=np.int64).sum(axis=1).max())
-                    for rows in windows)
+        norm = (max(int(np.abs(arr[r:r + EYE_BLOCK], dtype=np.int64).sum(axis=1).max())
+                    for r in range(0, n, EYE_BLOCK))
                 if n * m.mag < 1 << 63 else n * m.mag)
         bound = math.prod(Fraction(v).denominator * norm + abs(Fraction(v).numerator)
                           for v, _ in distinct)
@@ -480,45 +612,38 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
         if p not in primes:
             primes.append(p)
     report.primes, p1 = tuple(primes), primes[0]
+    values = [v for v, _ in distinct]
     if mode == "modp":
-        probes = np.array([[rng.randrange(p) for _ in range(n)] for p in primes
-                           for _ in range(PROBES)], dtype=np.float64).T.copy()
+        # one draw seeded from rng, uniform on [0, p) in each prime's columns
+        draw = np.random.default_rng(rng.getrandbits(64))
+        probes = draw.integers(0, np.repeat(primes, PROBES), size=(n, 2 * PROBES))
+        blocks = [(range(PROBES), probes.astype(np.float64))]
         detail = f"{2 * PROBES} probes over primes {p1}, {primes[1]}"
     else:
+        blocks = ((range(c, c + _COLUMNS),
+                   np.tile(np.eye(n, min(_COLUMNS, n - c), -c), len(primes)))
+                  for c in range(0, n, _COLUMNS))
         detail = f"all {n} columns of I mod primes {primes}, product > B = {bound}"
-    values, fails = [v for v, _ in distinct], set()
-    for rows in windows:
-        if mode == "modp":
-            blocks = [(range(PROBES), probes[rows])]
-        else:
-            blocks = ((rows[c:c + EYE_BLOCK],
-                       np.tile(np.eye(len(rows), min(EYE_BLOCK, len(rows) - c), -c), len(primes)))
-                      for c in range(0, len(rows), EYE_BLOCK))
-        fails |= _annihilation_failures(_block(arr, rows), m.mag, values, primes, blocks)
-    # listed as the unsplit matrix lists them: by block of columns, prime, column
+    fails = _annihilation_failures(arr, m.mag, values, primes, blocks)
+    # by block of EYE_BLOCK columns, prime, column
     fails = [f"column {c} mod {primes[i]}"
              for c, i in sorted(fails, key=lambda f: (f[0] // EYE_BLOCK, f[1], f[0]))]
-    report.add("annihilation", not fails,
+    annihilated = not fails
+    report.add("annihilation", annihilated,
                detail + (f"; {len(fails)} failed, first {fails[0]}" if fails else ""))
 
-    # multiplicities: rank(M - lambda I) = order - mult(lambda), the sum of
-    # the windows' ranks.  Each eigenvalue seeds its own retry substream, in
-    # eigenvalue order, whether it retries or not, so one retry never changes
-    # the primes of the next.
-    def rank(val, p):
-        return windowed_rank(m, p, _centred_residue(val, p), windows)
-
-    for val, mult in distinct:
-        stream = random.Random(rng.getrandbits(64))
-        want = n - mult
-        got = rank(val, p1)
-        if got != want:
-            # rank mod p can undershoot the rational rank for unlucky primes
-            retry = random_prime(stream)
-            report.primes += (retry,)
-            got = rank(val, retry)
-        report.add(f"multiplicity[{val}]", got == want,
-                   f"rank(M - {val} I) = {got}, expected {want} (mult {mult})")
+    # multiplicities: solved mod p1 from t_0 = n, t_1 = trace and the power
+    # traces, with a replacement for p1 while two eigenvalues coincide mod it
+    q = p1
+    while len({_centred_residue(v, q) for v in values}) < len(values):
+        q = random_prime(rng)
+        report.primes += (q,)
+    traces = [n, trace, *_power_traces(arr, m.mag, q, len(values),
+                                       not assume_diagonalizable)]
+    implied = _trace_multiplicities([_centred_residue(v, q) for v in values], traces, q)
+    for (val, mult), mu in zip(distinct, implied):
+        report.add(f"multiplicity[{val}]", annihilated and mu == mult,
+                   f"rank(M - {val} I) = {n - mu}, expected {n - mult} (mult {mult})")
     return report
 
 

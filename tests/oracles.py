@@ -78,6 +78,28 @@ def rank_exact(m: ExactMatrix) -> int:
     return rank
 
 
+def trace_powers(rows, count: int) -> list[int]:
+    """tr(M^k) over Z for k < count, M a square list of int rows.
+
+    Python ints throughout, each power M times the last with both kept as
+    dicts of their rows' nonzeros, so a sparse M stays cheap.
+    """
+    nonzero = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    power = [{i: 1} for i in range(len(rows))]
+    out = []
+    for _ in range(count):
+        out.append(sum(row.get(i, 0) for i, row in enumerate(power)))
+        nxt = []
+        for nz in nonzero:
+            acc = {}
+            for j, x in nz.items():
+                for c, y in power[j].items():
+                    acc[c] = acc.get(c, 0) + x * y
+            nxt.append(acc)
+        power = nxt
+    return out
+
+
 def mat_inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse of a square rational matrix (Gauss-Jordan)."""
     if m.nrows != m.ncols:

@@ -258,9 +258,9 @@ def test_rank_takes_the_second_prime_only_below_full_rank(capsys, monkeypatch, a
                                                           rank, eliminations):
     primes = []
 
-    def counted(m, p, shift=0, windows=None):
+    def counted(m, p, windows=None):
         primes.append(p)
-        return windowed_rank(m, p, shift, windows)
+        return windowed_rank(m, p, windows)
 
     monkeypatch.setattr("imtk.cli.windowed_rank", counted)
     assert main(["--seed", "5", "rank", *args, "--method", "both"]) == 0

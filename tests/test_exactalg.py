@@ -468,13 +468,11 @@ def test_shifted_matrix_rank_matches_the_reduced_matrix(p):
     gen = np.random.default_rng(5)
     a = gen.integers(-3, 4, size=(90, 6)) @ gen.integers(-3, 4, size=(6, 90))
     for shift in (0, 5, -(p // 2), 3 * p + 1):
-        want = _oracle_rank(a - shift * np.eye(90, dtype=np.int64), p)
-        assert rank_modp(ModMatrix(a, p, shift), p) == want
+        shifted = a - shift * np.eye(90, dtype=np.int64)
+        assert rank_modp(ModMatrix(shifted, p), p) == _oracle_rank(shifted, p)
     # entries beyond p are reduced before elimination
     big = a * (2 ** 40)
     assert rank_modp(ModMatrix(big, p), p) == _oracle_rank(big % p, p)
-    with pytest.raises(ValueError, match="square"):
-        ModMatrix(np.ones((2, 3), dtype=np.int64), p, 1)
     with pytest.raises(ValueError, match="not prime"):
         ModMatrix(np.eye(2, dtype=np.int64), 2 ** 21)
 
@@ -482,24 +480,22 @@ def test_shifted_matrix_rank_matches_the_reduced_matrix(p):
 @pytest.mark.parametrize("p", [131, LARGEST_PRIME])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_modmatrix_is_copied_and_reduced_only_from_2_53(p, sign):
-    # max|array| + |shift| = 2^53 - 1 keeps the array itself for the float64
-    # copy; 2^53 reduces it with % p first
+    # max|array| = 2^53 - 1 keeps the array itself for the float64 copy;
+    # 2^53 reduces it with % p first
     gen = np.random.default_rng(53)
     a = gen.integers(-3, 4, size=(70, 5)) @ gen.integers(-3, 4, size=(5, 70))
-    a[0, 0] = sign * (2 ** 52 + 1)
-    mag = 2 ** 52 + 1
-    for shift, copied in ((2 ** 52 - 2, False), (2 ** 52 - 1, True),
-                          (-(2 ** 52 - 2), False), (-(2 ** 52 - 1), True)):
-        assert mag + abs(shift) == 2 ** 53 - 1 + copied
-        mm = ModMatrix(a, p, shift)
+    for copied in (False, True):
+        mag = 2 ** 53 - 1 + copied
+        a[0, 0] = sign * mag
+        mm = ModMatrix(a, p)
         assert np.shares_memory(mm.array, a) is not copied
         if copied:
-            assert 0 <= mm.array.min() and mm.array.max() < p and mm.shift == shift % p
+            assert 0 <= mm.array.min() and mm.array.max() < p and mm.mag == p - 1
         else:
-            assert (mm.mag, mm.shift) == (mag, shift)
-        want = _oracle_rank(a - shift * np.eye(70, dtype=np.int64), p)
+            assert mm.mag == mag
+        want = _oracle_rank(a, p)
         assert rank_modp(mm, p) == want
-        assert rank_modp(ModMatrix(a, p, shift, mag), p) == want
+        assert rank_modp(ModMatrix(a, p, mag), p) == want
 
 
 def test_modmatrix_ranks_int64_extremes_and_a_bigint_shift():
@@ -507,11 +503,11 @@ def test_modmatrix_ranks_int64_extremes_and_a_bigint_shift():
     top = 2 ** 63 - 1
     a = np.array([[top, -top, 1], [-top, top, -1], [5, 7, top]], dtype=np.int64)
     assert rank_modp(ModMatrix(a, p), p) == 2 == windowed_rank(ExactMatrix(a), p)
-    for shift in (2 ** 64 + 3, -(2 ** 70), top):
+    for shift in (2 ** 64 + 3, -(2 ** 70), top):  # Python ints past int64
         shifted = [[x - (shift if i == j else 0) for j, x in enumerate(row)]
                    for i, row in enumerate(a.tolist())]
         want = _oracle_rank([[x % p for x in row] for row in shifted], p)
-        assert rank_modp(ModMatrix(a, p, shift), p) == want
+        assert rank_modp(ModMatrix(np.array(shifted, dtype=object), p), p) == want
 
 
 def _wilson_p_rank(v: int, t: int, k: int, p: int) -> int:
@@ -711,10 +707,12 @@ def test_narrow_stacks_compute_as_their_int64_copies(dtype, top):
     assert m == wide and wide == m and lin == lin_wide and m != o and m != lin
     assert m.trace() == wide.trace() == top and lin.trace() == lin_wide.trace()
     p = LARGEST_PRIME
-    for shift in (0, top, -top, 2 ** 53):  # 2^53 reduces mod p, widened first
-        mm = ModMatrix(m.as_int_array(), p, shift)
-        assert mm.array.dtype == (dtype if shift != 2 ** 53 else np.int64)
-        assert rank_modp(mm, p) == rank_modp(ModMatrix(wide.as_int_array(), p, shift), p)
+    assert ModMatrix(m.as_int_array(), p).array.dtype == dtype  # kept as given
+    for shift in (0, top, -top, 2 ** 53):  # 2^53 reduces mod p
+        eye = shift * np.eye(3, dtype=np.int64)
+        mm = ModMatrix(m.as_int_array() - eye, p)
+        assert (mm.mag == p - 1) == (shift == 2 ** 53)
+        assert rank_modp(mm, p) == rank_modp(ModMatrix(wide.as_int_array() - eye, p), p)
     assert np.shares_memory(ModMatrix(m.as_int_array(), p).array, m.stack)  # not copied
     assert windowed_rank(m, p) == windowed_rank(wide, p) == 3
     assert windowed_rank(lin.divexact_linear(1), p) == 3

@@ -10,13 +10,13 @@ import pytest
 from imtk.build import A, F, N, U, Uge, Utl, W, build
 from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
-from imtk.spectra import (EYE_BLOCK, PROBES, SpectrumSpec, _annihilation_failures,
-                          _windows, alpha, eberlein, lambda_uge, lambda_utl, mu,
-                          multiplicity, rank_formula, sampled_eval_points,
-                          spectrum_of, tau, verify_spectrum, wf_spectrum,
-                          windowed_rank, wu_spectrum)
+from imtk.spectra import (_ELL_RATIO, EYE_BLOCK, PROBES, SpectrumSpec,
+                          _annihilation_failures, _power_traces, _product, _windows, alpha,
+                          eberlein, lambda_uge, lambda_utl, mu, multiplicity,
+                          rank_formula, sampled_eval_points, spectrum_of, tau,
+                          verify_spectrum, wf_spectrum, windowed_rank, wu_spectrum)
 
-from oracles import float_crosscheck, float_eigenvalues, mat_inverse
+from oracles import float_crosscheck, float_eigenvalues, mat_inverse, trace_powers
 
 RNG_SEED = 1234
 
@@ -281,26 +281,41 @@ def test_verify_all_ones():
             assert rep.ok
 
 
-def _unlucky_case(seed):
-    """A correct claim whose shifted ranks both drop mod the first prime.
-
-    verify_spectrum draws its first prime before anything else, so with
-    p1 = random_prime(Random(seed)) the matrix diag(1, 1 + p1) has
-    rank(M - 1 I) = rank(M - (1 + p1) I) = 1 over Q but 0 mod p1.
-    """
-    from imtk.exactalg import random_prime
-    p1 = random_prime(random.Random(seed))
-    m = ExactMatrix([[1, 0], [0, 1 + p1]])
-    return m, SpectrumSpec(((1, 1), (1 + p1, 1)), 0, 2), p1
+def _diagonal(values):
+    return ExactMatrix([[x if i == j else 0 for j in range(len(values))]
+                        for i, x in enumerate(values)])
 
 
-def test_verify_records_retry_primes():
-    m, spec, p1 = _unlucky_case(RNG_SEED)
-    rep = verify_spectrum(m, spec, rng=random.Random(RNG_SEED))
-    assert rep.ok
-    assert rep.primes[0] == p1 and len(rep.primes) == 4
-    assert len(set(rep.primes)) == 4
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_verify_replaces_a_prime_at_which_two_eigenvalues_coincide(mode):
+    # verify_spectrum draws its first prime p1 before anything else, and
+    # 0, p1 and 2 p1 are one residue mod p1, where the traces cannot tell
+    # them apart: one replacement prime q, the next draw, is recorded
+    p1 = random_prime(random.Random(RNG_SEED))
+    m = _diagonal((0, 0, p1, p1, 2 * p1, 2 * p1))
+    rep = verify_spectrum(m, _spec({0: 2, p1: 2, 2 * p1: 2}), mode=mode,
+                          rng=random.Random(RNG_SEED))
+    assert rep.ok, rep.checks
+    rng = random.Random(RNG_SEED)
+    primes = []
+    while len(primes) < len(rep.primes) - 1:
+        p = random_prime(rng)
+        if p not in primes:
+            primes.append(p)
+    if mode == "modp":
+        rng.getrandbits(64)  # the probes' seed
+    assert rep.primes == (*primes, random_prime(rng)) and rep.primes[0] == p1
+    assert len(set(rep.primes)) == len(rep.primes)
     assert rep.to_dict()["primes"] == list(rep.primes)
+    # the same order, trace and eigenvalue set with a 0 and a 2 p1 traded
+    # for two p1: only tr(M^2) mod the replacement prime tells them apart
+    rep = verify_spectrum(m, _spec({0: 1, p1: 4, 2 * p1: 1}), mode=mode,
+                          rng=random.Random(RNG_SEED))
+    status = {c.name: c.ok for c in rep.checks}
+    assert status["trace"] and status["annihilation"] and len(rep.primes) == len(primes) + 1
+    assert not status[f"multiplicity[{p1}]"] and not rep.ok
+    # the rank line reads n less the multiplicity that the traces imply
+    assert rep.checks[-2].detail == f"rank(M - {p1} I) = 4, expected 2 (mult 4)"
 
 
 def test_float_crosscheck_order_limit():
@@ -360,16 +375,74 @@ def test_verify_spectrum_is_exact_at_every_entry_size(scale, mode):
 
 
 def test_verify_spectrum_fails_a_claimed_eigenvalue_beyond_2_62():
-    # M - lambda I has an entry near -2^62: its rank is taken mod p like any
-    # other, and the false claim fails its checks instead of raising
+    # M - lambda I has an entry near -2^62: lambda is taken mod p like any
+    # other eigenvalue, and the false claim fails its checks instead of
+    # raising.  The multiplicities are solved jointly from the traces, so the
+    # unclaimed eigenvalue 4 * scale fails them all, multiplicity[0] too
     n, scale, lam = 4, 2 ** 55 + 1, 2 ** 62 + 1
     m = ExactMatrix.ones(n, n).scale(scale)
     spec = SpectrumSpec(((lam, 1), (0, n - 1)), 0, n)
     rep = verify_spectrum(m, spec, rng=random.Random(RNG_SEED))
     status = {c.name: c.ok for c in rep.checks}
     assert not status["trace"] and not status["annihilation"]
-    assert not status[f"multiplicity[{lam}]"] and status["multiplicity[0]"]
+    assert not status[f"multiplicity[{lam}]"] and not status["multiplicity[0]"]
     assert not rep.ok
+
+
+def _two_by_two_blocks(n, symmetric, seed):
+    """A permuted direct sum of n / 2 random 2 x 2 blocks of entries -1, 0, 1."""
+    gen = np.random.default_rng(seed)
+    arr = np.zeros((n, n), dtype=np.int64)
+    for r in range(0, n, 2):
+        block = gen.integers(-1, 2, size=(2, 2))
+        arr[r:r + 2, r:r + 2] = block + block.T - np.diag(block.diagonal()) if symmetric else block
+    perm = gen.permutation(n)
+    return arr[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+@pytest.mark.parametrize("ell", [True, False], ids=["ELL", "GEMM"])
+@pytest.mark.parametrize("scale", [1, 2 ** 32 + 1, 2 ** 40 + 1, 2 ** 55 + 1])
+def test_power_traces_match_bigint_traces_at_every_entry_size(scale, ell, symmetric):
+    # 256 rows of at most 2 nonzeros are applied as ELL, 12 dense rows by
+    # GEMM.  Near 2^32 the products are summed in chunks, near 2^40 M is
+    # first reduced mod the prime, and near 2^55 that reduction is in int64
+    if ell:
+        arr = _two_by_two_blocks(256, symmetric, seed=scale % 1000)
+    else:
+        gen = np.random.default_rng(scale % 1000)
+        arr = gen.integers(-1, 2, size=(12, 12))
+        arr = arr + arr.T if symmetric else arr
+    arr = arr * scale
+    n, width = arr.shape[0], int(np.count_nonzero(arr, axis=1).max())
+    assert (_ELL_RATIO * width <= n) == ell
+    p, count = random_prime(random.Random(RNG_SEED)), 8
+    want = trace_powers(arr.tolist(), count)
+    got = _power_traces(arr, int(np.abs(arr).max()), p, count, symmetric)
+    assert got == [t % p for t in want[2:]]
+
+
+@pytest.mark.parametrize("ell", [True, False], ids=["ELL", "GEMM"])
+def test_products_sum_in_chunks_that_stay_below_2_53(ell):
+    # entries just below (2^53 - h^2) / h and operands just below h, all
+    # positive: one term fits below 2^53, but a row of three or eight sums
+    # to about 2^55, where float64 rounds odd integers, so each term is a
+    # chunk of its own and reduced before the next
+    p = random_prime(random.Random(RNG_SEED))
+    h = p // 2
+    mag = (2 ** 53 - 1 - h * h) // h
+    gen = np.random.default_rng(53)
+    n = 3 * _ELL_RATIO if ell else 8
+    arr = gen.integers(mag - 100, mag + 1, size=(n, n))
+    if ell:  # three nonzeros a row, on a permuted band
+        arr *= (np.subtract.outer(np.arange(n), np.arange(n)) % n < 3)[np.ix_(*[gen.permutation(n)] * 2)]
+    y = gen.integers(h - 100, h + 1, size=(n, 5))
+    assert (_ELL_RATIO * int(np.count_nonzero(arr, axis=1).max()) <= n) == ell
+    want = arr.astype(object) @ y.astype(object) % p
+    want = np.where(want > h, want - p, want).astype(np.int64)
+    mul = _product(arr, mag, [p])
+    for start in (0, 5):
+        assert np.array_equal(mul(y.astype(np.float64), start), want[start:])
 
 
 def test_verify_spectrum_ranks_rational_claims_mod_p():
@@ -560,9 +633,9 @@ def test_a_split_annihilation_reports_what_the_unsplit_matrix_does(mode):
             p = random_prime(rng)
             if p not in primes:
                 primes.append(p)
-        probes = np.array([[rng.randrange(p) for _ in range(n)] for p in primes
-                           for _ in range(PROBES)], dtype=np.float64).T.copy()
-        blocks = [(range(PROBES), probes)]
+        draw = np.random.default_rng(rng.getrandbits(64))
+        probes = draw.integers(0, np.repeat(primes, PROBES), size=(n, 2 * PROBES))
+        blocks = [(range(PROBES), probes.astype(np.float64))]
     else:
         listed = re.search(r"mod primes \[([0-9, ]+)\]", detail).group(1)
         primes = [int(p) for p in listed.split(", ")]
@@ -595,12 +668,38 @@ def test_verify_spectrum_makes_no_dense_copy_of_a_split_matrix():
         finally:
             tracemalloc.stop()
         assert rep.ok
-        # one float64 copy of M, the unsplit rank's working copy, is n * n * 8
-        # bytes, and a 256-row window's float64 block 0.077 of that.  modp
-        # peaks at about 0.19 of it, ranking one window (see the next test);
-        # exact at about 0.33, in the annihilation of one window, whose
-        # operands and products are float64 blocks of 256 x 256
+        # one float64 copy of M, a whole rank's working copy, is n * n * 8
+        # bytes.  M has 2 nonzeros a row and 2 distinct eigenvalues, so it is
+        # applied as ELL and needs no power trace: modp peaks at about 0.13
+        # of a copy, and exact at about 0.29, in its blocks of 32 columns of
+        # I and their products
         assert peak < n * n * 8 / 2, (mode, peak)
+
+
+def test_verify_spectrum_of_a_connected_matrix_makes_no_dense_copy(monkeypatch):
+    # N^5_(6,6)(13) is connected, with 7 distinct eigenvalues and 8 nonzeros
+    # in each row: its powers are carried by blocks of columns through ELL
+    # products, and no window is sought and no rank taken
+    kind = N(5, 6, 6, 13)
+    m, spec = build(kind), spectrum_of(kind)
+    n = m.nrows
+    assert len(spec.distinct()) == 7 and len(_windows(m.as_int_array())) == 1
+    m.mag  # computed before tracing
+    for name in ("_windows", "windowed_rank", "rank_modp"):
+        monkeypatch.setattr(f"imtk.spectra.{name}", None)
+    for mode, share in (("modp", 0.35), ("exact", 0.5)):
+        tracemalloc.start()
+        try:
+            rep = verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        # one float64 copy of M, each rank's working copy before, is n * n *
+        # 8 bytes.  modp peaks at about 0.21 of it, in _GATHER gathered
+        # blocks of 32 columns of M^a and their products; exact at about
+        # 0.31, its blocks of I having 32 columns for each of its two primes
+        assert peak < share * n * n * 8, (mode, peak / (n * n * 8))
 
 
 def test_rank_modp_of_a_window_peaks_below_two_and_a_half_copies_of_it():
@@ -614,7 +713,7 @@ def test_rank_modp_of_a_window_peaks_below_two_and_a_half_copies_of_it():
     block = arr[np.ix_(rows, rows)]
     p = random_prime(random.Random(RNG_SEED))
     for shift, want in ((0, 128), (3, 256)):  # 128 pairs, each of rank 1
-        mm = ModMatrix(block, p, shift)
+        mm = ModMatrix(block - shift * np.eye(len(rows), dtype=block.dtype), p)
         tracemalloc.start()
         try:
             got = rank_modp(mm, p)
@@ -635,12 +734,15 @@ def test_windowed_rank_of_a_permuted_direct_sum_is_the_rank_of_the_whole(wide):
         assert m.stack.dtype == object
     windows = _windows(arr)
     assert len(windows) == 3 and sum(map(len, windows)) == m.nrows == 600
-    for p in (3, 1000003, 2097143):
-        for shift in (0, 1, -1, 2 ** 53 + 1):
-            want = rank_modp(ModMatrix(arr, p, shift), p)
-            assert windowed_rank(m, p, shift) == want == windowed_rank(m, p, shift, windows)
+    for shift in (0, 1, -1, 2 ** 53 + 1):  # past 2^53, ModMatrix reduces mod p
+        shifted = arr - shift * np.eye(600, dtype=np.int64).astype(arr.dtype)
+        ms = ExactMatrix(shifted)
+        assert all(np.array_equal(a, b) for a, b in zip(_windows(shifted), windows))
+        for p in (3, 1000003, 2097143):
+            want = rank_modp(ModMatrix(shifted, p), p)
+            assert windowed_rank(ms, p) == want == windowed_rank(ms, p, windows)
     if not wide:  # 1 is an eigenvalue of each swap, [[2, 1], [1, 2]] and [1]
-        assert windowed_rank(m, 1000003, 1) == 600 - 3 * 75
+        assert windowed_rank(ExactMatrix(arr - np.eye(600, dtype=np.int64)), 1000003) == 600 - 3 * 75
 
 
 @pytest.mark.parametrize("kind", [W(2, 3, 7), U(1, 4, 5, 11)], ids=["W23_7", "U1_45_11"])
@@ -658,8 +760,6 @@ def test_windowed_rank_takes_a_rectangular_matrix_as_one_window(monkeypatch, kin
     p = 1000003
     assert windowed_rank(m, p) == rank_modp(ModMatrix(arr, p), p) == rank_formula(kind)
     assert shapes == [m.shape]
-    with pytest.raises(ValueError, match="square"):
-        windowed_rank(m, p, 1)
 
 
 def test_f_spectrum_at_sampled_points():
