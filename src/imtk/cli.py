@@ -18,8 +18,8 @@ from .build import KINDS, MatrixKind, build
 from .exactalg import ExactMatrix, Poly, random_prime
 from .scheme import (conversion_matrix, intersection_p, intersection_r,
                      scheme_basis, verify_scheme_axioms)
-from .spectra import (SpectrumSpec, _windows, rank_formula, sampled_eval_points,
-                      spectrum_of, verify_spectrum, windowed_rank)
+from .spectra import (SpectrumSpec, _quotient_rank, _windows, rank_formula,
+                      sampled_eval_points, spectrum_of, verify_spectrum, windowed_rank)
 from .verify import REGISTRY, run_suite
 
 EXIT_OK = 0
@@ -193,8 +193,10 @@ def cmd_spectrum(args, rng) -> int:
         ok = report.ok
     else:
         for z0 in sampled_eval_points():
-            report = verify_spectrum(m.eval_at(z0), spec.eval_at(z0),
-                                     mode=args.check, rng=rng,
+            # each point draws from its own stream, seeded from the main one,
+            # so one point's draws do not move the next point's primes
+            report = verify_spectrum(m.eval_at(z0), spec.eval_at(z0), mode=args.check,
+                                     rng=random.Random(rng.getrandbits(64)),
                                      label=f"{kind.describe()} at z={z0}")
             _print_report(report)
             ok = ok and report.ok
@@ -224,13 +226,23 @@ def cmd_rank(args, rng) -> int:
             raise UsageError("mod-p rank needs an integer matrix kind")
         # both primes are drawn, so a seed gives the same primes either way
         p, p2 = random_prime(rng), random_prime(rng)
-        # a rank mod p is a lower bound of the rank over Q, so full rank is exact
+        # a rank mod p is a lower bound of the rank over Q, so full rank is
+        # exact, and so is a rank that the quotient over J(v, k) proves
         windows = _windows(m.stack[0])  # found once for both primes
         computed_rank, used = windowed_rank(m, p, windows=windows), [p]
-        if computed_rank < min(m.shape):
+        full = min(m.shape)
+        quotient_rank = None if computed_rank == full else _quotient_rank(m)
+        if computed_rank not in (full, quotient_rank):
             computed_rank = max(computed_rank, windowed_rank(m, p2, windows=windows))
             used.append(p2)
+        if computed_rank == full:
+            proof = f"proved by full rank mod {used[-1]}"
+        elif computed_rank == quotient_rank:
+            proof = f"proved by the quotient of J({kind.v},{kind.k})"
+        else:
+            proof = "a lower bound: a rank mod p is at most the rank over Q"
         print("primes: " + ", ".join(map(str, used)))
+        print(f"rank[modp] is {proof}")
     if args.method == "formula":
         print(f"rank[formula] = {formula_rank}")
         return EXIT_OK

@@ -546,9 +546,11 @@ def random_prime(rng: random.Random | None = None) -> int:
     U^3 on J(13, 6), 1716 rows of 700 ones, log2|D| <= 1716 * log2(sqrt(700))
     < 8110: at most 405 of them are unlucky, a chance of at most 0.55% per
     draw, and of at most 0.003% that two independent draws both are.
-    A rank mod p of min(rows, cols) is the rank over Q with no error at
-    all, so ``imtk rank`` ranks mod its second prime only when the first
-    rank falls below that.
+    A rank mod p never exceeds the rank over Q, so one of min(rows, cols),
+    or one equal to the rank that the quotient over J(v, k) proves for a
+    square kind (``spectra._quotient_rank``), is the rank over Q with no
+    error at all.  ``imtk rank`` ranks mod its second prime only when the
+    first rank is neither.
     """
     rng = rng or random.Random()
     while True:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .build import MatrixKind, build
+from .build import MatrixKind, build, theta_matrix
 from .combinat import binomial
 from .exactalg import (_FLOAT_EXACT, DEFAULT_PRIME_BITS, ExactMatrix, ModMatrix, Poly,
                        _centre, _reduce, random_prime, rank_modp)
@@ -398,17 +398,16 @@ def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) ->
     return fails
 
 
-def _power_traces(arr: np.ndarray, mag: int, p: int, count: int, symmetric: bool) -> list[int]:
-    """tr(M^k) mod p for 2 <= k < count, from ``_product``s mod p.
+def _power_traces(arr: np.ndarray, mag: int, p: int, count: int) -> list[int]:
+    """tr(M^k) mod p for 2 <= k < count, from ``_product``s mod p, M symmetric.
 
     M is taken by blocks of _COLUMNS columns, and each block is carried
     through the powers X_a = M^a by products, so no power is kept whole.
-    For a symmetric M, t_2a = ||X_a||^2 and t_2a+1 = <X_a, X_a+1>, so the
+    M is symmetric, so t_2a = ||X_a||^2 and t_2a+1 = <X_a, X_a+1>, and the
     powers go only up to a = count // 2.  The last of them is made only on
     the rows from the block's first on: its entries above the block mirror
     entries below earlier blocks, so its inner products take the block's
-    diagonal part once and the rest twice.  Any other M goes through every
-    power below count, t_k = tr(X_k) summed over the blocks' diagonals.
+    diagonal part once and the rest twice.
     """
     if count <= 2:
         return []
@@ -416,11 +415,6 @@ def _power_traces(arr: np.ndarray, mag: int, p: int, count: int, symmetric: bool
     for c0 in range(0, n, _COLUMNS):
         d = min(_COLUMNS, n - c0)
         y = _residues(arr[:, c0:c0 + d], mag, p)  # the block of X_1
-        if not symmetric:
-            for k in range(2, count):
-                y = mul(y)
-                t[k] += int(y[c0:c0 + d].trace())  # |.| <= d * p // 2 < 2^53
-            continue
         t[2] += _dot(y, y, p)
         for a in range(1, count // 2):
             last = a + 1 == count // 2
@@ -518,9 +512,94 @@ def windowed_rank(m: ExactMatrix, p: int, windows=None) -> int:
                for rows in (_windows(arr) if windows is None else windows))
 
 
+def _johnson_quotient(m: ExactMatrix) -> list[list[int]] | None:
+    """B, the quotient matrix of M over J(v, k), or None where M has none.
+
+    M must be an integer matrix whose rows and columns are both tagged with
+    the k-subsets of [v], and equal g(theta), theta = |S cap K|: g is read
+    off row 0, since K0 = {1..k} meets every nonempty class, and the stack
+    is compared with g taken at theta in blocks of EYE_BLOCK rows, at the
+    stack's own width.  Then M lies in the Bose-Mesner algebra of J(v, k),
+    the partition of the k-subsets by |K cap K0| = h is equitable, and M
+    acts on its class-constant vectors by B[h][h'] = sum of M[S_h, K] over
+    the K of class h', for any S_h of class h: the counts of K by their
+    pair of classes against K0 and S_h, weighted by g.  Rows and columns of
+    B are h = 0..k; an empty class (h < 2k - v) has zeros in both.
+    """
+    fam = m.row_family
+    if fam is None or m.col_family != fam or not m.all_int():
+        return None
+    k, arr = fam.s, m.stack[0]
+    theta = theta_matrix(fam.v, k, k)
+    classes, reps = np.unique(theta[0], return_index=True)
+    g = np.zeros(k + 1, dtype=arr.dtype)
+    g[classes] = arr[0, reps]
+    if not all(np.array_equal(arr[r:r + EYE_BLOCK], g.take(theta[r:r + EYE_BLOCK]))
+               for r in range(0, len(arr), EYE_BLOCK)):
+        return None
+    g, b = g.tolist(), [[0] * (k + 1) for _ in range(k + 1)]
+    for h, r in zip(classes.tolist(), reps.tolist()):
+        # counts[h', i]: the K of class h' with |S_h cap K| = i (theta is symmetric)
+        pairs = theta[0].astype(np.intp) * (k + 1) + theta[r]
+        counts = np.bincount(pairs, minlength=(k + 1) ** 2).reshape(k + 1, k + 1).tolist()
+        b[h] = [sum(c * gi for c, gi in zip(row, g)) for row in counts]
+    return b
+
+
+def _quotient_traces(n: int, b: list[list[int]], count: int) -> list[int]:
+    """tr(M^a) = n (B^a e_k)[k] for a < count, in Python ints.
+
+    e_k stands for e_0, the indicator of K0 (the one k-subset of class k),
+    and B^a e_k for M^a e_0, column K0 of M^a.  M^a lies in the algebra, so
+    its diagonal is constant, and equal to its entry at (K0, K0).
+    """
+    x, out = [0] * (len(b) - 1) + [1], []
+    for _ in range(count):
+        out.append(n * x[-1])
+        x = [sum(bi * xi for bi, xi in zip(row, x)) for row in b]
+    return out
+
+
+def _quotient_rank(m: ExactMatrix) -> int | None:
+    """The rank of M over Q, proved from its quotient over J(v, k), or None.
+
+    P(M) for a polynomial P lies in the algebra, whose members are
+    determined by their column K0, so P(M) = 0 exactly when P(B) e_k = 0,
+    and the minimal polynomial pi of M is the first linear dependency of the
+    vectors B^a e_k, found over Q.  M is symmetric, so pi has simple roots.
+    If pi(0) != 0, M is invertible.  Otherwise pi(x) = x q(x), q(0) != 0,
+    q(M) / q(0) is the projector onto ker M, and the nullity is its trace,
+    sum_a q_a tr(M^a) / q(0).
+    """
+    b = _johnson_quotient(m)
+    if b is None:
+        return None
+    # x_a = B^a e_k so far, and an echelon basis of them: (pivot, x reduced,
+    # its combination of the x_a)
+    n, xs, basis = m.nrows, [[0] * (len(b) - 1) + [1]], []
+    while True:
+        a = len(xs) - 1
+        r, combo = [Fraction(xi) for xi in xs[a]], [Fraction(0)] * a + [Fraction(1)]
+        for pivot, rb, cb in basis:
+            if r[pivot]:
+                f = r[pivot] / rb[pivot]
+                r = [ri - f * bi for ri, bi in zip(r, rb)]
+                combo = [ci - f * (cb[i] if i < len(cb) else 0) for i, ci in enumerate(combo)]
+        if not any(r):
+            break  # sum_i combo[i] x_i = 0, combo[a] = 1: the coefficients of pi
+        basis.append((next(i for i, ri in enumerate(r) if ri), r, combo))
+        xs.append([sum(bi * xi for bi, xi in zip(row, xs[a])) for row in b])
+    if combo[0]:
+        return n
+    # q = combo[1:], and tr M^a = n x_a[k]
+    nullity = sum(qa * n * x[-1] for qa, x in zip(combo[1:], xs)) / combo[1]
+    if nullity.denominator != 1 or not 0 <= nullity <= n:
+        raise AssertionError(f"the quotient gives a nullity of {nullity} at order {n}")
+    return n - int(nullity)
+
+
 def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
-                    rng: random.Random | None = None, label: str = "",
-                    assume_diagonalizable: bool = False) -> SpectrumReport:
+                    rng: random.Random | None = None, label: str = "") -> SpectrumReport:
     """Check a claimed spectrum against an explicitly built matrix.
 
     Both modes check the multiplicity sum and the exact trace, that
@@ -532,9 +611,12 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     ``report.primes`` lists them all, p1 first, then any replacement for
     p1 in the trace step.
 
-    The matrix must be symmetric unless the caller passes
-    ``assume_diagonalizable`` (the W^T F products); a symmetric M has its
-    power traces from about half as many products (``_power_traces``).
+    The traces t_k, 2 <= k < d, are exact where M is a function of theta
+    over J(v, k), rows and columns tagged with the k-subsets of [v]: from
+    n (B^k e_k)[k], B its (k + 1) x (k + 1) quotient (``_johnson_quotient``),
+    with no product with M.  Any other M with d > 2 must be symmetric, and
+    its traces come from products mod p1 (``_power_traces``); with d <= 2
+    M may be any square matrix.
 
     Soundness, for M of order n:
 
@@ -564,7 +646,11 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
       since without P = 0 the traces prove nothing about it.  So a verified
       claim is proved in exact mode, and in modp mode its one error is the
       probes'.  t_0 = n and t_1, the exact trace, need no product, so
-      d <= 2 needs none at all (``_power_traces``).
+      d <= 2 needs none at all, nor a quotient.
+    - Symmetry.  Annihilation alone makes M diagonalizable, so the
+      multiplicities need no symmetry.  Only the shortcut t_2a = ||X_a||^2
+      of ``_power_traces`` does, and a matrix on the quotient route is
+      symmetric anyway: theta is.
     - Denominators.  A prime that divides a claimed eigenvalue's denominator
       raises ValueError, in the annihilation step for its primes and in the
       trace step for a replacement prime.  No true claim is lost so: M is an
@@ -582,7 +668,11 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     _require(n < 1 << (DEFAULT_PRIME_BITS - 1), "the trace route needs order < 2^20")
     report = SpectrumReport(label or f"matrix of order {n}", n, mode)
     arr = m.as_int_array()
-    if not assume_diagonalizable and not all(
+    distinct = spec.distinct()
+    # the power traces t_a, 2 <= a < d, come from the quotient over J(v, k)
+    # where M has one, else from _power_traces, which needs M symmetric
+    quotient = _johnson_quotient(m) if len(distinct) > 2 else None
+    if len(distinct) > 2 and quotient is None and not all(
             np.array_equal(arr[r:r + EYE_BLOCK], arr[:, r:r + EYE_BLOCK].T)
             for r in range(0, n, EYE_BLOCK)):
         raise ValueError("matrix must be symmetric")
@@ -591,7 +681,6 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     if not report.ok:
         return report
 
-    distinct = spec.distinct()
     trace = m.trace()  # in Python ints: an int64 sum of the diagonal could wrap
     want_trace = sum(val * mult for val, mult in distinct)
     report.add("trace", trace == want_trace,
@@ -638,8 +727,8 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     while len({_centred_residue(v, q) for v in values}) < len(values):
         q = random_prime(rng)
         report.primes += (q,)
-    traces = [n, trace, *_power_traces(arr, m.mag, q, len(values),
-                                       not assume_diagonalizable)]
+    traces = ([t % q for t in _quotient_traces(n, quotient, len(values))] if quotient is not None
+              else [n, trace, *_power_traces(arr, m.mag, q, len(values))])
     implied = _trace_multiplicities([_centred_residue(v, q) for v in values], traces, q)
     for (val, mult), mu in zip(distinct, implied):
         report.add(f"multiplicity[{val}]", annihilated and mu == mult,

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,9 @@ import pytest
 
 from imtk.build import F, MatrixKind, N, U, Utl, W, X, Y, build
 from imtk.cli import (main, matrix_csv, matrix_document, parse_matrix_document)
-from imtk.spectra import _windows, windowed_rank
+from imtk.exactalg import ExactMatrix
+from imtk.spectra import (_windows, sampled_eval_points, spectrum_of, verify_spectrum,
+                          windowed_rank)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the CLI runs in a clean environment, but with the caller's BLAS thread count
@@ -155,6 +158,22 @@ def test_spectrum_polynomial_kind_checks_at_samples():
     assert "at z=" in proc.stdout and "verified" in proc.stdout
 
 
+def test_each_sampled_point_of_a_polynomial_kind_replays_on_its_own(capsys):
+    # point i draws from random.Random(seed_i), seed_i the i-th 64 bits of
+    # the main stream: its primes follow from --seed and i alone, however
+    # many values the points before it drew
+    kind = F(2, 3, 3, 7)
+    assert main(["--seed", "5", "spectrum", "--kind", "F", "--t", "2", "--k", "3", "--v", "7",
+                 "--check", "modp"]) == 0
+    checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check[")]
+    main_stream = random.Random(5)
+    seeds = [main_stream.getrandbits(64) for _ in sampled_eval_points()]
+    m, spec = build(kind), spectrum_of(kind)
+    for line, z0, seed in zip(checks, sampled_eval_points(), seeds, strict=True):
+        rep = verify_spectrum(m.eval_at(z0), spec.eval_at(z0), rng=random.Random(seed))
+        assert rep.ok and line.endswith(f"at z={z0}] mode=modp primes={list(rep.primes)}")
+
+
 def test_spectrum_outside_hypotheses_exits_2():
     proc = run_cli("spectrum", "--kind", "N", "--t", "2", "--k", "3", "--v", "5")
     assert proc.returncode == 2
@@ -195,7 +214,8 @@ def test_rank_formula_of_a_zero_power_of_a_is_0():
     proc = run_cli("--seed", "1", "rank", "--kind", "A", "--i", "9", "--s", "2", "--k", "2",
                    "--v", "5", "--method", "both", check=True)
     lines = proc.stdout.splitlines()
-    assert lines[1:] == ["rank[formula] = 0", "rank[modp]    = 0", "match"], proc.stdout
+    assert lines[1:] == ["rank[modp] is proved by the quotient of J(5,2)",
+                         "rank[formula] = 0", "rank[modp]    = 0", "match"], proc.stdout
 
 
 @pytest.mark.parametrize("args", [
@@ -212,14 +232,17 @@ def test_a_zero_kind_has_the_zero_spectrum_and_rank_0(capsys, args):
     assert main(["--seed", "1", "rank", *args, "--k", "3", "--v", "7",
                  "--method", "both"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
+        "rank[modp] is proved by the quotient of J(7,3)",
         "rank[formula] = 0", "rank[modp]    = 0", "match"]
 
 
 def test_a_zero_non_square_u_has_rank_0(capsys):
-    # U^3_(2,3)(7): |S & K| <= 2 < 3 for every 2-subset S and 3-subset K
+    # U^3_(2,3)(7): |S & K| <= 2 < 3 for every 2-subset S and 3-subset K.
+    # It is not square, so it has no quotient: its rank is a one-sided bound
     assert main(["--seed", "1", "rank", "--kind", "U", "--l", "3", "--s", "2", "--k", "3",
                  "--v", "7", "--method", "both"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
+        "rank[modp] is a lower bound: a rank mod p is at most the rank over Q",
         "rank[formula] = 0", "rank[modp]    = 0", "match"]
 
 
@@ -230,7 +253,9 @@ def test_n_above_k_has_the_spectrum_and_rank_of_plus_or_minus_n_k(capsys, t):
     # up to sign
     assert main(["--seed", "1", "rank", "--kind", "N", "--t", str(t), "--k", "3", "--v", "7",
                  "--method", "both"]) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == [
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("primes: ") and out[1:] == [
+        f"rank[modp] is proved by full rank mod {out[0][len('primes: '):]}",
         "rank[formula] = 35", "rank[modp]    = 35", "match"]
     assert main(["--seed", "1", "spectrum", "--kind", "N", "--t", str(t), "--k", "3",
                  "--v", "7", "--check", "exact"]) == 0
@@ -240,22 +265,9 @@ def test_n_above_k_has_the_spectrum_and_rank_of_plus_or_minus_n_k(capsys, t):
     assert out[-1] == "verified"
 
 
-# the two primes `imtk --seed 5 rank` draws, printed by every rank before a
-# full rank stopped taking the second
-SEED5_PRIMES = (1584283, 1667641)
-
-
-@pytest.mark.parametrize("args, rank, eliminations", [
-    # W_23(7), 21 x 35 of rank 21: the first prime proves the rank
-    (["--kind", "W", "--s", "2", "--k", "3", "--v", "7"], 21, 1),
-    # N^1_(2,2)(5), 10 x 10 of rank 5
-    (["--kind", "N", "--t", "1", "--s", "2", "--k", "2", "--v", "5"], 5, 2),
-    # the dense U^3 (full rank) and A^3 over J(13,6) of the rank-dense benchmark
-    (["--kind", "U", "--l", "3", "--k", "6", "--v", "13"], 1716, 1),
-    (["--kind", "A", "--i", "3", "--k", "6", "--v", "13"], 286, 2),
-])
-def test_rank_takes_the_second_prime_only_below_full_rank(capsys, monkeypatch, args,
-                                                          rank, eliminations):
+@pytest.fixture
+def ranked_primes(monkeypatch):
+    """The primes that `imtk rank` ranks mod, in order."""
     primes = []
 
     def counted(m, p, windows=None):
@@ -263,12 +275,60 @@ def test_rank_takes_the_second_prime_only_below_full_rank(capsys, monkeypatch, a
         return windowed_rank(m, p, windows)
 
     monkeypatch.setattr("imtk.cli.windowed_rank", counted)
-    assert main(["--seed", "5", "rank", *args, "--method", "both"]) == 0
+    return primes
+
+
+# the two primes `imtk --seed 5 rank` draws, printed by every rank before a
+# full rank stopped taking the second
+SEED5_PRIMES = (1584283, 1667641)
+# what the line after the primes says of each rank below
+RANK_PROOFS = {
+    "--kind W --s 2 --k 3 --v 7": f"proved by full rank mod {SEED5_PRIMES[0]}",
+    "--kind N --t 1 --s 2 --k 2 --v 5": "proved by the quotient of J(5,2)",
+    "--kind U --l 3 --k 6 --v 13": f"proved by full rank mod {SEED5_PRIMES[0]}",
+    "--kind A --i 3 --k 6 --v 13": "proved by the quotient of J(13,6)",
+    "--kind A --i 1 --s 2 --k 3 --v 7": "a lower bound: a rank mod p is at most the rank over Q",
+}
+
+
+@pytest.mark.parametrize("args, rank, eliminations", [
+    # W_23(7), 21 x 35 of rank 21: the first prime proves the rank
+    (["--kind", "W", "--s", "2", "--k", "3", "--v", "7"], 21, 1),
+    # N^1_(2,2)(5), 10 x 10 of rank 5: the quotient over J(5,2) proves it
+    (["--kind", "N", "--t", "1", "--s", "2", "--k", "2", "--v", "5"], 5, 1),
+    # the dense U^3 (full rank) and A^3 over J(13,6) of the rank-dense benchmark
+    (["--kind", "U", "--l", "3", "--k", "6", "--v", "13"], 1716, 1),
+    (["--kind", "A", "--i", "3", "--k", "6", "--v", "13"], 286, 1),
+    # A^1_(2,3)(7) = W_12(7)^T W_13(7), 21 x 35 of rank 7, has no quotient
+    (["--kind", "A", "--i", "1", "--s", "2", "--k", "3", "--v", "7"], 7, 2),
+])
+def test_rank_takes_the_second_prime_only_below_full_rank(capsys, ranked_primes, args,
+                                                          rank, eliminations):
+    # a second prime only below a proved rank: full rank, or the quotient's
+    assert main(["--seed", "5", "rank", *args, "--method", "modp"]) == 0
     used = list(SEED5_PRIMES[:eliminations])
-    assert primes == used
+    assert ranked_primes == used
     assert capsys.readouterr().out.splitlines() == [
-        "primes: " + ", ".join(map(str, used)),
-        f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
+        "primes: " + ", ".join(map(str, used)), f"rank[modp] is {RANK_PROOFS[' '.join(args)]}",
+        f"rank[modp] = {rank}"]
+
+
+def test_rank_of_a_matrix_off_the_class_pattern_takes_the_second_prime(
+        capsys, monkeypatch, ranked_primes):
+    # N^1_(3,3)(7) with one symmetric pair of entries moved off its class
+    # value: it has no quotient, so its rank mod p is only a lower bound
+    kind = N(1, 3, 3, 7)
+    m = build(kind)
+    arr = m.as_int_array().astype("int64")
+    arr[1, 2] = arr[2, 1] = arr[1, 2] + 1
+    off = ExactMatrix(arr, m.row_family, m.col_family)
+    monkeypatch.setattr("imtk.cli.build", lambda k: off if k == kind else build(k))
+    assert main(["--seed", "5", "rank", "--kind", "N", "--t", "1", "--k", "3", "--v", "7",
+                 "--method", "modp"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert ranked_primes == list(SEED5_PRIMES) and out[:2] == [
+        "primes: " + ", ".join(map(str, SEED5_PRIMES)),
+        "rank[modp] is a lower bound: a rank mod p is at most the rank over Q"]
 
 
 def test_imtk_rank_makes_no_dense_copy_of_a_split_matrix(monkeypatch, capsys):
@@ -286,11 +346,13 @@ def test_imtk_rank_makes_no_dense_copy_of_a_split_matrix(monkeypatch, capsys):
     finally:
         tracemalloc.stop()
     assert rc == 0 and capsys.readouterr().out.splitlines()[1:] == [
+        "rank[modp] is proved by the quotient of J(12,6)",
         "rank[formula] = 462", "rank[modp]    = 462", "match"]
     # one float64 copy of M, the unsplit rank's working copy, is n * n * 8
     # bytes; ranked window by window the peak is about 0.2 of that: one
     # 256-row window's float64 copy and the kernel's temporaries, about as
-    # large again
+    # large again.  The quotient compares M with g(theta) 256 rows at a
+    # time, at the int8 width of the stack and of theta
     assert peak < n * n * 8 / 2, peak
 
 

@@ -11,7 +11,8 @@ from imtk.build import A, F, N, U, Uge, Utl, W, build
 from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from imtk.spectra import (_ELL_RATIO, EYE_BLOCK, PROBES, SpectrumSpec,
-                          _annihilation_failures, _power_traces, _product, _windows, alpha,
+                          _annihilation_failures, _johnson_quotient, _power_traces, _product,
+                          _quotient_rank, _quotient_traces, _windows, alpha,
                           eberlein, lambda_uge, lambda_utl, mu, multiplicity,
                           rank_formula, sampled_eval_points, spectrum_of, tau,
                           verify_spectrum, wf_spectrum, windowed_rank, wu_spectrum)
@@ -416,9 +417,17 @@ def test_power_traces_match_bigint_traces_at_every_entry_size(scale, ell, symmet
     arr = arr * scale
     n, width = arr.shape[0], int(np.count_nonzero(arr, axis=1).max())
     assert (_ELL_RATIO * width <= n) == ell
+    if not symmetric:
+        # the traces rest on t_2a = ||X_a||^2: a general M with more than two
+        # claimed eigenvalues, and no quotient, is refused before any product
+        assert not np.array_equal(arr, arr.T)
+        claim = SpectrumSpec(((1, 1), (2, 1), (0, n - 2)), 0, n)
+        with pytest.raises(ValueError, match="symmetric"):
+            verify_spectrum(ExactMatrix(arr), claim, rng=random.Random(RNG_SEED))
+        return
     p, count = random_prime(random.Random(RNG_SEED)), 8
     want = trace_powers(arr.tolist(), count)
-    got = _power_traces(arr, int(np.abs(arr).max()), p, count, symmetric)
+    got = _power_traces(arr, int(np.abs(arr).max()), p, count)
     assert got == [t % p for t in want[2:]]
 
 
@@ -469,10 +478,18 @@ def test_verify_detects_wrong_eigenvalue():
 
 
 def test_verify_rejects_asymmetric_without_flag():
+    # symmetry is checked only where _power_traces needs it.  With d <= 2
+    # claimed eigenvalues annihilation alone decides: the nilpotent M is not
+    # 0, so its claim 0^2 fails there
     m = ExactMatrix([[0, 1], [0, 0]])
-    spec = SpectrumSpec(((0, 2),), 0, 2)
-    with pytest.raises(ValueError):
-        verify_spectrum(m, spec)
+    rep = verify_spectrum(m, SpectrumSpec(((0, 2),), 0, 2), rng=random.Random(RNG_SEED))
+    status = {c.name: c.ok for c in rep.checks}
+    assert status["order"] and status["trace"] and not status["annihilation"]
+    assert not rep.ok
+    # d > 2 and no quotient over J(v, k): the matrix must be symmetric
+    m = ExactMatrix([[1, 1, 0], [0, 2, 0], [0, 0, 3]])
+    with pytest.raises(ValueError, match="symmetric"):
+        verify_spectrum(m, SpectrumSpec(((1, 1), (2, 1), (3, 1)), 0, 3))
 
 
 def test_verify_exact_mode_has_no_order_limit():
@@ -541,7 +558,7 @@ def test_exact_bound_takes_the_row_sum_norm_of_a_narrow_stack_widened(dtype):
 def test_verify_keeps_a_one_sided_coupling_in_one_window(mode):
     # M - I != 0, so a claim of 1^n fails annihilation however M is split
     rep = verify_spectrum(ExactMatrix([[1, 1], [0, 1]]), SpectrumSpec(((1, 2),), 0, 2),
-                          mode=mode, rng=random.Random(RNG_SEED), assume_diagonalizable=True)
+                          mode=mode, rng=random.Random(RNG_SEED))
     assert not {c.name: c.ok for c in rep.checks}["annihilation"]
     # at order 2 * EYE_BLOCK, rows 0 and n - 1 share a window only through
     # the entry that couples them: a split on the pattern of M alone (rows)
@@ -553,7 +570,7 @@ def test_verify_keeps_a_one_sided_coupling_in_one_window(mode):
         windows = _windows(arr)
         assert len(windows) == 2 and {0, n - 1} <= set(windows[0].tolist())
         rep = verify_spectrum(ExactMatrix(arr), SpectrumSpec(((1, n),), 0, n), mode=mode,
-                              rng=random.Random(RNG_SEED), assume_diagonalizable=True)
+                              rng=random.Random(RNG_SEED))
         assert not {c.name: c.ok for c in rep.checks}["annihilation"]
 
 
@@ -678,8 +695,9 @@ def test_verify_spectrum_makes_no_dense_copy_of_a_split_matrix():
 
 def test_verify_spectrum_of_a_connected_matrix_makes_no_dense_copy(monkeypatch):
     # N^5_(6,6)(13) is connected, with 7 distinct eigenvalues and 8 nonzeros
-    # in each row: its powers are carried by blocks of columns through ELL
-    # products, and no window is sought and no rank taken
+    # in each row: the probes or the columns of I go through ELL products,
+    # the traces come from its quotient over J(13,6), and no window is
+    # sought and no rank taken
     kind = N(5, 6, 6, 13)
     m, spec = build(kind), spectrum_of(kind)
     n = m.nrows
@@ -696,9 +714,10 @@ def test_verify_spectrum_of_a_connected_matrix_makes_no_dense_copy(monkeypatch):
             tracemalloc.stop()
         assert rep.ok
         # one float64 copy of M, each rank's working copy before, is n * n *
-        # 8 bytes.  modp peaks at about 0.21 of it, in _GATHER gathered
-        # blocks of 32 columns of M^a and their products; exact at about
-        # 0.31, its blocks of I having 32 columns for each of its two primes
+        # 8 bytes.  modp peaks at about 0.17 of it, in the gathered probes
+        # and their products (0.21 when the power traces were taken by
+        # products); exact at about 0.31, its blocks of I having 32 columns
+        # for each of its two primes
         assert peak < share * n * n * 8, (mode, peak / (n * n * 8))
 
 
@@ -796,9 +815,7 @@ def test_wf_spectrum_at_sampled_points():
                     spec = wf_spectrum(v, k, s, t)
                     m = build(W(s, k, v)).transpose() @ build(F(t, s, k, v))
                     for z0 in (Fraction(1), Fraction(-2)):
-                        rep = verify_spectrum(
-                            m.eval_at(z0), spec.eval_at(z0), rng=rng,
-                            assume_diagonalizable=True)
+                        rep = verify_spectrum(m.eval_at(z0), spec.eval_at(z0), rng=rng)
                         assert rep.ok, (v, k, s, t, z0)
 
 
@@ -810,9 +827,94 @@ def test_wu_product_spectrum_verifies():
                 for l in range(s + 1):
                     spec = wu_spectrum(v, k, s, l)
                     m = build(W(s, k, v)).transpose() @ build(U(l, s, k, v))
-                    rep = verify_spectrum(m, spec, rng=rng,
-                                          assume_diagonalizable=True)
+                    rep = verify_spectrum(m, spec, rng=rng)
                     assert rep.ok, (v, k, s, l)
+
+
+# ---------------------------------------------------------------------------
+# the quotient over J(v, k)
+
+def _square_kinds(v_max):
+    """Every square A, N, U, U^>= and U^(t,l) kind up to v_max, k > v/2 and
+    parameters one past k (zero kinds, N^t = -N^k) included."""
+    for v in range(1, v_max + 1):
+        for k in range(v + 1):
+            for x in range(k + 2):
+                yield from (A(x, k, k, v), N(x, k, k, v), U(x, k, k, v), Uge(x, k, k, v))
+                yield from (Utl(x, l, k, k, v) for l in range(x + 2))
+
+
+def test_quotient_rank_matches_two_prime_ranks_and_rank_formulas():
+    rng, kinds, formulas = random.Random(RNG_SEED), 0, 0
+    for kind in _square_kinds(9):
+        m = build(kind)
+        got = _quotient_rank(m)
+        # a rank mod p never exceeds the rank over Q
+        assert got == max(windowed_rank(m, random_prime(rng)),
+                          windowed_rank(m, random_prime(rng))), kind.describe()
+        kinds += 1
+        if 2 * kind.k <= kind.v:
+            assert got == rank_formula(kind), kind.describe()
+            formulas += 1
+    assert (kinds, formulas) == (2352, 727)
+
+
+def test_quotient_traces_of_golden_n13_equal_its_power_traces():
+    kind = N(5, 6, 6, 13)
+    m = build(kind)
+    b, d = _johnson_quotient(m), len(spectrum_of(kind).distinct())
+    assert len(b) == 7 and d == 7
+    p = random_prime(random.Random(RNG_SEED))
+    traces = _quotient_traces(m.nrows, b, d)
+    assert traces[:2] == [1716, m.trace()]
+    assert [t % p for t in traces[2:]] == _power_traces(m.as_int_array(), m.mag, p, d)
+
+
+def _off_pattern(kind, i, j):
+    """build(kind) with the symmetric pair (i, j), (j, i) moved off its class value."""
+    m = build(kind)
+    arr = m.as_int_array().astype(np.int64)
+    arr[i, j] = arr[j, i] = arr[i, j] + 1
+    return ExactMatrix(arr, m.row_family, m.col_family)
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_a_matrix_off_the_class_pattern_takes_the_generic_route(mode):
+    kind = N(1, 3, 3, 7)  # 5 distinct eigenvalues
+    spec, off = spectrum_of(kind), _off_pattern(kind, 1, 2)
+    assert _johnson_quotient(build(kind)) is not None and _johnson_quotient(off) is None
+    # order 462 is compared in two blocks of rows; a pair in the last one
+    big = N(2, 5, 5, 11)
+    assert _johnson_quotient(build(big)) is not None
+    assert _johnson_quotient(_off_pattern(big, 460, 461)) is None
+    untagged = ExactMatrix(off.stack)  # no families, so no quotient is sought
+    reports = [verify_spectrum(x, spec, mode=mode, rng=random.Random(RNG_SEED), label="M")
+               for x in (off, untagged)]
+    assert reports[0].to_dict() == reports[1].to_dict() and not reports[0].ok
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_the_quotient_route_fails_a_swapped_multiplicity_and_a_shifted_eigenvalue(
+        monkeypatch, mode):
+    kind = N(3, 4, 4, 9)  # order 126: -4^1 5^8 -2^27 3^48 0^42
+    m, spec = build(kind), spectrum_of(kind)
+    distinct = spec.distinct()
+    assert len(distinct) > 2 and _johnson_quotient(m) is not None
+    monkeypatch.setattr("imtk.spectra._power_traces", None)  # never reached
+    assert verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED)).ok
+
+    def status(pairs):
+        rep = verify_spectrum(m, SpectrumSpec(tuple(pairs), 0, spec.order), mode=mode,
+                              rng=random.Random(RNG_SEED))
+        assert not rep.ok
+        return {c.name: c.ok for c in rep.checks}
+
+    (v1, m1), (v2, m2) = distinct[1], distinct[2]
+    swapped = status([(v1, m2), (v2, m1), *distinct[:1], *distinct[3:]])
+    assert swapped["annihilation"]
+    assert not swapped[f"multiplicity[{v1}]"] and not swapped[f"multiplicity[{v2}]"]
+    shifted = status([(distinct[0][0] + 1, distinct[0][1]), *distinct[1:]])
+    assert not shifted["annihilation"]
 
 
 # ---------------------------------------------------------------------------
