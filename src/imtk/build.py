@@ -193,22 +193,38 @@ def membership_matrix(v: int, s: int) -> np.ndarray:
     return out
 
 
+def theta_blocks(v: int, a: int, b: int):
+    """theta_matrix(v, a, b) one row block at a time, as (first row, block)
+    pairs: views of the matrix where it is cached, else each block made by
+    one float64 product of membership matrices, so that a theta over the
+    cache limit is never held whole.
+    """
+    step = _block_rows(binomial(v, b))
+    got = _theta_cache.get((v, a, b))
+    if got is not None:
+        yield from ((r0, got[r0:r0 + step]) for r0 in range(0, len(got), step))
+        return
+    ma, mb = membership_matrix(v, a), membership_matrix(v, b).T
+    dtype = np.int8 if min(a, b) <= 127 else np.int64
+    for r0 in range(0, len(ma), step):
+        yield r0, (ma[r0:r0 + step] @ mb).astype(dtype)
+
+
 def theta_matrix(v: int, a: int, b: int) -> np.ndarray:
     """Matrix of intersection sizes |S cap K| over (a-subset, b-subset) pairs.
 
-    One float64 product of membership matrices per row block, exact since
-    no entry or partial sum exceeds min(a, b) < 2^53.  The result is int8
-    while min(a, b) <= 127, else int64.
+    Made by ``theta_blocks``, exact since no entry or partial sum of its
+    products exceeds min(a, b) < 2^53.  The result is int8 while
+    min(a, b) <= 127, else int64.
     """
     key = (v, a, b)
     got = _theta_cache.get(key)
     if got is not None:
         return got
-    ma, mb = membership_matrix(v, a), membership_matrix(v, b).T
-    arr = np.empty((len(ma), mb.shape[1]), dtype=np.int8 if min(a, b) <= 127 else np.int64)
-    step = _block_rows(mb.shape[1])
-    for r0 in range(0, len(arr), step):
-        arr[r0:r0 + step] = ma[r0:r0 + step] @ mb
+    arr = np.empty((binomial(v, a), binomial(v, b)),
+                   dtype=np.int8 if min(a, b) <= 127 else np.int64)
+    for r0, block in theta_blocks(v, a, b):
+        arr[r0:r0 + len(block)] = block
     arr.setflags(write=False)
     if arr.nbytes <= _THETA_CACHE_LIMIT:
         _theta_cache[key] = arr

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .build import MatrixKind, build, theta_matrix
+from .build import MatrixKind, build, theta_blocks
 from .combinat import binomial
 from .exactalg import (_FLOAT_EXACT, DEFAULT_PRIME_BITS, ExactMatrix, ModMatrix, Poly,
                        _centre, _reduce, random_prime, rank_modp)
@@ -518,46 +518,54 @@ def _johnson_quotient(m: ExactMatrix) -> list[list[int]] | None:
     M must be an integer matrix whose rows and columns are both tagged with
     the k-subsets of [v], and equal g(theta), theta = |S cap K|: g is read
     off row 0, since K0 = {1..k} meets every nonempty class, and the stack
-    is compared with g taken at theta in blocks of EYE_BLOCK rows, at the
-    stack's own width.  Then M lies in the Bose-Mesner algebra of J(v, k),
-    the partition of the k-subsets by |K cap K0| = h is equitable, and M
-    acts on its class-constant vectors by B[h][h'] = sum of M[S_h, K] over
-    the K of class h', for any S_h of class h: the counts of K by their
-    pair of classes against K0 and S_h, weighted by g.  Rows and columns of
-    B are h = 0..k; an empty class (h < 2k - v) has zeros in both.
+    is compared with g taken at theta, at the stack's own width, one
+    ``theta_blocks`` block at a time, so an uncached theta is never held
+    whole.  Then M lies in the Bose-Mesner algebra of J(v, k), the
+    partition of the k-subsets by |K cap K0| = h is equitable, and M acts
+    on its class-constant vectors by B[h][h'] = sum of M[S_h, K] over the K
+    of class h', for any S_h of class h: the counts of K by their pair of
+    classes against K0 and S_h, weighted by g.  Rows and columns of B are
+    h = 0..k; an empty class (h < 2k - v) has zeros in both.
     """
     fam = m.row_family
     if fam is None or m.col_family != fam or not m.all_int():
         return None
     k, arr = fam.s, m.stack[0]
-    theta = theta_matrix(fam.v, k, k)
-    classes, reps = np.unique(theta[0], return_index=True)
-    g = np.zeros(k + 1, dtype=arr.dtype)
-    g[classes] = arr[0, reps]
-    if not all(np.array_equal(arr[r:r + EYE_BLOCK], g.take(theta[r:r + EYE_BLOCK]))
-               for r in range(0, len(arr), EYE_BLOCK)):
-        return None
-    g, b = g.tolist(), [[0] * (k + 1) for _ in range(k + 1)]
-    for h, r in zip(classes.tolist(), reps.tolist()):
-        # counts[h', i]: the K of class h' with |S_h cap K| = i (theta is symmetric)
-        pairs = theta[0].astype(np.intp) * (k + 1) + theta[r]
-        counts = np.bincount(pairs, minlength=(k + 1) ** 2).reshape(k + 1, k + 1).tolist()
-        b[h] = [sum(c * gi for c, gi in zip(row, g)) for row in counts]
+    b = [[0] * (k + 1) for _ in range(k + 1)]
+    for r0, theta in theta_blocks(fam.v, k, k):
+        if not r0:  # row 0: g, and the class of each K against K0
+            cls = theta[0].astype(np.intp)
+            classes, reps = np.unique(cls, return_index=True)
+            g = np.zeros(k + 1, dtype=arr.dtype)
+            g[classes] = arr[0, reps]
+            gs = g.tolist()
+        if not np.array_equal(arr[r0:r0 + len(theta)], g.take(theta)):
+            return None
+        for h, r in zip(classes.tolist(), reps.tolist()):
+            if r0 <= r < r0 + len(theta):
+                # counts[h', i]: the K of class h' with |S_h cap K| = i
+                counts = np.bincount(cls * (k + 1) + theta[r - r0], minlength=(k + 1) ** 2)
+                b[h] = [sum(c * gi for c, gi in zip(row, gs))
+                        for row in counts.reshape(k + 1, k + 1).tolist()]
     return b
 
 
-def _quotient_traces(n: int, b: list[list[int]], count: int) -> list[int]:
-    """tr(M^a) = n (B^a e_k)[k] for a < count, in Python ints.
+def _quotient_powers(b: list[list[int]], count: int) -> list[list[int]]:
+    """x_a = B^a e_k for a < count, in Python ints.
 
     e_k stands for e_0, the indicator of K0 (the one k-subset of class k),
-    and B^a e_k for M^a e_0, column K0 of M^a.  M^a lies in the algebra, so
-    its diagonal is constant, and equal to its entry at (K0, K0).
+    and x_a for M^a e_0, column K0 of M^a.  M^a lies in the algebra, so its
+    diagonal is constant, and tr(M^a) = n x_a[k] (``_quotient_traces``).
     """
-    x, out = [0] * (len(b) - 1) + [1], []
-    for _ in range(count):
-        out.append(n * x[-1])
-        x = [sum(bi * xi for bi, xi in zip(row, x)) for row in b]
-    return out
+    xs = [[0] * (len(b) - 1) + [1]]
+    for _ in range(count - 1):
+        xs.append([sum(bi * xi for bi, xi in zip(row, xs[-1])) for row in b])
+    return xs
+
+
+def _quotient_traces(n: int, xs: list[list[int]]) -> list[int]:
+    """tr(M^a) = n x_a[k] for the x_a = B^a e_k of ``_quotient_powers``."""
+    return [n * x[-1] for x in xs]
 
 
 def _quotient_rank(m: ExactMatrix) -> int | None:
@@ -566,20 +574,18 @@ def _quotient_rank(m: ExactMatrix) -> int | None:
     P(M) for a polynomial P lies in the algebra, whose members are
     determined by their column K0, so P(M) = 0 exactly when P(B) e_k = 0,
     and the minimal polynomial pi of M is the first linear dependency of the
-    vectors B^a e_k, found over Q.  M is symmetric, so pi has simple roots.
-    If pi(0) != 0, M is invertible.  Otherwise pi(x) = x q(x), q(0) != 0,
-    q(M) / q(0) is the projector onto ker M, and the nullity is its trace,
-    sum_a q_a tr(M^a) / q(0).
+    vectors x_a = B^a e_k, found over Q among the first k + 2.  M is
+    symmetric, so pi has simple roots.  If pi(0) != 0, M is invertible.
+    Otherwise pi(x) = x q(x), q(0) != 0, q(M) / q(0) is the projector onto
+    ker M, and the nullity is its trace, sum_a q_a tr(M^a) / q(0).
     """
-    b = _johnson_quotient(m)
+    b, n = _johnson_quotient(m), m.nrows
     if b is None:
         return None
-    # x_a = B^a e_k so far, and an echelon basis of them: (pivot, x reduced,
-    # its combination of the x_a)
-    n, xs, basis = m.nrows, [[0] * (len(b) - 1) + [1]], []
-    while True:
-        a = len(xs) - 1
-        r, combo = [Fraction(xi) for xi in xs[a]], [Fraction(0)] * a + [Fraction(1)]
+    xs = _quotient_powers(b, len(b) + 1)
+    basis = []  # an echelon basis of the x_a so far: (pivot, x reduced, its combination)
+    for a, x in enumerate(xs):
+        r, combo = [Fraction(xi) for xi in x], [Fraction(0)] * a + [Fraction(1)]
         for pivot, rb, cb in basis:
             if r[pivot]:
                 f = r[pivot] / rb[pivot]
@@ -588,11 +594,10 @@ def _quotient_rank(m: ExactMatrix) -> int | None:
         if not any(r):
             break  # sum_i combo[i] x_i = 0, combo[a] = 1: the coefficients of pi
         basis.append((next(i for i, ri in enumerate(r) if ri), r, combo))
-        xs.append([sum(bi * xi for bi, xi in zip(row, xs[a])) for row in b])
     if combo[0]:
         return n
-    # q = combo[1:], and tr M^a = n x_a[k]
-    nullity = sum(qa * n * x[-1] for qa, x in zip(combo[1:], xs)) / combo[1]
+    # q = combo[1:]
+    nullity = sum(qa * t for qa, t in zip(combo[1:], _quotient_traces(n, xs))) / combo[1]
     if nullity.denominator != 1 or not 0 <= nullity <= n:
         raise AssertionError(f"the quotient gives a nullity of {nullity} at order {n}")
     return n - int(nullity)
@@ -727,8 +732,8 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     while len({_centred_residue(v, q) for v in values}) < len(values):
         q = random_prime(rng)
         report.primes += (q,)
-    traces = ([t % q for t in _quotient_traces(n, quotient, len(values))] if quotient is not None
-              else [n, trace, *_power_traces(arr, m.mag, q, len(values))])
+    traces = ([t % q for t in _quotient_traces(n, _quotient_powers(quotient, len(values)))]
+              if quotient is not None else [n, trace, *_power_traces(arr, m.mag, q, len(values))])
     implied = _trace_multiplicities([_centred_residue(v, q) for v in values], traces, q)
     for (val, mult), mu in zip(distinct, implied):
         report.add(f"multiplicity[{val}]", annihilated and mu == mult,

@@ -9,7 +9,7 @@ import pytest
 
 from imtk.build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y, _entries,
                         block_decompose, build, membership_matrix,
-                        row_support_formula, theta_matrix)
+                        row_support_formula, theta_blocks, theta_matrix)
 from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, Poly
 
@@ -58,6 +58,23 @@ def test_theta_cache_limit_is_in_bytes(monkeypatch):
         monkeypatch.setattr(build_module, "_THETA_CACHE_LIMIT", limit)
         assert np.array_equal(theta_matrix(6, 3, 3), th)
         assert ((6, 3, 3) in build_module._theta_cache) is kept
+
+
+def test_theta_blocks_cover_theta_and_make_only_an_uncached_one(monkeypatch):
+    monkeypatch.setattr(build_module, "_theta_cache", {})
+    monkeypatch.setattr(build_module, "_BLOCK_ENTRIES", 200)  # 2 rows of 70 a block
+    want = oracles.theta_oracle(8, 3, 4)
+    for cached in (False, True):
+        blocks = list(theta_blocks(8, 3, 4))
+        assert [r0 for r0, _ in blocks] == list(range(0, 56, 2))
+        assert all(block.dtype == np.int8 for _, block in blocks)
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), want)
+        # made afresh and left uncached, then views of the cached matrix
+        assert ((8, 3, 4) in build_module._theta_cache) is cached
+        if cached:
+            th = build_module._theta_cache[8, 3, 4]
+            assert all(np.shares_memory(block, th) for _, block in blocks)
+        theta_matrix(8, 3, 4)
 
 
 def test_f_untruncated_entries_are_binomial_powers():

@@ -287,7 +287,7 @@ RANK_PROOFS = {
     "--kind N --t 1 --s 2 --k 2 --v 5": "proved by the quotient of J(5,2)",
     "--kind U --l 3 --k 6 --v 13": f"proved by full rank mod {SEED5_PRIMES[0]}",
     "--kind A --i 3 --k 6 --v 13": "proved by the quotient of J(13,6)",
-    "--kind A --i 1 --s 2 --k 3 --v 7": "a lower bound: a rank mod p is at most the rank over Q",
+    "--kind U --l 1 --s 2 --k 3 --v 6": "a lower bound: a rank mod p is at most the rank over Q",
 }
 
 
@@ -299,18 +299,18 @@ RANK_PROOFS = {
     # the dense U^3 (full rank) and A^3 over J(13,6) of the rank-dense benchmark
     (["--kind", "U", "--l", "3", "--k", "6", "--v", "13"], 1716, 1),
     (["--kind", "A", "--i", "3", "--k", "6", "--v", "13"], 286, 1),
-    # A^1_(2,3)(7) = W_12(7)^T W_13(7), 21 x 35 of rank 7, has no quotient
-    (["--kind", "A", "--i", "1", "--s", "2", "--k", "3", "--v", "7"], 7, 2),
+    # U^1_(2,3)(6), 15 x 20 of rank 10, is not square, so it has no quotient
+    (["--kind", "U", "--l", "1", "--s", "2", "--k", "3", "--v", "6"], 10, 2),
 ])
 def test_rank_takes_the_second_prime_only_below_full_rank(capsys, ranked_primes, args,
                                                           rank, eliminations):
     # a second prime only below a proved rank: full rank, or the quotient's
-    assert main(["--seed", "5", "rank", *args, "--method", "modp"]) == 0
+    assert main(["--seed", "5", "rank", *args, "--method", "both"]) == 0
     used = list(SEED5_PRIMES[:eliminations])
     assert ranked_primes == used
     assert capsys.readouterr().out.splitlines() == [
         "primes: " + ", ".join(map(str, used)), f"rank[modp] is {RANK_PROOFS[' '.join(args)]}",
-        f"rank[modp] = {rank}"]
+        f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
 
 
 def test_rank_of_a_matrix_off_the_class_pattern_takes_the_second_prime(
@@ -351,8 +351,8 @@ def test_imtk_rank_makes_no_dense_copy_of_a_split_matrix(monkeypatch, capsys):
     # one float64 copy of M, the unsplit rank's working copy, is n * n * 8
     # bytes; ranked window by window the peak is about 0.2 of that: one
     # 256-row window's float64 copy and the kernel's temporaries, about as
-    # large again.  The quotient compares M with g(theta) 256 rows at a
-    # time, at the int8 width of the stack and of theta
+    # large again.  The quotient compares M with g(theta) one theta row
+    # block at a time, at the int8 width of the stack and of theta
     assert peak < n * n * 8 / 2, peak
 
 

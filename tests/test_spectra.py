@@ -12,8 +12,8 @@ from imtk.combinat import binomial
 from imtk.exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from imtk.spectra import (_ELL_RATIO, EYE_BLOCK, PROBES, SpectrumSpec,
                           _annihilation_failures, _johnson_quotient, _power_traces, _product,
-                          _quotient_rank, _quotient_traces, _windows, alpha,
-                          eberlein, lambda_uge, lambda_utl, mu, multiplicity,
+                          _quotient_powers, _quotient_rank, _quotient_traces, _windows,
+                          alpha, eberlein, lambda_uge, lambda_utl, mu, multiplicity,
                           rank_formula, sampled_eval_points, spectrum_of, tau,
                           verify_spectrum, wf_spectrum, windowed_rank, wu_spectrum)
 
@@ -865,9 +865,26 @@ def test_quotient_traces_of_golden_n13_equal_its_power_traces():
     b, d = _johnson_quotient(m), len(spectrum_of(kind).distinct())
     assert len(b) == 7 and d == 7
     p = random_prime(random.Random(RNG_SEED))
-    traces = _quotient_traces(m.nrows, b, d)
+    traces = _quotient_traces(m.nrows, _quotient_powers(b, d))
     assert traces[:2] == [1716, m.trace()]
     assert [t % p for t in traces[2:]] == _power_traces(m.as_int_array(), m.mag, p, d)
+
+
+def test_the_quotient_over_the_theta_cache_limit_holds_no_whole_theta():
+    # theta(14, 7, 7) is 11.8 MB of int8, over the 8 MB cache limit, so
+    # build made it and let it go; the quotient compares block by block
+    m = build(N(6, 7, 7, 14))
+    n = m.nrows
+    m.mag  # computed before tracing
+    tracemalloc.start()
+    try:
+        b = _johnson_quotient(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    squares = int((m.as_int_array().astype(np.int64) ** 2).sum())  # tr M^2, M symmetric
+    assert _quotient_traces(n, _quotient_powers(b, 3)) == [n, m.trace(), squares]
+    assert peak < n * n / 2, peak
 
 
 def _off_pattern(kind, i, j):
