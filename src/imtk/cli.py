@@ -226,19 +226,20 @@ def cmd_rank(args, rng) -> int:
             raise UsageError("mod-p rank needs an integer matrix kind")
         # both primes are drawn, so a seed gives the same primes either way
         p, p2 = random_prime(rng), random_prime(rng)
-        # a rank mod p is a lower bound of the rank over Q, so full rank is
-        # exact, and so is a rank that the quotient over J(v, k) proves
-        windows = _windows(m.stack[0])  # found once for both primes
-        computed_rank, used = windowed_rank(m, p, windows=windows), [p]
-        full = min(m.shape)
-        quotient_rank = None if computed_rank == full else _quotient_rank(m)
-        if computed_rank not in (full, quotient_rank):
-            computed_rank = max(computed_rank, windowed_rank(m, p2, windows=windows))
-            used.append(p2)
-        if computed_rank == full:
-            proof = f"proved by full rank mod {used[-1]}"
-        elif computed_rank == quotient_rank:
+        quotient, used, full = _quotient_rank(m), [p], min(m.shape)
+        computed_rank = None if quotient is None else quotient.mod(p)
+        if computed_rank is None:
+            # a rank mod p is a lower bound of the rank over Q, so full rank
+            # is exact, and so is the rank over Q that the quotient proves
+            windows = _windows(m.stack[0])  # found once for both primes
+            computed_rank = windowed_rank(m, p, windows=windows)
+            if computed_rank not in (full, None if quotient is None else quotient.rank):
+                computed_rank = max(computed_rank, windowed_rank(m, p2, windows=windows))
+                used.append(p2)
+        if quotient is not None and computed_rank == quotient.rank:
             proof = f"proved by the quotient of J({kind.v},{kind.k})"
+        elif computed_rank == full:
+            proof = f"proved by full rank mod {used[-1]}"
         else:
             proof = "a lower bound: a rank mod p is at most the rank over Q"
         print("primes: " + ", ".join(map(str, used)))

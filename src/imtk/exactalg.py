@@ -549,8 +549,10 @@ def random_prime(rng: random.Random | None = None) -> int:
     A rank mod p never exceeds the rank over Q, so one of min(rows, cols),
     or one equal to the rank that the quotient over J(v, k) proves for a
     square kind (``spectra._quotient_rank``), is the rank over Q with no
-    error at all.  ``imtk rank`` ranks mod its second prime only when the
-    first rank is neither.
+    error at all.  That quotient's rank is also the rank mod every prime
+    not dividing its unit, so ``imtk rank`` eliminates only where there is
+    no quotient or the first prime divides the unit, and ranks mod its
+    second prime only when the first rank is neither.
     """
     rng = rng or random.Random()
     while True:

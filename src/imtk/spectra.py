@@ -568,16 +568,41 @@ def _quotient_traces(n: int, xs: list[list[int]]) -> list[int]:
     return [n * x[-1] for x in xs]
 
 
-def _quotient_rank(m: ExactMatrix) -> int | None:
+@dataclass(frozen=True)
+class QuotientRank:
+    """The rank of M over Q that its quotient proves, and the unit that
+    carries it mod p: pi(0) for an invertible M, else q(0), pi = x q.
+    For every prime p not dividing ``unit``, rank_p M = ``rank``."""
+
+    rank: int
+    unit: int
+
+    def mod(self, p: int) -> int | None:
+        """rank_p M, proved, or None where p divides ``unit``."""
+        return None if self.unit % p == 0 else self.rank
+
+
+def _quotient_rank(m: ExactMatrix) -> QuotientRank | None:
     """The rank of M over Q, proved from its quotient over J(v, k), or None.
 
     P(M) for a polynomial P lies in the algebra, whose members are
     determined by their column K0, so P(M) = 0 exactly when P(B) e_k = 0,
     and the minimal polynomial pi of M is the first linear dependency of the
-    vectors x_a = B^a e_k, found over Q among the first k + 2.  M is
-    symmetric, so pi has simple roots.  If pi(0) != 0, M is invertible.
-    Otherwise pi(x) = x q(x), q(0) != 0, q(M) / q(0) is the projector onto
-    ker M, and the nullity is its trace, sum_a q_a tr(M^a) / q(0).
+    vectors x_a = B^a e_k, found over Q among the first k + 2.  pi divides
+    the characteristic polynomial of the integer M, so it is monic in Z[x],
+    and M is symmetric, so pi has simple roots.  If pi(0) != 0, M is
+    invertible.  Otherwise pi(x) = x q(x), q(0) != 0, E = q(M) / q(0) is the
+    projector onto ker M, and the nullity is its trace,
+    sum_a q_a tr(M^a) / q(0).
+
+    The same holds mod a prime p not dividing the unit, pi(0) or q(0).
+    With p not dividing pi(0), pi(x) = x r(x) + pi(0) gives
+    M (-r(M) / pi(0)) = I mod p.  With p not dividing q(0), E reduces
+    mod p, and so does I - E; both stay idempotent, E's image is ker_p M
+    (M E = pi(M) / q(0) = 0, and M x = 0 gives q(M) x = q(0) x), and
+    rank_p E + rank_p (I - E) = n.  A rank never rises mod p, so rank_p E
+    <= rank E and rank_p (I - E) <= rank (I - E), with equality in both:
+    the nullity mod p is the nullity over Q.
     """
     b, n = _johnson_quotient(m), m.nrows
     if b is None:
@@ -594,13 +619,15 @@ def _quotient_rank(m: ExactMatrix) -> int | None:
         if not any(r):
             break  # sum_i combo[i] x_i = 0, combo[a] = 1: the coefficients of pi
         basis.append((next(i for i, ri in enumerate(r) if ri), r, combo))
+    if any(c.denominator != 1 for c in combo):
+        raise AssertionError(f"the minimal polynomial {combo} is not in Z[x]")
     if combo[0]:
-        return n
+        return QuotientRank(n, int(combo[0]))
     # q = combo[1:]
     nullity = sum(qa * t for qa, t in zip(combo[1:], _quotient_traces(n, xs))) / combo[1]
     if nullity.denominator != 1 or not 0 <= nullity <= n:
         raise AssertionError(f"the quotient gives a nullity of {nullity} at order {n}")
-    return n - int(nullity)
+    return QuotientRank(n - int(nullity), int(combo[1]))
 
 
 def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from imtk.build import F, MatrixKind, N, U, Utl, W, X, Y, build
@@ -255,7 +256,7 @@ def test_n_above_k_has_the_spectrum_and_rank_of_plus_or_minus_n_k(capsys, t):
                  "--method", "both"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("primes: ") and out[1:] == [
-        f"rank[modp] is proved by full rank mod {out[0][len('primes: '):]}",
+        "rank[modp] is proved by the quotient of J(7,3)",
         "rank[formula] = 35", "rank[modp]    = 35", "match"]
     assert main(["--seed", "1", "spectrum", "--kind", "N", "--t", str(t), "--k", "3",
                  "--v", "7", "--check", "exact"]) == 0
@@ -285,7 +286,7 @@ SEED5_PRIMES = (1584283, 1667641)
 RANK_PROOFS = {
     "--kind W --s 2 --k 3 --v 7": f"proved by full rank mod {SEED5_PRIMES[0]}",
     "--kind N --t 1 --s 2 --k 2 --v 5": "proved by the quotient of J(5,2)",
-    "--kind U --l 3 --k 6 --v 13": f"proved by full rank mod {SEED5_PRIMES[0]}",
+    "--kind U --l 3 --k 6 --v 13": "proved by the quotient of J(13,6)",
     "--kind A --i 3 --k 6 --v 13": "proved by the quotient of J(13,6)",
     "--kind U --l 1 --s 2 --k 3 --v 6": "a lower bound: a rank mod p is at most the rank over Q",
 }
@@ -295,10 +296,11 @@ RANK_PROOFS = {
     # W_23(7), 21 x 35 of rank 21: the first prime proves the rank
     (["--kind", "W", "--s", "2", "--k", "3", "--v", "7"], 21, 1),
     # N^1_(2,2)(5), 10 x 10 of rank 5: the quotient over J(5,2) proves it
-    (["--kind", "N", "--t", "1", "--s", "2", "--k", "2", "--v", "5"], 5, 1),
+    # mod the first prime, which does not divide its unit, with no elimination
+    (["--kind", "N", "--t", "1", "--s", "2", "--k", "2", "--v", "5"], 5, 0),
     # the dense U^3 (full rank) and A^3 over J(13,6) of the rank-dense benchmark
-    (["--kind", "U", "--l", "3", "--k", "6", "--v", "13"], 1716, 1),
-    (["--kind", "A", "--i", "3", "--k", "6", "--v", "13"], 286, 1),
+    (["--kind", "U", "--l", "3", "--k", "6", "--v", "13"], 1716, 0),
+    (["--kind", "A", "--i", "3", "--k", "6", "--v", "13"], 286, 0),
     # U^1_(2,3)(6), 15 x 20 of rank 10, is not square, so it has no quotient
     (["--kind", "U", "--l", "1", "--s", "2", "--k", "3", "--v", "6"], 10, 2),
 ])
@@ -306,10 +308,34 @@ def test_rank_takes_the_second_prime_only_below_full_rank(capsys, ranked_primes,
                                                           rank, eliminations):
     # a second prime only below a proved rank: full rank, or the quotient's
     assert main(["--seed", "5", "rank", *args, "--method", "both"]) == 0
-    used = list(SEED5_PRIMES[:eliminations])
-    assert ranked_primes == used
+    assert ranked_primes == list(SEED5_PRIMES[:eliminations])
+    used = SEED5_PRIMES[:max(eliminations, 1)]
     assert capsys.readouterr().out.splitlines() == [
         "primes: " + ", ".join(map(str, used)), f"rank[modp] is {RANK_PROOFS[' '.join(args)]}",
+        f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
+
+
+@pytest.mark.parametrize("args, p, rank, eliminations", [
+    # N^1_(2,2)(5) has unit q(0) = -6 and still rank 5 mod 2
+    (["--kind", "N", "--t", "1", "--k", "2", "--v", "5"], 2, 5, 1),
+    # N^1_(3,3)(7), unit q(0) = -10: rank 6 mod 2, below the quotient's 7
+    (["--kind", "N", "--t", "1", "--k", "3", "--v", "7"], 2, 7, 2),
+    # U^1_(3,3)(7), invertible, unit pi(0) = 162: rank 13 mod 3
+    (["--kind", "U", "--l", "1", "--k", "3", "--v", "7"], 3, 35, 2),
+])
+def test_rank_mod_a_prime_dividing_the_quotients_unit_eliminates(
+        capsys, monkeypatch, ranked_primes, args, p, rank, eliminations):
+    # mod a p that divides the unit the quotient proves nothing, so the
+    # windowed elimination runs, and a second prime follows a dropped rank
+    primes = iter((p, SEED5_PRIMES[1]))
+    monkeypatch.setattr("imtk.cli.random_prime", lambda rng: next(primes))
+    assert main(["rank", *args, "--method", "both"]) == 0
+    used = [p, SEED5_PRIMES[1]][:eliminations]
+    assert ranked_primes == used
+    k, v = args[-3], args[-1]
+    assert capsys.readouterr().out.splitlines() == [
+        "primes: " + ", ".join(map(str, used)),
+        f"rank[modp] is proved by the quotient of J({v},{k})",
         f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
 
 
@@ -331,28 +357,33 @@ def test_rank_of_a_matrix_off_the_class_pattern_takes_the_second_prime(
         "rank[modp] is a lower bound: a rank mod p is at most the rank over Q"]
 
 
-def test_imtk_rank_makes_no_dense_copy_of_a_split_matrix(monkeypatch, capsys):
+def test_imtk_rank_makes_no_dense_copy_of_a_split_matrix(monkeypatch, capsys, ranked_primes):
     kind = N(5, 6, 6, 12)  # order 924, four windows, as verify_spectrum splits it
     m = build(kind)
-    n = m.nrows
-    assert [len(w) for w in _windows(m.as_int_array())] == [256, 256, 256, 156]
-    m.mag  # computed before tracing
-    monkeypatch.setattr("imtk.cli.build", lambda k: m if k == kind else build(k))
+    # one symmetric pair of entries 1 doubled: the pattern, and so the
+    # windows, stay, but M is off its class pattern and has no quotient
+    arr = m.stack[0].copy()
+    i, j = np.argwhere(np.triu(arr) == 1)[0]
+    arr[i, j] = arr[j, i] = 2
+    off = ExactMatrix(arr, m.row_family, m.col_family)
+    n = off.nrows
+    assert [len(w) for w in _windows(arr)] == [256, 256, 256, 156]
+    off.mag  # computed before tracing
+    monkeypatch.setattr("imtk.cli.build", lambda k: off if k == kind else build(k))
     tracemalloc.start()
     try:
         rc = main(["--seed", "1", "rank", "--kind", "N", "--t", "5", "--k", "6", "--v", "12",
-                   "--method", "both"])
+                   "--method", "modp"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 0 and capsys.readouterr().out.splitlines()[1:] == [
-        "rank[modp] is proved by the quotient of J(12,6)",
-        "rank[formula] = 462", "rank[modp]    = 462", "match"]
+    assert rc == 0 and len(ranked_primes) == 2 and capsys.readouterr().out.splitlines()[1] == \
+        "rank[modp] is a lower bound: a rank mod p is at most the rank over Q"
     # one float64 copy of M, the unsplit rank's working copy, is n * n * 8
     # bytes; ranked window by window the peak is about 0.2 of that: one
     # 256-row window's float64 copy and the kernel's temporaries, about as
-    # large again.  The quotient compares M with g(theta) one theta row
-    # block at a time, at the int8 width of the stack and of theta
+    # large again.  The failed quotient compares M with g(theta) one theta
+    # row block at a time, at the int8 width of the stack and of theta
     assert peak < n * n * 8 / 2, peak
 
 

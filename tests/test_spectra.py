@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -848,7 +849,7 @@ def test_quotient_rank_matches_two_prime_ranks_and_rank_formulas():
     rng, kinds, formulas = random.Random(RNG_SEED), 0, 0
     for kind in _square_kinds(9):
         m = build(kind)
-        got = _quotient_rank(m)
+        got = _quotient_rank(m).rank
         # a rank mod p never exceeds the rank over Q
         assert got == max(windowed_rank(m, random_prime(rng)),
                           windowed_rank(m, random_prime(rng))), kind.describe()
@@ -857,6 +858,34 @@ def test_quotient_rank_matches_two_prime_ranks_and_rank_formulas():
             assert got == rank_formula(kind), kind.describe()
             formulas += 1
     assert (kinds, formulas) == (2352, 727)
+
+
+def test_quotient_rank_is_the_rank_mod_every_prime_not_dividing_its_unit():
+    # the second route: the kernel's rank mod small primes, where p | unit
+    # happens often, against the quotient's claim wherever it makes one
+    proved, kinds = Counter(), 0
+    for kind in _square_kinds(8):
+        m = build(kind)
+        q = _quotient_rank(m)
+        for p in (2, 3, 5, 7, 11, 13):
+            got = rank_modp(ModMatrix(m.stack[0], p, m.mag), p)
+            if q.mod(p) is not None:
+                assert got == q.rank, (kind.describe(), p)
+            proved[q.mod(p) is not None, got == q.rank] += 1
+        kinds += 1
+    # (claim made, kernel agrees): 8995 proved ranks, and 1457 cases where
+    # p | unit, 1095 of them with a rank that drops mod p
+    assert kinds == 1742 and proved == {(True, True): 8995, (False, False): 1095,
+                                        (False, True): 362}
+    # where p divides the unit the rank can drop: N^5_(6,6)(13) has
+    # pi = x q, q(0) = -5040 = -2^4 3^2 5 7
+    m = build(N(5, 6, 6, 13))
+    q = _quotient_rank(m)
+    assert (q.rank, q.unit) == (1287, -5040)
+    for p, rank in ((2, 1222), (5, 1275)):
+        assert q.mod(p) is None
+        assert rank_modp(ModMatrix(m.stack[0], p, m.mag), p) == rank
+    assert q.mod(11) == 1287
 
 
 def test_quotient_traces_of_golden_n13_equal_its_power_traces():
