@@ -113,6 +113,7 @@ class MatrixKind:
 # The kind constructors are memoized: the identity suite asks for the same
 # few thousand kinds tens of thousands of times, and a frozen MatrixKind can
 # be shared.  A call that raises is not cached, so it raises every time.
+# Uge, X and Y are not: the suite asks for each of their kinds once.
 _memo = lru_cache(maxsize=4096)
 
 
@@ -131,7 +132,6 @@ def U(l: int, s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("U", v, s, k, l=l)
 
 
-@_memo
 def Uge(l: int, s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("Uge", v, s, k, l=l)
 
@@ -156,12 +156,10 @@ def Utl(t: int, l: int, s: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("Utl", v, s, k, t=t, l=l)
 
 
-@_memo
 def X(s: int, t: int, k: int, v: int) -> MatrixKind:
     return MatrixKind("X", v, s, k, t=t)
 
 
-@_memo
 def Y(s: int, t: int, k: int, l: int, v: int) -> MatrixKind:
     return MatrixKind("Y", v, s, k, t=t, l=l)
 
@@ -239,6 +237,29 @@ def _entries(kind: MatrixKind) -> list:
     return [entry(th, kind) for th in range(min(kind.row_size, kind.col_size) + 1)]
 
 
+# the narrow stack widths, each with the largest |entry| of its symmetric range
+_WIDTHS = ((1 << 7) - 1, np.int8), ((1 << 15) - 1, np.int16), ((1 << 31) - 1, np.int32)
+
+
+def _table(entries: list) -> tuple[np.ndarray, int]:
+    """The entries per theta as a coefficient table, one row per degree, at
+    the width ``build`` stores (see there), and its common denominator.
+
+    An all-int table is one array, its width found by comparisons; a table
+    with Fraction or Poly entries goes through ``ExactMatrix``'s canonical
+    form.  Both give the stack, width and den that the other would.
+    """
+    if all(type(x) is int for x in entries):
+        lo, hi = min(entries), max(entries)
+        wide = np.int64 if -(1 << 63) <= lo and hi < 1 << 63 else object
+        width = next((w for top, w in _WIDTHS if max(hi, -lo) <= top), wide)
+        return np.array([entries], dtype=width), 1
+    table = ExactMatrix([entries])
+    coef = table.stack[:, 0]
+    width = next((w for top, w in _WIDTHS if table.mag <= top), coef.dtype)
+    return coef.astype(width, copy=False), table.den
+
+
 # build keeps the _BUILT_MAX most recently used matrices of at most
 # _BUILT_ENTRIES stack entries each (at most 16 MB in all, at 8 bytes an
 # entry); larger ones are built on every call.  A built matrix is read-only,
@@ -266,17 +287,13 @@ def build(kind: MatrixKind) -> ExactMatrix:
         _built[kind] = got
         return got
     theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
-    table = ExactMatrix([_entries(kind)])
-    coef = table.stack[:, 0]
-    width = next((w for w in (np.int8, np.int16, np.int32) if table.mag <= np.iinfo(w).max),
-                 coef.dtype)
-    coef = coef.astype(width, copy=False)
+    coef, den = _table(_entries(kind))
     stack = np.empty((len(coef), *theta.shape), dtype=coef.dtype)
     step = _block_rows(theta.shape[1])
     for r0 in range(0, len(theta), step):
         stack[:, r0:r0 + step] = coef.take(theta[r0:r0 + step], axis=1)
     stack.setflags(write=False)
-    m = ExactMatrix(stack, kind.row_family, kind.col_family, table.den)
+    m = ExactMatrix(stack, kind.row_family, kind.col_family, den)
     if m.stack.size <= _BUILT_ENTRIES:
         _built[kind] = m
         if len(_built) > _BUILT_MAX:

@@ -148,7 +148,7 @@ def cmd_verify(args, rng) -> int:
         raise UsageError("--v-max must be >= 2")
     report = run_suite(args.v_max, pattern,
                        progress=(_progress if args.progress else None))
-    print(report.to_text())
+    print(json.dumps(report.to_dict(), indent=1) if args.json else report.to_text())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
 
@@ -323,6 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="identity name or glob (default all)")
     p.add_argument("--v-max", type=int, default=8, dest="v_max")
     p.add_argument("--progress", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help="print the report as JSON, with the seconds per identity")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="closed-form spectrum with verification")

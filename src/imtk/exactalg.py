@@ -219,16 +219,22 @@ def _magnitude(stack: np.ndarray) -> int:
     return max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
 
 
-def _combine(table, mats, den: int, row_family, col_family) -> "ExactMatrix":
-    """Degree i holds sum_j table[i][j] S_j / den, S_j the stacked degree slices
-    of mats: one matmul, int64 while all sum_j |table[i][j]| max(mag S_j, 1) < 2^62
-    (a zero S_j counts as 1, so its coefficient must fit in int64 too)."""
+def _combined_stack(table, mats) -> np.ndarray:
+    """Integer array whose slice i is sum_j table[i][j] S_j, S_j the stacked
+    degree slices of mats: one matmul, int64 while all sum_j |table[i][j]|
+    max(mag S_j, 1) < 2^62 (a zero S_j counts as 1, so its coefficient must
+    fit in int64 too)."""
     mags = [max(m.mag, 1) for m in mats for _ in range(len(m.stack))]
     dtype = _dtype(max(sum(abs(x) * g for x, g in zip(row, mags)) for row in table))
     _, nr, nc = mats[0].stack.shape
     flat = [m.stack.astype(dtype, copy=False).reshape(len(m.stack), nr * nc) for m in mats]
     out = np.array(table, dtype=dtype) @ (flat[0] if len(flat) == 1 else np.concatenate(flat))
-    return ExactMatrix(out.reshape(len(table), nr, nc), row_family, col_family, den)
+    return out.reshape(len(table), nr, nc)
+
+
+def _combine(table, mats, den: int, row_family, col_family) -> "ExactMatrix":
+    """Degree i holds sum_j table[i][j] S_j / den (see _combined_stack)."""
+    return ExactMatrix(_combined_stack(table, mats), row_family, col_family, den)
 
 
 class ExactMatrix:

@@ -5,6 +5,16 @@ Left and right sides are always computed by independent routes: left sides
 by products of entrywise-built matrices, right sides by closed forms, never
 sharing intermediates.  Registry keys use 'p' for primed variants
 (prop5.ip is the right-multiplication twin of prop5.i).
+
+An identity may declare its innermost axes grouped (eq19 and eq20 over
+(i, j), thm2.i over l, among others).  The runner then calls its check once
+per inner grid, the run of consecutive points that share the outer axes:
+the left sides are the built matrices, or their products from one product
+of stacked factors, and the right sides come from one combination of the
+built basis with the closed-form coefficients.  The routes stay independent
+as above, and every point still gets its own result; a point that differs
+is compared again alone, so its witness is the one an ungrouped check gives.
+``run_identity`` runs a group of one point.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
 from typing import Callable, Iterable
 
@@ -23,7 +34,7 @@ from . import opcalc
 from .build import (A, F, N, U, Uge, Utl, W, Wbar, X, Y, block_decompose,
                     build, row_support_formula)
 from .combinat import SubsetFamily, binomial, xi, xi_at_minus1
-from .exactalg import ExactMatrix, Poly, equiv_check
+from .exactalg import ExactMatrix, Poly, _combined_stack, equiv_check, mat_mul
 from .scheme import intersection_p, intersection_r
 
 # ---------------------------------------------------------------------------
@@ -79,12 +90,30 @@ class IdentityCheck:
     name: str
     description: str
     domain: Callable[[int], Iterable[dict]]
-    check: Callable[..., str | None]
+    check: Callable[..., str | None | list[str | None]]
     note: str = ""
+    grouped: tuple[str, ...] = ()
 
     def run(self, **params) -> CheckResult:
+        if self.grouped:
+            return self.run_group([params])[0]
         witness = self.check(**params)
         return CheckResult(self.name, params, witness is None, witness or "")
+
+    def run_group(self, points: list[dict]) -> list[CheckResult]:
+        """One result per point, for points that differ only on the grouped axes."""
+        witnesses = self.check(**{**points[0], **{key: tuple(p[key] for p in points)
+                                                  for key in self.grouped}})
+        return [CheckResult(self.name, p, w is None, w or "") for p, w in zip(points, witnesses)]
+
+    def results(self, v_max: int) -> Iterable[CheckResult]:
+        """One result per point of the domain, in order, from one call of
+        the check per run of consecutive points that agree off the grouped axes."""
+        points = self.domain(v_max)
+        if not self.grouped:
+            return (self.run(**p) for p in points)
+        runs = groupby(points, key=lambda p: [x for key, x in p.items() if key not in self.grouped])
+        return (result for _, run in runs for result in self.run_group(list(run)))
 
 
 REGISTRY: dict[str, IdentityCheck] = {}
@@ -113,15 +142,56 @@ def _grid(spec: str, keys: list[str],
 
 
 def _register(name: str, description: str, domain: str, where: str = "",
-              note: str = ""):
+              note: str = "", grouped: str = ""):
     """Register a check over the grid that ``domain`` and ``where`` declare
-    (see ``_grid``)."""
+    (see ``_grid``).
+
+    ``grouped`` names innermost axes that the check takes together: it is
+    called once per run of consecutive points that agree on every other
+    axis, with each grouped parameter as a tuple of its values at the
+    points, and returns one witness or None per point.
+    """
     def deco(fn):
         keys = list(inspect.signature(fn).parameters)
         REGISTRY[name] = IdentityCheck(name, description, _grid(domain, keys, where),
-                                       fn, note)
+                                       fn, note, tuple(grouped.split()))
         return fn
     return deco
+
+
+# A grouped check stacks the left sides of its points into one integer array,
+# slice p for point p, and passes it to _expansions with the closed-form
+# coefficients.  Left sides are built matrices (_stacked) or their products
+# (_products); every matrix in play is an integer one.
+
+def _stacked(mats) -> np.ndarray:
+    return np.stack([m.stack[0] for m in mats])
+
+
+def _products(lefts: dict, rights: dict, points) -> np.ndarray:
+    """lefts[x] @ rights[y] for each point (x, y), all from one product: the
+    lefts stacked vertically times the rights stacked horizontally, under
+    ``mat_mul``'s int64-or-Python-int guard."""
+    xs, ys = list(lefts), list(rights)
+    prod = mat_mul(ExactMatrix(np.concatenate([lefts[x].stack[0] for x in xs])),
+                   ExactMatrix(np.concatenate([rights[y].stack[0] for y in ys], axis=1)))
+    nr, nc = lefts[xs[0]].nrows, rights[ys[0]].ncols
+    return prod.stack[0].reshape(len(xs), nr, len(ys), nc)[
+        [xs.index(x) for x, _ in points], :, [ys.index(y) for _, y in points]]
+
+
+def _expansions(lhs: np.ndarray, basis, table) -> list[str | None]:
+    """Witnesses, per point p, of lhs[p] == sum_n table[p][n] basis[n].
+
+    Every right side comes from one combination of the basis, under the
+    guard of ``_combined_stack``.  A point that differs is compared again
+    as two ExactMatrix blocks by ``_cmp``, so its witness is the one that a
+    check of that point alone gives.
+    """
+    rhs = _combined_stack(table, basis)
+    same = (lhs == rhs).reshape(len(table), -1).all(axis=1)
+    return [None if ok else _cmp(ExactMatrix(lhs[p]), ExactMatrix(rhs[p]))
+            for p, ok in enumerate(same.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +233,14 @@ def _chk_eq5(s, k, v):
 
 
 @_register("eq6", "N^t_sk = sum (-1)^(t-i) A^i_sk; Wbar = (-1)^min N^min",
-           "v=1..V s=0..v k=0..v t=0..min(s,k)")
+           "v=1..V s=0..v k=0..v t=0..min(s,k)", grouped="t")
 def _chk_eq6(t, s, k, v):
-    rhs = ExactMatrix.lincomb((((-1) ** (t - i), build(A(i, s, k, v))) for i in range(t + 1)),
-                               binomial(v, s), binomial(v, k))
-    bad = _cmp(build(N(t, s, k, v)), rhs)
-    if bad:
-        return bad
-    if t == min(s, k):
-        lhs = build(Wbar(s, k, v))
-        return _cmp(lhs, build(N(t, s, k, v)).scale((-1) ** t))
-    return None
+    ins = range(max(t) + 1)
+    bad = _expansions(_stacked(build(N(x, s, k, v)) for x in t),
+                      [build(A(i, s, k, v)) for i in ins],
+                      [[(-1) ** (x - i) if i <= x else 0 for i in ins] for x in t])
+    return [w or (_cmp(build(Wbar(s, k, v)), build(N(x, s, k, v)).scale((-1) ** x))
+                  if x == min(s, k) else None) for x, w in zip(t, bad)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,27 +254,35 @@ def _chk_eq12(t, s, k, v):
 
 
 @_register("eq15", "U^{tl} = sum_i (-1)^(i-l) C(i,l) A^i",
-           "v=1..V s=0..v k=0..v t=0..min(s,k) l=0..t")
+           "v=1..V s=0..v k=0..v t=0..min(s,k) l=0..t", grouped="l")
 def _chk_eq15(t, l, s, k, v):
-    rhs = ExactMatrix.lincomb((((-1) ** (i - l) * binomial(i, l), build(A(i, s, k, v)))
-                                for i in range(l, t + 1)), binomial(v, s), binomial(v, k))
-    return _cmp(build(Utl(t, l, s, k, v)), rhs)
+    ins = range(t + 1)
+    return _expansions(_stacked(build(Utl(t, x, s, k, v)) for x in l),
+                       [build(A(i, s, k, v)) for i in ins],
+                       [[(-1) ** (i - x) * binomial(i, x) if i >= x else 0 for i in ins]
+                        for x in l])
 
 
 @_register("eq16", "A^i = sum_l C(l,i) U^{tl}",
-           "v=1..V s=0..v k=0..v t=0..min(s,k) i=0..t")
+           "v=1..V s=0..v k=0..v t=0..min(s,k) i=0..t", grouped="i")
 def _chk_eq16(t, i, s, k, v):
-    rhs = ExactMatrix.lincomb(((binomial(l, i), build(Utl(t, l, s, k, v)))
-                                for l in range(i, t + 1)), binomial(v, s), binomial(v, k))
-    return _cmp(build(A(i, s, k, v)), rhs)
+    ls = range(t + 1)
+    return _expansions(_stacked(build(A(x, s, k, v)) for x in i),
+                       [build(Utl(t, l, s, k, v)) for l in ls],
+                       [[binomial(l, x) for l in ls] for x in i])
 
 
 @_register("thm2.i", "U^{tl} entries, nonzero set, and row support",
-           "v=1..V s=0..v k=0..v t=0..min(s,k)+1 l=0..t")
+           "v=1..V s=0..v k=0..v t=0..min(s,k)+1 l=0..t", grouped="l")
 def _chk_thm2_i(t, l, s, k, v):
-    # dual route: Taylor coefficients at z = -1 of the built F^t
+    # dual route: Taylor coefficients at z = -1 of the built F^t, shifted once
+    taylor = build(F(t, s, k, v)).shift_basis(-1)
+    return [_thm2_i_at(taylor, t, x, s, k, v) for x in l]
+
+
+def _thm2_i_at(taylor, t, l, s, k, v):
     got = build(Utl(t, l, s, k, v))
-    want = build(F(t, s, k, v)).shift_basis(-1).coeff_matrix(l)
+    want = taylor.coeff_matrix(l)
     if got != want:
         r, c = _first_difference(got, want)
         return f"entry ({r},{c}): built {got.entry(r, c)}, Taylor {want.entry(r, c)}"
@@ -243,14 +318,14 @@ def _chk_thm2_ii(t, s, k, v):
 
 
 @_register("thm2.iii", "U^{tl} expanded in the U^theta basis",
-           "v=1..V s=0..v k=0..v t=0..min(s,k) l=0..t")
+           "v=1..V s=0..v k=0..v t=0..min(s,k) l=0..t", grouped="l")
 def _chk_thm2_iii(t, l, s, k, v):
-    shape = (binomial(v, s), binomial(v, k))
-    pairs = [(1, build(U(l, s, k, v)))]
-    for th in range(t + 1, min(s, k) + 1):
-        c = (-1) ** (t - l) * binomial(th, l) * binomial(th - l - 1, t - l)
-        pairs.append((c, build(U(th, s, k, v))))
-    return _cmp(build(Utl(t, l, s, k, v)), ExactMatrix.lincomb(pairs, *shape))
+    ths = range(min(s, k) + 1)
+    return _expansions(_stacked(build(Utl(t, x, s, k, v)) for x in l),
+                       [build(U(th, s, k, v)) for th in ths],
+                       [[int(th == x) if th <= t else
+                         (-1) ** (t - x) * binomial(th, x) * binomial(th - x - 1, t - x)
+                         for th in ths] for x in l])
 
 
 @_register("lemma3.i", "(F^t_sk)^T = F^t_ks", "v=1..V s=0..v k=0..v t=0..min(s,k)")
@@ -312,27 +387,39 @@ def _chk_eq18(a, b, k, v):
     return _cmp(lhs, rhs)
 
 
+def _eq19_coef(i, j, n, a, b, c, v):
+    """Coefficient of A^n_ac in A^i_ab A^j_bc."""
+    if n > min(i, j):
+        return 0
+    return binomial(a - n, i - n) * binomial(c - n, j - n) * binomial(v - i - j, b + n - i - j)
+
+
 @_register("eq19", "A^i_ab A^j_bc expansion in A^n_ac",
-           "v=1..V a=0..v b=0..v c=0..v i=0..min(a,b) j=0..min(b,c)")
+           "v=1..V a=0..v b=0..v c=0..v i=0..min(a,b) j=0..min(b,c)", grouped="i j")
 def _chk_eq19(a, b, c, i, j, v):
-    lhs = build(A(i, a, b, v)) @ build(A(j, b, c, v))
-    rhs = ExactMatrix.lincomb(((binomial(a - n, i - n) * binomial(c - n, j - n)
-                                 * binomial(v - i - j, b + n - i - j), build(A(n, a, c, v)))
-                                for n in range(min(i, j) + 1)), binomial(v, a), binomial(v, c))
-    return _cmp(lhs, rhs)
+    ns, points = range(min(a, c) + 1), list(zip(i, j))
+    lhs = _products({x: build(A(x, a, b, v)) for x in dict.fromkeys(i)},
+                    {y: build(A(y, b, c, v)) for y in dict.fromkeys(j)}, points)
+    return _expansions(lhs, [build(A(n, a, c, v)) for n in ns],
+                       [[_eq19_coef(x, y, n, a, b, c, v) for n in ns] for x, y in points])
+
+
+def _eq20_coef(i, j, l, a, b, c, v):
+    """Coefficient of U^l_ac in U^i_ab U^j_bc: the sum over n <= l, less
+    the terms whose binomials have a negative lower index, which are 0."""
+    return sum(binomial(l, n) * binomial(c - l, j - n) * binomial(a - l, i - n)
+               * binomial(v - a - c + l, b - i - j + n)
+               for n in range(max(0, i + j - b), min(l, i, j) + 1))
 
 
 @_register("eq20", "U^i_ab U^j_bc expansion in U^l_ac",
-           "v=1..V a=0..v b=0..v c=0..v i=0..min(a,b) j=0..min(b,c)")
+           "v=1..V a=0..v b=0..v c=0..v i=0..min(a,b) j=0..min(b,c)", grouped="i j")
 def _chk_eq20(a, b, c, i, j, v):
-    lhs = build(U(i, a, b, v)) @ build(U(j, b, c, v))
-    pairs = []
-    for l in range(min(a, c) + 1):
-        coef = sum(binomial(l, n) * binomial(c - l, j - n) * binomial(a - l, i - n)
-                   * binomial(v - a - c + l, b - i - j + n) for n in range(l + 1))
-        pairs.append((coef, build(U(l, a, c, v))))
-    rhs = ExactMatrix.lincomb(pairs, binomial(v, a), binomial(v, c))
-    return _cmp(lhs, rhs)
+    ls, points = range(min(a, c) + 1), list(zip(i, j))
+    lhs = _products({x: build(U(x, a, b, v)) for x in dict.fromkeys(i)},
+                    {y: build(U(y, b, c, v)) for y in dict.fromkeys(j)}, points)
+    return _expansions(lhs, [build(U(l, a, c, v)) for l in ls],
+                       [[_eq20_coef(x, y, l, a, b, c, v) for l in ls] for x, y in points])
 
 
 # ---------------------------------------------------------------------------
@@ -429,46 +516,51 @@ def _chk_prop5_iip(s, k, v):
     return _cmp(lhs, rhs)
 
 
+def _ladder(m: int, l, basis) -> list[list[int]]:
+    """Per point x of l, the coefficients (m - x) of basis[x] and (x + 1) of
+    basis[x + 1] in prop5's U ladders, over every member of the basis."""
+    return [[(m - x) * (h == x) + (x + 1) * (h == x + 1) for h in range(len(basis))]
+            for x in l]
+
+
 @_register("prop5.iii",
            "W_{s-1,s}^T U^{t,l}_{s-1,k} = (s-l) U^{t,l}_sk + (l+1) U^{t,l+1}_sk",
-           "v=1..V s=1..v k=0..v t=0..min(s,k) l=0..t")
+           "v=1..V s=1..v k=0..v t=0..min(s,k) l=0..t", grouped="l")
 def _chk_prop5_iii(t, l, s, k, v):
-    lhs = build(W(s - 1, s, v)).transpose() @ build(Utl(t, l, s - 1, k, v))
-    rhs = ExactMatrix.lincomb(((s - l, build(Utl(t, l, s, k, v))),
-                                (l + 1, build(Utl(t, l + 1, s, k, v)))),
-                               binomial(v, s), binomial(v, k))
-    return _cmp(lhs, rhs)
+    basis = [build(Utl(t, h, s, k, v)) for h in range(t + 2)]
+    lhs = _products({0: build(W(s - 1, s, v)).transpose()},
+                    {x: build(Utl(t, x, s - 1, k, v)) for x in l}, [(0, x) for x in l])
+    return _expansions(lhs, basis, _ladder(s, l, basis))
 
 
 @_register("prop5.iiip",
            "U^{t,l}_{s,k-1} W_{k-1,k} = (k-l) U^{t,l}_sk + (l+1) U^{t,l+1}_sk",
-           "v=1..V s=0..v k=1..v t=0..min(s,k) l=0..t")
+           "v=1..V s=0..v k=1..v t=0..min(s,k) l=0..t", grouped="l")
 def _chk_prop5_iiip(t, l, s, k, v):
-    lhs = build(Utl(t, l, s, k - 1, v)) @ build(W(k - 1, k, v))
-    rhs = ExactMatrix.lincomb(((k - l, build(Utl(t, l, s, k, v))),
-                                (l + 1, build(Utl(t, l + 1, s, k, v)))),
-                               binomial(v, s), binomial(v, k))
-    return _cmp(lhs, rhs)
+    basis = [build(Utl(t, h, s, k, v)) for h in range(t + 2)]
+    lhs = _products({x: build(Utl(t, x, s, k - 1, v)) for x in l},
+                    {0: build(W(k - 1, k, v))}, [(x, 0) for x in l])
+    return _expansions(lhs, basis, _ladder(k, l, basis))
 
 
 @_register("prop5.iv",
            "W_{s-1,s}^T U^l_{s-1,k} = (s-l) U^l_sk + (l+1) U^{l+1}_sk",
-           "v=1..V s=1..v k=0..v l=0..min(s,k)")
+           "v=1..V s=1..v k=0..v l=0..min(s,k)", grouped="l")
 def _chk_prop5_iv(l, s, k, v):
-    lhs = build(W(s - 1, s, v)).transpose() @ build(U(l, s - 1, k, v))
-    rhs = ExactMatrix.lincomb(((s - l, build(U(l, s, k, v))),
-                                (l + 1, build(U(l + 1, s, k, v)))), binomial(v, s), binomial(v, k))
-    return _cmp(lhs, rhs)
+    basis = [build(U(h, s, k, v)) for h in range(min(s, k) + 2)]
+    lhs = _products({0: build(W(s - 1, s, v)).transpose()},
+                    {x: build(U(x, s - 1, k, v)) for x in l}, [(0, x) for x in l])
+    return _expansions(lhs, basis, _ladder(s, l, basis))
 
 
 @_register("prop5.ivp",
            "U^l_{s,k-1} W_{k-1,k} = (k-l) U^l_sk + (l+1) U^{l+1}_sk",
-           "v=1..V s=0..v k=1..v l=0..min(s,k)")
+           "v=1..V s=0..v k=1..v l=0..min(s,k)", grouped="l")
 def _chk_prop5_ivp(l, s, k, v):
-    lhs = build(U(l, s, k - 1, v)) @ build(W(k - 1, k, v))
-    rhs = ExactMatrix.lincomb(((k - l, build(U(l, s, k, v))),
-                                (l + 1, build(U(l + 1, s, k, v)))), binomial(v, s), binomial(v, k))
-    return _cmp(lhs, rhs)
+    basis = [build(U(h, s, k, v)) for h in range(min(s, k) + 2)]
+    lhs = _products({x: build(U(x, s, k - 1, v)) for x in l},
+                    {0: build(W(k - 1, k, v))}, [(x, 0) for x in l])
+    return _expansions(lhs, basis, _ladder(k, l, basis))
 
 
 @_register("prop7.i", "W_is^T F^t_ik = L(s,i) F^t_sk, plus the transposed twin",
@@ -487,23 +579,28 @@ def _chk_prop7_i(i, s, t, k, v):
     return ("transposed twin: " + bad) if bad else None
 
 
+def _prop7_table(i, s, l, top) -> list[list[int]]:
+    """Per point x of l, the coefficients C(h,x) C(s-h,i-x) for x <= h <= top(x)."""
+    return [[binomial(h, x) * binomial(s - h, i - x) if x <= h <= top(x) else 0
+             for h in range(top(max(l)) + 1)] for x in l]
+
+
 @_register("prop7.ii", "W_is^T U^{tl}_ik = sum_h C(h,l) C(s-h,i-l) U^{th}_sk",
-           "v=1..V k=0..min(v,4) s=0..k i=0..s t=0..min(s,k) l=0..t")
+           "v=1..V k=0..min(v,4) s=0..k i=0..s t=0..min(s,k) l=0..t", grouped="l")
 def _chk_prop7_ii(i, l, t, s, k, v):
-    lhs = build(W(i, s, v)).transpose() @ build(Utl(t, l, i, k, v))
-    rhs = ExactMatrix.lincomb(((binomial(h, l) * binomial(s - h, i - l),
-                                 build(Utl(t, h, s, k, v)))
-                                for h in range(l, l + s - i + 1)), binomial(v, s), binomial(v, k))
-    return _cmp(lhs, rhs)
+    table = _prop7_table(i, s, l, lambda x: x + s - i)
+    lhs = _products({0: build(W(i, s, v)).transpose()},
+                    {x: build(Utl(t, x, i, k, v)) for x in l}, [(0, x) for x in l])
+    return _expansions(lhs, [build(Utl(t, h, s, k, v)) for h in range(len(table[0]))], table)
 
 
 @_register("prop7.iip", "W_is^T U^l_ik = sum_h C(h,l) C(s-h,i-l) U^h_sk",
-           "v=1..V k=0..min(v,4) s=0..k i=0..s l=0..min(i,k)")
+           "v=1..V k=0..min(v,4) s=0..k i=0..s l=0..min(i,k)", grouped="l")
 def _chk_prop7_iip(i, l, s, k, v):
-    lhs = build(W(i, s, v)).transpose() @ build(U(l, i, k, v))
-    rhs = ExactMatrix.lincomb(((binomial(h, l) * binomial(s - h, i - l), build(U(h, s, k, v)))
-                                for h in range(l, s + 1)), binomial(v, s), binomial(v, k))
-    return _cmp(lhs, rhs)
+    table = _prop7_table(i, s, l, lambda x: s)
+    lhs = _products({0: build(W(i, s, v)).transpose()},
+                    {x: build(U(x, i, k, v)) for x in l}, [(0, x) for x in l])
+    return _expansions(lhs, [build(U(h, s, k, v)) for h in range(len(table[0]))], table)
 
 
 # ---------------------------------------------------------------------------
@@ -672,28 +769,28 @@ def _chk_sec7_remark(t, s, k, v):
 
 
 @_register("eq31", "U^{>=l}_sk = sum_i (-1)^(i-l) C(i-1,l-1) A^i_sk (l >= 1)",
-           "v=1..V s=0..v k=0..v l=1..s")
+           "v=1..V s=0..v k=0..v l=1..s", grouped="l")
 def _chk_eq31(l, s, k, v):
-    rhs = ExactMatrix.lincomb((((-1) ** (i - l) * binomial(i - 1, l - 1), build(A(i, s, k, v)))
-                                for i in range(l, s + 1)), binomial(v, s), binomial(v, k))
-    return _cmp(build(Uge(l, s, k, v)), rhs)
+    ins = range(s + 1)
+    return _expansions(_stacked(build(Uge(x, s, k, v)) for x in l),
+                       [build(A(i, s, k, v)) for i in ins],
+                       [[(-1) ** (i - x) * binomial(i - 1, x - 1) if i >= x else 0 for i in ins]
+                        for x in l])
 
 
 @_register("prop11", "r and p intersection numbers of J(v,k)",
-           "v=1..V k=0..v i=0..k j=0..k")
+           "v=1..V k=0..v i=0..k j=0..k", grouped="i j")
 def _chk_prop11(i, j, k, v):
-    shape = (binomial(v, k), binomial(v, k))
-    lhs = build(A(i, k, k, v)) @ build(A(j, k, k, v))
-    rhs = ExactMatrix.lincomb(((intersection_r(v, k, i, j, l), build(A(l, k, k, v)))
-                                for l in range(k + 1)), *shape)
-    bad = _cmp(lhs, rhs)
-    if bad:
-        return "A-basis (r numbers): " + bad
-    lhs = build(U(i, k, k, v)) @ build(U(j, k, k, v))
-    rhs = ExactMatrix.lincomb(((intersection_p(v, k, i, j, l), build(U(l, k, k, v)))
-                                for l in range(k + 1)), *shape)
-    bad = _cmp(lhs, rhs)
-    return ("U-basis (p numbers): " + bad) if bad else None
+    points, ls = list(zip(i, j)), range(k + 1)
+    parts = []
+    for kind, numbers, what in ((A, intersection_r, "A-basis (r numbers): "),
+                                (U, intersection_p, "U-basis (p numbers): ")):
+        basis = [build(kind(l, k, k, v)) for l in ls]
+        lhs = _products({x: basis[x] for x in dict.fromkeys(i)},
+                        {y: basis[y] for y in dict.fromkeys(j)}, points)
+        table = [[numbers(v, k, x, y, l) for l in ls] for x, y in points]
+        parts.append([what + w if w else None for w in _expansions(lhs, basis, table)])
+    return [a or u for a, u in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +809,7 @@ class SuiteReport:
     pattern: str
     elapsed: float = 0.0
     cases: dict[str, int] = field(default_factory=dict)
+    seconds: dict[str, float] = field(default_factory=dict)  # per identity
     failures: list[CheckResult] = field(default_factory=list)
     notes: dict[str, str] = field(default_factory=dict)
 
@@ -743,6 +841,7 @@ class SuiteReport:
             "v_max": self.v_max, "pattern": self.pattern, "ok": self.ok,
             "elapsed_seconds": round(self.elapsed, 3),
             "cases": dict(sorted(self.cases.items())),
+            "seconds": {name: round(self.seconds[name], 4) for name in sorted(self.seconds)},
             "notes": self.notes,
             "failures": [{"name": f.name, "params": f.params, "detail": f.detail}
                          for f in self.failures],
@@ -763,11 +862,12 @@ def run_suite(v_max: int = 8, pattern: str = "all",
     for name in names:
         check = REGISTRY[name]
         count = 0
-        for params in check.domain(v_max):
-            result = check.run(**params)
+        began = time.monotonic()
+        for result in check.results(v_max):
             count += 1
             if not result.ok:
                 report.failures.append(result)
+        report.seconds[name] = time.monotonic() - began
         report.cases[name] = count
         if check.note:
             report.notes[name] = check.note

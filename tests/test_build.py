@@ -173,11 +173,15 @@ def test_kind_describe():
 
 
 def test_kind_constructors_share_one_kind_and_refuse_bad_calls_every_time():
-    constructors = ((W, (1, 2, 4)), (Wbar, (1, 2, 4)), (U, (1, 2, 3, 6)), (Uge, (1, 2, 3, 6)),
+    constructors = ((W, (1, 2, 4)), (Wbar, (1, 2, 4)), (U, (1, 2, 3, 6)),
                     (A, (2, 2, 3, 6)), (N, (1, 2, 3, 6)), (F, (None, 2, 3, 6)),
-                    (Utl, (2, 1, 2, 3, 6)), (X, (2, 1, 3, 6)), (Y, (2, 2, 3, 1, 6)))
+                    (Utl, (2, 1, 2, 3, 6)))
     for make, args in constructors:
         assert make(*args) is make(*args)
+    # the suite asks for each Uge, X and Y kind once, so they are not memoized:
+    # equal kinds, one cache key for build
+    for make, args in ((Uge, (1, 2, 3, 6)), (X, (2, 1, 3, 6)), (Y, (2, 2, 3, 1, 6))):
+        assert make(*args) == make(*args) and hash(make(*args)) == hash(make(*args))
     for _ in range(2):  # a refusal is not cached
         with pytest.raises(ValueError, match="X needs t <= k"):
             X(2, 4, 3, 6)
@@ -341,6 +345,41 @@ def test_build_width_is_the_narrowest_symmetric_range(monkeypatch, entry, dtype)
     m = build(W(1, 2, 4))
     assert m.stack.dtype == dtype
     assert m.data == [[entry * (th == 1) for th in row] for row in theta_matrix(4, 1, 2).tolist()]
+
+
+def _table_by_exact_matrix(entries):
+    """The reference for build's _table: the entries as one ExactMatrix row,
+    in its canonical form, narrowed by np.iinfo."""
+    table = ExactMatrix([entries])
+    coef = table.stack[:, 0]
+    width = next((w for w in (np.int8, np.int16, np.int32) if table.mag <= np.iinfo(w).max),
+                 coef.dtype)
+    return coef.astype(width, copy=False), table.den
+
+
+def _assert_same_table(entries):
+    got, den = build_module._table(entries)
+    want, want_den = _table_by_exact_matrix(entries)
+    assert (got.dtype, got.shape, den) == (want.dtype, want.shape, want_den), entries
+    assert got.tolist() == want.tolist(), entries
+
+
+def test_table_path_matches_the_exact_matrix_route_for_every_kind():
+    tags = set()
+    for kind in _kinds_of_every_tag(6):
+        tags.add(kind.tag)
+        _assert_same_table(_entries(kind))
+    assert tags == set(build_module.KINDS)  # Y's Fraction and F's, X's Poly tables too
+
+
+@pytest.mark.parametrize("entries", [
+    [0], [127, -127], [-128, 0], [2 ** 15 - 1], [-(2 ** 15)], [2 ** 31 - 1, 0],
+    [-(2 ** 31)], [2 ** 62, -1], [-(2 ** 63), 0], [2 ** 63 - 1, -(2 ** 63)],
+    [2 ** 63, 0], [2 ** 63, -1], [-(2 ** 63) - 1], [2 ** 64, 1],
+    [Fraction(1, 2), 3], [Fraction(4, 2), Fraction(-6, 3)], [Poly((1, 2)), 0, 5],
+])
+def test_table_path_matches_the_exact_matrix_route_at_the_extremes(entries):
+    _assert_same_table(entries)
 
 
 def test_build_cache_never_exceeds_its_bound_and_evicts_the_least_recent(monkeypatch):

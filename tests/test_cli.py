@@ -135,6 +135,26 @@ def test_verify_v_max_below_2_exits_2():
     assert "0 failures" in proc.stdout
 
 
+def test_verify_json_reports_cases_seconds_and_ok(monkeypatch, capsys):
+    recorded = json.loads((Path(__file__).resolve().parent / "data" / "domains.json").read_text())
+    proc = run_cli("verify", "--identity", "eq1*", "--v-max", "4", "--json", check=True)
+    doc = json.loads(proc.stdout)
+    assert set(doc) == {"v_max", "pattern", "ok", "elapsed_seconds", "cases", "seconds",
+                        "notes", "failures"}
+    names = sorted(n for n in recorded if n.startswith("eq1"))
+    assert doc["ok"] is True and doc["failures"] == [] and doc["v_max"] == 4
+    assert doc["cases"] == {n: recorded[n]["4"]["cases"] for n in names}
+    assert sorted(doc["seconds"]) == names
+    assert all(isinstance(x, float) and x >= 0 for x in doc["seconds"].values())
+    # a wrong closed form: exit 1, ok false, and the failures in the document
+    from imtk import verify
+    monkeypatch.setattr(verify, "_eq20_coef", lambda *args: 0)
+    assert main(["verify", "--identity", "eq20", "--v-max", "3", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["cases"] == {"eq20": recorded["eq20"]["3"]["cases"]}
+    assert doc["failures"] and all(f["name"] == "eq20" for f in doc["failures"])
+
+
 def test_verify_eq30_records_variant_note():
     proc = run_cli("verify", "--identity", "eq30", "--v-max", "4", check=True)
     assert "(k-t)" in proc.stdout

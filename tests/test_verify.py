@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from imtk import verify as verify_module
+from imtk.build import A, U, build
 from imtk.verify import REGISTRY, _grid, run_identity, run_suite
 
 
@@ -99,3 +101,69 @@ def test_report_text_and_dict():
     assert "lemma6.i" in text and "0 failures" in text
     d = report.to_dict()
     assert d["ok"] and d["v_max"] == 3
+
+
+# ---------------------------------------------------------------------------
+# grouped checks: one call per run of points that differ on the inner axes
+
+GROUPED = sorted(name for name, check in REGISTRY.items() if check.grouped)
+
+
+def test_eq19_eq20_and_thm2_i_are_grouped_on_their_inner_axes():
+    assert REGISTRY["eq19"].grouped == REGISTRY["eq20"].grouped == ("i", "j")
+    assert REGISTRY["thm2.i"].grouped == ("l",)
+
+
+@pytest.mark.parametrize("name", GROUPED)
+def test_grouped_suite_agrees_with_one_point_groups(name):
+    # run_suite checks a whole inner grid at a time, run_identity one point:
+    # the same results, point by point, in the domain's order
+    check = REGISTRY[name]
+    points = list(check.domain(5))
+    grouped = list(check.results(5))
+    assert [r.params for r in grouped] == points
+    alone = [run_identity(name, **p) for p in points]
+    assert [(r.params, r.ok, r.detail) for r in grouped] == \
+        [(r.params, r.ok, r.detail) for r in alone]
+    assert all(r.ok for r in grouped)
+    report = run_suite(5, name)
+    assert report.ok and report.cases == {name: len(points)}
+
+
+def _per_point_expansion(kind, coef, a, b, c, i, j, v):
+    """The ungrouped check: one product, one lincomb and _cmp per point."""
+    from imtk.exactalg import ExactMatrix
+    from imtk.verify import _cmp
+    lhs = build(kind(i, a, b, v)) @ build(kind(j, b, c, v))
+    rhs = ExactMatrix.lincomb(((coef(i, j, n, a, b, c, v), build(kind(n, a, c, v)))
+                               for n in range(min(a, c) + 1)), lhs.nrows, lhs.ncols)
+    return _cmp(lhs, rhs)
+
+
+@pytest.mark.parametrize("name,coef_name,kind", [("eq19", "_eq19_coef", A), ("eq20", "_eq20_coef", U)])
+def test_a_mutated_coefficient_gives_the_per_point_witnesses(monkeypatch, name, coef_name, kind):
+    right = getattr(verify_module, coef_name)
+
+    def mutated(i, j, n, a, b, c, v):
+        return right(i, j, n, a, b, c, v) + (i == 1 and j == 1 and n == 1)
+
+    monkeypatch.setattr(verify_module, coef_name, mutated)
+    report = run_suite(4, name)
+    want = [(name, p, w) for p in REGISTRY[name].domain(4)
+            if (w := _per_point_expansion(kind, mutated, **p))]
+    assert want and report.cases[name] == len(list(REGISTRY[name].domain(4)))
+    assert [(f.name, f.params, f.detail) for f in report.failures] == want
+    assert [(f.name, f.params, f.detail) for f in report.failures] == [
+        (name, p, r.detail) for p in REGISTRY[name].domain(4)
+        if not (r := run_identity(name, **p)).ok]
+    assert all(f.detail.startswith("entry (") for f in report.failures)
+
+
+def test_report_records_seconds_per_identity_and_text_leaves_them_out():
+    report = run_suite(3, "eq1*")
+    assert sorted(report.seconds) == sorted(report.cases)
+    assert all(s >= 0 for s in report.seconds.values())
+    d = report.to_dict()
+    assert d["seconds"] == {n: round(report.seconds[n], 4) for n in sorted(report.cases)}
+    assert "seconds" not in report.to_text() and len(report.to_text().splitlines()) == \
+        len(report.cases) + 2
