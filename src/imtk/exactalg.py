@@ -377,8 +377,10 @@ class ExactMatrix:
         return ExactMatrix(self.stack[:, r0:r1, c0:c1], den=self.den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.stack.transpose(0, 2, 1), self.col_family,
-                           self.row_family, self.den)
+        t = ExactMatrix(self.stack.transpose(0, 2, 1), self.col_family, self.row_family,
+                        self.den)
+        t._mag = self._mag  # the same entries
+        return t
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -448,8 +450,10 @@ class ExactMatrix:
         return self.along_degrees([[Fraction(a) ** j for j in range(self.stack.shape[0])]])
 
     def coeff_matrix(self, i: int) -> "ExactMatrix":
-        """The coefficient of z^i, zero beyond the degree."""
-        return self.along_degrees([[int(j == i) for j in range(self.stack.shape[0])]])
+        """The coefficient of z^i, zero beyond the degree: slice i over den."""
+        if not 0 <= i < len(self.stack):
+            return ExactMatrix.zeros(*self.shape, self.row_family, self.col_family)
+        return ExactMatrix(self.stack[i], self.row_family, self.col_family, self.den)
 
     def derive(self) -> "ExactMatrix":
         """Entrywise d/dz."""
@@ -488,9 +492,12 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     left = a.stack.astype(dtype, copy=False).reshape(da * nr, inner)
     right = b.stack.astype(dtype, copy=False).transpose(1, 0, 2).reshape(inner, db * nc)
     prod = (left @ right).reshape(da, nr, db, nc).transpose(0, 2, 1, 3)
-    out = np.zeros((da + db - 1, nr, nc), dtype)
-    for i in range(da):
-        out[i:i + db] += prod[i]
+    if da == 1:  # one left degree: no two pairs share a degree
+        out = prod[0]
+    else:
+        out = np.zeros((da + db - 1, nr, nc), dtype)
+        for i in range(da):
+            out[i:i + db] += prod[i]
     return ExactMatrix(out, a.row_family, b.col_family, a.den * b.den)
 
 

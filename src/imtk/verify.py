@@ -304,15 +304,24 @@ def _thm2_i_at(taylor, t, l, s, k, v):
 
 
 @_register("thm2.ii", "U^{t,0} = (-1)^t N^t; U^{s,l} = U^l; U^{t,t} = A^t",
-           "v=1..V s=0..v k=0..v t=0..min(s,k)")
+           "v=1..V s=0..v k=0..v t=0..min(s,k)", grouped="t")
 def _chk_thm2_ii(t, s, k, v):
-    bad = _cmp(build(Utl(t, 0, s, k, v)), build(N(t, s, k, v)).scale((-1) ** t))
-    if bad:
-        return "U^{t,0} vs N: " + bad
+    # U^{s,l} = U^l does not depend on t: checked once for the group
+    middle = None
     for l in range(s + 1):
         bad = _cmp(build(Utl(s, l, s, k, v)), build(U(l, s, k, v)))
         if bad:
-            return f"U^(s,{l}) vs U^{l}: " + bad
+            middle = f"U^(s,{l}) vs U^{l}: " + bad
+            break
+    return [_thm2_ii_at(x, s, k, v, middle) for x in t]
+
+
+def _thm2_ii_at(t, s, k, v, middle):
+    bad = _cmp(build(Utl(t, 0, s, k, v)), build(N(t, s, k, v)).scale((-1) ** t))
+    if bad:
+        return "U^{t,0} vs N: " + bad
+    if middle:
+        return middle
     bad = _cmp(build(Utl(t, t, s, k, v)), build(A(t, s, k, v)))
     return ("U^(t,t) vs A^t: " + bad) if bad else None
 
@@ -468,16 +477,17 @@ def _chk_lemma6_iii(k, n):
 
 
 @_register("eq22", "W_is^T F^t_ik = L_si F^t_sk (product-form operator)",
-           "v=1..V k=0..min(v,4) s=0..k i=0..s t=0..s")
+           "v=1..V k=0..min(v,4) s=0..k i=0..s t=0..s", grouped="t")
 def _chk_eq22(i, s, t, k, v):
-    lhs = build(W(i, s, v)).transpose() @ build(F(t, i, k, v))
-    # independent route: L_si as the composed product (s-zD)...(i+1-zD)/(s-i)!
+    # independent route: L_si as the composed product (s-zD)...(i+1-zD)/(s-i)!,
+    # composed once for the group
     op = opcalc.identity_op()
     for m in range(i + 1, s + 1):
         op = opcalc.op_compose(op, m * opcalc.identity_op() - opcalc.zD)
     op = Fraction(1, factorial(s - i)) * op
-    rhs = opcalc.op_apply(op, build(F(t, s, k, v)))
-    return _cmp(lhs, rhs)
+    wt = build(W(i, s, v)).transpose()
+    return [_cmp(wt @ build(F(x, i, k, v)), opcalc.op_apply(op, build(F(x, s, k, v))))
+            for x in t]
 
 
 @_register("prop5.i", "W_{s-1,s}^T F^t_{s-1,k} = s F^t_sk - z D F^t_sk",
