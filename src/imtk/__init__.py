@@ -19,7 +19,7 @@ from .scheme import (SchemeBasis, basis_convert, conversion_matrix,
                      verify_scheme_axioms)
 from .spectra import (SpectrumSpec, alpha, eberlein, lambda_uge, lambda_utl,
                       mu, rank_formula, spectrum_of, tau, verify_spectrum,
-                      wf_spectrum, windowed_rank, wu_spectrum)
+                      wf_spectrum, wu_spectrum)
 from .verify import REGISTRY, run_identity, run_suite
 
 __version__ = "0.1.0"
@@ -37,6 +37,6 @@ __all__ = [
     "intersection_r", "scheme_basis", "verify_scheme_axioms",
     "SpectrumSpec", "alpha", "eberlein", "lambda_uge",
     "lambda_utl", "mu", "rank_formula", "spectrum_of", "tau",
-    "verify_spectrum", "wf_spectrum", "windowed_rank", "wu_spectrum",
+    "verify_spectrum", "wf_spectrum", "wu_spectrum",
     "REGISTRY", "run_identity", "run_suite",
 ]

@@ -15,11 +15,11 @@ from fnmatch import fnmatch
 from fractions import Fraction
 
 from .build import KINDS, MatrixKind, build
-from .exactalg import ExactMatrix, Poly, random_prime
+from .exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from .scheme import (conversion_matrix, intersection_p, intersection_r,
                      scheme_basis, verify_scheme_axioms)
-from .spectra import (SpectrumSpec, _quotient_rank, _windows, rank_formula,
-                      sampled_eval_points, spectrum_of, verify_spectrum, windowed_rank)
+from .spectra import (SpectrumSpec, _quotient_rank, rank_formula, sampled_eval_points,
+                      spectrum_of, verify_spectrum)
 from .verify import REGISTRY, run_suite
 
 EXIT_OK = 0
@@ -227,21 +227,21 @@ def cmd_rank(args, rng) -> int:
         # both primes are drawn, so a seed gives the same primes either way
         p, p2 = random_prime(rng), random_prime(rng)
         quotient, used, full = _quotient_rank(m), [p], min(m.shape)
-        computed_rank = None if quotient is None else quotient.mod(p)
-        if computed_rank is None:
-            # a rank mod p is a lower bound of the rank over Q, so full rank
-            # is exact, and so is the rank over Q that the quotient proves
-            windows = _windows(m.stack[0])  # found once for both primes
-            computed_rank = windowed_rank(m, p, windows=windows)
-            if computed_rank not in (full, None if quotient is None else quotient.rank):
-                computed_rank = max(computed_rank, windowed_rank(m, p2, windows=windows))
-                used.append(p2)
-        if quotient is not None and computed_rank == quotient.rank:
-            proof = f"proved by the quotient of J({kind.v},{kind.k})"
-        elif computed_rank == full:
-            proof = f"proved by full rank mod {used[-1]}"
+        if quotient is not None:
+            # the quotient's rank over Q is the rank mod every prime that
+            # does not divide its unit: the first such prime proves it
+            while quotient.mod(used[-1]) is None:
+                used.append(p2 if len(used) == 1 else random_prime(rng))
+            computed_rank = quotient.rank
+            proof = f"proved by the quotient of J({kind.v},{kind.s})"
         else:
-            proof = "a lower bound: a rank mod p is at most the rank over Q"
+            # a rank mod p is a lower bound of the rank over Q, so full rank is exact
+            computed_rank = rank_modp(ModMatrix(m.stack[0], p, m.mag), p)
+            if computed_rank != full:
+                computed_rank = max(computed_rank, rank_modp(ModMatrix(m.stack[0], p2, m.mag), p2))
+                used.append(p2)
+            proof = (f"proved by full rank mod {used[-1]}" if computed_rank == full else
+                     "a lower bound: a rank mod p is at most the rank over Q")
         print("primes: " + ", ".join(map(str, used)))
         print(f"rank[modp] is {proof}")
     if args.method == "formula":

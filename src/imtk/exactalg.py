@@ -19,8 +19,9 @@ polynomials.
 The mod-p rank is exact too: ``rank_modp`` eliminates one ``ModMatrix``,
 an integer matrix over GF(p) for a prime of at most 21 bits, by float64 GEMMs whose
 every partial sum is an integer below 2^53 (see _NB and _PASSES), so the rank
-does not depend on how BLAS splits a sum.  ``spectra.windowed_rank`` ranks an
-integer ``ExactMatrix`` through it, one diagonal block at a time.
+does not depend on how BLAS splits a sum.  ``imtk rank`` eliminates only a
+matrix that has no quotient over the Johnson scheme (``spectra._quotient_rank``
+proves the rank of every square-shaped kind), so in practice a non-square one.
 """
 
 from __future__ import annotations
@@ -564,8 +565,7 @@ def random_prime(rng: random.Random | None = None) -> int:
     square kind (``spectra._quotient_rank``), is the rank over Q with no
     error at all.  That quotient's rank is also the rank mod every prime
     not dividing its unit, so ``imtk rank`` eliminates only where there is
-    no quotient or the first prime divides the unit, and ranks mod its
-    second prime only when the first rank is neither.
+    no quotient, and ranks mod its second prime only below full rank.
     """
     rng = rng or random.Random()
     while True:
@@ -813,10 +813,9 @@ def rank_modp(m: ModMatrix, p: int) -> int:
     straight from M's integers, at their stored width.  The kernel
     eliminates on it in place; its own temporaries, a panel of _NB columns
     with its multipliers and one chunk of the Schur update, add about one
-    more copy for a 256-row block and less for larger ones.  This is the
-    per-block kernel entry: ``spectra.windowed_rank`` ranks an integer
-    ``ExactMatrix`` as the sum of its diagonal windows' ranks, one
-    ``ModMatrix`` per window.
+    more copy for a 256-row matrix and less for larger ones.  ``imtk rank``
+    calls it only for a matrix with no quotient over the Johnson scheme
+    (``spectra._quotient_rank``), and ranks the whole matrix at once.
     """
     if m.p != p:
         raise ValueError("modulus mismatch")

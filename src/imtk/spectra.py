@@ -16,13 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .build import MatrixKind, build, theta_blocks
-from .combinat import binomial
-from .exactalg import (_FLOAT_EXACT, DEFAULT_PRIME_BITS, ExactMatrix, ModMatrix, Poly,
-                       _centre, _reduce, random_prime, rank_modp)
+from .combinat import SubsetFamily, binomial
+from .exactalg import (_FLOAT_EXACT, DEFAULT_PRIME_BITS, ExactMatrix, Poly, _centre, _reduce,
+                       random_prime)
 from .opcalc import L
 
 PROBES = 8  # annihilation probe vectors per prime
-EYE_BLOCK = 256  # least rows per window; exact annihilation lists failures by such blocks
+EYE_BLOCK = 256  # rows per block of a scan of M; exact annihilation lists failures by such blocks
 _COLUMNS = 32  # columns per block of I in exact annihilation, and of M^a in the traces
 _ELL_RATIO = 128  # M is applied as ELL when its widest row has <= n / _ELL_RATIO nonzeros
 _GATHER = 4  # ELL slots gathered at a time: at most 4 copies of a block of columns
@@ -446,72 +446,6 @@ def _trace_multiplicities(residues, traces, p: int) -> list[int]:
     return out
 
 
-def _windows(arr: np.ndarray) -> list[np.ndarray]:
-    """Row sets of diagonal windows of M, each a union of whole components.
-
-    The connected components of the pattern of M + M^T, each named by its
-    first row, are found by label propagation with pointer jumping over the
-    nonzeros of ``arr``, and grouped whole, in order of their first row, into
-    windows of at least EYE_BLOCK rows (the last may have fewer); each
-    window lists its rows ascending.  A connected M, one with a component of
-    more than n / 2 rows, one of at most EYE_BLOCK rows and a non-square one
-    are one window.
-    """
-    n = arr.shape[0]
-    if n <= EYE_BLOCK or n != arr.shape[1]:
-        return [np.arange(n)]
-    pattern = arr != 0
-    # a shortcut for a dense M: rows two steps from row 0 lie in its component
-    near = pattern[0] | pattern[:, 0]
-    if 2 * np.count_nonzero(pattern[near].any(axis=0) | pattern[:, near].any(axis=1)) > n:
-        return [np.arange(n)]
-    rows, cols = np.divmod(np.flatnonzero(pattern), n)
-    label = np.arange(n)
-    while True:
-        # hook each edge's larger root under its smaller one, then jump every
-        # row to its root; a label only falls, to a row of the same component
-        low = np.minimum(label[rows], label[cols])
-        hooked = label.copy()
-        np.minimum.at(hooked, label[rows], low)
-        np.minimum.at(hooked, label[cols], low)
-        while not np.array_equal(hooked, hooked[hooked]):
-            hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            break
-        label = hooked
-    sizes = np.bincount(label, minlength=n)
-    if 2 * sizes.max() > n:
-        return [np.arange(n)]
-    window_of, fill, win = np.zeros(n, dtype=np.intp), 0, 0
-    for root in np.flatnonzero(sizes).tolist():
-        window_of[root], fill = win, fill + int(sizes[root])
-        if fill >= EYE_BLOCK:
-            win, fill = win + 1, 0
-    window_of = window_of[label]
-    return [np.flatnonzero(window_of == w) for w in range(int(window_of.max()) + 1)]
-
-
-def _block(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The principal block of arr on a window's rows; arr itself for one window."""
-    return arr if len(rows) == arr.shape[0] else arr[np.ix_(rows, rows)]
-
-
-def windowed_rank(m: ExactMatrix, p: int, windows=None) -> int:
-    """Rank over GF(p) of the integer matrix M, the sum of its windows' ranks
-    (``_windows`` unless given): one ``ModMatrix`` per window's block, so a
-    split M is never copied whole.  The rows of each connected component of
-    the pattern of M + M^T span a subspace that M and M^T both leave
-    invariant, so up to a permutation M is the direct sum of its windows'
-    principal blocks, and rank is additive over diagonal blocks, mod p as
-    over Q.  Integer entries of any size; others raise TypeError.
-    """
-    if not m.all_int():
-        raise TypeError("only an integer matrix has a mod-p reduction here")
-    arr = m.stack[0]
-    return sum(rank_modp(ModMatrix(_block(arr, rows), p, m.mag), p)
-               for rows in (_windows(arr) if windows is None else windows))
-
-
 def _johnson_quotient(m: ExactMatrix) -> list[list[int]] | None:
     """B, the quotient matrix of M over J(v, k), or None where M has none.
 
@@ -585,6 +519,14 @@ class QuotientRank:
 def _quotient_rank(m: ExactMatrix) -> QuotientRank | None:
     """The rank of M over Q, proved from its quotient over J(v, k), or None.
 
+    An M whose rows are the s-subsets of [v] and columns the (v - s)-subsets,
+    s != v - s, is ranked as M R, R the reversal of its columns.  Complement
+    reverses lex order, so column n - 1 - i of M is the complement of row
+    subset i, and |S cap (complement of T)| = s - |S cap T|: M R is a
+    function of theta over J(v, s) where M is one of |S cap K|.  R is a
+    permutation, so M R has M's rank over Q and mod every p, and it is a
+    view of M's stack, not a copy.
+
     P(M) for a polynomial P lies in the algebra, whose members are
     determined by their column K0, so P(M) = 0 exactly when P(B) e_k = 0,
     and the minimal polynomial pi of M is the first linear dependency of the
@@ -604,6 +546,9 @@ def _quotient_rank(m: ExactMatrix) -> QuotientRank | None:
     <= rank E and rank_p (I - E) <= rank (I - E), with equality in both:
     the nullity mod p is the nullity over Q.
     """
+    fam = m.row_family
+    if fam is not None and fam != m.col_family == SubsetFamily(fam.v, fam.v - fam.s):
+        m = ExactMatrix(m.stack[:, :, ::-1], fam, fam, den=m.den)  # M R, over J(v, s)
     b, n = _johnson_quotient(m), m.nrows
     if b is None:
         return None

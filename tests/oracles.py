@@ -2,14 +2,17 @@
 
 The exact ones work on Python ints and Fractions, so their entry growth is
 severe; the float ones certify nothing.  All are meant for small matrices.
+The kind grids at the end list the square-shaped kinds that the quotient
+over the Johnson scheme ranks.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from imtk.build import A, N, U, Uge, Utl, W, Wbar, Y
 from imtk.combinat import SubsetFamily, binomial
-from imtk.exactalg import ExactMatrix
+from imtk.exactalg import ExactMatrix, ModMatrix, rank_modp
 from imtk.spectra import SpectrumSpec
 
 FLOAT_CHECK_MAX_ORDER = 200
@@ -50,6 +53,11 @@ def theta_oracle(v: int, a: int, b: int) -> np.ndarray:
 def psi_at_minus1(theta: int, t: int) -> int:
     """psi_{theta,t}(-1) = (-1)^t C(theta - 1, t)."""
     return (-1) ** t * binomial(theta - 1, t)
+
+
+def rank_mod(m: ExactMatrix, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, by one elimination of the whole."""
+    return rank_modp(ModMatrix(m.stack[0], p, m.mag), p)
 
 
 def rank_exact(m: ExactMatrix) -> int:
@@ -146,3 +154,29 @@ def float_crosscheck(m: ExactMatrix, spec: SpectrumSpec, tol: float = 1e-6) -> b
         want.extend([float(val)] * mult)
     want.sort()
     return len(want) == len(got) and bool(np.all(np.abs(got - np.array(want)) <= tol))
+
+
+def square_kinds(v_max):
+    """Every square A, N, U, U^>= and U^(t,l) kind up to v_max, k > v/2 and
+    parameters one past k (zero kinds, N^t = -N^k) included."""
+    for v in range(1, v_max + 1):
+        for k in range(v + 1):
+            for x in range(k + 2):
+                yield from (A(x, k, k, v), N(x, k, k, v), U(x, k, k, v), Uge(x, k, k, v))
+                yield from (Utl(x, l, k, k, v) for l in range(x + 2))
+
+
+def complement_kinds(v_max):
+    """Every W, Wbar, A, N, U, U^>=, U^(t,l) and Y kind up to v_max whose
+    columns are the complements' size, v - s != s, parameters one past
+    min(s, v - s) (zero kinds, N^t = +-N^min) included; Y may be rational."""
+    for v in range(1, v_max + 1):
+        for s in range(v + 1):
+            k = v - s
+            if s == k:
+                continue
+            yield from (W(s, k, v), Wbar(s, k, v))
+            for x in range(min(s, k) + 2):
+                yield from (A(x, s, k, v), N(x, s, k, v), U(x, s, k, v), Uge(x, s, k, v))
+                yield from (Utl(x, l, s, k, v) for l in range(x + 2))
+            yield from (Y(s, k, kk, l, v) for kk in range(k, v + 1) for l in range(k + 1))

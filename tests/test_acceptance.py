@@ -24,10 +24,10 @@ from imtk.exactalg import ExactMatrix, Poly, random_prime
 from imtk.opcalc import L, identity_op, op_apply, op_compose, zD, zD_falling, \
     zD_power, zD_shifted_falling
 from imtk.scheme import intersection_p, verify_scheme_axioms
-from imtk.spectra import eberlein, lambda_utl, rank_formula, spectrum_of, tau, windowed_rank
+from imtk.spectra import eberlein, lambda_utl, rank_formula, spectrum_of, tau
 from imtk.verify import REGISTRY, a_pl, run_suite
 
-from oracles import float_crosscheck
+from oracles import float_crosscheck, rank_mod
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the CLI runs in a clean environment, but with the caller's BLAS thread count
@@ -100,14 +100,14 @@ def test_criterion_3_rank_formulas():
     for k in range(2, 6):
         want = binomial(2 * k, k) // 2
         assert rank_formula(N(k - 1, k, k, 2 * k)) == want
-        got = windowed_rank(build(N(k - 1, k, k, 2 * k)), random_prime(rng))
+        got = rank_mod(build(N(k - 1, k, k, 2 * k)), random_prime(rng))
         assert got == want, (k, got, want)
         cases += 1
     for k in range(2, 5):
         for v in range(2 * k + 1, 11):
             want = binomial(v, k - 1)
             assert rank_formula(N(k - 1, k, k, v)) == want
-            got = windowed_rank(build(N(k - 1, k, k, v)), random_prime(rng))
+            got = rank_mod(build(N(k - 1, k, k, v)), random_prime(rng))
             assert got == want, (k, v, got, want)
             cases += 1
     _report(3, f"N^(k-1) rank formulas exact on {cases} cases "

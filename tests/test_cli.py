@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from imtk.build import F, MatrixKind, N, U, Utl, W, X, Y, build
-from imtk.cli import (main, matrix_csv, matrix_document, parse_matrix_document)
-from imtk.exactalg import ExactMatrix
-from imtk.spectra import (_windows, sampled_eval_points, spectrum_of, verify_spectrum,
-                          windowed_rank)
+from imtk.cli import _build_parser, main, matrix_csv, matrix_document, parse_matrix_document
+from imtk.exactalg import ExactMatrix, rank_modp
+from imtk.spectra import sampled_eval_points, spectrum_of, verify_spectrum
+
+from oracles import complement_kinds, square_kinds
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the CLI runs in a clean environment, but with the caller's BLAS thread count
@@ -291,11 +292,11 @@ def ranked_primes(monkeypatch):
     """The primes that `imtk rank` ranks mod, in order."""
     primes = []
 
-    def counted(m, p, windows=None):
+    def counted(mm, p):
         primes.append(p)
-        return windowed_rank(m, p, windows)
+        return rank_modp(mm, p)
 
-    monkeypatch.setattr("imtk.cli.windowed_rank", counted)
+    monkeypatch.setattr("imtk.cli.rank_modp", counted)
     return primes
 
 
@@ -335,28 +336,61 @@ def test_rank_takes_the_second_prime_only_below_full_rank(capsys, ranked_primes,
         f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
 
 
-@pytest.mark.parametrize("args, p, rank, eliminations", [
+@pytest.mark.parametrize("args, p, rank", [
     # N^1_(2,2)(5) has unit q(0) = -6 and still rank 5 mod 2
-    (["--kind", "N", "--t", "1", "--k", "2", "--v", "5"], 2, 5, 1),
+    (["--kind", "N", "--t", "1", "--k", "2", "--v", "5"], 2, 5),
     # N^1_(3,3)(7), unit q(0) = -10: rank 6 mod 2, below the quotient's 7
-    (["--kind", "N", "--t", "1", "--k", "3", "--v", "7"], 2, 7, 2),
+    (["--kind", "N", "--t", "1", "--k", "3", "--v", "7"], 2, 7),
     # U^1_(3,3)(7), invertible, unit pi(0) = 162: rank 13 mod 3
-    (["--kind", "U", "--l", "1", "--k", "3", "--v", "7"], 3, 35, 2),
+    (["--kind", "U", "--l", "1", "--k", "3", "--v", "7"], 3, 35),
 ])
-def test_rank_mod_a_prime_dividing_the_quotients_unit_eliminates(
-        capsys, monkeypatch, ranked_primes, args, p, rank, eliminations):
-    # mod a p that divides the unit the quotient proves nothing, so the
-    # windowed elimination runs, and a second prime follows a dropped rank
+def test_rank_skips_a_prime_dividing_the_quotients_unit(capsys, monkeypatch, ranked_primes,
+                                                       args, p, rank):
+    # mod a p that divides the unit the quotient proves nothing, so the next
+    # prime is taken, and still nothing is eliminated
     primes = iter((p, SEED5_PRIMES[1]))
     monkeypatch.setattr("imtk.cli.random_prime", lambda rng: next(primes))
     assert main(["rank", *args, "--method", "both"]) == 0
-    used = [p, SEED5_PRIMES[1]][:eliminations]
-    assert ranked_primes == used
+    assert ranked_primes == []
     k, v = args[-3], args[-1]
     assert capsys.readouterr().out.splitlines() == [
-        "primes: " + ", ".join(map(str, used)),
+        f"primes: {p}, {SEED5_PRIMES[1]}",
         f"rank[modp] is proved by the quotient of J({v},{k})",
         f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
+
+
+def test_rank_draws_past_both_primes_while_they_divide_the_unit(capsys, monkeypatch,
+                                                                ranked_primes):
+    # U^1_(3,3)(7) has unit 162 = 2 3^4: 2 and 3 are skipped, the third
+    # prime, drawn after them, proves the rank
+    primes = iter((2, 3, 5))
+    monkeypatch.setattr("imtk.cli.random_prime", lambda rng: next(primes))
+    assert main(["rank", "--kind", "U", "--l", "1", "--k", "3", "--v", "7",
+                 "--method", "modp"]) == 0
+    assert ranked_primes == [] and capsys.readouterr().out.splitlines() == [
+        "primes: 2, 3, 5", "rank[modp] is proved by the quotient of J(7,3)", "rank[modp] = 35"]
+
+
+def test_imtk_rank_of_every_square_shaped_kind_takes_the_quotient(capsys, monkeypatch):
+    # s = k or s + k = v: the quotient over J(v, s) proves every rank, so an
+    # elimination would raise
+    def refused(mm, p):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr("imtk.cli.rank_modp", refused)
+    parser, ranked = _build_parser(), 0  # main's parser, made once for 4032 runs
+    for kind in (*square_kinds(9), *complement_kinds(9)):
+        if not build(kind).all_int():
+            continue
+        args = parser.parse_args(["rank", f"--kind={kind.tag}", "--method=modp", *(
+            f"--{f}={getattr(kind, f)}" for f in ("v", "s", "k", "t", "l", "i")
+            if getattr(kind, f) is not None)])
+        assert args.func(args, random.Random(1)) == 0, kind.describe()
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == f"rank[modp] is proved by the quotient of J({kind.v},{kind.s})", \
+            kind.describe()
+        ranked += 1
+    assert ranked == 2352 + 1680
 
 
 def test_rank_of_a_matrix_off_the_class_pattern_takes_the_second_prime(
@@ -377,34 +411,29 @@ def test_rank_of_a_matrix_off_the_class_pattern_takes_the_second_prime(
         "rank[modp] is a lower bound: a rank mod p is at most the rank over Q"]
 
 
-def test_imtk_rank_makes_no_dense_copy_of_a_split_matrix(monkeypatch, capsys, ranked_primes):
-    kind = N(5, 6, 6, 12)  # order 924, four windows, as verify_spectrum splits it
+def test_imtk_rank_of_a_complement_shaped_kind_makes_no_dense_copy(monkeypatch, capsys,
+                                                                   ranked_primes):
+    kind = U(1, 5, 7, 12)  # 792 x 792, columns the complements' size
     m = build(kind)
-    # one symmetric pair of entries 1 doubled: the pattern, and so the
-    # windows, stay, but M is off its class pattern and has no quotient
-    arr = m.stack[0].copy()
-    i, j = np.argwhere(np.triu(arr) == 1)[0]
-    arr[i, j] = arr[j, i] = 2
-    off = ExactMatrix(arr, m.row_family, m.col_family)
-    n = off.nrows
-    assert [len(w) for w in _windows(arr)] == [256, 256, 256, 156]
-    off.mag  # computed before tracing
-    monkeypatch.setattr("imtk.cli.build", lambda k: off if k == kind else build(k))
+    n = m.nrows
+    m.mag  # computed before tracing
     tracemalloc.start()
     try:
-        rc = main(["--seed", "1", "rank", "--kind", "N", "--t", "5", "--k", "6", "--v", "12",
-                   "--method", "modp"])
+        rc = main(["--seed", "1", "rank", "--kind", "U", "--l", "1", "--s", "5", "--k", "7",
+                   "--v", "12", "--method", "modp"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 0 and len(ranked_primes) == 2 and capsys.readouterr().out.splitlines()[1] == \
-        "rank[modp] is a lower bound: a rank mod p is at most the rank over Q"
-    # one float64 copy of M, the unsplit rank's working copy, is n * n * 8
-    # bytes; ranked window by window the peak is about 0.2 of that: one
-    # 256-row window's float64 copy and the kernel's temporaries, about as
-    # large again.  The failed quotient compares M with g(theta) one theta
-    # row block at a time, at the int8 width of the stack and of theta
-    assert peak < n * n * 8 / 2, peak
+    assert rc == 0 and ranked_primes == []
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "rank[modp] is proved by the quotient of J(12,5)", "rank[modp] = 792"]
+    # one float64 copy of M, the working copy that an elimination starts
+    # from, is n * n * 8 bytes.  The quotient reverses M's columns as a view
+    # and compares it with g(theta) over J(12,5) one theta row block of 2^18
+    # entries at a time: the block's float64 product and take's intp copy of
+    # its indices, 2 MB each, one after the other, are 0.42 of a copy at this
+    # order, and the whole run peaks at about 0.7
+    assert peak < n * n * 8, peak / (n * n * 8)
 
 
 def test_rank_formula_outside_hypotheses_exits_2():

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imtk.build import A, F, N, U, Utl, W, Wbar, build
+from imtk.build import A, F, N, U, Utl, W, Wbar, Y, build
+from imtk.cli import main
 from imtk.combinat import SubsetFamily, binomial, psi
 from imtk.exactalg import (_CHUNK_ENTRIES, _INT64_SAFE, _NB, _PASSES, DEFAULT_PRIME_BITS,
                            ExactMatrix, ModMatrix, Poly, _schur_update, equiv_check, is_prime,
                            mat_mul, random_prime, rank_modp)
-from imtk.spectra import windowed_rank
 
-from oracles import mat_inverse, rank_exact
+from oracles import mat_inverse, rank_exact, rank_mod
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +200,19 @@ def test_u_complement_equivalences():
 
 def test_rank_identity():
     for n in (1, 4, 9):
-        assert windowed_rank(ExactMatrix.identity(n), 1000003) == n
+        assert rank_mod(ExactMatrix.identity(n), 1000003) == n
         assert rank_exact(ExactMatrix.identity(n)) == n
 
 
 def test_rank_w23_is_15():
     w = build(W(2, 3, 6))
     assert rank_exact(w) == 15 == binomial(6, 2)
-    assert windowed_rank(w, 1000003) == 15
+    assert rank_mod(w, 1000003) == 15
 
 
 def test_rank_n_small():
     m = build(N(1, 2, 2, 4))
-    assert windowed_rank(m, 999983) == 3
+    assert rank_mod(m, 999983) == 3
     assert binomial(4, 2) // 2 == 3
 
 
@@ -231,23 +231,24 @@ def test_rank_modp_matches_exact_oracle():
                           for j in range(cols)] for i in range(rows)])
         exact = rank_exact(m)
         assert exact <= rk
-        assert windowed_rank(m, random_prime(rng)) <= exact
+        assert rank_mod(m, random_prime(rng)) <= exact
         # the largest prime the kernel takes; entries here are far too small
         # for it to be unlucky
-        assert windowed_rank(m, LARGEST_PRIME) == exact
+        assert rank_mod(m, LARGEST_PRIME) == exact
 
 
-def test_rank_modp_rational_entries_and_denominator_rejection():
-    # only an integer matrix is reduced mod p, whatever the prime
-    m = ExactMatrix([[Fraction(1, 3), 0], [0, Fraction(1, 5)]])
-    for p in (3, 5, 1000003):
-        with pytest.raises(TypeError):
-            windowed_rank(m, p)
+def test_rank_modp_rational_entries_and_denominator_rejection(capsys):
+    # only an integer matrix is reduced mod p: `imtk rank` refuses a
+    # rational kind (Y^(2,0)[1,1](2), denominator 2) and a polynomial one
+    assert build(Y(1, 1, 2, 0, 2)).den == 2 and build(F(None, 2, 2, 4)).max_degree()
+    for args in ("--kind Y --s 1 --t 1 --k 2 --l 0 --v 2", "--kind F --k 2 --v 4"):
+        assert main(["--seed", "1", "rank", *args.split(), "--method", "modp"]) == 2
+        assert capsys.readouterr().err == "error: mod-p rank needs an integer matrix kind\n"
 
 
 def test_rank_modp_rejects_nonprime():
     with pytest.raises(ValueError):
-        windowed_rank(ExactMatrix.identity(2), 1000000)
+        rank_mod(ExactMatrix.identity(2), 1000000)
 
 
 def test_random_prime_properties():
@@ -277,7 +278,7 @@ def test_bareiss_vs_modp_grid_of_built_matrices():
                     if m.nrows * m.ncols == 0:
                         continue
                     p = random_prime(rng)
-                    assert windowed_rank(m, p) == rank_exact(m)
+                    assert rank_mod(m, p) == rank_exact(m)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +503,7 @@ def test_modmatrix_ranks_int64_extremes_and_a_bigint_shift():
     p = LARGEST_PRIME
     top = 2 ** 63 - 1
     a = np.array([[top, -top, 1], [-top, top, -1], [5, 7, top]], dtype=np.int64)
-    assert rank_modp(ModMatrix(a, p), p) == 2 == windowed_rank(ExactMatrix(a), p)
+    assert rank_modp(ModMatrix(a, p), p) == 2 == rank_mod(ExactMatrix(a), p)
     for shift in (2 ** 64 + 3, -(2 ** 70), top):  # Python ints past int64
         shifted = [[x - (shift if i == j else 0) for j, x in enumerate(row)]
                    for i, row in enumerate(a.tolist())]
@@ -527,7 +528,7 @@ def test_rank_modp_matches_wilson_p_ranks():
             for t in range(min(k, v - k) + 1):
                 m = build(W(t, k, v))
                 for p in (2, 3, 5, 7):
-                    assert windowed_rank(m, p) == _wilson_p_rank(v, t, k, p), (v, t, k, p)
+                    assert rank_mod(m, p) == _wilson_p_rank(v, t, k, p), (v, t, k, p)
                     cases += 1
     assert cases == 632
 
@@ -536,8 +537,8 @@ def test_rank_modp_matches_wilson_below_the_rational_rank_at_golden_scale():
     # W_{6,7}(14) is 3003 x 3432 of rational rank 3003; its rank drops mod 7
     # and mod 2, so these are true ranks that an unlucky prime would give
     m = build(W(6, 7, 14))
-    assert windowed_rank(m, 7) == 3002 == _wilson_p_rank(14, 6, 7, 7)
-    assert windowed_rank(m, 2) == 1716 == _wilson_p_rank(14, 6, 7, 2)
+    assert rank_mod(m, 7) == 3002 == _wilson_p_rank(14, 6, 7, 7)
+    assert rank_mod(m, 2) == 1716 == _wilson_p_rank(14, 6, 7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -660,14 +661,14 @@ def test_modmatrix_prime_width_edge():
     assert is_prime(p) and not any(is_prime(n) for n in range(p + 1, 2 ** DEFAULT_PRIME_BITS))
     assert rank_modp(ModMatrix(np.array([[p + 3]]), p), p) == 1
     assert rank_modp(ModMatrix(np.array([[p, 2 * p], [-p, 3]]), p), p) == 1
-    assert windowed_rank(ExactMatrix.identity(2), p) == 2
+    assert rank_mod(ExactMatrix.identity(2), p) == 2
     above = next(n for n in range(2 ** DEFAULT_PRIME_BITS, 2 ** DEFAULT_PRIME_BITS + 100)
                  if is_prime(n))
     assert above == 2097169
     with pytest.raises(ValueError, match="too large"):
         ModMatrix(np.array([[1]]), above)
     with pytest.raises(ValueError, match="too large"):
-        windowed_rank(ExactMatrix.identity(2), above)
+        rank_mod(ExactMatrix.identity(2), above)
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +715,8 @@ def test_narrow_stacks_compute_as_their_int64_copies(dtype, top):
         assert (mm.mag == p - 1) == (shift == 2 ** 53)
         assert rank_modp(mm, p) == rank_modp(ModMatrix(wide.as_int_array() - eye, p), p)
     assert np.shares_memory(ModMatrix(m.as_int_array(), p).array, m.stack)  # not copied
-    assert windowed_rank(m, p) == windowed_rank(wide, p) == 3
-    assert windowed_rank(lin.divexact_linear(1), p) == 3
+    assert rank_mod(m, p) == rank_mod(wide, p) == 3
+    assert rank_mod(lin.divexact_linear(1), p) == 3
 
 
 def test_narrow_minimum_is_widened_before_negation_and_division():

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 from imtk.build import A, F, N, U, Uge, Utl, W, build
-from imtk.combinat import binomial
+from imtk.combinat import SubsetFamily, binomial
 from imtk.exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from imtk.spectra import (_ELL_RATIO, EYE_BLOCK, PROBES, SpectrumSpec,
                           _annihilation_failures, _johnson_quotient, _power_traces, _product,
-                          _quotient_powers, _quotient_rank, _quotient_traces, _windows,
-                          alpha, eberlein, lambda_uge, lambda_utl, mu, multiplicity,
-                          rank_formula, sampled_eval_points, spectrum_of, tau,
-                          verify_spectrum, wf_spectrum, windowed_rank, wu_spectrum)
+                          _quotient_powers, _quotient_rank, _quotient_traces, alpha, eberlein,
+                          lambda_uge, lambda_utl, mu, multiplicity, rank_formula,
+                          sampled_eval_points, spectrum_of, tau, verify_spectrum, wf_spectrum,
+                          wu_spectrum)
 
-from oracles import float_crosscheck, float_eigenvalues, mat_inverse, trace_powers
+from oracles import (complement_kinds, float_crosscheck, float_eigenvalues, mat_inverse,
+                     rank_exact, rank_mod, square_kinds, trace_powers)
 
 RNG_SEED = 1234
 
@@ -260,7 +261,7 @@ def test_u_rank_formula_matches_modp_grid():
                 for l in range(s + 1):
                     want = rank_formula(U(l, s, k, v))
                     m = build(U(l, s, k, v))
-                    assert windowed_rank(m, random_prime(rng)) == want
+                    assert rank_mod(m, random_prime(rng)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -557,37 +558,21 @@ def test_exact_bound_takes_the_row_sum_norm_of_a_narrow_stack_widened(dtype):
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
 def test_verify_keeps_a_one_sided_coupling_in_one_window(mode):
-    # M - I != 0, so a claim of 1^n fails annihilation however M is split
+    # M - I != 0, so a claim of 1^n fails annihilation
     rep = verify_spectrum(ExactMatrix([[1, 1], [0, 1]]), SpectrumSpec(((1, 2),), 0, 2),
                           mode=mode, rng=random.Random(RNG_SEED))
     assert not {c.name: c.ok for c in rep.checks}["annihilation"]
-    # at order 2 * EYE_BLOCK, rows 0 and n - 1 share a window only through
-    # the entry that couples them: a split on the pattern of M alone (rows)
-    # or of M^T alone (columns) would put them apart in one of the two cases
+    # at order 2 * EYE_BLOCK, rows 0 and n - 1 meet only through the one
+    # entry that couples them, above the diagonal or below it: a check that
+    # took M apart by the pattern of its rows or of its columns alone would
+    # miss it in one of the two cases
     n = 2 * EYE_BLOCK
     for i, j in ((0, n - 1), (n - 1, 0)):
         arr = np.eye(n, dtype=np.int64)
         arr[i, j] = 1
-        windows = _windows(arr)
-        assert len(windows) == 2 and {0, n - 1} <= set(windows[0].tolist())
         rep = verify_spectrum(ExactMatrix(arr), SpectrumSpec(((1, n),), 0, n), mode=mode,
                               rng=random.Random(RNG_SEED))
         assert not {c.name: c.ok for c in rep.checks}["annihilation"]
-
-
-def test_windows_split_a_matrix_only_when_no_component_exceeds_half_its_order():
-    n = 600
-    for size in (n // 2, n // 2 + 1):
-        # a one-sided path over the first `size` rows, then isolated rows
-        arr = np.eye(n, dtype=np.int64)
-        arr[np.arange(size - 1), np.arange(1, size)] = 1
-        windows = _windows(arr)
-        if size > n // 2:
-            assert len(windows) == 1 and np.array_equal(windows[0], np.arange(n))
-            continue
-        assert [w.tolist() for w in windows] == [list(range(size)), list(range(size, size + 256)),
-                                                 list(range(size + 256, n))]
-    assert [w.tolist() for w in _windows(np.eye(3, dtype=np.int64))] == [[0, 1, 2]]
 
 
 # blocks with known spectra: a swap, [[2, 1], [1, 2]], J_3 and [1]
@@ -615,9 +600,7 @@ def _spec(mult):
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
 def test_verify_certifies_a_permuted_direct_sum(mode):
-    m, mult = _permuted_direct_sum(75, seed=3)
-    # order 600 in components of at most 3 rows: three windows
-    assert [len(w) for w in _windows(m.as_int_array())] == [256, 256, 88]
+    m, mult = _permuted_direct_sum(75, seed=3)  # order 600, blocks of at most 3 rows
     rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(RNG_SEED))
     assert rep.ok, rep.checks
 
@@ -626,7 +609,7 @@ def test_verify_certifies_a_permuted_direct_sum(mode):
 @pytest.mark.parametrize("seed", range(10))
 def test_verify_fails_a_wrong_multiplicity_in_a_direct_sum_at_every_seed(mode, seed):
     # two 1s traded for a -1 and a 3: order, trace and eigenvalue set all
-    # match, so only the sum of the windows' ranks can tell
+    # match, so only the power traces can tell
     m, mult = _permuted_direct_sum(75, seed)
     mult[1], mult[-1], mult[3] = mult[1] - 2, mult[-1] + 1, mult[3] + 1
     rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(seed))
@@ -674,9 +657,6 @@ def test_verify_spectrum_makes_no_dense_copy_of_a_split_matrix():
     kind = N(5, 6, 6, 12)  # order 924, 462 pairs {K, complement of K}
     m, spec = build(kind), spectrum_of(kind)
     n = m.nrows
-    windows = _windows(m.as_int_array())
-    assert [len(w) for w in windows] == [256, 256, 256, 156]
-    assert all(np.array_equal(w, np.sort(n - 1 - w)) for w in windows)
     m.mag  # computed before tracing
     for mode in ("modp", "exact"):
         tracemalloc.start()
@@ -697,15 +677,13 @@ def test_verify_spectrum_makes_no_dense_copy_of_a_split_matrix():
 def test_verify_spectrum_of_a_connected_matrix_makes_no_dense_copy(monkeypatch):
     # N^5_(6,6)(13) is connected, with 7 distinct eigenvalues and 8 nonzeros
     # in each row: the probes or the columns of I go through ELL products,
-    # the traces come from its quotient over J(13,6), and no window is
-    # sought and no rank taken
+    # the traces come from its quotient over J(13,6), and no rank is taken
     kind = N(5, 6, 6, 13)
     m, spec = build(kind), spectrum_of(kind)
     n = m.nrows
-    assert len(spec.distinct()) == 7 and len(_windows(m.as_int_array())) == 1
+    assert len(spec.distinct()) == 7
     m.mag  # computed before tracing
-    for name in ("_windows", "windowed_rank", "rank_modp"):
-        monkeypatch.setattr(f"imtk.spectra.{name}", None)
+    monkeypatch.setattr("imtk.exactalg._rank_kernel", None)
     for mode, share in (("modp", 0.35), ("exact", 0.5)):
         tracemalloc.start()
         try:
@@ -728,8 +706,10 @@ def test_rank_modp_of_a_window_peaks_below_two_and_a_half_copies_of_it():
     # (at most _CHUNK_ENTRIES entries) gathered with its product: about 2.0
     # copies of the block in all
     m = build(N(5, 6, 6, 12))
-    arr = m.as_int_array()
-    rows = _windows(arr)[0]
+    arr, n = m.as_int_array(), m.nrows
+    # M[K, K] = 1 and M[K, complement of K] = -1, and complement reverses lex
+    # order: rows i and n - 1 - i, i < 128, are 128 such pairs
+    rows = np.sort(np.concatenate([np.arange(128), n - 1 - np.arange(128)]))
     block = arr[np.ix_(rows, rows)]
     p = random_prime(random.Random(RNG_SEED))
     for shift, want in ((0, 128), (3, 256)):  # 128 pairs, each of rank 1
@@ -745,41 +725,19 @@ def test_rank_modp_of_a_window_peaks_below_two_and_a_half_copies_of_it():
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
-def test_windowed_rank_of_a_permuted_direct_sum_is_the_rank_of_the_whole(wide):
+def test_modmatrix_ranks_a_permuted_direct_sum_as_its_residues(wide):
     m, _ = _permuted_direct_sum(75, seed=7)
     arr = m.as_int_array()
     if wide:  # entries past 2^62: an object stack, reduced mod p by ModMatrix
         arr = arr.astype(object) * (2 ** 70 + 1)
-        m = ExactMatrix(arr)
-        assert m.stack.dtype == object
-    windows = _windows(arr)
-    assert len(windows) == 3 and sum(map(len, windows)) == m.nrows == 600
+        assert ExactMatrix(arr).stack.dtype == object
     for shift in (0, 1, -1, 2 ** 53 + 1):  # past 2^53, ModMatrix reduces mod p
         shifted = arr - shift * np.eye(600, dtype=np.int64).astype(arr.dtype)
-        ms = ExactMatrix(shifted)
-        assert all(np.array_equal(a, b) for a, b in zip(_windows(shifted), windows))
         for p in (3, 1000003, 2097143):
-            want = rank_modp(ModMatrix(shifted, p), p)
-            assert windowed_rank(ms, p) == want == windowed_rank(ms, p, windows)
+            residues = np.array((shifted % p).tolist(), dtype=np.int64)
+            assert rank_modp(ModMatrix(shifted, p), p) == rank_modp(ModMatrix(residues, p), p)
     if not wide:  # 1 is an eigenvalue of each swap, [[2, 1], [1, 2]] and [1]
-        assert windowed_rank(ExactMatrix(arr - np.eye(600, dtype=np.int64)), 1000003) == 600 - 3 * 75
-
-
-@pytest.mark.parametrize("kind", [W(2, 3, 7), U(1, 4, 5, 11)], ids=["W23_7", "U1_45_11"])
-def test_windowed_rank_takes_a_rectangular_matrix_as_one_window(monkeypatch, kind):
-    m = build(kind)
-    arr = m.as_int_array()
-    assert [w.tolist() for w in _windows(arr)] == [list(range(m.nrows))]
-    shapes = []
-
-    def recorded(mm, p):
-        shapes.append(mm.array.shape)
-        return rank_modp(mm, p)
-
-    monkeypatch.setattr("imtk.spectra.rank_modp", recorded)
-    p = 1000003
-    assert windowed_rank(m, p) == rank_modp(ModMatrix(arr, p), p) == rank_formula(kind)
-    assert shapes == [m.shape]
+        assert rank_mod(ExactMatrix(arr - np.eye(600, dtype=np.int64)), 1000003) == 600 - 3 * 75
 
 
 def test_f_spectrum_at_sampled_points():
@@ -835,24 +793,14 @@ def test_wu_product_spectrum_verifies():
 # ---------------------------------------------------------------------------
 # the quotient over J(v, k)
 
-def _square_kinds(v_max):
-    """Every square A, N, U, U^>= and U^(t,l) kind up to v_max, k > v/2 and
-    parameters one past k (zero kinds, N^t = -N^k) included."""
-    for v in range(1, v_max + 1):
-        for k in range(v + 1):
-            for x in range(k + 2):
-                yield from (A(x, k, k, v), N(x, k, k, v), U(x, k, k, v), Uge(x, k, k, v))
-                yield from (Utl(x, l, k, k, v) for l in range(x + 2))
-
-
 def test_quotient_rank_matches_two_prime_ranks_and_rank_formulas():
     rng, kinds, formulas = random.Random(RNG_SEED), 0, 0
-    for kind in _square_kinds(9):
+    for kind in square_kinds(9):
         m = build(kind)
         got = _quotient_rank(m).rank
         # a rank mod p never exceeds the rank over Q
-        assert got == max(windowed_rank(m, random_prime(rng)),
-                          windowed_rank(m, random_prime(rng))), kind.describe()
+        assert got == max(rank_mod(m, random_prime(rng)),
+                          rank_mod(m, random_prime(rng))), kind.describe()
         kinds += 1
         if 2 * kind.k <= kind.v:
             assert got == rank_formula(kind), kind.describe()
@@ -860,11 +808,43 @@ def test_quotient_rank_matches_two_prime_ranks_and_rank_formulas():
     assert (kinds, formulas) == (2352, 727)
 
 
+def test_lex_complement_reverses_order():
+    for v in range(13):
+        for s in range(v + 1):
+            n = binomial(v, s)
+            assert SubsetFamily(v, s).complement_permutation() == list(range(n - 1, -1, -1))
+
+
+def test_quotient_rank_of_a_complement_shaped_kind_is_its_elimination_rank():
+    # s + k = v, s != k: M R, R the column reversal, is a function of theta
+    # over J(v, s), so the reversed quotient proves M's rank
+    rng, counts = random.Random(RNG_SEED), Counter()
+    for kind in complement_kinds(9):
+        m = build(kind)
+        q = _quotient_rank(m)
+        if not m.all_int():
+            assert q is None, kind.describe()
+            counts["rational"] += 1
+            continue
+        p = random_prime(rng)
+        while q.mod(p) is None:
+            p = random_prime(rng)
+        assert q.rank == rank_mod(m, p), kind.describe()
+        if not m.stack.any():
+            assert q.rank == 0, kind.describe()
+            counts["zero"] += 1
+        if m.nrows <= 36:
+            assert q.rank == rank_exact(m), kind.describe()
+            counts["exact"] += 1
+        counts["kinds"] += 1
+    assert counts == {"kinds": 1680, "zero": 560, "exact": 1339, "rational": 250}
+
+
 def test_quotient_rank_is_the_rank_mod_every_prime_not_dividing_its_unit():
     # the second route: the kernel's rank mod small primes, where p | unit
     # happens often, against the quotient's claim wherever it makes one
     proved, kinds = Counter(), 0
-    for kind in _square_kinds(8):
+    for kind in square_kinds(8):
         m = build(kind)
         q = _quotient_rank(m)
         for p in (2, 3, 5, 7, 11, 13):
