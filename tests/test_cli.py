@@ -336,39 +336,29 @@ def test_rank_takes_the_second_prime_only_below_full_rank(capsys, ranked_primes,
         f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
 
 
-@pytest.mark.parametrize("args, p, rank", [
+@pytest.mark.parametrize("args, primes, rank", [
     # N^1_(2,2)(5) has unit q(0) = -6 and still rank 5 mod 2
-    (["--kind", "N", "--t", "1", "--k", "2", "--v", "5"], 2, 5),
+    (["--kind", "N", "--t", "1", "--k", "2", "--v", "5"], (2, SEED5_PRIMES[1]), 5),
     # N^1_(3,3)(7), unit q(0) = -10: rank 6 mod 2, below the quotient's 7
-    (["--kind", "N", "--t", "1", "--k", "3", "--v", "7"], 2, 7),
+    (["--kind", "N", "--t", "1", "--k", "3", "--v", "7"], (2, SEED5_PRIMES[1]), 7),
     # U^1_(3,3)(7), invertible, unit pi(0) = 162: rank 13 mod 3
-    (["--kind", "U", "--l", "1", "--k", "3", "--v", "7"], 3, 35),
+    (["--kind", "U", "--l", "1", "--k", "3", "--v", "7"], (3, SEED5_PRIMES[1]), 35),
+    # 162 = 2 3^4: both drawn primes divide it, so a third is drawn
+    (["--kind", "U", "--l", "1", "--k", "3", "--v", "7"], (2, 3, 5), 35),
 ])
 def test_rank_skips_a_prime_dividing_the_quotients_unit(capsys, monkeypatch, ranked_primes,
-                                                       args, p, rank):
+                                                       args, primes, rank):
     # mod a p that divides the unit the quotient proves nothing, so the next
     # prime is taken, and still nothing is eliminated
-    primes = iter((p, SEED5_PRIMES[1]))
-    monkeypatch.setattr("imtk.cli.random_prime", lambda rng: next(primes))
+    forced = iter(primes)
+    monkeypatch.setattr("imtk.cli.random_prime", lambda rng: next(forced))
     assert main(["rank", *args, "--method", "both"]) == 0
     assert ranked_primes == []
     k, v = args[-3], args[-1]
     assert capsys.readouterr().out.splitlines() == [
-        f"primes: {p}, {SEED5_PRIMES[1]}",
+        "primes: " + ", ".join(map(str, primes)),
         f"rank[modp] is proved by the quotient of J({v},{k})",
         f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
-
-
-def test_rank_draws_past_both_primes_while_they_divide_the_unit(capsys, monkeypatch,
-                                                                ranked_primes):
-    # U^1_(3,3)(7) has unit 162 = 2 3^4: 2 and 3 are skipped, the third
-    # prime, drawn after them, proves the rank
-    primes = iter((2, 3, 5))
-    monkeypatch.setattr("imtk.cli.random_prime", lambda rng: next(primes))
-    assert main(["rank", "--kind", "U", "--l", "1", "--k", "3", "--v", "7",
-                 "--method", "modp"]) == 0
-    assert ranked_primes == [] and capsys.readouterr().out.splitlines() == [
-        "primes: 2, 3, 5", "rank[modp] is proved by the quotient of J(7,3)", "rank[modp] = 35"]
 
 
 def test_imtk_rank_of_every_square_shaped_kind_takes_the_quotient(capsys, monkeypatch):
