@@ -172,7 +172,7 @@ _family = lru_cache(maxsize=1024)(SubsetFamily)
 # theta matrices
 
 # theta and build work _BLOCK_ENTRIES entries of the result at a time, so the
-# float64 product and take's intp copy of the indices stay one block in size
+# float32 product and take's intp copy of the indices stay one block in size
 _BLOCK_ENTRIES = 1 << 18
 _theta_cache: dict[tuple[int, int, int], np.ndarray] = {}
 _THETA_CACHE_LIMIT = 8 << 20  # bytes: cache only theta arrays up to 8 MB
@@ -183,44 +183,51 @@ def _block_rows(ncols: int) -> int:
 
 
 def membership_matrix(v: int, s: int) -> np.ndarray:
-    """0/1 float64 matrix, one row per s-subset in lex order, columns the ground set."""
+    """0/1 float32 matrix, one row per s-subset in lex order, columns the ground set."""
     fam = _family(v, s)
     members = np.fromiter(chain.from_iterable(fam.subsets()), np.intp, len(fam) * s)
-    out = np.zeros((len(fam), v))
+    out = np.zeros((len(fam), v), dtype=np.float32)
     out[np.arange(len(fam)).repeat(s), members - 1] = 1
     return out
+
+
+def _theta_dtype(a: int, b: int) -> type:
+    return np.int8 if min(a, b) <= 127 else np.int64
 
 
 def theta_blocks(v: int, a: int, b: int):
     """theta_matrix(v, a, b) one row block at a time, as (first row, block)
     pairs: views of the matrix where it is cached, else each block made by
-    one float64 product of membership matrices, so that a theta over the
-    cache limit is never held whole.
+    one float32 product of membership matrices, so that a theta over the
+    cache limit is never held whole.  The product is exact: each entry and
+    partial sum is a count of common elements, at most min(a, b) < 2^24
+    (float64 takes over past that).
     """
     step = _block_rows(binomial(v, b))
     got = _theta_cache.get((v, a, b))
     if got is not None:
         yield from ((r0, got[r0:r0 + step]) for r0 in range(0, len(got), step))
         return
-    ma, mb = membership_matrix(v, a), membership_matrix(v, b).T
-    dtype = np.int8 if min(a, b) <= 127 else np.int64
+    ftype = np.float32 if min(a, b) < 1 << 24 else np.float64
+    ma, mb = (membership_matrix(v, x).astype(ftype, copy=False) for x in (a, b))
+    dtype = _theta_dtype(a, b)
     for r0 in range(0, len(ma), step):
-        yield r0, (ma[r0:r0 + step] @ mb).astype(dtype)
+        yield r0, (ma[r0:r0 + step] @ mb.T).astype(dtype)
 
 
 def theta_matrix(v: int, a: int, b: int) -> np.ndarray:
     """Matrix of intersection sizes |S cap K| over (a-subset, b-subset) pairs.
 
     Made by ``theta_blocks``, exact since no entry or partial sum of its
-    products exceeds min(a, b) < 2^53.  The result is int8 while
-    min(a, b) <= 127, else int64.
+    products exceeds min(a, b) < 2^24.  The result is int8 while
+    min(a, b) <= 127, else int64.  It is cached up to _THETA_CACHE_LIMIT
+    bytes.
     """
     key = (v, a, b)
     got = _theta_cache.get(key)
     if got is not None:
         return got
-    arr = np.empty((binomial(v, a), binomial(v, b)),
-                   dtype=np.int8 if min(a, b) <= 127 else np.int64)
+    arr = np.empty((binomial(v, a), binomial(v, b)), dtype=_theta_dtype(a, b))
     for r0, block in theta_blocks(v, a, b):
         arr[r0:r0 + len(block)] = block
     arr.setflags(write=False)
@@ -279,19 +286,23 @@ def build(kind: MatrixKind) -> ExactMatrix:
     (so int8 holds -127..127, never -128), holds every entry of the table;
     otherwise the table's own int64, or Python ints where an entry does not
     fit int64.  Arithmetic widens a stack before it computes, so the width
-    only saves memory.  A small matrix is built once, then served from a
-    bounded LRU cache.
+    only saves memory.  Theta comes through the theta cache where it fits
+    the cache, else straight from ``theta_blocks``, so a large theta is
+    never held whole beside the stack.  A small matrix is built once, then
+    served from a bounded LRU cache.
     """
     got = _built.pop(kind, None)
     if got is not None:
         _built[kind] = got
         return got
-    theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
+    v, a, b = kind.v, kind.row_size, kind.col_size
+    shape = binomial(v, a), binomial(v, b)
+    if shape[0] * shape[1] * np.dtype(_theta_dtype(a, b)).itemsize <= _THETA_CACHE_LIMIT:
+        theta_matrix(v, a, b)  # cached, so theta_blocks serves views of it
     coef, den = _table(_entries(kind))
-    stack = np.empty((len(coef), *theta.shape), dtype=coef.dtype)
-    step = _block_rows(theta.shape[1])
-    for r0 in range(0, len(theta), step):
-        stack[:, r0:r0 + step] = coef.take(theta[r0:r0 + step], axis=1)
+    stack = np.empty((len(coef), *shape), dtype=coef.dtype)
+    for r0, theta in theta_blocks(v, a, b):
+        stack[:, r0:r0 + len(theta)] = coef.take(theta, axis=1)
     stack.setflags(write=False)
     m = ExactMatrix(stack, kind.row_family, kind.col_family, den)
     if m.stack.size <= _BUILT_ENTRIES:

@@ -309,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact intersection-matrix toolkit: builders, identity "
                     "suite, spectra, ranks, Johnson scheme tables.")
     top.add_argument("--seed", type=int, default=None,
-                     help="seed for mod-p primes and probe vectors")
+                     help="seed for mod-p primes, and for the probe vectors of a "
+                          "spectrum check off the Johnson pattern")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a matrix and write it out")

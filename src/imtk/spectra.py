@@ -262,6 +262,7 @@ class SpectrumReport:
     ok: bool = True
     primes: tuple[int, ...] = ()
     checks: list[CheckRecord] = field(default_factory=list)
+    proved: bool = False  # the verdict is certain: the quotient route, or exact mode
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(CheckRecord(name, ok, detail))
@@ -274,6 +275,7 @@ class SpectrumReport:
             "order": self.order,
             "mode": self.mode,
             "ok": self.ok,
+            "proved": self.proved,
             "primes": list(self.primes),
             "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                        for c in self.checks],
@@ -427,21 +429,28 @@ def _power_traces(arr: np.ndarray, mag: int, p: int, count: int) -> list[int]:
     return [v % p for v in t[2:]]
 
 
-def _trace_multiplicities(residues, traces, p: int) -> list[int]:
-    """The mu_j, as centred residues mod p, with sum_j mu_j r_j^k = t_k mod p for k < d.
+def _trace_multiplicities(values, traces, p: int | None = None) -> list:
+    """The mu_j with sum_j mu_j r_j^k = t_k for k < d: over Q, or mod p.
 
-    r_j are d distinct residues and t_k the d traces.  mu_j is tr L_j(M) for
-    the Lagrange polynomial L_j(x) = prod_{i != j} (x - r_i) / (r_j - r_i),
-    which is 1 at r_j and 0 at every other r_i.
+    r_j are the d distinct values (residues mod p, with p) and t_k the d
+    traces.  mu_j is tr L_j(M) for the Lagrange polynomial
+    L_j(x) = prod_{i != j} (x - r_i) / (r_j - r_i), which is 1 at r_j and 0
+    at every other r_i.  Over Q each mu_j is an int or Fraction; mod p it is
+    the centred residue.
     """
+    red = (lambda x: x) if p is None else (lambda x: x % p)
     out = []
-    for j, rj in enumerate(residues):
+    for j, rj in enumerate(values):
         coeffs, den = [1], 1
-        for i, ri in enumerate(residues):
+        for i, ri in enumerate(values):
             if i != j:  # times (x - r_i)
-                coeffs = [(a - ri * b) % p for a, b in zip([0, *coeffs], [*coeffs, 0])]
-                den = den * (rj - ri) % p
-        mu = sum(c * tk for c, tk in zip(coeffs, traces)) * pow(den, -1, p) % p
+                coeffs = [red(a - ri * b) for a, b in zip([0, *coeffs], [*coeffs, 0])]
+                den = red(den * (rj - ri))
+        num = sum(c * tk for c, tk in zip(coeffs, traces))
+        if p is None:
+            out.append(Fraction(num) / den)
+            continue
+        mu = num * pow(den, -1, p) % p
         out.append(mu - p if mu > p // 2 else mu)
     return out
 
@@ -484,6 +493,11 @@ def _johnson_quotient(m: ExactMatrix) -> list[list[int]] | None:
     return b
 
 
+def _quotient_apply(b: list[list], x: list) -> list:
+    """B x, in Python ints (or Fractions)."""
+    return [sum(bi * xi for bi, xi in zip(row, x)) for row in b]
+
+
 def _quotient_powers(b: list[list[int]], count: int) -> list[list[int]]:
     """x_a = B^a e_k for a < count, in Python ints.
 
@@ -493,8 +507,20 @@ def _quotient_powers(b: list[list[int]], count: int) -> list[list[int]]:
     """
     xs = [[0] * (len(b) - 1) + [1]]
     for _ in range(count - 1):
-        xs.append([sum(bi * xi for bi, xi in zip(row, xs[-1])) for row in b])
+        xs.append(_quotient_apply(b, xs[-1]))
     return xs
+
+
+def _quotient_annihilator(b: list[list[int]], values) -> list[int]:
+    """P(B) e_k for P(x) = prod_j (q_j x - p_j), lambda_j = p_j / q_j, in Python ints.
+
+    P(M) is q_1..q_d times prod_j (M - lambda_j I), and its column K0 is
+    the class-constant vector of P(B) e_k (see ``_quotient_powers``).
+    """
+    y = [0] * (len(b) - 1) + [1]
+    for val in map(Fraction, values):
+        y = [val.denominator * u - val.numerator * w for u, w in zip(_quotient_apply(b, y), y)]
+    return y
 
 
 def _quotient_traces(n: int, xs: list[list[int]]) -> list[int]:
@@ -579,24 +605,38 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
                     rng: random.Random | None = None, label: str = "") -> SpectrumReport:
     """Check a claimed spectrum against an explicitly built matrix.
 
-    Both modes check the multiplicity sum and the exact trace, that
+    Every route checks the order and the exact trace, that
     P = prod_lambda (M - lambda I) over the d claimed distinct eigenvalues
-    is 0, and every multiplicity from the power traces t_k = tr(M^k) mod p1,
-    k < d.  P is applied to 2 * PROBES random probes over two random primes
-    in modp mode, and in exact mode to every column of I over the fewest
-    random primes, drawn one by one, whose product exceeds B below.
-    ``report.primes`` lists them all, p1 first, then any replacement for
-    p1 in the trace step.
+    is 0, and every multiplicity from the power traces t_a = tr(M^a), a < d.
 
-    The traces t_k, 2 <= k < d, are exact where M is a function of theta
-    over J(v, k), rows and columns tagged with the k-subsets of [v]: from
-    n (B^k e_k)[k], B its (k + 1) x (k + 1) quotient (``_johnson_quotient``),
-    with no product with M.  Any other M with d > 2 must be symmetric, and
-    its traces come from products mod p1 (``_power_traces``); with d <= 2
-    M may be any square matrix.
+    Where M is a function of theta over J(v, k) (``_johnson_quotient``:
+    rows and columns tagged with the k-subsets of [v], and the stack equal
+    to g(theta) entry by entry), both modes take the quotient route: all of
+    it is proved on M's (k + 1) x (k + 1) quotient B, in Python ints, with
+    no prime and no probe.  ``report.proved`` is true, ``report.primes``
+    empty and ``rng`` unused.
+
+    Any other M takes the generic route, where the mode decides how P is
+    applied: to 2 * PROBES random probes over two random primes in modp
+    mode, and in exact mode to every column of I over the fewest random
+    primes, drawn one by one, whose product exceeds B below.  The traces
+    t_a, 2 <= a < d, come from products mod p1 (``_power_traces``), which
+    need M symmetric; with d <= 2 M may be any square matrix.
+    ``report.primes`` lists every prime, p1 first, then any replacement for
+    p1 in the trace step.  ``report.proved`` is true in exact mode.
 
     Soundness, for M of order n:
 
+    - Annihilation, quotient.  M = g(theta) lies in the Bose-Mesner algebra
+      of J(v, k), and so does P(M).  A member of the algebra has the entry
+      c_h wherever |S cap K| = h, so it is fixed by its column K0 = {1..k},
+      which meets every nonempty class h.  The classes of K by
+      |K cap K0| are an equitable partition for M, so M maps the
+      class-constant vector of x to that of B x, and column K0 of P(M), the
+      image of the indicator of K0, which is the class-constant vector of
+      e_k, is the class-constant vector of P(B) e_k.  So P(B) e_k = 0,
+      taken exactly as prod_j (q_j B - p_j I) e_k for lambda_j = p_j / q_j
+      (``_quotient_annihilator``), proves P = 0 with certainty.
     - Annihilation, modp.  If the claim misses an eigenvalue of M, P is
       nonzero.  At a prime where P stays nonzero, a uniform random probe is
       annihilated anyway with probability at most #distinct/p (in fact at
@@ -612,26 +652,29 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     - Multiplicities.  Once P = 0, every eigenvalue of M is a claimed
       lambda_j, and M is diagonalizable, its minimal polynomial dividing a
       product of distinct linear factors.  The true multiplicities mu_j then
-      satisfy sum_j mu_j lambda_j^k = tr(M^k) over Q, for every k.  If the
-      lambda_j are distinct mod p1, the Vandermonde system of k < d mod p1
-      is invertible, so its solution (``_trace_multiplicities``) is mu_j mod
-      p1.  Both mu_j and the claimed m_j lie in [0, n], and n < 2^20 < p1,
-      so a residue that equals m_j proves m_j = mu_j, and rank(M - lambda_j
-      I) = n - mu_j over Q.  No prime is unlucky here: while two lambda_j
+      satisfy sum_j mu_j lambda_j^a = tr(M^a) over Q, for every a, and the
+      Vandermonde system of a < d has one solution, the lambda_j being
+      distinct (``_trace_multiplicities``).  On the quotient route the
+      traces are exact, n (B^a e_k)[k], and the system is solved over Q, so
+      a solution equal to the claimed m_j proves m_j = mu_j and
+      rank(M - lambda_j I) = n - mu_j.  On the generic route it is solved
+      mod p1, invertible while the lambda_j are distinct mod p1, and both
+      mu_j and m_j lie in [0, n], n < 2^20 < p1, so a residue equal to m_j
+      proves the same.  No prime is unlucky here: while two lambda_j
       coincide mod p1, a replacement prime is drawn, recorded and takes
       p1's place.  A multiplicity passes only when annihilation does,
-      since without P = 0 the traces prove nothing about it.  So a verified
-      claim is proved in exact mode, and in modp mode its one error is the
-      probes'.  t_0 = n and t_1, the exact trace, need no product, so
-      d <= 2 needs none at all, nor a quotient.
+      since without P = 0 the traces prove nothing about it.  So a
+      verified claim is proved on the quotient route and in exact mode,
+      and otherwise its one error is the probes'.  t_0 = n and t_1, the
+      exact trace, need no product, so d <= 2 needs none at all.
     - Symmetry.  Annihilation alone makes M diagonalizable, so the
       multiplicities need no symmetry.  Only the shortcut t_2a = ||X_a||^2
-      of ``_power_traces`` does, and a matrix on the quotient route is
-      symmetric anyway: theta is.
-    - Denominators.  A prime that divides a claimed eigenvalue's denominator
-      raises ValueError, in the annihilation step for its primes and in the
-      trace step for a replacement prime.  No true claim is lost so: M is an
-      integer matrix, and its rational eigenvalues are integers.
+      of ``_power_traces`` does.
+    - Denominators.  On the generic route, a prime that divides a claimed
+      eigenvalue's denominator raises ValueError, in the annihilation step
+      for its primes and in the trace step for a replacement prime.  No
+      true claim is lost so: M is an integer matrix, and its rational
+      eigenvalues are integers.
     """
     if mode not in ("modp", "exact"):
         raise ValueError("mode must be 'modp' or 'exact'")
@@ -640,19 +683,18 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     if not spec.is_scalar():
         raise TypeError("verify_spectrum needs rational eigenvalues; "
                         "evaluate polynomial spectra at a point first")
-    rng = rng or random.Random()
     n = m.nrows
-    _require(n < 1 << (DEFAULT_PRIME_BITS - 1), "the trace route needs order < 2^20")
     report = SpectrumReport(label or f"matrix of order {n}", n, mode)
-    arr = m.as_int_array()
     distinct = spec.distinct()
-    # the power traces t_a, 2 <= a < d, come from the quotient over J(v, k)
-    # where M has one, else from _power_traces, which needs M symmetric
-    quotient = _johnson_quotient(m) if len(distinct) > 2 else None
-    if len(distinct) > 2 and quotient is None and not all(
-            np.array_equal(arr[r:r + EYE_BLOCK], arr[:, r:r + EYE_BLOCK].T)
-            for r in range(0, n, EYE_BLOCK)):
-        raise ValueError("matrix must be symmetric")
+    values = [v for v, _ in distinct]
+    quotient = _johnson_quotient(m)
+    if quotient is None:
+        _require(n < 1 << (DEFAULT_PRIME_BITS - 1), "the trace route needs order < 2^20")
+        arr = m.as_int_array()
+        if len(distinct) > 2 and not all(
+                np.array_equal(arr[r:r + EYE_BLOCK], arr[:, r:r + EYE_BLOCK].T)
+                for r in range(0, n, EYE_BLOCK)):
+            raise ValueError("matrix must be symmetric")
 
     report.add("order", spec.order == n, f"claimed order {spec.order}, matrix order {n}")
     if not report.ok:
@@ -663,22 +705,48 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     report.add("trace", trace == want_trace,
                f"trace {trace}, spectral sum {want_trace}")
 
+    report.proved = quotient is not None or mode == "exact"
+    if quotient is None:
+        annihilated, implied = _generic_checks(report, arr, m.mag, values, trace,
+                                               rng or random.Random())
+    else:
+        y, k = _quotient_annihilator(quotient, values), len(quotient) - 1
+        annihilated = not any(y)
+        where = (f"M = g(theta) over J({m.row_family.v},{k}), and P(B) e_{k}"
+                 f" {'=' if annihilated else '!='} 0 for its {k + 1} x {k + 1} quotient B")
+        report.add("annihilation", annihilated, where + (
+            ": P(M) = 0, proved with no prime" if annihilated else
+            f": first nonzero in class {next(h for h, yh in enumerate(y) if yh)}"))
+        implied = _trace_multiplicities(
+            values, _quotient_traces(n, _quotient_powers(quotient, len(values))))
+    for (val, mult), mu in zip(distinct, implied):
+        report.add(f"multiplicity[{val}]", annihilated and mu == mult,
+                   f"rank(M - {val} I) = {n - mu}, expected {n - mult} (mult {mult})")
+    return report
+
+
+def _generic_checks(report: SpectrumReport, arr: np.ndarray, mag: int, values,
+                    trace: int, rng: random.Random) -> tuple[bool, list[int]]:
+    """The generic route of ``verify_spectrum``: annihilation by probes or by
+    every column of I, and the multiplicities mod p1 from ``_power_traces``.
+    Adds the annihilation check and the primes to ``report``, and returns
+    whether P = 0 held and the multiplicities that the traces imply."""
+    n, mode = arr.shape[0], report.mode
     # annihilation: P y = 0 for random probes y mod two primes, or for every
     # column y of I mod the first distinct primes whose product exceeds B (exact)
     bound = 0
     if mode == "exact":
         norm = (max(int(np.abs(arr[r:r + EYE_BLOCK], dtype=np.int64).sum(axis=1).max())
                     for r in range(0, n, EYE_BLOCK))
-                if n * m.mag < 1 << 63 else n * m.mag)
+                if n * mag < 1 << 63 else n * mag)
         bound = math.prod(Fraction(v).denominator * norm + abs(Fraction(v).numerator)
-                          for v, _ in distinct)
+                          for v in values)
     primes = []
     while len(primes) < (2 if mode == "modp" else 1) or math.prod(primes) <= bound:
         p = random_prime(rng)
         if p not in primes:
             primes.append(p)
     report.primes, p1 = tuple(primes), primes[0]
-    values = [v for v, _ in distinct]
     if mode == "modp":
         # one draw seeded from rng, uniform on [0, p) in each prime's columns
         draw = np.random.default_rng(rng.getrandbits(64))
@@ -690,12 +758,11 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
                    np.tile(np.eye(n, min(_COLUMNS, n - c), -c), len(primes)))
                   for c in range(0, n, _COLUMNS))
         detail = f"all {n} columns of I mod primes {primes}, product > B = {bound}"
-    fails = _annihilation_failures(arr, m.mag, values, primes, blocks)
+    fails = _annihilation_failures(arr, mag, values, primes, blocks)
     # by block of EYE_BLOCK columns, prime, column
     fails = [f"column {c} mod {primes[i]}"
              for c, i in sorted(fails, key=lambda f: (f[0] // EYE_BLOCK, f[1], f[0]))]
-    annihilated = not fails
-    report.add("annihilation", annihilated,
+    report.add("annihilation", not fails,
                detail + (f"; {len(fails)} failed, first {fails[0]}" if fails else ""))
 
     # multiplicities: solved mod p1 from t_0 = n, t_1 = trace and the power
@@ -704,13 +771,8 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     while len({_centred_residue(v, q) for v in values}) < len(values):
         q = random_prime(rng)
         report.primes += (q,)
-    traces = ([t % q for t in _quotient_traces(n, _quotient_powers(quotient, len(values)))]
-              if quotient is not None else [n, trace, *_power_traces(arr, m.mag, q, len(values))])
-    implied = _trace_multiplicities([_centred_residue(v, q) for v in values], traces, q)
-    for (val, mult), mu in zip(distinct, implied):
-        report.add(f"multiplicity[{val}]", annihilated and mu == mult,
-                   f"rank(M - {val} I) = {n - mu}, expected {n - mult} (mult {mult})")
-    return report
+    traces = [n, trace, *_power_traces(arr, mag, q, len(values))]
+    return not fails, _trace_multiplicities([_centred_residue(v, q) for v in values], traces, q)
 
 
 def sampled_eval_points() -> Sequence[Fraction]:

@@ -1,5 +1,7 @@
 import importlib
 import json
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -322,6 +324,24 @@ def test_build_allocates_little_beyond_its_result(kind, monkeypatch):
     assert m.stack.dtype == theta.dtype == np.int8
     bound = theta.nbytes + m.stack.nbytes + 2 * 8 * build_module._BLOCK_ENTRIES
     assert peak <= bound, (peak, bound)
+
+
+def test_a_build_over_the_theta_cache_limit_holds_no_whole_theta():
+    # theta(14, 7, 7) is 11.8 MB of int8, over the 8 MB cache limit, so build
+    # takes it from theta_blocks one row block at a time: in a fresh
+    # interpreter it peaks near its int8 stack alone, where holding theta
+    # whole beside the stack took twice that
+    code = ("import tracemalloc\n"
+            "from imtk.build import N, build\n"
+            "tracemalloc.start()\n"
+            "m = build(N(6, 7, 7, 14))\n"
+            "print(m.stack.nbytes, tracemalloc.get_traced_memory()[1])\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    nbytes, peak = map(int, proc.stdout.split())
+    assert nbytes == 3432 * 3432 and peak < 1.5 * nbytes, peak / nbytes
 
 
 def test_build_stores_the_golden_n_and_a_wider_entry_at_their_widths():

@@ -202,17 +202,32 @@ def test_spectrum_outside_hypotheses_exits_2():
 
 
 def test_spectrum_exact_check_above_order_300_verifies():
-    # N^2_(4,4)(11) has order 330; the check line lists every prime, the
-    # annihilation line the same primes and the bound B they exceed
+    # N^2_(4,4)(11) has order 330 and is g(theta) over J(11,4): the check is
+    # proved on its 5 x 5 quotient, with no prime, so the check line lists
+    # none and the annihilation line names the quotient proof
     proc = run_cli("--seed", "1", "spectrum", "--kind", "N", "--t", "2", "--k", "4",
                    "--v", "11", "--check", "exact")
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.endswith("verified\n")
-    check = next(line for line in proc.stdout.splitlines() if line.startswith("check["))
-    primes = check.split("primes=")[1]
-    assert len(json.loads(primes)) == 1  # B = 757944 < 2^20 <= every 21-bit prime
-    assert f"ok  annihilation: all 330 columns of I mod primes {primes}, product > B = " \
-        in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert "check[N^2[4,4](11)] mode=exact primes=[]" in lines
+    assert ("  ok  annihilation: M = g(theta) over J(11,4), and P(B) e_4 = 0 for its "
+            "5 x 5 quotient B: P(M) = 0, proved with no prime") in lines
+
+
+def test_golden_spectra_leave_numpy_random_unimported():
+    # both golden N spectra are proved on their quotients: no probe vector is
+    # drawn, so numpy.random (about 6 MB of resident memory) is never imported
+    code = ("import sys\n"
+            "from imtk.cli import main\n"
+            "for args in ('--t 6 --k 7 --v 14', '--t 5 --k 6 --v 13'):\n"
+            "    assert main(['--seed', '1', 'spectrum', '--kind', 'N', *args.split(),\n"
+            "                 '--check', 'modp']) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **BLAS_ENV})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_rank_both_small():

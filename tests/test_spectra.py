@@ -943,6 +943,122 @@ def test_the_quotient_route_fails_a_swapped_multiplicity_and_a_shifted_eigenvalu
     assert not shifted["annihilation"]
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("the quotient route makes no product with M and draws no prime")
+
+
+@pytest.fixture
+def generic_route_raises(monkeypatch):
+    """Every product, probe and prime of the generic route raises when called."""
+    for name in ("_annihilation_failures", "_product", "_power_traces", "random_prime"):
+        monkeypatch.setattr(f"imtk.spectra.{name}", _raise)
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_the_quotient_route_fails_a_wrong_eigenvalue_with_the_trace_kept(
+        generic_route_raises, mode):
+    # golden N^5_(6,6)(13) with 5^208 split into 4^104 6^104: the same order
+    # and trace, one eigenvalue of M missed, so P(B) e_6 != 0
+    kind = N(5, 6, 6, 13)
+    m, spec = build(kind), spectrum_of(kind)
+    good = verify_spectrum(m, spec, mode=mode)
+    assert good.ok and good.proved and good.primes == ()
+    assert good.checks[2].detail == ("M = g(theta) over J(13,6), and P(B) e_6 = 0 for its "
+                                     "7 x 7 quotient B: P(M) = 0, proved with no prime")
+    mult = dict(spec.distinct())
+    assert mult.pop(5) == 208
+    mult[4] = mult[6] = 104
+    rep = verify_spectrum(m, _spec(mult), mode=mode)
+    status = {c.name: c.ok for c in rep.checks}
+    assert status["order"] and status["trace"] and not status["annihilation"]
+    assert not any(ok for name, ok in status.items() if name.startswith("multiplicity"))
+    assert rep.checks[2].detail.startswith("M = g(theta) over J(13,6), and P(B) e_6 != 0 ")
+    assert rep.proved and rep.primes == () and not rep.ok
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_the_quotient_route_fails_only_the_multiplicities_it_disproves(
+        generic_route_raises, mode):
+    # golden N^5_(6,6)(13) with one -2 traded for a -4 and a 0: the same
+    # order, trace and eigenvalue set, so only the traces over Q tell
+    kind = N(5, 6, 6, 13)
+    mult = dict(spectrum_of(kind).distinct())
+    mult[-4], mult[-2], mult[0] = mult[-4] + 1, mult[-2] - 2, mult[0] + 1
+    rep = verify_spectrum(build(kind), _spec(mult), mode=mode)
+    failed = {c.name for c in rep.checks if not c.ok}
+    assert failed == {"multiplicity[-4]", "multiplicity[-2]", "multiplicity[0]"}
+    # the ranks that the traces imply are the true ones: 1716 - 65, 1716 - 429
+    line = next(c.detail for c in rep.checks if c.name == "multiplicity[-2]")
+    assert line == "rank(M - -2 I) = 1287, expected 1289 (mult 427)"
+
+
+def _complement_swap_off_pattern(k):
+    """U^0 over J(2k, k), the complement involution R, with the pair of K0
+    and its complement (rows 0 and n - 1, lex complement reversing order)
+    moved from 1 to 2, and its spectrum: 2^1 -2^1 1^(n/2 - 1) -1^(n/2 - 1)."""
+    m = build(U(0, k, k, 2 * k))
+    arr = m.as_int_array().astype(np.int64)
+    n = len(arr)
+    assert arr[0, n - 1] == 1
+    arr[0, n - 1] = arr[n - 1, 0] = 2
+    return ExactMatrix(arr, m.row_family, m.col_family), {2: 1, -2: 1, 1: n // 2 - 1,
+                                                           -1: n // 2 - 1}
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_one_pair_off_the_class_pattern_is_judged_on_the_generic_route(mode):
+    m, mult = _complement_swap_off_pattern(5)  # order 252
+    n = m.nrows
+    assert _johnson_quotient(m) is None and _johnson_quotient(build(U(0, 5, 5, 10)))
+    rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(RNG_SEED))
+    assert rep.ok, rep.checks
+    assert rep.proved == (mode == "exact") and rep.primes
+    if mode == "exact":
+        # the annihilation line lists the primes and the bound B they exceed:
+        # ||M||_inf = 2, so B = (2 + 2) (2 + 2) (2 + 1) (2 + 1) < 2^20, one prime
+        assert len(rep.primes) == 1
+        assert rep.checks[2].detail == (f"all {n} columns of I mod primes {list(rep.primes)}, "
+                                        "product > B = 144")
+    # a missed eigenvalue, with the trace kept: 2 and -2 claimed as 0^2
+    wrong = {0: 2, 1: n // 2 - 1, -1: n // 2 - 1}
+    status = {c.name: c.ok for c in verify_spectrum(
+        m, _spec(wrong), mode=mode, rng=random.Random(RNG_SEED)).checks}
+    assert status["trace"] and not status["annihilation"]
+    # a 1 and a -1 traded for a 2 and a -2: only the multiplicities fail
+    traded = {2: 2, -2: 2, 1: n // 2 - 2, -1: n // 2 - 2}
+    rep = verify_spectrum(m, _spec(traded), mode=mode, rng=random.Random(RNG_SEED))
+    assert {c.name for c in rep.checks if not c.ok} == {f"multiplicity[{x}]" for x in traded}
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+@pytest.mark.parametrize("args", [
+    "--kind N --t 6 --k 7 --v 14", "--kind N --t 5 --k 6 --v 13",
+    "--kind U --l 3 --k 6 --v 13", "--kind A --i 3 --k 6 --v 13",
+    "--kind F --t 2 --k 3 --v 7"], ids=["N14", "N13", "U13", "A13", "F7"])
+def test_on_pattern_spectra_are_proved_with_no_product_probe_or_prime(
+        generic_route_raises, capsys, args, mode):
+    from imtk.cli import main
+    assert main(["--seed", "1", "spectrum", *args.split(), "--check", mode]) == 0
+    out = capsys.readouterr().out.splitlines()
+    checks = [line for line in out if line.startswith("check[")]
+    assert len(checks) == (3 if "F" in args else 1)
+    assert all(line.endswith(f"mode={mode} primes=[]") for line in checks)
+    assert sum("P(M) = 0, proved with no prime" in line for line in out) == len(checks)
+    assert out[-1] == "verified"
+
+
+def test_a_report_says_whether_it_is_proved():
+    # proved: the quotient route in either mode, and exact mode off it
+    kind = U(1, 2, 2, 5)
+    m, spec = build(kind), spectrum_of(kind)
+    untagged = ExactMatrix(m.stack)  # no families, so the generic route
+    for x, mode, proved in ((m, "modp", True), (m, "exact", True),
+                            (untagged, "modp", False), (untagged, "exact", True)):
+        rep = verify_spectrum(x, spec, mode=mode, rng=random.Random(RNG_SEED))
+        assert rep.ok and rep.proved is proved and rep.to_dict()["proved"] is proved
+        assert bool(rep.primes) is (x is untagged)
+
+
 # ---------------------------------------------------------------------------
 # eigenprojector realization of the A-matrix eigenvalues
 
