@@ -191,8 +191,8 @@ def membership_matrix(v: int, s: int) -> np.ndarray:
     return out
 
 
-def _theta_dtype(a: int, b: int) -> type:
-    return np.int8 if min(a, b) <= 127 else np.int64
+def _theta_dtype(a: int, b: int) -> np.dtype:
+    return np.dtype(np.int8 if min(a, b) <= 127 else np.int64)
 
 
 def theta_blocks(v: int, a: int, b: int):
@@ -206,7 +206,8 @@ def theta_blocks(v: int, a: int, b: int):
     step = _block_rows(binomial(v, b))
     got = _theta_cache.get((v, a, b))
     if got is not None:
-        yield from ((r0, got[r0:r0 + step]) for r0 in range(0, len(got), step))
+        for r0 in range(0, len(got), step):
+            yield r0, got[r0:r0 + step]
         return
     ftype = np.float32 if min(a, b) < 1 << 24 else np.float64
     ma, mb = (membership_matrix(v, x).astype(ftype, copy=False) for x in (a, b))
@@ -297,7 +298,7 @@ def build(kind: MatrixKind) -> ExactMatrix:
         return got
     v, a, b = kind.v, kind.row_size, kind.col_size
     shape = binomial(v, a), binomial(v, b)
-    if shape[0] * shape[1] * np.dtype(_theta_dtype(a, b)).itemsize <= _THETA_CACHE_LIMIT:
+    if shape[0] * shape[1] * _theta_dtype(a, b).itemsize <= _THETA_CACHE_LIMIT:
         theta_matrix(v, a, b)  # cached, so theta_blocks serves views of it
     coef, den = _table(_entries(kind))
     stack = np.empty((len(coef), *shape), dtype=coef.dtype)

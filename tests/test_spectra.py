@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import tracemalloc
@@ -657,47 +658,52 @@ def test_verify_spectrum_makes_no_dense_copy_of_a_split_matrix():
     kind = N(5, 6, 6, 12)  # order 924, 462 pairs {K, complement of K}
     m, spec = build(kind), spectrum_of(kind)
     n = m.nrows
-    m.mag  # computed before tracing
-    for mode in ("modp", "exact"):
+    # the tagged M is proved on its quotient; the untagged copy of its stack
+    # takes the generic route
+    for x, mode in itertools.product((m, ExactMatrix(m.stack)), ("modp", "exact")):
+        x.mag  # computed before tracing
         tracemalloc.start()
         try:
-            rep = verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED))
+            rep = verify_spectrum(x, spec, mode=mode, rng=random.Random(RNG_SEED))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.ok
+        assert rep.ok and rep.proved == (x is m or mode == "exact")
         # one float64 copy of M, a whole rank's working copy, is n * n * 8
-        # bytes.  M has 2 nonzeros a row and 2 distinct eigenvalues, so it is
-        # applied as ELL and needs no power trace: modp peaks at about 0.13
-        # of a copy, and exact at about 0.29, in its blocks of 32 columns of
-        # I and their products
+        # bytes.  Off the quotient, M has 2 nonzeros a row and 2 distinct
+        # eigenvalues, so it is applied as ELL and needs no power trace:
+        # modp peaks at about 0.13 of a copy, and exact at about 0.29, in its
+        # blocks of 32 columns of I and their products
         assert peak < n * n * 8 / 2, (mode, peak)
 
 
 def test_verify_spectrum_of_a_connected_matrix_makes_no_dense_copy(monkeypatch):
     # N^5_(6,6)(13) is connected, with 7 distinct eigenvalues and 8 nonzeros
-    # in each row: the probes or the columns of I go through ELL products,
-    # the traces come from its quotient over J(13,6), and no rank is taken
+    # in each row.  The tagged M is proved on its quotient over J(13,6).  On
+    # the generic route, which the untagged copy of its stack takes, the
+    # probes or the columns of I, and the power traces, go through ELL
+    # products.  No rank is taken on either
     kind = N(5, 6, 6, 13)
     m, spec = build(kind), spectrum_of(kind)
     n = m.nrows
     assert len(spec.distinct()) == 7
-    m.mag  # computed before tracing
     monkeypatch.setattr("imtk.exactalg._rank_kernel", None)
-    for mode, share in (("modp", 0.35), ("exact", 0.5)):
-        tracemalloc.start()
-        try:
-            rep = verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.ok
-        # one float64 copy of M, each rank's working copy before, is n * n *
-        # 8 bytes.  modp peaks at about 0.17 of it, in the gathered probes
-        # and their products (0.21 when the power traces were taken by
-        # products); exact at about 0.31, its blocks of I having 32 columns
-        # for each of its two primes
-        assert peak < share * n * n * 8, (mode, peak / (n * n * 8))
+    for x in (m, ExactMatrix(m.stack)):
+        x.mag  # computed before tracing
+        for mode, share in (("modp", 0.35), ("exact", 0.5)):
+            tracemalloc.start()
+            try:
+                rep = verify_spectrum(x, spec, mode=mode, rng=random.Random(RNG_SEED))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.ok
+            # one float64 copy of M, each rank's working copy before, is n * n
+            # * 8 bytes.  Off the quotient, modp peaks at about 0.18 of
+            # it, in the gathered probes and their products, and exact at
+            # about 0.31, its blocks of I having 32 columns for each of
+            # its two primes
+            assert peak < share * n * n * 8, (mode, peak / (n * n * 8))
 
 
 def test_rank_modp_of_a_window_peaks_below_two_and_a_half_copies_of_it():
