@@ -298,12 +298,15 @@ def build(kind: MatrixKind) -> ExactMatrix:
         return got
     v, a, b = kind.v, kind.row_size, kind.col_size
     shape = binomial(v, a), binomial(v, b)
-    if shape[0] * shape[1] * _theta_dtype(a, b).itemsize <= _THETA_CACHE_LIMIT:
-        theta_matrix(v, a, b)  # cached, so theta_blocks serves views of it
     coef, den = _table(_entries(kind))
     stack = np.empty((len(coef), *shape), dtype=coef.dtype)
-    for r0, theta in theta_blocks(v, a, b):
-        stack[:, r0:r0 + len(theta)] = coef.take(theta, axis=1)
+    if shape[0] * shape[1] * _theta_dtype(a, b).itemsize > _THETA_CACHE_LIMIT:
+        for r0, theta in theta_blocks(v, a, b):  # made block by block, never held whole
+            stack[:, r0:r0 + len(theta)] = coef.take(theta, axis=1)
+    else:  # sliced from the cached theta: a small build pays no generator
+        theta, step = theta_matrix(v, a, b), _block_rows(shape[1])
+        for r0 in range(0, shape[0], step):
+            stack[:, r0:r0 + step] = coef.take(theta[r0:r0 + step], axis=1)
     stack.setflags(write=False)
     m = ExactMatrix(stack, kind.row_family, kind.col_family, den)
     if m.stack.size <= _BUILT_ENTRIES:
