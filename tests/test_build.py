@@ -297,14 +297,19 @@ def test_cached_builds_equal_fresh_entrywise_builds_of_every_tag():
 
 def test_row_blocked_builds_equal_fresh_entrywise_builds_of_every_tag(monkeypatch):
     # blocks of 5 entries: theta and every stack of more than 5 entries are
-    # made in row blocks, ragged at the end when the row count does not divide
+    # made in row blocks, ragged at the end when the row count does not divide.
+    # build slices a theta that fits the cache, and streams one over the limit
+    # (0 bytes here) from theta_blocks
     monkeypatch.setattr(build_module, "_BLOCK_ENTRIES", 5)
-    monkeypatch.setattr(build_module, "_theta_cache", {})
-    monkeypatch.setattr(build_module, "_built", {})
-    for kind in _kinds_of_every_tag(5):
-        th = theta_matrix(kind.v, kind.row_size, kind.col_size)
-        assert np.array_equal(th, oracles.theta_oracle(kind.v, kind.row_size, kind.col_size))
-        assert build(kind) == _fresh(kind), kind.describe()
+    for limit in (build_module._THETA_CACHE_LIMIT, 0):
+        monkeypatch.setattr(build_module, "_THETA_CACHE_LIMIT", limit)
+        monkeypatch.setattr(build_module, "_theta_cache", {})
+        monkeypatch.setattr(build_module, "_built", {})
+        for kind in _kinds_of_every_tag(5):
+            th = theta_matrix(kind.v, kind.row_size, kind.col_size)
+            assert np.array_equal(th, oracles.theta_oracle(kind.v, kind.row_size, kind.col_size))
+            assert build(kind) == _fresh(kind), (kind.describe(), limit)
+        assert bool(build_module._theta_cache) is bool(limit)
 
 
 @pytest.mark.parametrize("kind", [N(6, 7, 7, 14), U(3, 6, 6, 13)], ids=["N14", "U13"])
