@@ -195,46 +195,55 @@ def _theta_dtype(a: int, b: int) -> np.dtype:
     return np.dtype(np.int8 if min(a, b) <= 127 else np.int64)
 
 
-def theta_blocks(v: int, a: int, b: int):
-    """theta_matrix(v, a, b) one row block at a time, as (first row, block)
-    pairs: views of the matrix where it is cached, else each block made by
-    one float32 product of membership matrices, so that a theta over the
-    cache limit is never held whole.  The product is exact: each entry and
-    partial sum is a count of common elements, at most min(a, b) < 2^24
-    (float64 takes over past that).
+def _fits_cache(v: int, a: int, b: int) -> bool:
+    """Whether theta_matrix(v, a, b) is at most _THETA_CACHE_LIMIT bytes."""
+    return binomial(v, a) * binomial(v, b) * _theta_dtype(a, b).itemsize <= _THETA_CACHE_LIMIT
+
+
+def _theta_products(v: int, a: int, b: int):
+    """theta_matrix(v, a, b) as (first row, block) pairs, each block one
+    float32 product of membership matrices.  The product is exact: each
+    entry and partial sum is a count of common elements, at most
+    min(a, b) < 2^24.
     """
-    step = _block_rows(binomial(v, b))
-    got = _theta_cache.get((v, a, b))
-    if got is not None:
-        for r0 in range(0, len(got), step):
-            yield r0, got[r0:r0 + step]
-        return
-    ftype = np.float32 if min(a, b) < 1 << 24 else np.float64
-    ma, mb = (membership_matrix(v, x).astype(ftype, copy=False) for x in (a, b))
-    dtype = _theta_dtype(a, b)
+    ma, mb = membership_matrix(v, a), membership_matrix(v, b)
+    dtype, step = _theta_dtype(a, b), _block_rows(len(mb))
     for r0 in range(0, len(ma), step):
         yield r0, (ma[r0:r0 + step] @ mb.T).astype(dtype)
+
+
+def theta_blocks(v: int, a: int, b: int):
+    """theta_matrix(v, a, b) one row block at a time, as (first row, block)
+    pairs: views of the cached matrix where it fits the theta cache (made
+    and cached on first use), else blocks made afresh by float32 products,
+    so that a theta over the cache limit is never held whole.
+    """
+    if not _fits_cache(v, a, b):
+        yield from _theta_products(v, a, b)
+        return
+    theta, step = theta_matrix(v, a, b), _block_rows(binomial(v, b))
+    for r0 in range(0, len(theta), step):
+        yield r0, theta[r0:r0 + step]
 
 
 def theta_matrix(v: int, a: int, b: int) -> np.ndarray:
     """Matrix of intersection sizes |S cap K| over (a-subset, b-subset) pairs.
 
-    Made by ``theta_blocks``, exact since no entry or partial sum of its
-    products exceeds min(a, b) < 2^24.  The result is int8 while
+    Made from exact float32 products of membership matrices (at most
+    min(a, b) < 2^24), one row block at a time.  The result is int8 while
     min(a, b) <= 127, else int64.  It is cached up to _THETA_CACHE_LIMIT
     bytes.
     """
     key = (v, a, b)
     got = _theta_cache.get(key)
-    if got is not None:
-        return got
-    arr = np.empty((binomial(v, a), binomial(v, b)), dtype=_theta_dtype(a, b))
-    for r0, block in theta_blocks(v, a, b):
-        arr[r0:r0 + len(block)] = block
-    arr.setflags(write=False)
-    if arr.nbytes <= _THETA_CACHE_LIMIT:
-        _theta_cache[key] = arr
-    return arr
+    if got is None:
+        got = np.empty((binomial(v, a), binomial(v, b)), dtype=_theta_dtype(a, b))
+        for r0, block in _theta_products(v, a, b):
+            got[r0:r0 + len(block)] = block
+        got.setflags(write=False)
+        if _fits_cache(v, a, b):
+            _theta_cache[key] = got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +296,9 @@ def build(kind: MatrixKind) -> ExactMatrix:
     (so int8 holds -127..127, never -128), holds every entry of the table;
     otherwise the table's own int64, or Python ints where an entry does not
     fit int64.  Arithmetic widens a stack before it computes, so the width
-    only saves memory.  Theta comes through the theta cache where it fits
-    the cache, else straight from ``theta_blocks``, so a large theta is
-    never held whole beside the stack.  A small matrix is built once, then
-    served from a bounded LRU cache.
+    only saves memory.  Theta comes from ``theta_blocks``, so a theta over
+    the cache limit is never held whole beside the stack.  A small matrix
+    is built once, then served from a bounded LRU cache.
     """
     got = _built.pop(kind, None)
     if got is not None:
@@ -300,13 +308,8 @@ def build(kind: MatrixKind) -> ExactMatrix:
     shape = binomial(v, a), binomial(v, b)
     coef, den = _table(_entries(kind))
     stack = np.empty((len(coef), *shape), dtype=coef.dtype)
-    if shape[0] * shape[1] * _theta_dtype(a, b).itemsize > _THETA_CACHE_LIMIT:
-        for r0, theta in theta_blocks(v, a, b):  # made block by block, never held whole
-            stack[:, r0:r0 + len(theta)] = coef.take(theta, axis=1)
-    else:  # sliced from the cached theta: a small build pays no generator
-        theta, step = theta_matrix(v, a, b), _block_rows(shape[1])
-        for r0 in range(0, shape[0], step):
-            stack[:, r0:r0 + step] = coef.take(theta[r0:r0 + step], axis=1)
+    for r0, theta in theta_blocks(v, a, b):
+        stack[:, r0:r0 + len(theta)] = coef.take(theta, axis=1)
     stack.setflags(write=False)
     m = ExactMatrix(stack, kind.row_family, kind.col_family, den)
     if m.stack.size <= _BUILT_ENTRIES:

@@ -63,20 +63,22 @@ def test_theta_cache_limit_is_in_bytes(monkeypatch):
 
 
 def test_theta_blocks_cover_theta_and_make_only_an_uncached_one(monkeypatch):
-    monkeypatch.setattr(build_module, "_theta_cache", {})
+    # a theta that fits the cache is made and cached on the first call, then
+    # served as views of the cached matrix; one over the limit (0 bytes here)
+    # is made afresh on every call and never cached
     monkeypatch.setattr(build_module, "_BLOCK_ENTRIES", 200)  # 2 rows of 70 a block
     want = oracles.theta_oracle(8, 3, 4)
-    for cached in (False, True):
-        blocks = list(theta_blocks(8, 3, 4))
-        assert [r0 for r0, _ in blocks] == list(range(0, 56, 2))
-        assert all(block.dtype == np.int8 for _, block in blocks)
-        assert np.array_equal(np.concatenate([block for _, block in blocks]), want)
-        # made afresh and left uncached, then views of the cached matrix
-        assert ((8, 3, 4) in build_module._theta_cache) is cached
-        if cached:
-            th = build_module._theta_cache[8, 3, 4]
-            assert all(np.shares_memory(block, th) for _, block in blocks)
-        theta_matrix(8, 3, 4)
+    for limit in (build_module._THETA_CACHE_LIMIT, 0):
+        monkeypatch.setattr(build_module, "_THETA_CACHE_LIMIT", limit)
+        monkeypatch.setattr(build_module, "_theta_cache", {})
+        for _ in range(2):
+            blocks = list(theta_blocks(8, 3, 4))
+            assert [r0 for r0, _ in blocks] == list(range(0, 56, 2))
+            assert all(block.dtype == np.int8 for _, block in blocks)
+            assert np.array_equal(np.concatenate([block for _, block in blocks]), want)
+            th = build_module._theta_cache.get((8, 3, 4))
+            assert (th is not None) is bool(limit)
+            assert all(np.shares_memory(block, th) for _, block in blocks) is bool(limit)
 
 
 def test_f_untruncated_entries_are_binomial_powers():
@@ -297,9 +299,8 @@ def test_cached_builds_equal_fresh_entrywise_builds_of_every_tag():
 
 def test_row_blocked_builds_equal_fresh_entrywise_builds_of_every_tag(monkeypatch):
     # blocks of 5 entries: theta and every stack of more than 5 entries are
-    # made in row blocks, ragged at the end when the row count does not divide.
-    # build slices a theta that fits the cache, and streams one over the limit
-    # (0 bytes here) from theta_blocks
+    # made in row blocks, ragged at the end when the row count does not divide,
+    # both where theta fits the cache and where it is over the limit (0 bytes)
     monkeypatch.setattr(build_module, "_BLOCK_ENTRIES", 5)
     for limit in (build_module._THETA_CACHE_LIMIT, 0):
         monkeypatch.setattr(build_module, "_THETA_CACHE_LIMIT", limit)
@@ -316,8 +317,7 @@ def test_row_blocked_builds_equal_fresh_entrywise_builds_of_every_tag(monkeypatc
 def test_build_allocates_little_beyond_its_result(kind, monkeypatch):
     # theta and the stack are made one row block at a time, so besides the
     # int8 theta and the result only block-sized temporaries exist: the
-    # float64 product, then take's intp copy of the indices (the unblocked
-    # take held a theta-sized intp copy and a result-sized temporary)
+    # float32 product, then take's intp copy of the indices
     monkeypatch.setattr(build_module, "_theta_cache", {})
     tracemalloc.start()
     try:
@@ -333,9 +333,8 @@ def test_build_allocates_little_beyond_its_result(kind, monkeypatch):
 
 def test_a_build_over_the_theta_cache_limit_holds_no_whole_theta():
     # theta(14, 7, 7) is 11.8 MB of int8, over the 8 MB cache limit, so build
-    # takes it from theta_blocks one row block at a time: in a fresh
-    # interpreter it peaks near its int8 stack alone, where holding theta
-    # whole beside the stack took twice that
+    # takes it from theta_blocks one row block at a time and, in a fresh
+    # interpreter, peaks near its int8 stack alone
     code = ("import tracemalloc\n"
             "from imtk.build import N, build\n"
             "tracemalloc.start()\n"
