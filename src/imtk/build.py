@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -169,17 +169,12 @@ _family = lru_cache(maxsize=1024)(SubsetFamily)
 
 
 # ---------------------------------------------------------------------------
-# theta matrices
+# theta matrices, whole and by region
 
-# theta and build work _BLOCK_ENTRIES entries of the result at a time, so the
-# float32 product and take's intp copy of the indices stay one block in size
-_BLOCK_ENTRIES = 1 << 18
 _theta_cache: dict[tuple[int, int, int], np.ndarray] = {}
 _THETA_CACHE_LIMIT = 8 << 20  # bytes: cache only theta arrays up to 8 MB
-
-
-def _block_rows(ncols: int) -> int:
-    return max(1, _BLOCK_ENTRIES // max(1, ncols))
+# a matrix of more entries than this is made region by region (_regions)
+_REGION_ENTRIES = 1 << 16
 
 
 def membership_matrix(v: int, s: int) -> np.ndarray:
@@ -195,53 +190,88 @@ def _theta_dtype(a: int, b: int) -> np.dtype:
     return np.dtype(np.int8 if min(a, b) <= 127 else np.int64)
 
 
-def _fits_cache(v: int, a: int, b: int) -> bool:
-    """Whether theta_matrix(v, a, b) is at most _THETA_CACHE_LIMIT bytes."""
-    return binomial(v, a) * binomial(v, b) * _theta_dtype(a, b).itemsize <= _THETA_CACHE_LIMIT
+@lru_cache(maxsize=256)
+def _regions(v: int, a: int, b: int, limit: int) -> tuple[int, tuple]:
+    """The (a-subset, b-subset) matrix over [v] cut into regions of at most
+    ``limit`` entries, as (d, regions).
 
-
-def _theta_products(v: int, a: int, b: int):
-    """theta_matrix(v, a, b) as (first row, block) pairs, each block one
-    float32 product of membership matrices.  The product is exact: each
-    entry and partial sum is a count of common elements, at most
-    min(a, b) < 2^24.
+    In lex order the a-subsets S come grouped by their prefix P = S cap [d],
+    the groups in descending order of P's indicator vector (the S that hold
+    1 first, and so on), and within a group in the lex order of
+    S' = S - [d] over {d+1..v}.  So the rows of prefix P and the columns of
+    prefix Q form a region where |S cap K| = |P cap Q| + |S' cap K'|:
+    theta_matrix(v - d, |S'|, |K'|) shifted by |P cap Q|, the split of the
+    paper's block decompositions taken d elements deep.  d is the fewest
+    leading elements that leave no region over ``limit`` entries.  Each
+    region is (rows, cols, key), two slices and the key
+    (|S'|, |K'|, |P cap Q|), and they are sorted by key, so the regions of
+    one key are adjacent.
     """
-    ma, mb = membership_matrix(v, a), membership_matrix(v, b)
-    dtype, step = _theta_dtype(a, b), _block_rows(len(mb))
-    for r0 in range(0, len(ma), step):
-        yield r0, (ma[r0:r0 + step] @ mb.T).astype(dtype)
+    w, d = v, 0
+    while max(binomial(w, a - p) for p in range(min(d, a) + 1)) * max(
+            binomial(w, b - q) for q in range(min(d, b) + 1)) > limit:
+        w, d = w - 1, d + 1
+
+    def groups(c):  # (P as a bit mask, element 1 highest, slice) per nonempty group
+        masks = sorted((sum(1 << (d - x) for x in p)
+                        for size in range(max(0, c - w), min(c, d) + 1)
+                        for p in combinations(range(1, d + 1), size)), reverse=True)
+        bounds = np.cumsum([0] + [binomial(w, c - p.bit_count()) for p in masks]).tolist()
+        return [(p, slice(r0, r1)) for p, r0, r1 in zip(masks, bounds, bounds[1:])]
+
+    col_groups = groups(b)
+    regions = [(rows, cols, (a - p.bit_count(), b - q.bit_count(), (p & q).bit_count()))
+               for p, rows in groups(a) for q, cols in col_groups]
+    return d, tuple(sorted(regions, key=lambda r: r[2]))
 
 
-def theta_blocks(v: int, a: int, b: int):
-    """theta_matrix(v, a, b) one row block at a time, as (first row, block)
-    pairs: views of the cached matrix where it fits the theta cache (made
-    and cached on first use), else blocks made afresh by float32 products,
-    so that a theta over the cache limit is never held whole.
+def _region_blocks(table: np.ndarray, v: int, a: int, b: int):
+    """(rows, cols, block) for each region of the (a, b) matrix over [v]:
+    ``table``, indexed by theta on its last axis, taken at theta over the
+    region, that is table[..., c:] at theta_matrix(v - d, a', b') for the
+    key (a', b', c).  Each key's block is made once, for all its regions.
     """
-    if not _fits_cache(v, a, b):
-        yield from _theta_products(v, a, b)
-        return
-    theta, step = theta_matrix(v, a, b), _block_rows(binomial(v, b))
-    for r0 in range(0, len(theta), step):
-        yield r0, theta[r0:r0 + step]
+    d, regions = _regions(v, a, b, _REGION_ENTRIES)
+    key = block = None
+    for rows, cols, k in regions:
+        if k != key:
+            key, (a2, b2, c) = k, k
+            block = table[..., c:].take(theta_matrix(v - d, a2, b2), axis=-1)
+        yield rows, cols, block
+
+
+def _taken(table: np.ndarray, v: int, a: int, b: int) -> np.ndarray:
+    """``table``, indexed by theta on its last axis, taken at
+    theta_matrix(v, a, b): one take up to _REGION_ENTRIES entries, else
+    filled region by region, with no theta of more entries made."""
+    if binomial(v, a) * binomial(v, b) <= _REGION_ENTRIES:
+        return table.take(theta_matrix(v, a, b), axis=-1)
+    out = np.empty((*table.shape[:-1], binomial(v, a), binomial(v, b)), dtype=table.dtype)
+    for rows, cols, block in _region_blocks(table, v, a, b):
+        out[..., rows, cols] = block
+    return out
 
 
 def theta_matrix(v: int, a: int, b: int) -> np.ndarray:
     """Matrix of intersection sizes |S cap K| over (a-subset, b-subset) pairs.
 
-    Made from exact float32 products of membership matrices (at most
-    min(a, b) < 2^24), one row block at a time.  The result is int8 while
-    min(a, b) <= 127, else int64.  It is cached up to _THETA_CACHE_LIMIT
+    Up to _REGION_ENTRIES entries it is one float32 product of membership
+    matrices, exact since each entry and partial sum counts common elements,
+    at most min(a, b) < 2^24.  A larger theta is assembled from the thetas
+    of its regions (``_regions``).  The result is int8 while
+    min(a, b) <= 127, else int64, and it is cached up to _THETA_CACHE_LIMIT
     bytes.
     """
     key = (v, a, b)
     got = _theta_cache.get(key)
     if got is None:
-        got = np.empty((binomial(v, a), binomial(v, b)), dtype=_theta_dtype(a, b))
-        for r0, block in _theta_products(v, a, b):
-            got[r0:r0 + len(block)] = block
+        dtype = _theta_dtype(a, b)
+        if binomial(v, a) * binomial(v, b) <= _REGION_ENTRIES:
+            got = (membership_matrix(v, a) @ membership_matrix(v, b).T).astype(dtype)
+        else:
+            got = _taken(np.arange(min(a, b) + 1, dtype=dtype), v, a, b)
         got.setflags(write=False)
-        if _fits_cache(v, a, b):
+        if got.nbytes <= _THETA_CACHE_LIMIT:
             _theta_cache[key] = got
     return got
 
@@ -262,19 +292,25 @@ def _table(entries: list) -> tuple[np.ndarray, int]:
     """The entries per theta as a coefficient table, one row per degree, at
     the width ``build`` stores (see there), and its common denominator.
 
-    An all-int table is one array, its width found by comparisons; a table
-    with Fraction or Poly entries goes through ``ExactMatrix``'s canonical
-    form.  Both give the stack, width and den that the other would.
+    A table of ints, or of Polys with int coefficients (F's psi), is one
+    array, its width found by comparisons; a table with Fraction entries or
+    coefficients goes through ``ExactMatrix``'s canonical form.  Both give
+    the stack, width and den that the other would.
     """
     if all(type(x) is int for x in entries):
-        lo, hi = min(entries), max(entries)
-        wide = np.int64 if -(1 << 63) <= lo and hi < 1 << 63 else object
-        width = next((w for top, w in _WIDTHS if max(hi, -lo) <= top), wide)
-        return np.array([entries], dtype=width), 1
-    table = ExactMatrix([entries])
-    coef = table.stack[:, 0]
-    width = next((w for top, w in _WIDTHS if table.mag <= top), coef.dtype)
-    return coef.astype(width, copy=False), table.den
+        rows = [entries]
+    elif all(type(x) is Poly and all(type(c) is int for c in x.coeffs) for x in entries):
+        rows = [[x.coeff(d) for x in entries]
+                for d in range(max(len(x.coeffs) for x in entries) or 1)]
+    else:
+        table = ExactMatrix([entries])
+        coef = table.stack[:, 0]
+        width = next((w for top, w in _WIDTHS if table.mag <= top), coef.dtype)
+        return coef.astype(width, copy=False), table.den
+    lo, hi = min(map(min, rows)), max(map(max, rows))
+    wide = np.int64 if -(1 << 63) <= lo and hi < 1 << 63 else object
+    width = next((w for top, w in _WIDTHS if max(hi, -lo) <= top), wide)
+    return np.array(rows, dtype=width), 1
 
 
 # build keeps the _BUILT_MAX most recently used matrices of at most
@@ -289,27 +325,25 @@ _built: dict[MatrixKind, ExactMatrix] = {}  # in order of last use
 def build(kind: MatrixKind) -> ExactMatrix:
     """Construct the matrix for ``kind`` entrywise from its theta formula.
 
-    The entries per theta form a one-row coefficient table; indexing its
-    columns by the theta matrix gives the coefficient stack of the result,
-    taken one row block at a time into a stack allocated once.  The stack
-    has the narrowest of int8, int16 and int32 whose range, taken symmetric
-    (so int8 holds -127..127, never -128), holds every entry of the table;
-    otherwise the table's own int64, or Python ints where an entry does not
-    fit int64.  Arithmetic widens a stack before it computes, so the width
-    only saves memory.  Theta comes from ``theta_blocks``, so a theta over
-    the cache limit is never held whole beside the stack.  A small matrix
-    is built once, then served from a bounded LRU cache.
+    The entries per theta form a coefficient table, one row per degree;
+    indexing its columns by the theta matrix gives the coefficient stack of
+    the result.  The stack has the narrowest of int8, int16 and int32 whose
+    range, taken symmetric (so int8 holds -127..127, never -128), holds
+    every entry of the table; otherwise the table's own int64, or Python
+    ints where an entry does not fit int64.  Arithmetic widens a stack
+    before it computes, so the width only saves memory.  A matrix of at
+    most _REGION_ENTRIES entries is one take at its theta; a larger one is
+    filled region by region (``_taken``) from the small thetas of its
+    regions, so no theta of its own size is ever made.  A small matrix is
+    built once, then served from a bounded LRU cache.
     """
     got = _built.pop(kind, None)
     if got is not None:
         _built[kind] = got
         return got
     v, a, b = kind.v, kind.row_size, kind.col_size
-    shape = binomial(v, a), binomial(v, b)
     coef, den = _table(_entries(kind))
-    stack = np.empty((len(coef), *shape), dtype=coef.dtype)
-    for r0, theta in theta_blocks(v, a, b):
-        stack[:, r0:r0 + len(theta)] = coef.take(theta, axis=1)
+    stack = _taken(coef, v, a, b)
     stack.setflags(write=False)
     m = ExactMatrix(stack, kind.row_family, kind.col_family, den)
     if m.stack.size <= _BUILT_ENTRIES:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .build import MatrixKind, build, theta_blocks
+from .build import MatrixKind, _region_blocks, build, membership_matrix
 from .combinat import SubsetFamily, binomial
 from .exactalg import (_FLOAT_EXACT, DEFAULT_PRIME_BITS, ExactMatrix, Poly, _centre, _reduce,
                        random_prime)
@@ -455,42 +455,69 @@ def _trace_multiplicities(values, traces, p: int | None = None) -> list:
     return out
 
 
-def _johnson_quotient(m: ExactMatrix) -> list[list[int]] | None:
-    """B, the quotient matrix of M over J(v, k), or None where M has none.
+def _classes(v: int, s: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The membership matrix of the k-subsets K of [v], the class
+    |K cap S0| of each against S0 = {1..s}, the classes that occur, and the
+    index of the first K of each."""
+    mem = membership_matrix(v, k)
+    cls = mem[:, :s].sum(axis=1).astype(np.intp)
+    return (mem, cls, *np.unique(cls, return_index=True))
 
-    M must be an integer matrix whose rows and columns are both tagged with
-    the k-subsets of [v], and equal g(theta), theta = |S cap K|: g is read
-    off row 0, since K0 = {1..k} meets every nonempty class, and the stack
-    is compared with g taken at theta, at the stack's own width, one
-    ``theta_blocks`` block at a time, so an uncached theta is never held
-    whole.  Then M lies in the Bose-Mesner algebra of J(v, k), the
-    partition of the k-subsets by |K cap K0| = h is equitable, and M acts
-    on its class-constant vectors by B[h][h'] = sum of M[S_h, K] over the K
-    of class h', for any S_h of class h: the counts of K by their pair of
-    classes against K0 and S_h, weighted by g.  Rows and columns of B are
-    h = 0..k; an empty class (h < 2k - v) has zeros in both.
+
+def _pattern(m: ExactMatrix) -> np.ndarray | None:
+    """g with M = g(theta), theta = |S cap K|, or None where M is not so.
+
+    M must be an integer matrix whose rows are tagged with the s-subsets and
+    columns with the k-subsets of one [v].  g is read off row 0, since
+    S0 = {1..s} meets K in every size h that any S does, and g[h] is 0 for
+    the sizes that no pair meets in.  Every region of the stack
+    (``build._regions``) is then compared, at the stack's own width, with
+    g taken at the region's small theta, so a block shared by several
+    regions is compared with each of them and no theta of M's size is made.
     """
-    fam = m.row_family
-    if fam is None or m.col_family != fam or not m.all_int():
+    rows, cols = m.row_family, m.col_family
+    if rows is None or cols is None or rows.v != cols.v or not m.all_int():
         return None
-    k, arr = fam.s, m.stack[0]
+    arr = m.stack[0]
+    _, cls, classes, reps = _classes(rows.v, rows.s, cols.s)
+    g = np.zeros(min(rows.s, cols.s) + 1, dtype=arr.dtype)
+    g[classes] = arr[0, reps]
+    if all(np.array_equal(arr[r, c], block)
+           for r, c, block in _region_blocks(g, rows.v, rows.s, cols.s)):
+        return g
+    return None
+
+
+def _quotient_of(v: int, k: int, g: list[int]) -> list[list[int]]:
+    """B, the quotient over J(v, k) of M = g(theta), in Python ints.
+
+    M lies in the Bose-Mesner algebra of J(v, k), the partition of the
+    k-subsets by |K cap K0| = h, K0 = {1..k}, is equitable, and M acts on its
+    class-constant vectors by B[h][h'] = sum of M[S_h, K] over the K of
+    class h', for any S_h of class h: the counts of K by their class h' and
+    their theta i = |S_h cap K| against S_h, weighted by g(i).  The theta
+    rows of the representatives S_h are one float32 product, exact as
+    theta_matrix's.  Rows and columns of B are h = 0..k; an empty class
+    (h < 2k - v) has zeros in both.
+    """
+    mem, cls, classes, reps = _classes(v, k, k)
     b = [[0] * (k + 1) for _ in range(k + 1)]
-    for r0, theta in theta_blocks(fam.v, k, k):
-        if not r0:  # row 0: g, and the class of each K against K0
-            cls = theta[0].astype(np.intp)
-            classes, reps = np.unique(cls, return_index=True)
-            g = np.zeros(k + 1, dtype=arr.dtype)
-            g[classes] = arr[0, reps]
-            gs = g.tolist()
-        if not np.array_equal(arr[r0:r0 + len(theta)], g.take(theta)):
-            return None
-        for h, r in zip(classes.tolist(), reps.tolist()):
-            if r0 <= r < r0 + len(theta):
-                # counts[h', i]: the K of class h' with |S_h cap K| = i
-                counts = np.bincount(cls * (k + 1) + theta[r - r0], minlength=(k + 1) ** 2)
-                b[h] = [sum(c * gi for c, gi in zip(row, gs))
-                        for row in counts.reshape(k + 1, k + 1).tolist()]
+    for h, theta in zip(classes.tolist(), (mem[reps] @ mem.T).astype(np.intp)):
+        counts = np.bincount(cls * (k + 1) + theta, minlength=(k + 1) ** 2)
+        b[h] = [sum(c * gi for c, gi in zip(row, g))
+                for row in counts.reshape(k + 1, k + 1).tolist()]
     return b
+
+
+def _johnson_quotient(m: ExactMatrix) -> list[list[int]] | None:
+    """B, the quotient matrix of M over J(v, k), or None where M has none:
+    M's rows and columns are both the k-subsets of [v], and M = g(theta)
+    entry by entry (``_pattern``), with B made from g (``_quotient_of``)."""
+    fam = m.row_family
+    if fam is None or m.col_family != fam:
+        return None
+    g = _pattern(m)
+    return None if g is None else _quotient_of(fam.v, fam.s, g.tolist())
 
 
 def _quotient_apply(b: list[list], x: list) -> list:

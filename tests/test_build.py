@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import pytest
 
 from imtk.build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y, _entries,
                         block_decompose, build, membership_matrix,
-                        row_support_formula, theta_blocks, theta_matrix)
-from imtk.combinat import binomial
+                        row_support_formula, theta_matrix)
+from imtk.combinat import SubsetFamily, binomial
 from imtk.exactalg import ExactMatrix, Poly
 
 import kind_grid
@@ -62,23 +63,23 @@ def test_theta_cache_limit_is_in_bytes(monkeypatch):
         assert ((6, 3, 3) in build_module._theta_cache) is kept
 
 
-def test_theta_blocks_cover_theta_and_make_only_an_uncached_one(monkeypatch):
-    # a theta that fits the cache is made and cached on the first call, then
-    # served as views of the cached matrix; one over the limit (0 bytes here)
-    # is made afresh on every call and never cached
-    monkeypatch.setattr(build_module, "_BLOCK_ENTRIES", 200)  # 2 rows of 70 a block
+def test_a_large_theta_is_assembled_from_small_cached_thetas(monkeypatch):
+    # with regions of at most 200 entries, theta(8, 3, 4) (56 x 70) is
+    # assembled from thetas over [8 - d] of at most 200 entries each; those
+    # are cached, and the whole is cached only while it fits the limit
+    monkeypatch.setattr(build_module, "_REGION_ENTRIES", 200)
     want = oracles.theta_oracle(8, 3, 4)
     for limit in (build_module._THETA_CACHE_LIMIT, 0):
         monkeypatch.setattr(build_module, "_THETA_CACHE_LIMIT", limit)
         monkeypatch.setattr(build_module, "_theta_cache", {})
         for _ in range(2):
-            blocks = list(theta_blocks(8, 3, 4))
-            assert [r0 for r0, _ in blocks] == list(range(0, 56, 2))
-            assert all(block.dtype == np.int8 for _, block in blocks)
-            assert np.array_equal(np.concatenate([block for _, block in blocks]), want)
-            th = build_module._theta_cache.get((8, 3, 4))
-            assert (th is not None) is bool(limit)
-            assert all(np.shares_memory(block, th) for _, block in blocks) is bool(limit)
+            th = theta_matrix(8, 3, 4)
+            assert th.dtype == np.int8 and not th.flags.writeable
+            assert np.array_equal(th, want)
+            cached = build_module._theta_cache
+            assert ((8, 3, 4) in cached) is bool(limit)
+            assert all(x.size <= 200 for key, x in cached.items() if key != (8, 3, 4))
+            assert len(cached) > 1 or not limit
 
 
 def test_f_untruncated_entries_are_binomial_powers():
@@ -297,27 +298,65 @@ def test_cached_builds_equal_fresh_entrywise_builds_of_every_tag():
     assert seen == {"W", "Wbar", "U", "Uge", "A", "N", "Utl", "F", "X", "Y"}
 
 
-def test_row_blocked_builds_equal_fresh_entrywise_builds_of_every_tag(monkeypatch):
-    # blocks of 5 entries: theta and every stack of more than 5 entries are
-    # made in row blocks, ragged at the end when the row count does not divide,
-    # both where theta fits the cache and where it is over the limit (0 bytes)
-    monkeypatch.setattr(build_module, "_BLOCK_ENTRIES", 5)
-    for limit in (build_module._THETA_CACHE_LIMIT, 0):
-        monkeypatch.setattr(build_module, "_THETA_CACHE_LIMIT", limit)
-        monkeypatch.setattr(build_module, "_theta_cache", {})
-        monkeypatch.setattr(build_module, "_built", {})
-        for kind in _kinds_of_every_tag(5):
-            th = theta_matrix(kind.v, kind.row_size, kind.col_size)
-            assert np.array_equal(th, oracles.theta_oracle(kind.v, kind.row_size, kind.col_size))
-            assert build(kind) == _fresh(kind), (kind.describe(), limit)
-        assert bool(build_module._theta_cache) is bool(limit)
+# region caps for the layout tests: every region one entry, and a middle cap
+# under which the matrices at v <= 9 split from 0 to 5 elements deep
+_CAPS = [1, 64]
+
+
+@pytest.fixture(params=_CAPS, ids=lambda cap: f"cap{cap}")
+def region_cap(request, monkeypatch):
+    """_REGION_ENTRIES patched to the parameter, with the theta and build caches emptied."""
+    monkeypatch.setattr(build_module, "_REGION_ENTRIES", request.param)
+    monkeypatch.setattr(build_module, "_theta_cache", {})
+    monkeypatch.setattr(build_module, "_built", {})
+    return request.param
+
+
+def _largest_group(v, a, e):
+    """The most a-subsets of [v] that share one prefix S cap [e]."""
+    return max(Counter(tuple(x for x in sub if x <= e) for sub in SubsetFamily(v, a).subsets())
+               .values())
+
+
+def test_regions_tile_every_matrix_once_and_assemble_its_theta(region_cap):
+    for v in range(10):
+        for a in range(v + 1):
+            for b in range(v + 1):
+                shape = binomial(v, a), binomial(v, b)
+                d, regions = build_module._regions(v, a, b, region_cap)
+                cover = np.zeros(shape, dtype=np.int64)
+                for rows, cols, (a2, b2, c) in regions:
+                    cover[rows, cols] += 1
+                    assert cover[rows, cols].size <= region_cap
+                    assert cover[rows, cols].shape == (binomial(v - d, a2), binomial(v - d, b2))
+                assert (cover == 1).all(), (v, a, b)
+                # the fewest elements: one fewer leaves a region over the cap
+                assert not d or (_largest_group(v, a, d - 1) * _largest_group(v, b, d - 1)
+                                 > region_cap)
+                table = np.arange(min(a, b) + 1, dtype=np.int8)
+                got = build_module._taken(table, v, a, b)
+                assert np.array_equal(got, oracles.theta_oracle(v, a, b)), (v, a, b)
+                assert np.array_equal(theta_matrix(v, a, b), got)
+
+
+def test_region_builds_equal_fresh_entrywise_builds_of_every_tag(monkeypatch):
+    # under each cap every stack of more entries is filled region by region,
+    # from the thetas of its regions, and the regions of one key share one
+    # block; the entrywise reference is made once per kind
+    monkeypatch.setattr(build_module, "_theta_cache", {})
+    for kind in _kinds_of_every_tag(9):
+        want = _fresh(kind)
+        for cap in _CAPS:
+            monkeypatch.setattr(build_module, "_REGION_ENTRIES", cap)
+            monkeypatch.setattr(build_module, "_built", {})
+            assert build(kind) == want, (kind.describe(), cap)
 
 
 @pytest.mark.parametrize("kind", [N(6, 7, 7, 14), U(3, 6, 6, 13)], ids=["N14", "U13"])
 def test_build_allocates_little_beyond_its_result(kind, monkeypatch):
-    # theta and the stack are made one row block at a time, so besides the
-    # int8 theta and the result only block-sized temporaries exist: the
-    # float32 product, then take's intp copy of the indices
+    # no theta of the matrix's size is made: besides the result, build makes
+    # the small thetas of its regions (cached here, from an empty cache), one
+    # block per key and take's intp copy of one region's theta indices
     monkeypatch.setattr(build_module, "_theta_cache", {})
     tracemalloc.start()
     try:
@@ -325,16 +364,14 @@ def test_build_allocates_little_beyond_its_result(kind, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    theta = theta_matrix(kind.v, kind.row_size, kind.col_size)
-    assert m.stack.dtype == theta.dtype == np.int8
-    bound = theta.nbytes + m.stack.nbytes + 2 * 8 * build_module._BLOCK_ENTRIES
-    assert peak <= bound, (peak, bound)
+    assert m.stack.dtype == np.int8
+    assert peak <= 1.5 * m.stack.nbytes, peak / m.stack.nbytes
 
 
 def test_a_build_over_the_theta_cache_limit_holds_no_whole_theta():
-    # theta(14, 7, 7) is 11.8 MB of int8, over the 8 MB cache limit, so build
-    # takes it from theta_blocks one row block at a time and, in a fresh
-    # interpreter, peaks near its int8 stack alone
+    # theta(14, 7, 7) would be 11.8 MB of int8, over the 8 MB cache limit;
+    # build fills N^6_(7,7)(14) region by region from thetas over [10] and,
+    # in a fresh interpreter, peaks near its int8 stack alone
     code = ("import tracemalloc\n"
             "from imtk.build import N, build\n"
             "tracemalloc.start()\n"
@@ -401,6 +438,10 @@ def test_table_path_matches_the_exact_matrix_route_for_every_kind():
     [-(2 ** 31)], [2 ** 62, -1], [-(2 ** 63), 0], [2 ** 63 - 1, -(2 ** 63)],
     [2 ** 63, 0], [2 ** 63, -1], [-(2 ** 63) - 1], [2 ** 64, 1],
     [Fraction(1, 2), 3], [Fraction(4, 2), Fraction(-6, 3)], [Poly((1, 2)), 0, 5],
+    # Polys with int coefficients, F's psi tables, take the array path
+    [Poly(()), Poly(())], [Poly((1,)), Poly((1, 1)), Poly((1, 2, 1))], [Poly((-128, 1))],
+    [Poly((2 ** 62, 1)), Poly((3,))], [Poly((0, 2 ** 63)), Poly((1,))],
+    [Poly((1, Fraction(1, 2))), Poly((1,))],
 ])
 def test_table_path_matches_the_exact_matrix_route_at_the_extremes(entries):
     _assert_same_table(entries)

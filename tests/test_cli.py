@@ -434,10 +434,9 @@ def test_imtk_rank_of_a_complement_shaped_kind_makes_no_dense_copy(monkeypatch, 
         "rank[modp] is proved by the quotient of J(12,5)", "rank[modp] = 792"]
     # one float64 copy of M, the working copy that an elimination starts
     # from, is n * n * 8 bytes.  The quotient reverses M's columns as a view
-    # and compares it with g(theta) over J(12,5) one theta row block of 2^18
-    # entries at a time: the block's float64 product and take's intp copy of
-    # its indices, 2 MB each, one after the other, are 0.42 of a copy at this
-    # order, and the whole run peaks at about 0.7
+    # and compares it with g(theta) over J(12,5) region by region, at the
+    # regions' small thetas, so the whole run, the build of M's int8 stack
+    # (0.125 of a copy) included, peaks at about 0.34
     assert peak < n * n * 8, peak / (n * n * 8)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import re
@@ -23,6 +24,9 @@ from oracles import (complement_kinds, float_crosscheck, float_eigenvalues, mat_
                      rank_exact, rank_mod, square_kinds, trace_powers)
 
 RNG_SEED = 1234
+
+# the package binds the name imtk.build to the function, so fetch the module
+build_module = importlib.import_module("imtk.build")
 
 
 def a_matrix_eigenvalue(v, k, i, j):
@@ -886,8 +890,10 @@ def test_quotient_traces_of_golden_n13_equal_its_power_traces():
 
 
 def test_the_quotient_over_the_theta_cache_limit_holds_no_whole_theta():
-    # theta(14, 7, 7) is 11.8 MB of int8, over the 8 MB cache limit, so
-    # build made it and let it go; the quotient compares block by block
+    # theta(14, 7, 7) would be 11.8 MB of int8, over the 8 MB cache limit:
+    # the stack is compared region by region with g at the regions' small
+    # thetas, and B comes from the 8 representatives' theta rows, so the
+    # quotient peaks far below the int8 stack (about 0.07 of it)
     m = build(N(6, 7, 7, 14))
     n = m.nrows
     m.mag  # computed before tracing
@@ -899,7 +905,7 @@ def test_the_quotient_over_the_theta_cache_limit_holds_no_whole_theta():
         tracemalloc.stop()
     squares = int((m.as_int_array().astype(np.int64) ** 2).sum())  # tr M^2, M symmetric
     assert _quotient_traces(n, _quotient_powers(b, 3)) == [n, m.trace(), squares]
-    assert peak < n * n / 2, peak
+    assert peak < 0.2 * m.stack.nbytes, peak / m.stack.nbytes
 
 
 def _off_pattern(kind, i, j):
@@ -923,6 +929,44 @@ def test_a_matrix_off_the_class_pattern_takes_the_generic_route(mode):
     reports = [verify_spectrum(x, spec, mode=mode, rng=random.Random(RNG_SEED), label="M")
                for x in (off, untagged)]
     assert reports[0].to_dict() == reports[1].to_dict() and not reports[0].ok
+
+
+def _diagonal_regions(v, k, cap):
+    """The first row of the first and of the last region of the k-subset
+    matrix over [v], and of the first diagonal region whose key an earlier
+    region has: each of these regions holds its first row's diagonal entry."""
+    _, regions = build_module._regions(v, k, k, cap)
+    keys = [key for _, _, key in regions]
+    repeat = next(rows for i, (rows, cols, key) in enumerate(regions)
+                  if rows == cols and key in keys[:i])
+    first, last = regions[0], regions[-1]
+    assert first[0] == first[1] and last[0] == last[1]
+    return {"first": first[0].start, "last": last[0].start, "repeated key": repeat.start}
+
+
+@pytest.mark.parametrize("where", ["first", "last", "repeated key"])
+def test_one_entry_off_the_pattern_in_any_region_fails_the_compare(monkeypatch, where):
+    # regions of at most 64 entries cut the order-35 matrices over J(7,3)
+    # 3 elements deep, so many regions share a key and with it one g-block;
+    # a diagonal entry moved off its class value, in the first region, the
+    # last, or one whose key an earlier region has, must fail the compare,
+    # so every region is compared, not every key once
+    monkeypatch.setattr(build_module, "_REGION_ENTRIES", 64)
+    assert build_module._regions(7, 3, 3, 64)[0] == 3
+    i = _diagonal_regions(7, 3, 64)[where]
+    kind = N(1, 3, 3, 7)
+    spec, off = spectrum_of(kind), _off_pattern(kind, i, i)
+    assert _johnson_quotient(build(kind)) is not None and _johnson_quotient(off) is None
+    rep = verify_spectrum(off, spec, rng=random.Random(RNG_SEED))
+    assert not rep.ok and not rep.proved and len(rep.primes) >= 2  # the generic route
+    # through _quotient_rank's column-reversed view: U^1 over 3- by 4-subsets
+    # of [7] is ranked as M R over J(7,3), and entry (i, i) of M R is
+    # entry (i, 34 - i) of M
+    rect = build(U(1, 3, 4, 7))
+    arr = rect.as_int_array().astype(np.int64)
+    arr[i, 34 - i] += 1
+    assert _quotient_rank(rect) is not None
+    assert _quotient_rank(ExactMatrix(arr, rect.row_family, rect.col_family)) is None
 
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
