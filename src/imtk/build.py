@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -178,7 +178,13 @@ _REGION_ENTRIES = 1 << 16
 
 
 def membership_matrix(v: int, s: int) -> np.ndarray:
-    """0/1 float32 matrix, one row per s-subset in lex order, columns the ground set."""
+    """0/1 float32 matrix, one row per s-subset in lex order, columns the ground set.
+
+    For s > v / 2 it is made from the complements, whose lex order is the
+    reverse, so that the subsets walked in Python have at most v / 2 elements.
+    """
+    if 2 * s > v:
+        return 1 - membership_matrix(v, v - s)[::-1]
     fam = _family(v, s)
     members = np.fromiter(chain.from_iterable(fam.subsets()), np.intp, len(fam) * s)
     out = np.zeros((len(fam), v), dtype=np.float32)
@@ -191,52 +197,51 @@ def _theta_dtype(a: int, b: int) -> np.dtype:
 
 
 @lru_cache(maxsize=256)
-def _regions(v: int, a: int, b: int, limit: int) -> tuple[int, tuple]:
+def _regions(v: int, a: int, b: int, limit: int) -> tuple:
     """The (a-subset, b-subset) matrix over [v] cut into regions of at most
-    ``limit`` entries, as (d, regions).
+    ``limit`` entries, each as (rows, cols, key): two slices and the key
+    (w, a', b', c).
 
-    In lex order the a-subsets S come grouped by their prefix P = S cap [d],
-    the groups in descending order of P's indicator vector (the S that hold
-    1 first, and so on), and within a group in the lex order of
-    S' = S - [d] over {d+1..v}.  So the rows of prefix P and the columns of
-    prefix Q form a region where |S cap K| = |P cap Q| + |S' cap K'|:
-    theta_matrix(v - d, |S'|, |K'|) shifted by |P cap Q|, the split of the
-    paper's block decompositions taken d elements deep.  d is the fewest
-    leading elements that leave no region over ``limit`` entries.  Each
-    region is (rows, cols, key), two slices and the key
-    (|S'|, |K'|, |P cap Q|), and they are sorted by key, so the regions of
-    one key are adjacent.
+    In lex order the a-subsets that hold 1 come first, and those with and
+    those without 1 are each in the lex order of their rest over {2..v};
+    so, as in the paper's block decompositions, the matrix splits into four
+    blocks, each a theta over [v - 1], the first one plus 1.  A block of
+    more than ``limit`` entries is split again at its next element, so a
+    region is the a'-subsets by the b'-subsets of the last w elements, all
+    its rows sharing one prefix P on the first v - w and all its columns
+    one prefix Q: theta_matrix(w, a', b') shifted by c = |P cap Q|.  The
+    regions are sorted by key, so the regions of one key are adjacent.
     """
-    w, d = v, 0
-    while max(binomial(w, a - p) for p in range(min(d, a) + 1)) * max(
-            binomial(w, b - q) for q in range(min(d, b) + 1)) > limit:
-        w, d = w - 1, d + 1
+    out = []
 
-    def groups(c):  # (P as a bit mask, element 1 highest, slice) per nonempty group
-        masks = sorted((sum(1 << (d - x) for x in p)
-                        for size in range(max(0, c - w), min(c, d) + 1)
-                        for p in combinations(range(1, d + 1), size)), reverse=True)
-        bounds = np.cumsum([0] + [binomial(w, c - p.bit_count()) for p in masks]).tolist()
-        return [(p, slice(r0, r1)) for p, r0, r1 in zip(masks, bounds, bounds[1:])]
+    def split(r0, c0, w, a, b, c):
+        rows, cols = binomial(w, a), binomial(w, b)
+        if not rows or not cols:
+            return
+        if rows * cols <= limit:
+            out.append((slice(r0, r0 + rows), slice(c0, c0 + cols), (w, a, b, c)))
+            return
+        r1, c1 = r0 + binomial(w - 1, a - 1), c0 + binomial(w - 1, b - 1)
+        split(r0, c0, w - 1, a - 1, b - 1, c + 1)  # both hold the next element
+        split(r0, c1, w - 1, a - 1, b, c)
+        split(r1, c0, w - 1, a, b - 1, c)
+        split(r1, c1, w - 1, a, b, c)
 
-    col_groups = groups(b)
-    regions = [(rows, cols, (a - p.bit_count(), b - q.bit_count(), (p & q).bit_count()))
-               for p, rows in groups(a) for q, cols in col_groups]
-    return d, tuple(sorted(regions, key=lambda r: r[2]))
+    split(0, 0, v, a, b, 0)
+    return tuple(sorted(out, key=lambda r: r[2]))
 
 
 def _region_blocks(table: np.ndarray, v: int, a: int, b: int):
     """(rows, cols, block) for each region of the (a, b) matrix over [v]:
     ``table``, indexed by theta on its last axis, taken at theta over the
-    region, that is table[..., c:] at theta_matrix(v - d, a', b') for the
-    key (a', b', c).  Each key's block is made once, for all its regions.
+    region, that is table[..., c:] at theta_matrix(w, a', b') for the key
+    (w, a', b', c).  Each key's block is made once, for all its regions.
     """
-    d, regions = _regions(v, a, b, _REGION_ENTRIES)
     key = block = None
-    for rows, cols, k in regions:
+    for rows, cols, k in _regions(v, a, b, _REGION_ENTRIES):
         if k != key:
-            key, (a2, b2, c) = k, k
-            block = table[..., c:].take(theta_matrix(v - d, a2, b2), axis=-1)
+            key, (w, a2, b2, c) = k, k
+            block = table[..., c:].take(theta_matrix(w, a2, b2), axis=-1)
         yield rows, cols, block
 
 

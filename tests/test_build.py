@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import subprocess
@@ -32,6 +33,17 @@ def test_theta_matrix_diagonal():
     assert th.shape == (10, 10)
     assert all(th[i, i] == 2 for i in range(10))
     assert membership_matrix(5, 2).sum() == 20
+
+
+def test_membership_matrix_rows_are_the_subsets_in_lex_order():
+    # over v / 2 the rows are made from the complements, in reverse order
+    for v in range(10):
+        for s in range(v + 1):
+            want = np.zeros((binomial(v, s), v), dtype=np.float32)
+            for r, sub in enumerate(SubsetFamily(v, s).subsets()):
+                want[r, [x - 1 for x in sub]] = 1
+            got = membership_matrix(v, s)
+            assert got.dtype == np.float32 and np.array_equal(got, want), (v, s)
 
 
 def test_theta_matrix_equals_the_int64_membership_product():
@@ -312,27 +324,42 @@ def region_cap(request, monkeypatch):
     return request.param
 
 
-def _largest_group(v, a, e):
-    """The most a-subsets of [v] that share one prefix S cap [e]."""
-    return max(Counter(tuple(x for x in sub if x <= e) for sub in SubsetFamily(v, a).subsets())
-               .values())
+@functools.cache
+def _prefixes(v, a, e):
+    """The prefix S cap [e] of each a-subset S of [v], in lex order, and
+    how many subsets share each prefix."""
+    got = [frozenset(x for x in sub if x <= e) for sub in SubsetFamily(v, a).subsets()]
+    return got, Counter(got)
+
+
+def _group(v, a, e, span):
+    """The prefix on [e] that the subsets in ``span`` share, checking that
+    they share one and that no other a-subset has it."""
+    got, counts = _prefixes(v, a, e)
+    p = got[span.start]
+    assert set(got[span]) == {p} and counts[p] == span.stop - span.start
+    return p
 
 
 def test_regions_tile_every_matrix_once_and_assemble_its_theta(region_cap):
     for v in range(10):
         for a in range(v + 1):
             for b in range(v + 1):
-                shape = binomial(v, a), binomial(v, b)
-                d, regions = build_module._regions(v, a, b, region_cap)
-                cover = np.zeros(shape, dtype=np.int64)
-                for rows, cols, (a2, b2, c) in regions:
+                cover = np.zeros((binomial(v, a), binomial(v, b)), dtype=np.int64)
+                for rows, cols, (w, a2, b2, c) in build_module._regions(v, a, b, region_cap):
                     cover[rows, cols] += 1
+                    assert cover[rows, cols].shape == (binomial(w, a2), binomial(w, b2))
                     assert cover[rows, cols].size <= region_cap
-                    assert cover[rows, cols].shape == (binomial(v - d, a2), binomial(v - d, b2))
+                    # the rows are the a-subsets of one prefix P on the first
+                    # e elements, the columns those of one prefix Q
+                    e = v - w
+                    p, q = _group(v, a, e, rows), _group(v, b, e, cols)
+                    assert (len(p), len(q), len(p & q)) == (a - a2, b - b2, c)
+                    if e:  # split no deeper than needed: one element less is over the cap
+                        parent = _prefixes(v, a, e - 1), _prefixes(v, b, e - 1)
+                        assert (parent[0][1][parent[0][0][rows.start]]
+                                * parent[1][1][parent[1][0][cols.start]] > region_cap)
                 assert (cover == 1).all(), (v, a, b)
-                # the fewest elements: one fewer leaves a region over the cap
-                assert not d or (_largest_group(v, a, d - 1) * _largest_group(v, b, d - 1)
-                                 > region_cap)
                 table = np.arange(min(a, b) + 1, dtype=np.int8)
                 got = build_module._taken(table, v, a, b)
                 assert np.array_equal(got, oracles.theta_oracle(v, a, b)), (v, a, b)

@@ -931,40 +931,42 @@ def test_a_matrix_off_the_class_pattern_takes_the_generic_route(mode):
     assert reports[0].to_dict() == reports[1].to_dict() and not reports[0].ok
 
 
-def _diagonal_regions(v, k, cap):
-    """The first row of the first and of the last region of the k-subset
-    matrix over [v], and of the first diagonal region whose key an earlier
-    region has: each of these regions holds its first row's diagonal entry."""
-    _, regions = build_module._regions(v, k, k, cap)
+def _region_corners(v, k, cap):
+    """The first entry of the first and of the last region of the k-subset
+    matrix over [v], in the order they are compared, and of the first region
+    whose key an earlier region has."""
+    regions = build_module._regions(v, k, k, cap)
     keys = [key for _, _, key in regions]
-    repeat = next(rows for i, (rows, cols, key) in enumerate(regions)
-                  if rows == cols and key in keys[:i])
-    first, last = regions[0], regions[-1]
-    assert first[0] == first[1] and last[0] == last[1]
-    return {"first": first[0].start, "last": last[0].start, "repeated key": repeat.start}
+    repeat = next(i for i, key in enumerate(keys) if key in keys[:i])
+    return {where: (regions[i][0].start, regions[i][1].start)
+            for where, i in (("first", 0), ("last", -1), ("repeated key", repeat))}
 
 
 @pytest.mark.parametrize("where", ["first", "last", "repeated key"])
 def test_one_entry_off_the_pattern_in_any_region_fails_the_compare(monkeypatch, where):
     # regions of at most 64 entries cut the order-35 matrices over J(7,3)
-    # 3 elements deep, so many regions share a key and with it one g-block;
-    # a diagonal entry moved off its class value, in the first region, the
+    # 2 and 3 elements deep, so many regions share a key and with it one
+    # g-block; one entry moved off its class value, in the first region, the
     # last, or one whose key an earlier region has, must fail the compare,
     # so every region is compared, not every key once
     monkeypatch.setattr(build_module, "_REGION_ENTRIES", 64)
-    assert build_module._regions(7, 3, 3, 64)[0] == 3
-    i = _diagonal_regions(7, 3, 64)[where]
+    i, j = _region_corners(7, 3, 64)[where]
     kind = N(1, 3, 3, 7)
-    spec, off = spectrum_of(kind), _off_pattern(kind, i, i)
-    assert _johnson_quotient(build(kind)) is not None and _johnson_quotient(off) is None
-    rep = verify_spectrum(off, spec, rng=random.Random(RNG_SEED))
-    assert not rep.ok and not rep.proved and len(rep.primes) >= 2  # the generic route
+    m = build(kind)
+    arr = m.as_int_array().astype(np.int64)
+    arr[i, j] += 1
+    assert _johnson_quotient(m) is not None
+    assert _johnson_quotient(ExactMatrix(arr, m.row_family, m.col_family)) is None
+    # moved symmetrically, M takes verify_spectrum's generic route
+    rep = verify_spectrum(_off_pattern(kind, i, j), spectrum_of(kind),
+                          rng=random.Random(RNG_SEED))
+    assert not rep.ok and not rep.proved and len(rep.primes) >= 2
     # through _quotient_rank's column-reversed view: U^1 over 3- by 4-subsets
-    # of [7] is ranked as M R over J(7,3), and entry (i, i) of M R is
-    # entry (i, 34 - i) of M
+    # of [7] is ranked as M R over J(7,3), and entry (i, j) of M R is
+    # entry (i, 34 - j) of M
     rect = build(U(1, 3, 4, 7))
     arr = rect.as_int_array().astype(np.int64)
-    arr[i, 34 - i] += 1
+    arr[i, 34 - j] += 1
     assert _quotient_rank(rect) is not None
     assert _quotient_rank(ExactMatrix(arr, rect.row_family, rect.col_family)) is None
 
