@@ -315,15 +315,6 @@ def test_cached_builds_equal_fresh_entrywise_builds_of_every_tag():
 _CAPS = [1, 64]
 
 
-@pytest.fixture(params=_CAPS, ids=lambda cap: f"cap{cap}")
-def region_cap(request, monkeypatch):
-    """_REGION_ENTRIES patched to the parameter, with the theta and build caches emptied."""
-    monkeypatch.setattr(build_module, "_REGION_ENTRIES", request.param)
-    monkeypatch.setattr(build_module, "_theta_cache", {})
-    monkeypatch.setattr(build_module, "_built", {})
-    return request.param
-
-
 @functools.cache
 def _prefixes(v, a, e):
     """The prefix S cap [e] of each a-subset S of [v], in lex order, and
@@ -341,7 +332,10 @@ def _group(v, a, e, span):
     return p
 
 
-def test_regions_tile_every_matrix_once_and_assemble_its_theta(region_cap):
+@pytest.mark.parametrize("region_cap", _CAPS, ids=lambda cap: f"cap{cap}")
+def test_regions_tile_every_matrix_once_and_assemble_its_theta(region_cap, monkeypatch):
+    monkeypatch.setattr(build_module, "_REGION_ENTRIES", region_cap)
+    monkeypatch.setattr(build_module, "_theta_cache", {})
     for v in range(10):
         for a in range(v + 1):
             for b in range(v + 1):
