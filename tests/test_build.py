@@ -77,8 +77,9 @@ def test_theta_cache_limit_is_in_bytes(monkeypatch):
 
 def test_a_large_theta_is_assembled_from_small_cached_thetas(monkeypatch):
     # with regions of at most 200 entries, theta(8, 3, 4) (56 x 70) is
-    # assembled from thetas over [8 - d] of at most 200 entries each; those
-    # are cached, and the whole is cached only while it fits the limit
+    # assembled from thetas over the last elements of [8], of at most 200
+    # entries each; those are cached, and the whole only while it fits the
+    # limit
     monkeypatch.setattr(build_module, "_REGION_ENTRIES", 200)
     want = oracles.theta_oracle(8, 3, 4)
     for limit in (build_module._THETA_CACHE_LIMIT, 0):
@@ -323,6 +324,12 @@ def _prefixes(v, a, e):
     return got, Counter(got)
 
 
+def _sharing(v, a, e, r):
+    """How many a-subsets of [v] share the prefix on [e] of the r-th."""
+    got, counts = _prefixes(v, a, e)
+    return counts[got[r]]
+
+
 def _group(v, a, e, span):
     """The prefix on [e] that the subsets in ``span`` share, checking that
     they share one and that no other a-subset has it."""
@@ -350,9 +357,8 @@ def test_regions_tile_every_matrix_once_and_assemble_its_theta(region_cap, monke
                     p, q = _group(v, a, e, rows), _group(v, b, e, cols)
                     assert (len(p), len(q), len(p & q)) == (a - a2, b - b2, c)
                     if e:  # split no deeper than needed: one element less is over the cap
-                        parent = _prefixes(v, a, e - 1), _prefixes(v, b, e - 1)
-                        assert (parent[0][1][parent[0][0][rows.start]]
-                                * parent[1][1][parent[1][0][cols.start]] > region_cap)
+                        assert (_sharing(v, a, e - 1, rows.start)
+                                * _sharing(v, b, e - 1, cols.start) > region_cap)
                 assert (cover == 1).all(), (v, a, b)
                 table = np.arange(min(a, b) + 1, dtype=np.int8)
                 got = build_module._taken(table, v, a, b)
