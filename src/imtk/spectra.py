@@ -455,7 +455,7 @@ def _trace_multiplicities(values, traces, p: int | None = None) -> list:
     return out
 
 
-def _classes(v: int, s: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _classes(v: int, s: int, k: int) -> tuple[np.ndarray, ...]:
     """The membership matrix of the k-subsets K of [v], the class
     |K cap S0| of each against S0 = {1..s}, the classes that occur, and the
     index of the first K of each."""
