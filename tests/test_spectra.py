@@ -10,13 +10,13 @@ from math import prod
 import numpy as np
 import pytest
 
-from imtk.build import A, F, N, U, Uge, Utl, W, build
+from imtk.build import A, F, N, U, Uge, Utl, W, _entries, build
 from imtk.combinat import SubsetFamily, binomial
 from imtk.exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
 from imtk.spectra import (_ELL_RATIO, EYE_BLOCK, PROBES, SpectrumSpec,
-                          _annihilation_failures, _johnson_quotient, _power_traces, _product,
-                          _quotient_powers, _quotient_rank, _quotient_traces, alpha, eberlein,
-                          lambda_uge, lambda_utl, mu, multiplicity, rank_formula,
+                          _annihilation_failures, _johnson_quotient, _pattern, _power_traces,
+                          _product, _quotient_powers, _quotient_rank, _quotient_traces, alpha,
+                          eberlein, lambda_uge, lambda_utl, mu, multiplicity, rank_formula,
                           sampled_eval_points, spectrum_of, tau, verify_spectrum, wf_spectrum,
                           wu_spectrum)
 
@@ -940,6 +940,22 @@ def _region_corners(v, k, cap):
     repeat = next(i for i, key in enumerate(keys) if key in keys[:i])
     return {where: (regions[i][0].start, regions[i][1].start)
             for where, i in (("first", 0), ("last", -1), ("repeated key", repeat))}
+
+
+def test_the_pattern_compare_reads_g_off_any_kind_of_s_by_k_subsets():
+    # g is the entry per theta, 0 where no S meets any K in that many
+    # elements (theta < s + k - v); U^1_(5,7)(12), 792 x 792, is compared
+    # region by region
+    for kind in (W(2, 3, 6), A(1, 5, 4, 7), N(1, 4, 2, 7), U(1, 5, 7, 12)):
+        m = build(kind)
+        lo = max(0, kind.s + kind.k - kind.v)
+        assert _pattern(m).tolist() == [0] * lo + _entries(kind)[lo:], kind.describe()
+        arr = m.as_int_array().astype(np.int64)
+        arr[-1, -1] += 1
+        assert _pattern(ExactMatrix(arr, m.row_family, m.col_family)) is None
+        assert _pattern(ExactMatrix(m.stack)) is None  # untagged
+    m = build(W(2, 3, 6))
+    assert _pattern(ExactMatrix(m.stack, m.row_family, SubsetFamily(7, 3))) is None
 
 
 @pytest.mark.parametrize("where", ["first", "last", "repeated key"])
