@@ -2,8 +2,8 @@
 
 Builders for the inclusion/exclusion/intersection matrix families, a
 registry of their algebraic identities as executable checks, closed-form
-spectra and ranks with mod-p verification, and the Johnson scheme's
-Bose-Mesner bases.
+spectra proved on the Johnson quotient, ranks, and the Johnson
+scheme's Bose-Mesner bases.
 """
 
 from .build import (A, F, MatrixKind, N, U, Uge, Utl, W, Wbar, X, Y,

@@ -187,16 +187,12 @@ def cmd_spectrum(args, rng) -> int:
     m = build(kind)
     ok = True
     if spec.is_scalar():
-        report = verify_spectrum(m, spec, mode=args.check, rng=rng,
-                                 label=kind.describe())
+        report = verify_spectrum(m, spec, mode=args.check, label=kind.describe())
         _print_report(report)
         ok = report.ok
     else:
         for z0 in sampled_eval_points():
-            # each point draws from its own stream, seeded from the main one,
-            # so one point's draws do not move the next point's primes
             report = verify_spectrum(m.eval_at(z0), spec.eval_at(z0), mode=args.check,
-                                     rng=random.Random(rng.getrandbits(64)),
                                      label=f"{kind.describe()} at z={z0}")
             _print_report(report)
             ok = ok and report.ok
@@ -309,8 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact intersection-matrix toolkit: builders, identity "
                     "suite, spectra, ranks, Johnson scheme tables.")
     top.add_argument("--seed", type=int, default=None,
-                     help="seed for mod-p primes, and for the probe vectors of a "
-                          "spectrum check off the Johnson pattern")
+                     help="seed for the primes of a mod-p rank")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a matrix and write it out")

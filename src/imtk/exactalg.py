@@ -628,19 +628,13 @@ def _reduce(x: np.ndarray, p) -> None:
     then at least 1 / (2p) from a half-integer and the computed quotient
     errs by less, so rint rounds it as it would the exact one.  p = 2 also
     leaves |x| <= 1: 1 / 2 is a power of two, so x / 2 is computed exactly,
-    and rint moves an integer or half-integer by at most 1 / 2.  p may be
-    an array that broadcasts against x.  The one temporary is the size of x.
+    and rint moves an integer or half-integer by at most 1 / 2.  The one
+    temporary is the size of x.
     """
     q = x * (1.0 / p)
     np.rint(q, out=q)
     q *= p
     x -= q
-
-
-def _centre(x: np.ndarray, p) -> None:
-    """Integral |x| < 2^53 to centred residues, |x| <= p // 2, in place."""
-    _reduce(x, p)
-    _reduce(x, p)
 
 
 def _reduce_rows(x: np.ndarray, p: int) -> None:

@@ -1,14 +1,14 @@
-"""Closed-form spectra and ranks of the square intersection matrices, plus
-the verification engines that check them against explicitly built matrices.
+"""Closed-form spectra and ranks of the square intersection matrices, and
+their proof on the quotient of the built matrix over J(v, k).
 
 All closed forms assume k <= v/2; callers get a ValueError outside that
-range rather than an extrapolated answer.
+range rather than an extrapolated answer.  ``verify_spectrum`` proves a
+claim on a matrix equal to g(theta) over J(v, k), and refuses any other
+matrix with a ValueError rather than sampling it.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -17,15 +17,8 @@ import numpy as np
 
 from .build import MatrixKind, _region_blocks, build, membership_matrix
 from .combinat import SubsetFamily, binomial
-from .exactalg import (_FLOAT_EXACT, DEFAULT_PRIME_BITS, ExactMatrix, Poly, _centre, _reduce,
-                       random_prime)
+from .exactalg import ExactMatrix, Poly
 from .opcalc import L
-
-PROBES = 8  # annihilation probe vectors per prime
-EYE_BLOCK = 256  # rows per block of a scan of M; exact annihilation lists failures by such blocks
-_COLUMNS = 32  # columns per block of I in exact annihilation, and of M^a in the traces
-_ELL_RATIO = 128  # M is applied as ELL when its widest row has <= n / _ELL_RATIO nonzeros
-_GATHER = 4  # ELL slots gathered at a time: at most 4 copies of a block of columns
 
 
 def multiplicity(v: int, j: int) -> int:
@@ -245,7 +238,7 @@ def rank_formula(kind: MatrixKind) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification engine
+# the proof on the quotient over J(v, k)
 
 @dataclass
 class CheckRecord:
@@ -260,9 +253,9 @@ class SpectrumReport:
     order: int
     mode: str
     ok: bool = True
-    primes: tuple[int, ...] = ()
+    primes: tuple[int, ...] = ()  # none: the quotient draws no prime
     checks: list[CheckRecord] = field(default_factory=list)
-    proved: bool = False  # the verdict is certain: the quotient route, or exact mode
+    proved: bool = True  # every verdict is proved on the quotient
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(CheckRecord(name, ok, detail))
@@ -282,176 +275,21 @@ class SpectrumReport:
         }
 
 
-def _centred_residue(x, p: int) -> int:
-    """An int or Fraction x mod p, as the residue of least magnitude."""
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise ValueError(f"prime {p} divides an eigenvalue denominator")
-    r = x.numerator * pow(x.denominator, -1, p) % p
-    return r - p if r > p // 2 else r
+def _trace_multiplicities(values, traces) -> list[Fraction]:
+    """The mu_j with sum_j mu_j r_j^k = t_k for k < d, over Q.
 
-
-def _residues(a: np.ndarray, mag: int, p: int) -> np.ndarray:
-    """An integer array's centred residues mod p, |x| <= p // 2, in float64.
-
-    Entries of at most p // 2 (mag = max|a|) are their own; others are
-    reduced in int64, which holds every |entry| < 2^62 plus p // 2,
-    whatever a's width.
+    r_j are the d distinct values and t_k the d traces.  mu_j is tr L_j(M)
+    for the Lagrange polynomial L_j(x) = prod_{i != j} (x - r_i) / (r_j - r_i),
+    which is 1 at r_j and 0 at every other r_i.
     """
-    if mag <= p // 2:
-        return a.astype(np.float64)
-    return (np.add(a, p // 2, dtype=np.int64) % p - p // 2).astype(np.float64)
-
-
-def _dot(y: np.ndarray, z: np.ndarray, p: int) -> int:
-    """sum(y * z) mod p for two float64 blocks of centred residues mod p.
-
-    Each column is summed over at most ``step`` rows at a time, so every
-    partial sum is an integer below 2^53, exact in any order of summation.
-    """
-    step, total = (_FLOAT_EXACT - 1) // max((p // 2) ** 2, 1), 0
-    for r in range(0, y.shape[0], step):
-        part = np.einsum("ij,ij->j", y[r:r + step], z[r:r + step])
-        _reduce(part, p)  # now |part| <= p, so the int64 sum is exact
-        total += int(part.astype(np.int64).sum())
-    return total % p
-
-
-def _product(arr: np.ndarray, mag: int, primes):
-    """The map (y, start) -> rows start.. of M y, mod each prime on its own columns.
-
-    y is an n x (len(primes) * w) float64 block of centred residues, the w
-    columns of each prime in turn, and so is the result.  M is applied in
-    one of two layouts, chosen by cost from the nonzero count of its widest
-    row against n:
-
-    - ELL, where that row has at most n / _ELL_RATIO nonzeros: each row's
-      nonzeros padded to that width, as column indices and values.  The rows
-      of y are gathered for _GATHER slots at a time, and multiplied and
-      summed by one einsum.  No dense copy of M is made.
-    - Otherwise a float64 copy of M, by GEMM.
-
-    With h the largest p // 2, each term is at most max|M| * h.  The terms,
-    slots or the inner dimension, are summed in chunks whose sums stay below
-    2^53, and reduced after each; where not even one term fits, M is first
-    reduced to centred residues mod each prime.
-    """
-    n, h = arr.shape[0], max(primes) // 2
-    # the nonzeros are sought EYE_BLOCK rows at a time, with small temporaries
-    starts = range(0, n, EYE_BLOCK)
-    width = max(int(np.count_nonzero(arr[r:r + EYE_BLOCK], axis=1).max()) for r in starts)
-    index = None
-    if _ELL_RATIO * width <= n:
-        rows, cols = np.divmod(np.concatenate(
-            [np.flatnonzero(arr[r:r + EYE_BLOCK] != 0) + r * n for r in starts]), n)
-        slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # its place in its row
-        index = np.zeros((width, n), dtype=np.intp)
-        index[slot, rows] = cols
-        ell = np.zeros((width, n), dtype=np.int64)
-        ell[slot, rows] = arr[rows, cols]
-        arr = ell
-    operands = ([(arr.astype(np.float64), mag, None)] if mag * h + h * h < _FLOAT_EXACT else
-                [(_residues(arr, mag, p), p // 2, i) for i, p in enumerate(primes)])
-
-    def mul(y: np.ndarray, start: int = 0) -> np.ndarray:
-        w = y.shape[1] // len(primes)
-        mods = np.repeat(np.array(primes, dtype=np.float64), w)
-        out = np.zeros((n - start, y.shape[1]))
-        for a, amax, i in operands:
-            cols = slice(None) if i is None else slice(i * w, (i + 1) * w)
-            acc, src = out[:, cols], y[:, cols]
-            chunk = (_FLOAT_EXACT - 1 - h * h) // max(amax * h, 1)
-            if index is None:
-                for j in range(0, n, chunk):
-                    acc += a[start:, j:j + chunk] @ src[j:j + chunk]
-                    _reduce(acc, mods[cols])
-                continue
-            chunk = min(chunk, _GATHER)
-            for j in range(0, a.shape[0], chunk):
-                acc += np.einsum("sn,snb->nb", a[j:j + chunk, start:],
-                                 src[index[j:j + chunk, start:]])
-                _reduce(acc, mods[cols])
-        _reduce(out, mods)  # below (p + 3) / 2 < 2^51 now: centred
-        return out
-
-    return mul
-
-
-def _annihilation_failures(arr: np.ndarray, mag: int, values, primes, blocks) -> set:
-    """The pairs (c, i) for which prod_lambda (M - lambda I) leaves column c nonzero mod primes[i].
-
-    ``blocks`` yields pairs (labels, Y), Y an n x (len(primes) * w) float64
-    block of the w columns named in labels, once per prime, prime by prime.
-    Each factor M - lambda I is one ``_product`` of M with centred Y, less
-    lambda Y, after which each prime's columns are reduced mod it.
-    """
-    mul, fails = _product(arr, mag, primes), set()
-    for labels, y in blocks:
-        w = y.shape[1] // len(primes)
-        mods = np.repeat(np.array(primes, dtype=np.float64), w)
-        _centre(y, mods)
-        for val in values:
-            z = mul(y)
-            y *= np.repeat([_centred_residue(val, p) for p in primes], w)
-            z -= y  # |z| <= h + h^2 < 2^51, h = p // 2
-            _reduce(z, mods)
-            y = z
-        fails.update((int(labels[i % w]), i // w) for i in np.flatnonzero(y.any(axis=0)))
-    return fails
-
-
-def _power_traces(arr: np.ndarray, mag: int, p: int, count: int) -> list[int]:
-    """tr(M^k) mod p for 2 <= k < count, from ``_product``s mod p, M symmetric.
-
-    M is taken by blocks of _COLUMNS columns, and each block is carried
-    through the powers X_a = M^a by products, so no power is kept whole.
-    M is symmetric, so t_2a = ||X_a||^2 and t_2a+1 = <X_a, X_a+1>, and the
-    powers go only up to a = count // 2.  The last of them is made only on
-    the rows from the block's first on: its entries above the block mirror
-    entries below earlier blocks, so its inner products take the block's
-    diagonal part once and the rest twice.
-    """
-    if count <= 2:
-        return []
-    n, t, mul = arr.shape[0], [0] * count, _product(arr, mag, [p])
-    for c0 in range(0, n, _COLUMNS):
-        d = min(_COLUMNS, n - c0)
-        y = _residues(arr[:, c0:c0 + d], mag, p)  # the block of X_1
-        t[2] += _dot(y, y, p)
-        for a in range(1, count // 2):
-            last = a + 1 == count // 2
-            z, y = (mul(y, c0), y[c0:]) if last else (mul(y), y)
-            for k, u, v in ((2 * a + 1, y, z), (2 * a + 2, z, z)):
-                if k < count:
-                    t[k] += (_dot(u[:d], v[:d], p) + 2 * _dot(u[d:], v[d:], p) if last
-                             else _dot(u, v, p))
-            y = z
-    return [v % p for v in t[2:]]
-
-
-def _trace_multiplicities(values, traces, p: int | None = None) -> list:
-    """The mu_j with sum_j mu_j r_j^k = t_k for k < d: over Q, or mod p.
-
-    r_j are the d distinct values (residues mod p, with p) and t_k the d
-    traces.  mu_j is tr L_j(M) for the Lagrange polynomial
-    L_j(x) = prod_{i != j} (x - r_i) / (r_j - r_i), which is 1 at r_j and 0
-    at every other r_i.  Over Q each mu_j is an int or Fraction; mod p it is
-    the centred residue.
-    """
-    red = (lambda x: x) if p is None else (lambda x: x % p)
     out = []
     for j, rj in enumerate(values):
         coeffs, den = [1], 1
         for i, ri in enumerate(values):
             if i != j:  # times (x - r_i)
-                coeffs = [red(a - ri * b) for a, b in zip([0, *coeffs], [*coeffs, 0])]
-                den = red(den * (rj - ri))
-        num = sum(c * tk for c, tk in zip(coeffs, traces))
-        if p is None:
-            out.append(Fraction(num) / den)
-            continue
-        mu = num * pow(den, -1, p) % p
-        out.append(mu - p if mu > p // 2 else mu)
+                coeffs = [a - ri * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+                den *= rj - ri
+        out.append(Fraction(sum(c * tk for c, tk in zip(coeffs, traces))) / den)
     return out
 
 
@@ -464,32 +302,33 @@ def _classes(v: int, s: int, k: int) -> tuple[np.ndarray, ...]:
     return (mem, cls, *np.unique(cls, return_index=True))
 
 
-def _pattern(m: ExactMatrix) -> np.ndarray | None:
+def _pattern(m: ExactMatrix, classes: tuple[np.ndarray, ...]) -> np.ndarray | None:
     """g with M = g(theta), theta = |S cap K|, or None where M is not so.
 
-    M must be an integer matrix whose rows are tagged with the s-subsets and
-    columns with the k-subsets of one [v].  g is read off row 0, since
-    S0 = {1..s} meets K in every size h that any S does, and g[h] is 0 for
-    the sizes that no pair meets in.  Every region of the stack
-    (``build._regions``) is then compared, at the stack's own width, with
-    g taken at the region's small theta, so a block shared by several
-    regions is compared with each of them and no theta of M's size is made.
+    M's rows must be tagged with the s-subsets and its columns with the
+    k-subsets of one [v], and ``classes`` is ``_classes(v, s, k)``.  M must
+    have integer entries.  g is read off row 0, since S0 = {1..s} meets K in
+    every size h that any S does, and g[h] is 0 for the sizes that no pair
+    meets in.  Every region of the stack (``build._regions``) is then
+    compared, at the stack's own width, with g taken at the region's small
+    theta, so a block shared by several regions is compared with each of
+    them and no theta of M's size is made.
     """
-    rows, cols = m.row_family, m.col_family
-    if rows is None or cols is None or rows.v != cols.v or not m.all_int():
+    if not m.all_int():
         return None
-    arr = m.stack[0]
-    _, cls, classes, reps = _classes(rows.v, rows.s, cols.s)
+    rows, cols, arr = m.row_family, m.col_family, m.stack[0]
+    _, _, present, reps = classes
     g = np.zeros(min(rows.s, cols.s) + 1, dtype=arr.dtype)
-    g[classes] = arr[0, reps]
+    g[present] = arr[0, reps]
     if all(np.array_equal(arr[r, c], block)
            for r, c, block in _region_blocks(g, rows.v, rows.s, cols.s)):
         return g
     return None
 
 
-def _quotient_of(v: int, k: int, g: list[int]) -> list[list[int]]:
-    """B, the quotient over J(v, k) of M = g(theta), in Python ints.
+def _quotient_of(g: list[int], classes: tuple[np.ndarray, ...]) -> list[list[int]]:
+    """B, the quotient over J(v, k) of M = g(theta), in Python ints, with
+    ``classes`` = ``_classes(v, k, k)`` and k = len(g) - 1.
 
     M lies in the Bose-Mesner algebra of J(v, k), the partition of the
     k-subsets by |K cap K0| = h, K0 = {1..k}, is equitable, and M acts on its
@@ -500,9 +339,10 @@ def _quotient_of(v: int, k: int, g: list[int]) -> list[list[int]]:
     theta_matrix's.  Rows and columns of B are h = 0..k; an empty class
     (h < 2k - v) has zeros in both.
     """
-    mem, cls, classes, reps = _classes(v, k, k)
+    mem, cls, present, reps = classes
+    k = len(g) - 1
     b = [[0] * (k + 1) for _ in range(k + 1)]
-    for h, theta in zip(classes.tolist(), (mem[reps] @ mem.T).astype(np.intp)):
+    for h, theta in zip(present.tolist(), (mem[reps] @ mem.T).astype(np.intp)):
         counts = np.bincount(cls * (k + 1) + theta, minlength=(k + 1) ** 2)
         b[h] = [sum(c * gi for c, gi in zip(row, g))
                 for row in counts.reshape(k + 1, k + 1).tolist()]
@@ -512,12 +352,14 @@ def _quotient_of(v: int, k: int, g: list[int]) -> list[list[int]]:
 def _johnson_quotient(m: ExactMatrix) -> list[list[int]] | None:
     """B, the quotient matrix of M over J(v, k), or None where M has none:
     M's rows and columns are both the k-subsets of [v], and M = g(theta)
-    entry by entry (``_pattern``), with B made from g (``_quotient_of``)."""
+    entry by entry (``_pattern``), with B made from g (``_quotient_of``).
+    The classes of J(v, k) are counted once, for both."""
     fam = m.row_family
     if fam is None or m.col_family != fam:
         return None
-    g = _pattern(m)
-    return None if g is None else _quotient_of(fam.v, fam.s, g.tolist())
+    classes = _classes(fam.v, fam.s, fam.s)
+    g = _pattern(m, classes)
+    return None if g is None else _quotient_of(g.tolist(), classes)
 
 
 def _quotient_apply(b: list[list], x: list) -> list:
@@ -629,99 +471,56 @@ def _quotient_rank(m: ExactMatrix) -> QuotientRank | None:
 
 
 def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
-                    rng: random.Random | None = None, label: str = "") -> SpectrumReport:
-    """Check a claimed spectrum against an explicitly built matrix.
+                    label: str = "") -> SpectrumReport:
+    """Prove or disprove a claimed spectrum of a built matrix on its quotient.
 
-    Every route checks the order and the exact trace, that
-    P = prod_lambda (M - lambda I) over the d claimed distinct eigenvalues
-    is 0, and every multiplicity from the power traces t_a = tr(M^a), a < d.
-
-    Where M is a function of theta over J(v, k) (``_johnson_quotient``:
-    rows and columns tagged with the k-subsets of [v], and the stack equal
-    to g(theta) entry by entry), both modes take the quotient route: all of
-    it is proved on M's (k + 1) x (k + 1) quotient B, in Python ints, with
-    no prime and no probe.  ``report.proved`` is true, ``report.primes``
-    empty and ``rng`` unused.
-
-    Any other M takes the generic route, where the mode decides how P is
-    applied: to 2 * PROBES random probes over two random primes in modp
-    mode, and in exact mode to every column of I over the fewest random
-    primes, drawn one by one, whose product exceeds B below.  The traces
-    t_a, 2 <= a < d, come from products mod p1 (``_power_traces``), which
-    need M symmetric; with d <= 2 M may be any square matrix.
-    ``report.primes`` lists every prime, p1 first, then any replacement for
-    p1 in the trace step.  ``report.proved`` is true in exact mode.
+    M must be a function of theta over J(v, k) (``_johnson_quotient``: rows
+    and columns tagged with the k-subsets of [v], and the stack equal to
+    g(theta) entry by entry).  Any other M raises ValueError: no quotient
+    proves its spectrum, and nothing is sampled in its place.  The check
+    takes the order and the exact trace, then proves on M's (k + 1) x (k + 1)
+    quotient B, in Python ints, that P = prod_lambda (M - lambda I) over the
+    d claimed distinct eigenvalues is 0, and every multiplicity from the
+    traces t_a = tr(M^a), a < d.  No prime and no probe is drawn.  The modes
+    "modp" and "exact" are two spellings of this one proof, recorded in the
+    report; ``report.proved`` is true and ``report.primes`` empty.
 
     Soundness, for M of order n:
 
-    - Annihilation, quotient.  M = g(theta) lies in the Bose-Mesner algebra
-      of J(v, k), and so does P(M).  A member of the algebra has the entry
-      c_h wherever |S cap K| = h, so it is fixed by its column K0 = {1..k},
-      which meets every nonempty class h.  The classes of K by
-      |K cap K0| are an equitable partition for M, so M maps the
-      class-constant vector of x to that of B x, and column K0 of P(M), the
-      image of the indicator of K0, which is the class-constant vector of
-      e_k, is the class-constant vector of P(B) e_k.  So P(B) e_k = 0,
-      taken exactly as prod_j (q_j B - p_j I) e_k for lambda_j = p_j / q_j
-      (``_quotient_annihilator``), proves P = 0 with certainty.
-    - Annihilation, modp.  If the claim misses an eigenvalue of M, P is
-      nonzero.  At a prime where P stays nonzero, a uniform random probe is
-      annihilated anyway with probability at most #distinct/p (in fact at
-      most 1/p, ker P being a proper subspace), independently per probe and
-      per prime; a wrong set must survive all 2 * PROBES probes.
-    - Annihilation, exact.  For lambda_j = p_j / q_j, no entry of a partial
-      product of the integer matrices q_j M - p_j I exceeds B = prod_j
-      (q_j ||M||_inf + |p_j|), the row-sum norm being submultiplicative
-      (n * max|M| stands in for it if a row sum could overflow int64).  Mod a
-      prime not dividing q_j, that product is 0 exactly when P is.  Zero mod
-      distinct primes whose product exceeds B, an entry is 0 over Z (CRT), so
-      P = 0 and the claimed set holds every eigenvalue, with certainty.
+    - Annihilation.  M = g(theta) lies in the Bose-Mesner algebra of
+      J(v, k), and so does P(M).  A member of the algebra has the entry c_h
+      wherever |S cap K| = h, so it is fixed by its column K0 = {1..k},
+      which meets every nonempty class h.  The classes of K by |K cap K0|
+      are an equitable partition for M, so M maps the class-constant vector
+      of x to that of B x, and column K0 of P(M), the image of the indicator
+      of K0, which is the class-constant vector of e_k, is the
+      class-constant vector of P(B) e_k.  So P(B) e_k = 0, taken exactly as
+      prod_j (q_j B - p_j I) e_k for lambda_j = p_j / q_j
+      (``_quotient_annihilator``), proves P = 0 with certainty.  A rational
+      claim is taken the same way, with no prime to divide its denominator.
     - Multiplicities.  Once P = 0, every eigenvalue of M is a claimed
       lambda_j, and M is diagonalizable, its minimal polynomial dividing a
       product of distinct linear factors.  The true multiplicities mu_j then
       satisfy sum_j mu_j lambda_j^a = tr(M^a) over Q, for every a, and the
       Vandermonde system of a < d has one solution, the lambda_j being
-      distinct (``_trace_multiplicities``).  On the quotient route the
-      traces are exact, n (B^a e_k)[k], and the system is solved over Q, so
-      a solution equal to the claimed m_j proves m_j = mu_j and
-      rank(M - lambda_j I) = n - mu_j.  On the generic route it is solved
-      mod p1, invertible while the lambda_j are distinct mod p1, and both
-      mu_j and m_j lie in [0, n], n < 2^20 < p1, so a residue equal to m_j
-      proves the same.  No prime is unlucky here: while two lambda_j
-      coincide mod p1, a replacement prime is drawn, recorded and takes
-      p1's place.  A multiplicity passes only when annihilation does,
-      since without P = 0 the traces prove nothing about it.  So a
-      verified claim is proved on the quotient route and in exact mode,
-      and otherwise its one error is the probes'.  t_0 = n and t_1, the
-      exact trace, need no product, so d <= 2 needs none at all.
-    - Symmetry.  Annihilation alone makes M diagonalizable, so the
-      multiplicities need no symmetry.  Only the shortcut t_2a = ||X_a||^2
-      of ``_power_traces`` does.
-    - Denominators.  On the generic route, a prime that divides a claimed
-      eigenvalue's denominator raises ValueError, in the annihilation step
-      for its primes and in the trace step for a replacement prime.  No
-      true claim is lost so: M is an integer matrix, and its rational
-      eigenvalues are integers.
+      distinct (``_trace_multiplicities``).  The traces are exact,
+      n (B^a e_k)[k], and the system is solved over Q, so a solution equal
+      to the claimed m_j proves m_j = mu_j and rank(M - lambda_j I) =
+      n - mu_j.  A multiplicity passes only when annihilation does, since
+      without P = 0 the traces prove nothing about it.
     """
     if mode not in ("modp", "exact"):
         raise ValueError("mode must be 'modp' or 'exact'")
-    if m.nrows != m.ncols:
-        raise ValueError("matrix must be square")
     if not spec.is_scalar():
         raise TypeError("verify_spectrum needs rational eigenvalues; "
                         "evaluate polynomial spectra at a point first")
-    n = m.nrows
+    quotient = _johnson_quotient(m)
+    if quotient is None:
+        raise ValueError("M is not g(theta) over J(v,k): no quotient proves its spectrum")
+    n, k = m.nrows, len(quotient) - 1
     report = SpectrumReport(label or f"matrix of order {n}", n, mode)
     distinct = spec.distinct()
     values = [v for v, _ in distinct]
-    quotient = _johnson_quotient(m)
-    if quotient is None:
-        _require(n < 1 << (DEFAULT_PRIME_BITS - 1), "the trace route needs order < 2^20")
-        arr = m.as_int_array()
-        if len(distinct) > 2 and not all(
-                np.array_equal(arr[r:r + EYE_BLOCK], arr[:, r:r + EYE_BLOCK].T)
-                for r in range(0, n, EYE_BLOCK)):
-            raise ValueError("matrix must be symmetric")
 
     report.add("order", spec.order == n, f"claimed order {spec.order}, matrix order {n}")
     if not report.ok:
@@ -732,74 +531,19 @@ def verify_spectrum(m: ExactMatrix, spec: SpectrumSpec, mode: str = "modp",
     report.add("trace", trace == want_trace,
                f"trace {trace}, spectral sum {want_trace}")
 
-    report.proved = quotient is not None or mode == "exact"
-    if quotient is None:
-        annihilated, implied = _generic_checks(report, arr, m.mag, values, trace,
-                                               rng or random.Random())
-    else:
-        y, k = _quotient_annihilator(quotient, values), len(quotient) - 1
-        annihilated = not any(y)
-        where = (f"M = g(theta) over J({m.row_family.v},{k}), and P(B) e_{k}"
-                 f" {'=' if annihilated else '!='} 0 for its {k + 1} x {k + 1} quotient B")
-        report.add("annihilation", annihilated, where + (
-            ": P(M) = 0, proved with no prime" if annihilated else
-            f": first nonzero in class {next(h for h, yh in enumerate(y) if yh)}"))
-        implied = _trace_multiplicities(
-            values, _quotient_traces(n, _quotient_powers(quotient, len(values))))
+    y = _quotient_annihilator(quotient, values)
+    annihilated = not any(y)
+    where = (f"M = g(theta) over J({m.row_family.v},{k}), and P(B) e_{k}"
+             f" {'=' if annihilated else '!='} 0 for its {k + 1} x {k + 1} quotient B")
+    report.add("annihilation", annihilated, where + (
+        ": P(M) = 0, proved with no prime" if annihilated else
+        f": first nonzero in class {next(h for h, yh in enumerate(y) if yh)}"))
+    implied = _trace_multiplicities(
+        values, _quotient_traces(n, _quotient_powers(quotient, len(values))))
     for (val, mult), mu in zip(distinct, implied):
         report.add(f"multiplicity[{val}]", annihilated and mu == mult,
                    f"rank(M - {val} I) = {n - mu}, expected {n - mult} (mult {mult})")
     return report
-
-
-def _generic_checks(report: SpectrumReport, arr: np.ndarray, mag: int, values,
-                    trace: int, rng: random.Random) -> tuple[bool, list[int]]:
-    """The generic route of ``verify_spectrum``: annihilation by probes or by
-    every column of I, and the multiplicities mod p1 from ``_power_traces``.
-    Adds the annihilation check and the primes to ``report``, and returns
-    whether P = 0 held and the multiplicities that the traces imply."""
-    n, mode = arr.shape[0], report.mode
-    # annihilation: P y = 0 for random probes y mod two primes, or for every
-    # column y of I mod the first distinct primes whose product exceeds B (exact)
-    bound = 0
-    if mode == "exact":
-        norm = (max(int(np.abs(arr[r:r + EYE_BLOCK], dtype=np.int64).sum(axis=1).max())
-                    for r in range(0, n, EYE_BLOCK))
-                if n * mag < 1 << 63 else n * mag)
-        bound = math.prod(Fraction(v).denominator * norm + abs(Fraction(v).numerator)
-                          for v in values)
-    primes = []
-    while len(primes) < (2 if mode == "modp" else 1) or math.prod(primes) <= bound:
-        p = random_prime(rng)
-        if p not in primes:
-            primes.append(p)
-    report.primes, p1 = tuple(primes), primes[0]
-    if mode == "modp":
-        # one draw seeded from rng, uniform on [0, p) in each prime's columns
-        draw = np.random.default_rng(rng.getrandbits(64))
-        probes = draw.integers(0, np.repeat(primes, PROBES), size=(n, 2 * PROBES))
-        blocks = [(range(PROBES), probes.astype(np.float64))]
-        detail = f"{2 * PROBES} probes over primes {p1}, {primes[1]}"
-    else:
-        blocks = ((range(c, c + _COLUMNS),
-                   np.tile(np.eye(n, min(_COLUMNS, n - c), -c), len(primes)))
-                  for c in range(0, n, _COLUMNS))
-        detail = f"all {n} columns of I mod primes {primes}, product > B = {bound}"
-    fails = _annihilation_failures(arr, mag, values, primes, blocks)
-    # by block of EYE_BLOCK columns, prime, column
-    fails = [f"column {c} mod {primes[i]}"
-             for c, i in sorted(fails, key=lambda f: (f[0] // EYE_BLOCK, f[1], f[0]))]
-    report.add("annihilation", not fails,
-               detail + (f"; {len(fails)} failed, first {fails[0]}" if fails else ""))
-
-    # multiplicities: solved mod p1 from t_0 = n, t_1 = trace and the power
-    # traces, with a replacement for p1 while two eigenvalues coincide mod it
-    q = p1
-    while len({_centred_residue(v, q) for v in values}) < len(values):
-        q = random_prime(rng)
-        report.primes += (q,)
-    traces = [n, trace, *_power_traces(arr, mag, q, len(values))]
-    return not fails, _trace_multiplicities([_centred_residue(v, q) for v in values], traces, q)
 
 
 def sampled_eval_points() -> Sequence[Fraction]:

@@ -288,11 +288,11 @@ def _kinds_of_every_tag(v_max):
 
 
 def _fresh(kind):
-    """The matrix of kind made entry by entry from |S cap K|, with no cache."""
-    table = _entries(kind)
-    cols = [set(sub) for sub in kind.col_family.subsets()]
-    return ExactMatrix([[table[len(set(row) & col)] for col in cols]
-                        for row in kind.row_family.subsets()])
+    """The matrix of kind made from its entries per theta, taken at the
+    oracle's |S cap K|, with no cache and none of build's regions or tables."""
+    row = ExactMatrix([_entries(kind)])
+    theta = oracles.theta_oracle(kind.v, kind.row_size, kind.col_size)
+    return ExactMatrix(row.stack[:, 0][:, theta], den=row.den)
 
 
 def test_cached_builds_equal_fresh_entrywise_builds_of_every_tag():

@@ -12,7 +12,7 @@ import pytest
 from imtk.build import F, MatrixKind, N, U, Utl, W, X, Y, build
 from imtk.cli import _build_parser, main, matrix_csv, matrix_document, parse_matrix_document
 from imtk.exactalg import ExactMatrix, rank_modp
-from imtk.spectra import sampled_eval_points, spectrum_of, verify_spectrum
+from imtk.spectra import SpectrumSpec, sampled_eval_points, spectrum_of, verify_spectrum
 
 from oracles import complement_kinds, square_kinds
 
@@ -181,19 +181,23 @@ def test_spectrum_polynomial_kind_checks_at_samples():
 
 
 def test_each_sampled_point_of_a_polynomial_kind_replays_on_its_own(capsys):
-    # point i draws from random.Random(seed_i), seed_i the i-th 64 bits of
-    # the main stream: its primes follow from --seed and i alone, however
-    # many values the points before it drew
+    # no point draws anything: each check is the proof at its z alone, the
+    # same under every --seed, and verify_spectrum at that point replays it
     kind = F(2, 3, 3, 7)
-    assert main(["--seed", "5", "spectrum", "--kind", "F", "--t", "2", "--k", "3", "--v", "7",
-                 "--check", "modp"]) == 0
-    checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check[")]
-    main_stream = random.Random(5)
-    seeds = [main_stream.getrandbits(64) for _ in sampled_eval_points()]
+    outs = []
+    for seed in ("5", "6"):
+        assert main(["--seed", seed, "spectrum", "--kind", "F", "--t", "2", "--k", "3",
+                     "--v", "7", "--check", "modp"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("check[")]
     m, spec = build(kind), spectrum_of(kind)
-    for line, z0, seed in zip(checks, sampled_eval_points(), seeds, strict=True):
-        rep = verify_spectrum(m.eval_at(z0), spec.eval_at(z0), rng=random.Random(seed))
-        assert rep.ok and line.endswith(f"at z={z0}] mode=modp primes={list(rep.primes)}")
+    for i, z0 in zip(starts, sampled_eval_points(), strict=True):
+        rep = verify_spectrum(m.eval_at(z0), spec.eval_at(z0))
+        assert lines[i] == f"check[{kind.describe()} at z={z0}] mode=modp primes=[]"
+        assert lines[i + 1:i + 1 + len(rep.checks)] == [
+            f"  {'ok ' if c.ok else 'FAIL'} {c.name}: {c.detail}" for c in rep.checks]
 
 
 def test_spectrum_outside_hypotheses_exits_2():
@@ -376,6 +380,13 @@ def test_rank_skips_a_prime_dividing_the_quotients_unit(capsys, monkeypatch, ran
         f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
 
 
+def _kind_args(kind):
+    """The --kind and parameter options that name kind."""
+    return [f"--kind={kind.tag}", *(f"--{f}={getattr(kind, f)}"
+                                    for f in ("v", "s", "k", "t", "l", "i")
+                                    if getattr(kind, f) is not None)]
+
+
 def test_imtk_rank_of_every_square_shaped_kind_takes_the_quotient(capsys, monkeypatch):
     # s = k or s + k = v: the quotient over J(v, s) proves every rank, so an
     # elimination would raise
@@ -387,15 +398,67 @@ def test_imtk_rank_of_every_square_shaped_kind_takes_the_quotient(capsys, monkey
     for kind in (*square_kinds(9), *complement_kinds(9)):
         if not build(kind).all_int():
             continue
-        args = parser.parse_args(["rank", f"--kind={kind.tag}", "--method=modp", *(
-            f"--{f}={getattr(kind, f)}" for f in ("v", "s", "k", "t", "l", "i")
-            if getattr(kind, f) is not None)])
+        args = parser.parse_args(["rank", "--method=modp", *_kind_args(kind)])
         assert args.func(args, random.Random(1)) == 0, kind.describe()
         out = capsys.readouterr().out.splitlines()
         assert out[1] == f"rank[modp] is proved by the quotient of J({kind.v},{kind.s})", \
             kind.describe()
         ranked += 1
     assert ranked == 2352 + 1680
+
+
+def _spectrum_kinds(v_max):
+    """Every kind up to v_max that spectrum_of accepts: those of square_kinds,
+    and every F with t up to one past k."""
+    fs = (F(t, k, k, v) for v in range(1, v_max + 1) for k in range(v + 1)
+          for t in range(k + 2))
+    for kind in (*square_kinds(v_max), *fs):
+        try:
+            spectrum_of(kind)
+        except ValueError:
+            continue
+        yield kind
+
+
+def test_imtk_spectrum_of_every_kind_with_a_closed_form_is_proved_on_its_quotient(capsys):
+    # every built kind with a closed form is g(theta) over J(v,k), so both
+    # spellings of --check are the one proof on its quotient: no check line
+    # draws a prime, and each proves P(M) = 0 (F at each sampled point)
+    parser, runs = _build_parser(), 0  # main's parser, made once for 1592 runs
+    for kind in _spectrum_kinds(9):
+        points = len(sampled_eval_points()) if kind.tag == "F" else 1
+        for check in ("modp", "exact"):
+            args = parser.parse_args(["spectrum", f"--check={check}", *_kind_args(kind)])
+            assert args.func(args, random.Random(1)) == 0, (kind.describe(), check)
+            out = capsys.readouterr().out.splitlines()
+            checks = [line for line in out if line.startswith("check[")]
+            assert len(checks) == points and all(
+                line.endswith(f"mode={check} primes=[]") for line in checks), kind.describe()
+            assert sum(line.startswith("  ok  annihilation: M = g(theta) over J(")
+                       and line.endswith(": P(M) = 0, proved with no prime")
+                       for line in out) == points, kind.describe()
+            assert out[-1] == "verified"
+            runs += 1
+    assert runs == 2 * 796
+
+
+@pytest.mark.parametrize("mode", ["modp", "exact"])
+def test_verify_spectrum_refuses_one_pair_off_the_class_pattern(mode):
+    # U^0 over J(10,5) is the complement involution R.  Moving the pair of K0
+    # and its complement (rows 0 and n - 1, complement reversing lex order)
+    # from 1 to 2 leaves a symmetric M, of spectrum 2^1 -2^1 1^125 -1^125,
+    # with no quotient: it is refused, not sampled
+    kind = U(0, 5, 5, 10)
+    m = build(kind)
+    assert verify_spectrum(m, spectrum_of(kind), mode=mode).ok
+    arr = m.as_int_array().astype(np.int64)
+    n = len(arr)
+    assert arr[0, n - 1] == 1
+    arr[0, n - 1] = arr[n - 1, 0] = 2
+    off = ExactMatrix(arr, m.row_family, m.col_family)
+    spec = SpectrumSpec(((2, 1), (-2, 1), (1, n // 2 - 1), (-1, n // 2 - 1)), 0, n)
+    with pytest.raises(ValueError, match="no quotient proves its spectrum"):
+        verify_spectrum(off, spec, mode=mode)
 
 
 def test_rank_of_a_matrix_off_the_class_pattern_takes_the_second_prime(

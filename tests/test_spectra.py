@@ -1,11 +1,8 @@
 import importlib
-import itertools
 import random
-import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import prod
 
 import numpy as np
 import pytest
@@ -13,10 +10,9 @@ import pytest
 from imtk.build import A, F, N, U, Uge, Utl, W, _entries, build
 from imtk.combinat import SubsetFamily, binomial
 from imtk.exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
-from imtk.spectra import (_ELL_RATIO, EYE_BLOCK, PROBES, SpectrumSpec,
-                          _annihilation_failures, _johnson_quotient, _pattern, _power_traces,
-                          _product, _quotient_powers, _quotient_rank, _quotient_traces, alpha,
-                          eberlein, lambda_uge, lambda_utl, mu, multiplicity, rank_formula,
+from imtk.spectra import (SpectrumSpec, _classes, _johnson_quotient, _pattern,
+                          _quotient_powers, _quotient_rank, _quotient_traces, alpha, eberlein,
+                          lambda_uge, lambda_utl, mu, multiplicity, rank_formula,
                           sampled_eval_points, spectrum_of, tau, verify_spectrum, wf_spectrum,
                           wu_spectrum)
 
@@ -238,14 +234,13 @@ def test_rank_formula_w_equals_subset_count():
 def test_n_and_utl_above_k_certify_as_their_t_equals_k_spectra():
     # for t > k, N^t = (-1)^(t-k) N^k and U^(t,l) = U^(k,l): the binomials
     # C(theta - 1, t) and C(theta - l - 1, t - l) vanish for l < theta <= k
-    rng = random.Random(RNG_SEED)
     for v in range(2, 10):
         for k in range(v // 2 + 1):
             for t in (k + 1, k + 2):
                 for kind in [N(t, k, k, v)] + [Utl(t, l, k, k, v) for l in range(k + 1)]:
                     spec = spectrum_of(kind)
                     for mode in ("modp", "exact"):
-                        rep = verify_spectrum(build(kind), spec, mode=mode, rng=rng)
+                        rep = verify_spectrum(build(kind), spec, mode=mode)
                         assert rep.ok, (kind.describe(), mode)
                     assert rank_formula(kind) == spec.order - spec.multiplicity_of(0)
 
@@ -272,10 +267,17 @@ def test_u_rank_formula_matches_modp_grid():
 # ---------------------------------------------------------------------------
 # verify_spectrum
 
+def _identity(n):
+    """I of order n, built as A^1 over J(n, 1): C(theta, 1) is 1 on the
+    diagonal only."""
+    m = build(A(1, 1, 1, n))
+    assert m == ExactMatrix.identity(n)
+    return m
+
+
 def test_verify_identity_matrix():
     spec = SpectrumSpec(((1, 4),), 0, 4)
-    rep = verify_spectrum(ExactMatrix.identity(4), spec, mode="exact",
-                          rng=random.Random(RNG_SEED))
+    rep = verify_spectrum(_identity(4), spec, mode="exact")
     assert rep.ok
 
 
@@ -284,46 +286,8 @@ def test_verify_all_ones():
         for k in range(v // 2 + 1):
             n = binomial(v, k)
             spec = SpectrumSpec(((n, 1),), n - 1, n)
-            rep = verify_spectrum(ExactMatrix.ones(n, n), spec,
-                                  rng=random.Random(RNG_SEED))
+            rep = verify_spectrum(build(A(0, k, k, v)), spec)
             assert rep.ok
-
-
-def _diagonal(values):
-    return ExactMatrix([[x if i == j else 0 for j in range(len(values))]
-                        for i, x in enumerate(values)])
-
-
-@pytest.mark.parametrize("mode", ["modp", "exact"])
-def test_verify_replaces_a_prime_at_which_two_eigenvalues_coincide(mode):
-    # verify_spectrum draws its first prime p1 before anything else, and
-    # 0, p1 and 2 p1 are one residue mod p1, where the traces cannot tell
-    # them apart: one replacement prime q, the next draw, is recorded
-    p1 = random_prime(random.Random(RNG_SEED))
-    m = _diagonal((0, 0, p1, p1, 2 * p1, 2 * p1))
-    rep = verify_spectrum(m, _spec({0: 2, p1: 2, 2 * p1: 2}), mode=mode,
-                          rng=random.Random(RNG_SEED))
-    assert rep.ok, rep.checks
-    rng = random.Random(RNG_SEED)
-    primes = []
-    while len(primes) < len(rep.primes) - 1:
-        p = random_prime(rng)
-        if p not in primes:
-            primes.append(p)
-    if mode == "modp":
-        rng.getrandbits(64)  # the probes' seed
-    assert rep.primes == (*primes, random_prime(rng)) and rep.primes[0] == p1
-    assert len(set(rep.primes)) == len(rep.primes)
-    assert rep.to_dict()["primes"] == list(rep.primes)
-    # the same order, trace and eigenvalue set with a 0 and a 2 p1 traded
-    # for two p1: only tr(M^2) mod the replacement prime tells them apart
-    rep = verify_spectrum(m, _spec({0: 1, p1: 4, 2 * p1: 1}), mode=mode,
-                          rng=random.Random(RNG_SEED))
-    status = {c.name: c.ok for c in rep.checks}
-    assert status["trace"] and status["annihilation"] and len(rep.primes) == len(primes) + 1
-    assert not status[f"multiplicity[{p1}]"] and not rep.ok
-    # the rank line reads n less the multiplicity that the traces imply
-    assert rep.checks[-2].detail == f"rank(M - {p1} I) = 4, expected 2 (mult 4)"
 
 
 def test_float_crosscheck_order_limit():
@@ -335,23 +299,22 @@ def test_float_crosscheck_order_limit():
 
 def test_verify_detects_wrong_multiplicity():
     spec = SpectrumSpec(((1, 3), (0, 1)), 0, 4)
-    rep = verify_spectrum(ExactMatrix.identity(4), spec,
-                          rng=random.Random(RNG_SEED))
+    rep = verify_spectrum(_identity(4), spec)
     assert not rep.ok
     assert any(not c.ok and c.name.startswith("multiplicity") for c in rep.checks)
 
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
 def test_verify_detects_wrong_multiplicities_of_the_right_eigenvalues(mode):
-    # order, trace (0+4+2 = 6) and the eigenvalue set all match; only the
-    # rank route can tell 1^4 from 1^2
-    m = ExactMatrix([[x if i == j else 0 for j in range(6)]
-                     for i, x in enumerate((0, 0, 1, 1, 2, 2))])
-    spec = SpectrumSpec(((0, 1), (1, 4), (2, 1)), 0, 6)
-    rep = verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED))
+    # N^3_(4,4)(9) has -4^1 5^8 -2^27 3^48 0^42; a -2 traded for a -4 and a
+    # 0 keeps order, trace and the eigenvalue set, so only the traces tell
+    kind = N(3, 4, 4, 9)
+    mult = dict(spectrum_of(kind).distinct())
+    mult[-4], mult[-2], mult[0] = mult[-4] + 1, mult[-2] - 2, mult[0] + 1
+    rep = verify_spectrum(build(kind), _spec(mult), mode=mode)
     status = {c.name: c.ok for c in rep.checks}
     assert status["order"] and status["trace"] and status["annihilation"]
-    assert not status["multiplicity[1]"]
+    assert not status["multiplicity[-2]"]
     assert not rep.ok
 
 
@@ -359,225 +322,103 @@ def test_verify_detects_wrong_multiplicities_of_the_right_eigenvalues(mode):
     pytest.param(scale, mode, id=str(scale) + ("-exact" if mode == "exact" else ""))
     for mode in ("modp", "exact") for scale in (1, 2 ** 32 + 1, 2 ** 40 + 1, 2 ** 55 + 1)])
 def test_verify_spectrum_is_exact_at_every_entry_size(scale, mode):
-    # scale * J of order 4 has eigenvalues 4 * scale once and 0 three times.
-    # Odd scales, so that a sum past 2^53 would be rounded: near 2^32 the
-    # annihilation products are summed in chunks, near 2^40 M is first
-    # reduced mod each prime, and near 2^55 the rank takes the int64 route
-    # and exact mode needs a long list of primes for its bound B.
+    # scale * J of order 4, built as A^0 over J(4,1) and scaled, which keeps
+    # it g(theta), has eigenvalues 4 * scale once and 0 three times.  Odd
+    # scales, so that a sum past 2^53 would be rounded; the quotient is
+    # taken in Python ints at every size
     n = 4
-    m = ExactMatrix.ones(n, n).scale(scale)
+    m = build(A(0, 1, 1, n)).scale(scale)
     good = SpectrumSpec(((n * scale, 1), (0, n - 1)), 0, n)
-    rep = verify_spectrum(m, good, mode=mode, rng=random.Random(RNG_SEED))
-    assert rep.ok
-    if mode == "exact":
-        bound = (n * scale + n * scale) * n * scale  # prod (||M||_inf + |lambda|)
-        primes = rep.primes  # no retry prime: every first rank is right
-        assert len(set(primes)) == len(primes) and prod(primes) > bound
-        assert prod(primes[:-1]) <= bound  # no prime past the first product > B
-        assert f"product > B = {bound}" in rep.checks[2].detail
+    rep = verify_spectrum(m, good, mode=mode)
+    assert rep.ok and rep.proved and rep.primes == ()
     # the right order and trace, the wrong eigenvalue set
     bad = SpectrumSpec(((n * scale - 1, 1), (1, 1), (0, n - 2)), 0, n)
-    rep = verify_spectrum(m, bad, mode=mode, rng=random.Random(RNG_SEED))
+    rep = verify_spectrum(m, bad, mode=mode)
     status = {c.name: c.ok for c in rep.checks}
     assert status["order"] and status["trace"] and not status["annihilation"]
 
 
 def test_verify_spectrum_fails_a_claimed_eigenvalue_beyond_2_62():
-    # M - lambda I has an entry near -2^62: lambda is taken mod p like any
-    # other eigenvalue, and the false claim fails its checks instead of
-    # raising.  The multiplicities are solved jointly from the traces, so the
-    # unclaimed eigenvalue 4 * scale fails them all, multiplicity[0] too
+    # M - lambda I has an entry near -2^62, and the false claim fails its
+    # checks instead of raising.  The multiplicities are solved jointly from
+    # the traces, so the unclaimed eigenvalue 4 * scale fails them all,
+    # multiplicity[0] too
     n, scale, lam = 4, 2 ** 55 + 1, 2 ** 62 + 1
-    m = ExactMatrix.ones(n, n).scale(scale)
+    m = build(A(0, 1, 1, n)).scale(scale)
     spec = SpectrumSpec(((lam, 1), (0, n - 1)), 0, n)
-    rep = verify_spectrum(m, spec, rng=random.Random(RNG_SEED))
+    rep = verify_spectrum(m, spec)
     status = {c.name: c.ok for c in rep.checks}
     assert not status["trace"] and not status["annihilation"]
     assert not status[f"multiplicity[{lam}]"] and not status["multiplicity[0]"]
     assert not rep.ok
 
 
-def _two_by_two_blocks(n, symmetric, seed):
-    """A permuted direct sum of n / 2 random 2 x 2 blocks of entries -1, 0, 1."""
-    gen = np.random.default_rng(seed)
-    arr = np.zeros((n, n), dtype=np.int64)
-    for r in range(0, n, 2):
-        block = gen.integers(-1, 2, size=(2, 2))
-        arr[r:r + 2, r:r + 2] = block + block.T - np.diag(block.diagonal()) if symmetric else block
-    perm = gen.permutation(n)
-    return arr[np.ix_(perm, perm)]
-
-
-@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
-@pytest.mark.parametrize("ell", [True, False], ids=["ELL", "GEMM"])
-@pytest.mark.parametrize("scale", [1, 2 ** 32 + 1, 2 ** 40 + 1, 2 ** 55 + 1])
-def test_power_traces_match_bigint_traces_at_every_entry_size(scale, ell, symmetric):
-    # 256 rows of at most 2 nonzeros are applied as ELL, 12 dense rows by
-    # GEMM.  Near 2^32 the products are summed in chunks, near 2^40 M is
-    # first reduced mod the prime, and near 2^55 that reduction is in int64
-    if ell:
-        arr = _two_by_two_blocks(256, symmetric, seed=scale % 1000)
-    else:
-        gen = np.random.default_rng(scale % 1000)
-        arr = gen.integers(-1, 2, size=(12, 12))
-        arr = arr + arr.T if symmetric else arr
-    arr = arr * scale
-    n, width = arr.shape[0], int(np.count_nonzero(arr, axis=1).max())
-    assert (_ELL_RATIO * width <= n) == ell
-    if not symmetric:
-        # the traces rest on t_2a = ||X_a||^2: a general M with more than two
-        # claimed eigenvalues, and no quotient, is refused before any product
-        assert not np.array_equal(arr, arr.T)
-        claim = SpectrumSpec(((1, 1), (2, 1), (0, n - 2)), 0, n)
-        with pytest.raises(ValueError, match="symmetric"):
-            verify_spectrum(ExactMatrix(arr), claim, rng=random.Random(RNG_SEED))
-        return
-    p, count = random_prime(random.Random(RNG_SEED)), 8
-    want = trace_powers(arr.tolist(), count)
-    got = _power_traces(arr, int(np.abs(arr).max()), p, count)
-    assert got == [t % p for t in want[2:]]
-
-
-@pytest.mark.parametrize("ell", [True, False], ids=["ELL", "GEMM"])
-def test_products_sum_in_chunks_that_stay_below_2_53(ell):
-    # entries just below (2^53 - h^2) / h and operands just below h, all
-    # positive: one term fits below 2^53, but a row of three or eight sums
-    # to about 2^55, where float64 rounds odd integers, so each term is a
-    # chunk of its own and reduced before the next
-    p = random_prime(random.Random(RNG_SEED))
-    h = p // 2
-    mag = (2 ** 53 - 1 - h * h) // h
-    gen = np.random.default_rng(53)
-    n = 3 * _ELL_RATIO if ell else 8
-    arr = gen.integers(mag - 100, mag + 1, size=(n, n))
-    if ell:  # three nonzeros a row, on a permuted band
-        arr *= (np.subtract.outer(np.arange(n), np.arange(n)) % n < 3)[np.ix_(*[gen.permutation(n)] * 2)]
-    y = gen.integers(h - 100, h + 1, size=(n, 5))
-    assert (_ELL_RATIO * int(np.count_nonzero(arr, axis=1).max()) <= n) == ell
-    want = arr.astype(object) @ y.astype(object) % p
-    want = np.where(want > h, want - p, want).astype(np.int64)
-    mul = _product(arr, mag, [p])
-    for start in (0, 5):
-        assert np.array_equal(mul(y.astype(np.float64), start), want[start:])
-
-
-def test_verify_spectrum_ranks_rational_claims_mod_p():
-    # rational eigenvalues of an integer matrix are always false claims: the
-    # rank of M - lambda I is taken with lambda's residue, and fails; a
-    # prime that divides a denominator raises
-    m = ExactMatrix.identity(2)
-    half = SpectrumSpec(((Fraction(1, 2), 1), (Fraction(3, 2), 1)), 0, 2)
-    status = {c.name: c.ok for c in verify_spectrum(m, half, rng=random.Random(RNG_SEED)).checks}
-    assert status["trace"] and not status["annihilation"]
-    assert not status["multiplicity[1/2]"] and not status["multiplicity[3/2]"]
-    from imtk.exactalg import random_prime
-    p1 = random_prime(random.Random(RNG_SEED))
-    bad = SpectrumSpec(((Fraction(1, p1), 1), (2 - Fraction(1, p1), 1)), 0, 2)
-    with pytest.raises(ValueError, match="denominator"):
-        verify_spectrum(m, bad, rng=random.Random(RNG_SEED))
+def test_verify_spectrum_fails_rational_claims_with_no_prime():
+    # rational eigenvalues of an integer matrix are always false claims:
+    # lambda = p / q is taken as q M - p I on the quotient, so a claim fails
+    # annihilation and the multiplicities, and no denominator can meet a prime
+    m = _identity(2)
+    for q in (2, 2097143):  # a small denominator and the largest 21-bit prime
+        half = SpectrumSpec(((Fraction(1, q), 1), (2 - Fraction(1, q), 1)), 0, 2)
+        rep = verify_spectrum(m, half)
+        status = {c.name: c.ok for c in rep.checks}
+        assert status["trace"] and not status["annihilation"] and rep.primes == ()
+        assert not any(ok for name, ok in status.items() if name.startswith("multiplicity"))
 
 
 def test_verify_detects_wrong_eigenvalue():
     spec = SpectrumSpec(((2, 4),), 0, 4)
-    rep = verify_spectrum(ExactMatrix.identity(4), spec,
-                          rng=random.Random(RNG_SEED))
+    rep = verify_spectrum(_identity(4), spec)
     assert not rep.ok
 
 
 def test_verify_rejects_asymmetric_without_flag():
-    # symmetry is checked only where _power_traces needs it.  With d <= 2
-    # claimed eigenvalues annihilation alone decides: the nilpotent M is not
-    # 0, so its claim 0^2 fails there
-    m = ExactMatrix([[0, 1], [0, 0]])
-    rep = verify_spectrum(m, SpectrumSpec(((0, 2),), 0, 2), rng=random.Random(RNG_SEED))
-    status = {c.name: c.ok for c in rep.checks}
-    assert status["order"] and status["trace"] and not status["annihilation"]
-    assert not rep.ok
-    # d > 2 and no quotient over J(v, k): the matrix must be symmetric
-    m = ExactMatrix([[1, 1, 0], [0, 2, 0], [0, 0, 3]])
-    with pytest.raises(ValueError, match="symmetric"):
-        verify_spectrum(m, SpectrumSpec(((1, 1), (2, 1), (3, 1)), 0, 3))
+    # a matrix that is not g(theta) over J(v, k), a non-symmetric one among
+    # them, has no quotient, so its claim is refused, not sampled
+    for m, spec in ((ExactMatrix([[0, 1], [0, 0]]), SpectrumSpec(((0, 2),), 0, 2)),
+                    (ExactMatrix([[1, 1, 0], [0, 2, 0], [0, 0, 3]]),
+                     SpectrumSpec(((1, 1), (2, 1), (3, 1)), 0, 3))):
+        with pytest.raises(ValueError, match="no quotient proves its spectrum"):
+            verify_spectrum(m, spec)
+    # tagged over J(2,1) and J(3,1), but off the class pattern
+    with pytest.raises(ValueError, match="no quotient"):
+        verify_spectrum(ExactMatrix([[0, 1], [0, 0]], *[_identity(2).row_family] * 2),
+                        SpectrumSpec(((0, 2),), 0, 2))
 
 
 def test_verify_exact_mode_has_no_order_limit():
-    # order 400 spans two blocks of columns of I; B = 1 + 1 needs one prime
-    spec = SpectrumSpec(((1, 400),), 0, 400)
-    rep = verify_spectrum(ExactMatrix.identity(400), spec, mode="exact",
-                          rng=random.Random(RNG_SEED))
-    assert rep.ok and len(rep.primes) == 1
-    assert rep.checks[2].detail == (f"all 400 columns of I mod primes {list(rep.primes)}, "
-                                    "product > B = 2")
-
-
-def test_verify_exact_draws_primes_until_their_product_exceeds_b():
-    # M = [[5]] and lambda = 5 - p1 p2: M - lambda I = p1 p2 vanishes mod both
-    # shared primes, and B = 1 * 5 + |lambda| = p1 p2 is not exceeded by their
-    # product, so exact mode draws a third prime, which finds the wrong claim
-    from imtk.exactalg import random_prime
-    rng = random.Random(RNG_SEED)
-    p1, p2 = random_prime(rng), random_prime(rng)
-    assert p1 != p2
-    m, spec = ExactMatrix([[5]]), SpectrumSpec(((5 - p1 * p2, 1),), 0, 1)
-    status = {c.name: c.ok for c in verify_spectrum(m, spec, rng=random.Random(RNG_SEED)).checks}
-    assert status["annihilation"]
-    rep = verify_spectrum(m, spec, mode="exact", rng=random.Random(RNG_SEED))
-    status = {c.name: c.ok for c in rep.checks}
-    assert not status["annihilation"]
-    assert rep.primes[:2] == (p1, p2) and len(rep.primes) == 3
-    assert f"product > B = {p1 * p2};" in rep.checks[2].detail
+    # I of order 3432, A^7 over J(14,7), proved on its 8 x 8 quotient
+    m = build(A(7, 7, 7, 14))
+    rep = verify_spectrum(m, SpectrumSpec(((1, 3432),), 0, 3432), mode="exact")
+    assert rep.ok and rep.primes == ()
+    assert rep.checks[2].detail == ("M = g(theta) over J(14,7), and P(B) e_7 = 0 for its "
+                                    "8 x 8 quotient B: P(M) = 0, proved with no prime")
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_verify_exact_fails_a_wrong_eigenvalue_at_every_seed(seed):
-    # U^1 on J(5, 2) has spectrum 6^1 1^4 (-2)^5; the claim swaps 1^4 for
-    # 3^2 (-1)^2, keeping order and trace, so only annihilation can tell
-    m = build(U(1, 2, 2, 5))
-    spec = SpectrumSpec(((6, 1), (3, 2), (-1, 2), (-2, 5)), 0, 10)
-    status = {c.name: c.ok for c in verify_spectrum(
-        m, spec, mode="exact", rng=random.Random(seed)).checks}
+    # U^1 on J(5, 2) has spectrum 6^1 1^4 (-2)^5; the claim splits 1^4 into
+    # (1 + d)^2 (1 - d)^2, d = seed + 1, keeping order and trace and missing
+    # the eigenvalue 1, so only annihilation can tell
+    m, d = build(U(1, 2, 2, 5)), seed + 1
+    spec = SpectrumSpec(((6, 1), (1 + d, 2), (1 - d, 2), (-2, 5)), 0, 10)
+    status = {c.name: c.ok for c in verify_spectrum(m, spec, mode="exact").checks}
     assert status["order"] and status["trace"] and not status["annihilation"]
 
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
 @pytest.mark.parametrize("last", [2 ** 61 - 1, 2 ** 61])
 def test_verify_spectrum_sums_the_trace_exactly_past_int64(mode, last):
-    # diagonal sums of 2^63 - 1, the largest int64, and of 2^63, where an
-    # int64 sum wraps to -2^63 and a true claim would fail its trace
-    big = 2 ** 61
-    diagonal = (big, big, big, last)
-    m = ExactMatrix([[x if i == j else 0 for j in range(4)] for i, x in enumerate(diagonal)])
-    spec = SpectrumSpec(((big, 3), (last, 1)), 0, 4)
-    rep = verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED))
-    assert rep.checks[1].detail == f"trace {sum(diagonal)}, spectral sum {sum(diagonal)}"
+    # diagonal sums of 3 * 2^61 + last: 2^63 - 1, the largest int64, and
+    # 2^63, where an int64 sum wraps to -2^63 and a true claim would fail its
+    # trace.  A g(theta) has a constant diagonal, so the two are c I over
+    # J(7,1), c = (2^63 - 1) / 7, and over J(4,1), c = 2^61
+    total = 3 * 2 ** 61 + last
+    n = 7 if total % 7 == 0 else 4
+    m = _identity(n).scale(total // n)
+    rep = verify_spectrum(m, SpectrumSpec(((total // n, n),), 0, n), mode=mode)
+    assert rep.checks[1].detail == f"trace {total}, spectral sum {total}"
     assert rep.ok
-
-
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
-def test_exact_bound_takes_the_row_sum_norm_of_a_narrow_stack_widened(dtype):
-    # |-128| wraps to -128 in int8, which would give B = 0 for this claim
-    m = ExactMatrix(np.array([[-128, 0], [0, -128]], dtype=dtype))
-    rep = verify_spectrum(m, SpectrumSpec(((-128, 2),), 0, 2), mode="exact",
-                          rng=random.Random(RNG_SEED))
-    assert rep.ok and rep.checks[2].detail.endswith("product > B = 256")
-
-
-@pytest.mark.parametrize("mode", ["modp", "exact"])
-def test_verify_keeps_a_one_sided_coupling_in_one_window(mode):
-    # M - I != 0, so a claim of 1^n fails annihilation
-    rep = verify_spectrum(ExactMatrix([[1, 1], [0, 1]]), SpectrumSpec(((1, 2),), 0, 2),
-                          mode=mode, rng=random.Random(RNG_SEED))
-    assert not {c.name: c.ok for c in rep.checks}["annihilation"]
-    # at order 2 * EYE_BLOCK, rows 0 and n - 1 meet only through the one
-    # entry that couples them, above the diagonal or below it: a check that
-    # took M apart by the pattern of its rows or of its columns alone would
-    # miss it in one of the two cases
-    n = 2 * EYE_BLOCK
-    for i, j in ((0, n - 1), (n - 1, 0)):
-        arr = np.eye(n, dtype=np.int64)
-        arr[i, j] = 1
-        rep = verify_spectrum(ExactMatrix(arr), SpectrumSpec(((1, n),), 0, n), mode=mode,
-                              rng=random.Random(RNG_SEED))
-        assert not {c.name: c.ok for c in rep.checks}["annihilation"]
 
 
 # blocks with known spectra: a swap, [[2, 1], [1, 2]], J_3 and [1]
@@ -603,111 +444,50 @@ def _spec(mult):
     return SpectrumSpec(tuple(mult.items()), 0, sum(mult.values()))
 
 
-@pytest.mark.parametrize("mode", ["modp", "exact"])
-def test_verify_certifies_a_permuted_direct_sum(mode):
-    m, mult = _permuted_direct_sum(75, seed=3)  # order 600, blocks of at most 3 rows
-    rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(RNG_SEED))
-    assert rep.ok, rep.checks
-
-
-@pytest.mark.parametrize("mode", ["modp", "exact"])
-@pytest.mark.parametrize("seed", range(10))
-def test_verify_fails_a_wrong_multiplicity_in_a_direct_sum_at_every_seed(mode, seed):
-    # two 1s traded for a -1 and a 3: order, trace and eigenvalue set all
-    # match, so only the power traces can tell
-    m, mult = _permuted_direct_sum(75, seed)
-    mult[1], mult[-1], mult[3] = mult[1] - 2, mult[-1] + 1, mult[3] + 1
-    rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(seed))
-    status = {c.name: c.ok for c in rep.checks}
-    assert status["order"] and status["trace"] and status["annihilation"]
-    assert not status["multiplicity[1]"] and not rep.ok
-
-
-@pytest.mark.parametrize("mode", ["modp", "exact"])
-def test_a_split_annihilation_reports_what_the_unsplit_matrix_does(mode):
-    # the claim misses eigenvalue 0, so P(M) leaves every column of each J_3 nonzero
-    m, mult = _permuted_direct_sum(75, seed=5)
-    mult[2] = mult.pop(0)
-    rng = random.Random(RNG_SEED)
-    rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(RNG_SEED))
-    detail = rep.checks[2].detail
-    arr, n, values = m.as_int_array(), m.nrows, list(mult)
-    if mode == "modp":
-        # the primes and the probe block, drawn as verify_spectrum draws them
-        primes = []
-        while len(primes) < 2:
-            p = random_prime(rng)
-            if p not in primes:
-                primes.append(p)
-        draw = np.random.default_rng(rng.getrandbits(64))
-        probes = draw.integers(0, np.repeat(primes, PROBES), size=(n, 2 * PROBES))
-        blocks = [(range(PROBES), probes.astype(np.float64))]
-    else:
-        listed = re.search(r"mod primes \[([0-9, ]+)\]", detail).group(1)
-        primes = [int(p) for p in listed.split(", ")]
-        blocks = [(range(c, c + EYE_BLOCK),
-                   np.tile(np.eye(n, min(EYE_BLOCK, n - c), -c), len(primes)))
-                  for c in range(0, n, EYE_BLOCK)]
-    # the unsplit matrix, one block of columns at a time, each by prime, then column
-    fails = [f for block in blocks for f in sorted(
-        _annihilation_failures(arr, m.mag, values, primes, [block]), key=lambda f: (f[1], f[0]))]
-    if mode == "exact":
-        j3_rows = np.flatnonzero((arr.diagonal() == 1) & (arr.sum(axis=1) == 3))
-        assert sorted({c for c, _ in fails}) == j3_rows.tolist()
-    c, i = fails[0]
-    assert detail.endswith(f"; {len(fails)} failed, first column {c} mod {primes[i]}")
+def _traced_peak(f, *args, **kwargs):
+    """f(*args, **kwargs) and the peak of the memory that tracemalloc saw it take."""
+    tracemalloc.start()
+    try:
+        out = f(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_verify_spectrum_makes_no_dense_copy_of_a_split_matrix():
     kind = N(5, 6, 6, 12)  # order 924, 462 pairs {K, complement of K}
     m, spec = build(kind), spectrum_of(kind)
     n = m.nrows
-    # the tagged M is proved on its quotient; the untagged copy of its stack
-    # takes the generic route
-    for x, mode in itertools.product((m, ExactMatrix(m.stack)), ("modp", "exact")):
-        x.mag  # computed before tracing
-        tracemalloc.start()
-        try:
-            rep = verify_spectrum(x, spec, mode=mode, rng=random.Random(RNG_SEED))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.ok and rep.proved == (x is m or mode == "exact")
+    m.mag  # computed before tracing
+    for mode in ("modp", "exact"):
+        rep, peak = _traced_peak(verify_spectrum, m, spec, mode=mode)
+        assert rep.ok and rep.proved
         # one float64 copy of M, a whole rank's working copy, is n * n * 8
-        # bytes.  Off the quotient, M has 2 nonzeros a row and 2 distinct
-        # eigenvalues, so it is applied as ELL and needs no power trace:
-        # modp peaks at about 0.13 of a copy, and exact at about 0.29, in its
-        # blocks of 32 columns of I and their products
-        assert peak < n * n * 8 / 2, (mode, peak)
+        # bytes; the compare with g(theta) and the 7 x 7 quotient peak at
+        # about 0.10 of it (0.81 of the int8 stack)
+        assert peak < n * n * 8 / 5, (mode, peak / (n * n * 8))
+    # the untagged copy of its stack is refused before anything is made
+    with pytest.raises(ValueError, match="no quotient"):
+        verify_spectrum(ExactMatrix(m.stack), spec)
 
 
 def test_verify_spectrum_of_a_connected_matrix_makes_no_dense_copy(monkeypatch):
     # N^5_(6,6)(13) is connected, with 7 distinct eigenvalues and 8 nonzeros
-    # in each row.  The tagged M is proved on its quotient over J(13,6).  On
-    # the generic route, which the untagged copy of its stack takes, the
-    # probes or the columns of I, and the power traces, go through ELL
-    # products.  No rank is taken on either
+    # in each row.  It is proved on its quotient over J(13,6), and no rank is
+    # taken
     kind = N(5, 6, 6, 13)
     m, spec = build(kind), spectrum_of(kind)
     n = m.nrows
     assert len(spec.distinct()) == 7
     monkeypatch.setattr("imtk.exactalg._rank_kernel", None)
-    for x in (m, ExactMatrix(m.stack)):
-        x.mag  # computed before tracing
-        for mode, share in (("modp", 0.35), ("exact", 0.5)):
-            tracemalloc.start()
-            try:
-                rep = verify_spectrum(x, spec, mode=mode, rng=random.Random(RNG_SEED))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert rep.ok
-            # one float64 copy of M, each rank's working copy before, is n * n
-            # * 8 bytes.  Off the quotient, modp peaks at about 0.18 of
-            # it, in the gathered probes and their products, and exact at
-            # about 0.31, its blocks of I having 32 columns for each of
-            # its two primes
-            assert peak < share * n * n * 8, (mode, peak / (n * n * 8))
+    m.mag  # computed before tracing
+    for mode in ("modp", "exact"):
+        rep, peak = _traced_peak(verify_spectrum, m, spec, mode=mode)
+        assert rep.ok
+        # one float64 copy of M, each rank's working copy before, is n * n
+        # * 8 bytes; the proof peaks at about 0.03 of it, compared region by
+        # region
+        assert peak < n * n * 8 / 10, (mode, peak / (n * n * 8))
 
 
 def test_rank_modp_of_a_window_peaks_below_two_and_a_half_copies_of_it():
@@ -751,15 +531,13 @@ def test_modmatrix_ranks_a_permuted_direct_sum_as_its_residues(wide):
 
 
 def test_f_spectrum_at_sampled_points():
-    rng = random.Random(RNG_SEED)
     for v in range(2, 8):
         for k in range(min(3, v // 2) + 1):
             for t in range(k + 1):
                 spec = spectrum_of(F(t, k, k, v))
                 m = build(F(t, k, k, v))
                 for z0 in sampled_eval_points():
-                    rep = verify_spectrum(m.eval_at(z0), spec.eval_at(z0),
-                                          mode="exact", rng=rng)
+                    rep = verify_spectrum(m.eval_at(z0), spec.eval_at(z0), mode="exact")
                     assert rep.ok, (v, k, t, z0, [c for c in rep.checks if not c.ok])
 
 
@@ -776,7 +554,8 @@ def test_spectrum_utl_and_uge_against_floats():
 
 
 def test_wf_spectrum_at_sampled_points():
-    rng = random.Random(RNG_SEED)
+    # W^T F is tagged with the k-subsets on both sides and is g(theta) over
+    # J(v, k), so its spectrum is proved on its quotient
     for v in range(2, 8):
         for k in range(v // 2 + 1):
             for s in range(k + 1):
@@ -784,19 +563,18 @@ def test_wf_spectrum_at_sampled_points():
                     spec = wf_spectrum(v, k, s, t)
                     m = build(W(s, k, v)).transpose() @ build(F(t, s, k, v))
                     for z0 in (Fraction(1), Fraction(-2)):
-                        rep = verify_spectrum(m.eval_at(z0), spec.eval_at(z0), rng=rng)
+                        rep = verify_spectrum(m.eval_at(z0), spec.eval_at(z0))
                         assert rep.ok, (v, k, s, t, z0)
 
 
 def test_wu_product_spectrum_verifies():
-    rng = random.Random(RNG_SEED)
     for v in range(2, 8):
         for k in range(v // 2 + 1):
             for s in range(k + 1):
                 for l in range(s + 1):
                     spec = wu_spectrum(v, k, s, l)
                     m = build(W(s, k, v)).transpose() @ build(U(l, s, k, v))
-                    rep = verify_spectrum(m, spec, rng=rng)
+                    rep = verify_spectrum(m, spec)
                     assert rep.ok, (v, k, s, l)
 
 
@@ -878,15 +656,30 @@ def test_quotient_rank_is_the_rank_mod_every_prime_not_dividing_its_unit():
     assert q.mod(11) == 1287
 
 
+def test_quotient_traces_equal_bigint_power_traces_of_every_square_kind():
+    # the second route: tr(M^a) of the built M in Python ints, a <= k + 1,
+    # every power that the quotient's minimal polynomial can need
+    kinds = 0
+    for kind in square_kinds(7):
+        m = build(kind)
+        b = _johnson_quotient(m)
+        count = len(b) + 1
+        assert (_quotient_traces(m.nrows, _quotient_powers(b, count))
+                == trace_powers(m.stack[0].tolist(), count)), kind.describe()
+        kinds += 1
+    assert kinds == 1253
+
+
 def test_quotient_traces_of_golden_n13_equal_its_power_traces():
+    # its power traces from the closed form, sum_j m_j lambda_j^a, twice as
+    # far as the 7 that its 7 distinct eigenvalues need
     kind = N(5, 6, 6, 13)
-    m = build(kind)
-    b, d = _johnson_quotient(m), len(spectrum_of(kind).distinct())
-    assert len(b) == 7 and d == 7
-    p = random_prime(random.Random(RNG_SEED))
-    traces = _quotient_traces(m.nrows, _quotient_powers(b, d))
+    m, distinct = build(kind), spectrum_of(kind).distinct()
+    b = _johnson_quotient(m)
+    assert len(b) == 7 and len(distinct) == 7
+    traces = _quotient_traces(m.nrows, _quotient_powers(b, 14))
     assert traces[:2] == [1716, m.trace()]
-    assert [t % p for t in traces[2:]] == _power_traces(m.as_int_array(), m.mag, p, d)
+    assert traces == [sum(mult * val ** a for val, mult in distinct) for a in range(14)]
 
 
 def test_the_quotient_over_the_theta_cache_limit_holds_no_whole_theta():
@@ -917,7 +710,7 @@ def _off_pattern(kind, i, j):
 
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
-def test_a_matrix_off_the_class_pattern_takes_the_generic_route(mode):
+def test_a_matrix_off_the_class_pattern_is_refused(mode):
     kind = N(1, 3, 3, 7)  # 5 distinct eigenvalues
     spec, off = spectrum_of(kind), _off_pattern(kind, 1, 2)
     assert _johnson_quotient(build(kind)) is not None and _johnson_quotient(off) is None
@@ -926,9 +719,9 @@ def test_a_matrix_off_the_class_pattern_takes_the_generic_route(mode):
     assert _johnson_quotient(build(big)) is not None
     assert _johnson_quotient(_off_pattern(big, 460, 461)) is None
     untagged = ExactMatrix(off.stack)  # no families, so no quotient is sought
-    reports = [verify_spectrum(x, spec, mode=mode, rng=random.Random(RNG_SEED), label="M")
-               for x in (off, untagged)]
-    assert reports[0].to_dict() == reports[1].to_dict() and not reports[0].ok
+    for x in (off, untagged):
+        with pytest.raises(ValueError, match="no quotient proves its spectrum"):
+            verify_spectrum(x, spec, mode=mode)
 
 
 def _region_corners(v, k, cap):
@@ -942,6 +735,12 @@ def _region_corners(v, k, cap):
             for where, i in (("first", 0), ("last", -1), ("repeated key", repeat))}
 
 
+def _pattern_of(m):
+    """``_pattern`` of a tagged M, with the classes of its own families."""
+    rows, cols = m.row_family, m.col_family
+    return _pattern(m, _classes(rows.v, rows.s, cols.s))
+
+
 def test_the_pattern_compare_reads_g_off_any_kind_of_s_by_k_subsets():
     # g is the entry per theta, 0 where no S meets any K in that many
     # elements (theta < s + k - v); U^1_(5,7)(12), 792 x 792, is compared
@@ -949,13 +748,15 @@ def test_the_pattern_compare_reads_g_off_any_kind_of_s_by_k_subsets():
     for kind in (W(2, 3, 6), A(1, 5, 4, 7), N(1, 4, 2, 7), U(1, 5, 7, 12)):
         m = build(kind)
         lo = max(0, kind.s + kind.k - kind.v)
-        assert _pattern(m).tolist() == [0] * lo + _entries(kind)[lo:], kind.describe()
+        assert _pattern_of(m).tolist() == [0] * lo + _entries(kind)[lo:], kind.describe()
         arr = m.as_int_array().astype(np.int64)
         arr[-1, -1] += 1
-        assert _pattern(ExactMatrix(arr, m.row_family, m.col_family)) is None
-        assert _pattern(ExactMatrix(m.stack)) is None  # untagged
-    m = build(W(2, 3, 6))
-    assert _pattern(ExactMatrix(m.stack, m.row_family, SubsetFamily(7, 3))) is None
+        assert _pattern_of(ExactMatrix(arr, m.row_family, m.col_family)) is None
+    # the quotient needs both sides tagged with the same k-subsets: untagged,
+    # or tagged with the 4-subsets of [7] on one side, the same 35, M has none
+    m = build(N(1, 3, 3, 7))
+    assert _johnson_quotient(ExactMatrix(m.stack)) is None
+    assert _johnson_quotient(ExactMatrix(m.stack, m.row_family, SubsetFamily(7, 4))) is None
 
 
 @pytest.mark.parametrize("where", ["first", "last", "repeated key"])
@@ -973,10 +774,9 @@ def test_one_entry_off_the_pattern_in_any_region_fails_the_compare(monkeypatch, 
     arr[i, j] += 1
     assert _johnson_quotient(m) is not None
     assert _johnson_quotient(ExactMatrix(arr, m.row_family, m.col_family)) is None
-    # moved symmetrically, M takes verify_spectrum's generic route
-    rep = verify_spectrum(_off_pattern(kind, i, j), spectrum_of(kind),
-                          rng=random.Random(RNG_SEED))
-    assert not rep.ok and not rep.proved and len(rep.primes) >= 2
+    # moved symmetrically, M is refused by verify_spectrum
+    with pytest.raises(ValueError, match="no quotient"):
+        verify_spectrum(_off_pattern(kind, i, j), spectrum_of(kind))
     # through _quotient_rank's column-reversed view: U^1 over 3- by 4-subsets
     # of [7] is ranked as M R over J(7,3), and entry (i, j) of M R is
     # entry (i, 34 - j) of M
@@ -988,18 +788,15 @@ def test_one_entry_off_the_pattern_in_any_region_fails_the_compare(monkeypatch, 
 
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
-def test_the_quotient_route_fails_a_swapped_multiplicity_and_a_shifted_eigenvalue(
-        monkeypatch, mode):
+def test_the_quotient_route_fails_a_swapped_multiplicity_and_a_shifted_eigenvalue(mode):
     kind = N(3, 4, 4, 9)  # order 126: -4^1 5^8 -2^27 3^48 0^42
     m, spec = build(kind), spectrum_of(kind)
     distinct = spec.distinct()
     assert len(distinct) > 2 and _johnson_quotient(m) is not None
-    monkeypatch.setattr("imtk.spectra._power_traces", None)  # never reached
-    assert verify_spectrum(m, spec, mode=mode, rng=random.Random(RNG_SEED)).ok
+    assert verify_spectrum(m, spec, mode=mode).ok
 
     def status(pairs):
-        rep = verify_spectrum(m, SpectrumSpec(tuple(pairs), 0, spec.order), mode=mode,
-                              rng=random.Random(RNG_SEED))
+        rep = verify_spectrum(m, SpectrumSpec(tuple(pairs), 0, spec.order), mode=mode)
         assert not rep.ok
         return {c.name: c.ok for c in rep.checks}
 
@@ -1016,15 +813,16 @@ def _raise(*args, **kwargs):
 
 
 @pytest.fixture
-def generic_route_raises(monkeypatch):
-    """Every product, probe and prime of the generic route raises when called."""
-    for name in ("_annihilation_failures", "_product", "_power_traces", "random_prime"):
-        monkeypatch.setattr(f"imtk.spectra.{name}", _raise)
+def no_prime_or_product(monkeypatch):
+    """Every prime draw, elimination and matrix product raises when called."""
+    for target in ("imtk.exactalg.random_prime", "imtk.cli.random_prime", "imtk.cli.rank_modp"):
+        monkeypatch.setattr(target, _raise)
+    monkeypatch.setattr(ExactMatrix, "__matmul__", _raise)
 
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
 def test_the_quotient_route_fails_a_wrong_eigenvalue_with_the_trace_kept(
-        generic_route_raises, mode):
+        no_prime_or_product, mode):
     # golden N^5_(6,6)(13) with 5^208 split into 4^104 6^104: the same order
     # and trace, one eigenvalue of M missed, so P(B) e_6 != 0
     kind = N(5, 6, 6, 13)
@@ -1046,7 +844,7 @@ def test_the_quotient_route_fails_a_wrong_eigenvalue_with_the_trace_kept(
 
 @pytest.mark.parametrize("mode", ["modp", "exact"])
 def test_the_quotient_route_fails_only_the_multiplicities_it_disproves(
-        generic_route_raises, mode):
+        no_prime_or_product, mode):
     # golden N^5_(6,6)(13) with one -2 traded for a -4 and a 0: the same
     # order, trace and eigenvalue set, so only the traces over Q tell
     kind = N(5, 6, 6, 13)
@@ -1060,51 +858,13 @@ def test_the_quotient_route_fails_only_the_multiplicities_it_disproves(
     assert line == "rank(M - -2 I) = 1287, expected 1289 (mult 427)"
 
 
-def _complement_swap_off_pattern(k):
-    """U^0 over J(2k, k), the complement involution R, with the pair of K0
-    and its complement (rows 0 and n - 1, lex complement reversing order)
-    moved from 1 to 2, and its spectrum: 2^1 -2^1 1^(n/2 - 1) -1^(n/2 - 1)."""
-    m = build(U(0, k, k, 2 * k))
-    arr = m.as_int_array().astype(np.int64)
-    n = len(arr)
-    assert arr[0, n - 1] == 1
-    arr[0, n - 1] = arr[n - 1, 0] = 2
-    return ExactMatrix(arr, m.row_family, m.col_family), {2: 1, -2: 1, 1: n // 2 - 1,
-                                                           -1: n // 2 - 1}
-
-
-@pytest.mark.parametrize("mode", ["modp", "exact"])
-def test_one_pair_off_the_class_pattern_is_judged_on_the_generic_route(mode):
-    m, mult = _complement_swap_off_pattern(5)  # order 252
-    n = m.nrows
-    assert _johnson_quotient(m) is None and _johnson_quotient(build(U(0, 5, 5, 10)))
-    rep = verify_spectrum(m, _spec(mult), mode=mode, rng=random.Random(RNG_SEED))
-    assert rep.ok, rep.checks
-    assert rep.proved == (mode == "exact") and rep.primes
-    if mode == "exact":
-        # the annihilation line lists the primes and the bound B they exceed:
-        # ||M||_inf = 2, so B = (2 + 2) (2 + 2) (2 + 1) (2 + 1) < 2^20, one prime
-        assert len(rep.primes) == 1
-        assert rep.checks[2].detail == (f"all {n} columns of I mod primes {list(rep.primes)}, "
-                                        "product > B = 144")
-    # a missed eigenvalue, with the trace kept: 2 and -2 claimed as 0^2
-    wrong = {0: 2, 1: n // 2 - 1, -1: n // 2 - 1}
-    status = {c.name: c.ok for c in verify_spectrum(
-        m, _spec(wrong), mode=mode, rng=random.Random(RNG_SEED)).checks}
-    assert status["trace"] and not status["annihilation"]
-    # a 1 and a -1 traded for a 2 and a -2: only the multiplicities fail
-    traded = {2: 2, -2: 2, 1: n // 2 - 2, -1: n // 2 - 2}
-    rep = verify_spectrum(m, _spec(traded), mode=mode, rng=random.Random(RNG_SEED))
-    assert {c.name for c in rep.checks if not c.ok} == {f"multiplicity[{x}]" for x in traded}
-
-
 @pytest.mark.parametrize("mode", ["modp", "exact"])
 @pytest.mark.parametrize("args", [
     "--kind N --t 6 --k 7 --v 14", "--kind N --t 5 --k 6 --v 13",
     "--kind U --l 3 --k 6 --v 13", "--kind A --i 3 --k 6 --v 13",
     "--kind F --t 2 --k 3 --v 7"], ids=["N14", "N13", "U13", "A13", "F7"])
 def test_on_pattern_spectra_are_proved_with_no_product_probe_or_prime(
-        generic_route_raises, capsys, args, mode):
+        no_prime_or_product, capsys, args, mode):
     from imtk.cli import main
     assert main(["--seed", "1", "spectrum", *args.split(), "--check", mode]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -1116,15 +876,16 @@ def test_on_pattern_spectra_are_proved_with_no_product_probe_or_prime(
 
 
 def test_a_report_says_whether_it_is_proved():
-    # proved: the quotient route in either mode, and exact mode off it
+    # every report is proved, in either spelling of the check, with no
+    # prime; a matrix with no quotient gets no report at all
     kind = U(1, 2, 2, 5)
     m, spec = build(kind), spectrum_of(kind)
-    untagged = ExactMatrix(m.stack)  # no families, so the generic route
-    for x, mode, proved in ((m, "modp", True), (m, "exact", True),
-                            (untagged, "modp", False), (untagged, "exact", True)):
-        rep = verify_spectrum(x, spec, mode=mode, rng=random.Random(RNG_SEED))
-        assert rep.ok and rep.proved is proved and rep.to_dict()["proved"] is proved
-        assert bool(rep.primes) is (x is untagged)
+    for mode in ("modp", "exact"):
+        rep = verify_spectrum(m, spec, mode=mode)
+        assert rep.ok and rep.proved is True and rep.to_dict()["proved"] is True
+        assert rep.primes == () and rep.to_dict()["primes"] == []
+    with pytest.raises(ValueError, match="no quotient"):
+        verify_spectrum(ExactMatrix(m.stack), spec)
 
 
 # ---------------------------------------------------------------------------
