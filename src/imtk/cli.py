@@ -15,7 +15,7 @@ from fnmatch import fnmatch
 from fractions import Fraction
 
 from .build import KINDS, MatrixKind, build
-from .exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
+from .exactalg import ExactMatrix, Poly, random_prime
 from .scheme import (conversion_matrix, intersection_p, intersection_r,
                      scheme_basis, verify_scheme_axioms)
 from .spectra import (SpectrumSpec, _quotient_rank, rank_formula, sampled_eval_points,
@@ -220,26 +220,18 @@ def cmd_rank(args, rng) -> int:
         m = build(kind)
         if not m.all_int():
             raise UsageError("mod-p rank needs an integer matrix kind")
-        # both primes are drawn, so a seed gives the same primes either way
-        p, p2 = random_prime(rng), random_prime(rng)
-        quotient, used, full = _quotient_rank(m), [p], min(m.shape)
-        if quotient is not None:
-            # the quotient's rank over Q is the rank mod every prime that
-            # does not divide its unit: the first such prime proves it
-            while quotient.mod(used[-1]) is None:
-                used.append(p2 if len(used) == 1 else random_prime(rng))
-            computed_rank = quotient.rank
-            proof = f"proved by the quotient of J({kind.v},{kind.s})"
-        else:
-            # a rank mod p is a lower bound of the rank over Q, so full rank is exact
-            computed_rank = rank_modp(ModMatrix(m.stack[0], p, m.mag), p)
-            if computed_rank != full:
-                computed_rank = max(computed_rank, rank_modp(ModMatrix(m.stack[0], p2, m.mag), p2))
-                used.append(p2)
-            proof = (f"proved by full rank mod {used[-1]}" if computed_rank == full else
-                     "a lower bound: a rank mod p is at most the rank over Q")
+        quotient = _quotient_rank(m)
+        if quotient is None:
+            print("rank[modp] is refused: M is not g(theta), so no quotient proves its rank")
+            return EXIT_VERIFY_FAIL
+        # the quotient's rank over Q is the rank mod every prime that does
+        # not divide its unit: the first such prime proves it
+        used = [random_prime(rng)]
+        while quotient.mod(used[-1]) is None:
+            used.append(random_prime(rng))
+        computed_rank = quotient.rank
         print("primes: " + ", ".join(map(str, used)))
-        print(f"rank[modp] is {proof}")
+        print(f"rank[modp] is proved by the quotient of J({kind.v},{kind.s})")
     if args.method == "formula":
         print(f"rank[formula] = {formula_rank}")
         return EXIT_OK

@@ -16,12 +16,11 @@ combination sum c * M with int, Fraction or Poly coefficients
 against the stacked degree slices of every M.  ``Poly`` remains for scalar
 polynomials.
 
-The mod-p rank is exact too: ``rank_modp`` eliminates one ``ModMatrix``,
-an integer matrix over GF(p) for a prime of at most 21 bits, by float64 GEMMs whose
-every partial sum is an integer below 2^53 (see _NB and _PASSES), so the rank
-does not depend on how BLAS splits a sum.  ``imtk rank`` eliminates only a
-matrix that has no quotient over the Johnson scheme (``spectra._quotient_rank``
-proves the rank of every square-shaped kind), so in practice a non-square one.
+``rank_modp`` is a plain reference elimination of one ``ModMatrix``, an
+integer matrix over GF(p) for a prime of at most 21 bits.  No command calls
+it: ``imtk rank`` proves every rank on a quotient over the Johnson scheme
+(``spectra._quotient_rank``), and a prime there only has to not divide the
+quotient's unit.  The tests rank by it as a second route.
 """
 
 from __future__ import annotations
@@ -552,20 +551,13 @@ DEFAULT_PRIME_BITS = 21
 def random_prime(rng: random.Random | None = None) -> int:
     """Random prime of DEFAULT_PRIME_BITS = 21 bits, uniform over those primes.
 
-    Unlucky primes.  Let A be an integer matrix of rank r over Q and D a
-    nonzero r x r minor of it.  The rank of A mod p drops only if p divides
-    D.  Hadamard's bound caps |D| by the product of the norms of D's rows,
-    and a prime of b bits is at least 2^(b-1), so at most log2|D| / (b - 1)
-    primes of b bits divide D.  There are 73 586 primes of 21 bits.  For
-    U^3 on J(13, 6), 1716 rows of 700 ones, log2|D| <= 1716 * log2(sqrt(700))
-    < 8110: at most 405 of them are unlucky, a chance of at most 0.55% per
-    draw, and of at most 0.003% that two independent draws both are.
-    A rank mod p never exceeds the rank over Q, so one of min(rows, cols),
-    or one equal to the rank that the quotient over J(v, k) proves for a
-    square kind (``spectra._quotient_rank``), is the rank over Q with no
-    error at all.  That quotient's rank is also the rank mod every prime
-    not dividing its unit, so ``imtk rank`` eliminates only where there is
-    no quotient, and ranks mod its second prime only below full rank.
+    ``imtk rank`` prints the primes it draws.  The rank it prints is that of
+    M over Q, proved on a quotient over the Johnson scheme
+    (``spectra._quotient_rank``), and it is the rank mod every prime that
+    does not divide the quotient's unit: the first prime drawn that does not
+    divide the unit proves it mod that prime, with no elimination and no
+    chance of error.  A prime that divides the unit proves nothing, and the
+    next one is drawn.
     """
     rng = rng or random.Random()
     while True:
@@ -574,243 +566,56 @@ def random_prime(rng: random.Random | None = None) -> int:
             return cand
 
 
-def _check_modulus(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p.bit_length() > DEFAULT_PRIME_BITS:
-        raise ValueError(f"modulus {p} too large: the float64 rank kernel needs "
-                         f"p < 2^{DEFAULT_PRIME_BITS}")
-
-
-_FLOAT_EXACT = 1 << 53    # float64 holds every integer of smaller magnitude
-
-
 class ModMatrix:
-    """The integer matrix ``array`` over GF(p), p < 2^21.
+    """The integer matrix ``array`` over GF(p), p < 2^21, held as its int64
+    residues in [0, p): a copy, reduced once on construction.  An array of
+    Python ints (object dtype) or of an unsigned type is reduced before it is
+    cast, so no entry wraps."""
 
-    While max|array| < 2^53 a signed integer ``array`` of any width is kept
-    as given, without a copy, and must not be changed afterwards:
-    ``rank_modp`` makes its float64 working copy straight from it, exactly.
-    An array of another dtype is copied to int64.  From 2^53 on ``array``
-    is reduced once with ``% p``.  ``mag`` is max|array|, computed when not
-    given.
-    """
+    __slots__ = ("p", "array")
 
-    __slots__ = ("p", "array", "mag")
-
-    def __init__(self, array: np.ndarray, p: int, mag: int | None = None):
-        _check_modulus(p)
+    def __init__(self, array: np.ndarray, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p.bit_length() > DEFAULT_PRIME_BITS:
+            raise ValueError(f"modulus {p} too large: mod-p ranks take primes of at most "
+                             f"{DEFAULT_PRIME_BITS} bits, the width random_prime draws")
         array = np.asarray(array)
-        mag = _magnitude(array) if mag is None else mag
-        if mag >= _FLOAT_EXACT:
-            array, mag = array % p, p - 1
-        self.p, self.mag = p, mag
-        self.array = array if array.dtype.kind == "i" else array.astype(np.int64)
-
-
-# The elimination's two constants, sound for every p < 2^21 that
-# _check_modulus lets through.  Products are of centred residues, |x| <= h =
-# p // 2 < 2^20, with inner dimension at most _NB, so one pass adds at most
-# _NB * h^2 < 2^46 to an entry and is exact from any entry below 2^52.
-# Entries start below p, so after _PASSES passes they are below
-# p + _PASSES * _NB * h^2 < 2^51, where one _reduce gives the centred
-# residue; at 2097143, the largest 21-bit prime, 33 passes could reach 2^51.
-_NB = 64  # pivots per panel; measured: 128 slowed the sparse order-3432 golden ranks
-_PASSES = 32  # Schur passes between reductions of the trailing block
-_CHUNK_ENTRIES = 1 << 16  # entries per row chunk of the Schur update (512 kB)
-
-
-def _reduce(x: np.ndarray, p) -> None:
-    """x -= p * rint(x / p) in place, with x / p taken as x * (1 / p).
-
-    For integral |x| < 2^53 this leaves |x| <= (p + 3) / 2 <= p.  For odd p
-    and |x| < 2^51 it leaves the centred residue, |x| <= p // 2: x / p is
-    then at least 1 / (2p) from a half-integer and the computed quotient
-    errs by less, so rint rounds it as it would the exact one.  p = 2 also
-    leaves |x| <= 1: 1 / 2 is a power of two, so x / 2 is computed exactly,
-    and rint moves an integer or half-integer by at most 1 / 2.  The one
-    temporary is the size of x.
-    """
-    q = x * (1.0 / p)
-    np.rint(q, out=q)
-    q *= p
-    x -= q
-
-
-def _reduce_rows(x: np.ndarray, p: int) -> None:
-    """_reduce on a 2-D block, in row chunks of at most _CHUNK_ENTRIES entries."""
-    step = max(1, _CHUNK_ENTRIES // max(1, x.shape[1]))
-    for s in range(0, x.shape[0], step):
-        _reduce(x[s:s + step], p)
-
-
-def _sub_centred(dst, lmat, u, p) -> None:
-    """dst -= lmat @ u, left as centred residues (a small operand's update).
-
-    Every operand is a centred residue and the inner dimension is at most
-    _NB, so before the reduction |dst| <= h + _NB * h^2 < 2^47 (h = p // 2
-    < 2^20), below 2^51: one ``_reduce`` gives the centred residue.
-    """
-    dst -= lmat @ u
-    _reduce(dst, p)
-
-
-def _rank_kernel(w: np.ndarray, p: int, bound: int) -> int:
-    """Rank over GF(p) of the float64 integer matrix w, |w| <= bound < 2^53.
-
-    Right-looking blocked elimination, in place on w.  ``_factor_panel``
-    gathers a panel of _NB pivots, or as many as the columns hold.  The pivot
-    rows then get their trailing part U12 = L11^-1 T, and the rows whose
-    multipliers L21 are not all zero get the Schur update L21 @ U12, where
-    they stand.  Every product is a float64 GEMM of operands reduced to
-    centred residues.  The trailing block is not reduced after every pass
-    but once in every _PASSES Schur passes.  A pass that skips a row still
-    counts for it, so every stored entry stays below 2^51.
-    """
-    m, n = w.shape
-    if bound > p:
-        _reduce_rows(w, p)
-    r = c = npass = 0
-    while r < m and c < n:
-        k, c, mult = _factor_panel(w, r, c, p)
-        if r + k < m and c < n:  # a full panel with a trailing block
-            # U12 = L11^-1 T = T - (I - L11^-1) T
-            u12 = w[r:r + k, c:].copy()
-            _reduce(u12, p)
-            if mult[:k, :k].any():
-                _sub_centred(u12, _strict_inverse(mult[:k, :k], p), u12, p)
-            _schur_update(w, r + k, c, mult[k:, :k], u12)
-            npass += 1
-            if npass % _PASSES == 0:
-                _reduce_rows(w[r + k:, c:], p)
-        r += k
-    return r
-
-
-def _strict_inverse(low: np.ndarray, p: int) -> np.ndarray:
-    """I - L^-1 mod p, centred, for L = I + low with low strictly lower triangular.
-
-    low is nilpotent, so L^-1 = sum_i (-low)^i = (I + q)(I + q^2)(I + q^4)...
-    with q = -low: a doubling that takes about 2 log2(k) products of k x k.
-    """
-    k = low.shape[0]
-    q = -low
-    inv = np.eye(k) + q
-    span = 2
-    while span < k and q.any():
-        q = q @ q
-        _reduce(q, p)
-        _sub_centred(inv, -inv, q, p)  # inv += inv @ q
-        span *= 2
-    return np.eye(k) - inv
-
-
-def _factor_panel(w, r, c, p):
-    """Gather up to _NB pivots below row r, from column c on (left-looking).
-
-    The panel pulls blocks of _NB columns.  A block is first brought up to
-    date with the panel's k pivots so far by two products: its pivot-row
-    part becomes U = L11^-1 T, its other rows B - L21 @ U.  A block that is
-    then zero below the pivot rows holds no pivot and is skipped whole; the
-    others are factored column by column (Crout) against the pivots found in
-    the block so far; the U row of each new pivot is brought up to date on
-    the block's later columns as soon as the pivot is found.  The panel
-    closes on its _NB-th pivot or at the last column, so elimination ends
-    once the trailing columns are used up.
-
-    Returns the pivot count k, the column where the panel ends and the
-    multipliers (mult[i, t] is that of row r + i on pivot t).  The pivots end
-    up in rows r .. r + k - 1; rows of w are swapped from the current block
-    on, since the columns before it are not read again.
-
-    A pivot's multipliers are its column's entries times the centred inverse
-    of the pivot, in float64.  Both factors are centred residues, so the
-    product is at most h^2 < 2^40 in magnitude (h = p // 2 < 2^20): exact,
-    and one ``_reduce`` gives the centred residue.
-    """
-    m, n = w.shape
-    rows = m - r
-    h = p // 2
-    mult = np.zeros((rows, _NB))
-    k = 0
-    while c < n and k < min(_NB, rows):
-        c1 = min(c + _NB, n)
-        # one row per column of the block; transposing a compact copy is faster
-        pt = w[r:, c:c1].copy().T.copy()
-        _reduce(pt, p)
-        k0 = k
-        if k and pt[:, :k].any():
-            # transposed: U^T = T^T - T^T strict^T, then B^T -= U^T L21^T
-            u = pt[:, :k].copy()
-            if mult[:k, :k].any():
-                _sub_centred(u, pt[:, :k], _strict_inverse(mult[:k, :k], p).T, p)
-            _sub_centred(pt[:, k:], u, mult[k:, :k].T, p)
-        if not pt[:, k:].any():
-            c = c1
-            continue
-        bw = c1 - c
-        for j in range(bw):
-            # Column j is current with the pivots before k0, and rows k0..k-1
-            # of pt already hold U; bring the other rows up to date with the
-            # block's pivots (left-looking).  pt[j] is not read again.
-            bot, top = pt[j, k:], pt[j, k0:k]
-            if top.any():
-                _sub_centred(bot, mult[k:, k0:k], top, p)
-            nz = bot.nonzero()[0]
-            if nz.size == 0:
-                continue
-            if nz[0]:
-                # the rows before nz[0] are zero here, so nz[1:] stays put
-                piv = k + int(nz[0])
-                pt[:, [k, piv]] = pt[:, [piv, k]]
-                mult[[k, piv]] = mult[[piv, k]]
-                w[[r + k, r + piv], c:] = w[[r + piv, r + k], c:]
-            rest = nz[1:]
-            if rest.size:
-                inv = pow(int(bot[0]), -1, p)
-                f = bot[rest] * (inv - p if inv > h else inv)  # |f| <= h^2 < 2^40
-                _reduce(f, p)
-                mult[k + rest, k] = f
-            k += 1
-            if k == min(_NB, rows):
-                return k, c + j + 1, mult
-            if j + 1 < bw and mult[k - 1, k0:k - 1].any():
-                # the new pivot row's U on the later columns of the block
-                _sub_centred(pt[j + 1:, k - 1], pt[j + 1:, k0:k - 1],
-                             mult[k - 1, k0:k - 1], p)
-        c = c1
-    return k, c, mult
-
-
-def _schur_update(w, r0, c1, l21, u12) -> None:
-    """w[r0:, c1:] -= l21 @ u12 on the rows with nonzero multipliers, unreduced.
-
-    Rows stay where they are: the live rows are gathered by index, updated
-    and written back, in chunks of at most _CHUNK_ENTRIES entries.  A row
-    whose multipliers are all zero is not touched.
-    """
-    live = np.flatnonzero(l21.any(axis=1))
-    step = max(1, _CHUNK_ENTRIES // (w.shape[1] - c1))
-    for s in range(0, live.size, step):
-        idx = live[s:s + step]
-        w[r0 + idx, c1:] -= l21[idx] @ u12
+        if array.dtype.kind != "i":
+            array = array % p
+        self.p, self.array = p, array.astype(np.int64) % p
 
 
 def rank_modp(m: ModMatrix, p: int) -> int:
-    """Rank over GF(p) of one ``ModMatrix``, p < 2^21.
+    """Rank over GF(p) of one ``ModMatrix``, p < 2^21, by plain elimination.
 
-    The error is one-sided: rank mod p <= rank over Q, because a minor that
-    vanishes over Q vanishes mod p.  The rank drops exactly when p divides
-    every nonzero minor of order r, r the rank over Q, so it is enough that
-    p does not divide one of them, D; ``random_prime`` bounds how many
-    primes of a given length can divide D.  The float64 working copy is made
-    straight from M's integers, at their stored width.  The kernel
-    eliminates on it in place; its own temporaries, a panel of _NB columns
-    with its multipliers and one chunk of the Schur update, add about one
-    more copy for a 256-row matrix and less for larger ones.  ``imtk rank``
-    calls it only for a matrix with no quotient over the Johnson scheme
-    (``spectra._quotient_rank``), and ranks the whole matrix at once.
+    Column by column, the first row at or below the pivot row that is
+    nonzero mod p in the column becomes the pivot row, scaled by the inverse
+    of that entry, and only the rows below it that are nonzero mod p in the
+    column are updated.  The pivot column and the pivot row are reduced when
+    they are read; the rows below are not.  Each update subtracts a product
+    of two residues, at most (p - 1)^2 < 2^42, once per pivot, and entries
+    start in [0, p), so after r pivots they lie in (-r 2^42, p): within int64
+    for every r < 2^21, and a matrix with 2^21 pivots would have at least 2^42
+    entries.  The error is one-sided: rank mod p <= rank over Q, because a
+    minor that vanishes over Q vanishes mod p.  ``imtk rank`` does not call
+    it: every rank it prints is proved on a quotient
+    (``spectra._quotient_rank``).
     """
     if m.p != p:
         raise ValueError("modulus mismatch")
-    return _rank_kernel(m.array.astype(np.float64), p, m.mag)
+    # a wide matrix is transposed, so the loop runs over the shorter side
+    a = (m.array.T if m.array.shape[1] > m.array.shape[0] else m.array).copy()
+    r = 0
+    for c in range(a.shape[1]):
+        col = a[r:, c] % p
+        nz = np.flatnonzero(col)
+        if not nz.size:
+            continue
+        if nz[0]:  # the rows before nz[0] are zero in column c, so nz[1:] stays put
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        pivot = a[r, c:] % p * pow(int(col[nz[0]]), -1, p) % p
+        if nz.size > 1:
+            a[r + nz[1:], c:] -= np.multiply.outer(col[nz[1:]], pivot)
+        r += 1
+    return r

@@ -4,11 +4,14 @@ their proof on the quotient of the built matrix over J(v, k).
 All closed forms assume k <= v/2; callers get a ValueError outside that
 range rather than an extrapolated answer.  ``verify_spectrum`` proves a
 claim on a matrix equal to g(theta) over J(v, k), and refuses any other
-matrix with a ValueError rather than sampling it.
+matrix with a ValueError rather than sampling it.  ``_quotient_rank``
+proves the rank of every matrix equal to g(theta) over s- by k-subsets, on
+the quotient over J(v, s) of M itself or of its Gram matrix M M^T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -16,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .build import MatrixKind, _region_blocks, build, membership_matrix
-from .combinat import SubsetFamily, binomial
+from .combinat import binomial
 from .exactalg import ExactMatrix, Poly
 from .opcalc import L
 
@@ -411,16 +414,58 @@ class QuotientRank:
         return None if self.unit % p == 0 else self.rank
 
 
-def _quotient_rank(m: ExactMatrix) -> QuotientRank | None:
-    """The rank of M over Q, proved from its quotient over J(v, k), or None.
+def _count(n: int, r: int) -> int:
+    """The number of r-subsets of an n-set: 0 unless 0 <= r <= n."""
+    return math.comb(n, r) if 0 <= r <= n else 0
 
-    An M whose rows are the s-subsets of [v] and columns the (v - s)-subsets,
-    s != v - s, is ranked as M R, R the reversal of its columns.  Complement
-    reverses lex order, so column n - 1 - i of M is the complement of row
-    subset i, and |S cap (complement of T)| = s - |S cap T|: M R is a
-    function of theta over J(v, s) where M is one of |S cap K|.  R is a
-    permutation, so M R has M's rank over Q and mod every p, and it is a
-    view of M's stack, not a copy.
+
+def _gram_counts(v: int, s: int, k: int, i: int, a: int, b: int) -> int:
+    """n(i, a, b), the number of k-subsets K of [v] with |S cap K| = a and
+    |S' cap K| = b, for s-subsets S and S' with |S cap S'| = i.
+
+    S and S' split [v] into S cap S', S - S', S' - S and the rest, of sizes
+    i, s - i, s - i and v - 2s + i; K takes c, a - c, b - c and
+    k - a - b + c elements of them.  A part of negative size (no such S, S'
+    exist) has no subsets.
+    """
+    return sum(_count(i, c) * _count(s - i, a - c) * _count(s - i, b - c)
+               * _count(v - 2 * s + i, k - a - b + c) for c in range(i + 1))
+
+
+def _gram_quotient(m: ExactMatrix) -> list[list[int]] | None:
+    """B, the quotient over J(v, s) of G = M M^T, or None where M has none.
+
+    M's rows must be tagged with the s-subsets and its columns with the
+    k-subsets of one [v], and M = g(theta) entry by entry (``_pattern``).
+    Then G[S, S'] = sum_K g(|S cap K|) g(|S' cap K|) depends on |S cap S'|
+    = i only: G = g_G(theta) over J(v, s), g_G(i) = sum_{a,b} g(a) g(b)
+    n(i, a, b) (``_gram_counts``), and B is made from g_G (``_quotient_of``).
+    No product with M is made.
+    """
+    rows, cols = m.row_family, m.col_family
+    if rows is None or cols is None or rows.v != cols.v:
+        return None
+    v, s, k = rows.v, rows.s, cols.s
+    g = _pattern(m, _classes(v, s, k))
+    if g is None:
+        return None
+    nonzero = [(a, ga) for a, ga in enumerate(g.tolist()) if ga]
+    terms = [(a, b, ga * gb) for a, ga in nonzero for b, gb in nonzero]
+    gram = [sum(w * _gram_counts(v, s, k, i, a, b) for a, b, w in terms)
+            for i in range(s + 1)]
+    return _quotient_of(gram, _classes(v, s, s))
+
+
+def _quotient_rank(m: ExactMatrix) -> QuotientRank | None:
+    """The rank of M over Q, proved from a quotient over J(v, s), or None.
+
+    A square M (rows and columns the same s-subsets) is ranked on its own
+    quotient (``_johnson_quotient``); any other M on the quotient of its Gram
+    matrix G = M M^T over J(v, s) (``_gram_quotient``).  rank_Q M =
+    rank_Q G, and for a prime p that does not divide G's unit,
+    rank_p M >= rank_p G = rank_Q G = rank_Q M >= rank_p M: the rank and
+    the unit below carry over from G to M.  Below, M is the square matrix
+    that B is the quotient of: M itself, or G.
 
     P(M) for a polynomial P lies in the algebra, whose members are
     determined by their column K0, so P(M) = 0 exactly when P(B) e_k = 0,
@@ -441,12 +486,10 @@ def _quotient_rank(m: ExactMatrix) -> QuotientRank | None:
     <= rank E and rank_p (I - E) <= rank (I - E), with equality in both:
     the nullity mod p is the nullity over Q.
     """
-    fam = m.row_family
-    if fam is not None and fam != m.col_family == SubsetFamily(fam.v, fam.v - fam.s):
-        m = ExactMatrix(m.stack[:, :, ::-1], fam, fam, den=m.den)  # M R, over J(v, s)
-    b, n = _johnson_quotient(m), m.nrows
+    b = _johnson_quotient(m) if m.row_family == m.col_family else _gram_quotient(m)
     if b is None:
         return None
+    n = m.nrows
     xs = _quotient_powers(b, len(b) + 1)
     basis = []  # an echelon basis of the x_a so far: (pivot, x reduced, its combination)
     for a, x in enumerate(xs):

@@ -2,15 +2,16 @@
 
 The exact ones work on Python ints and Fractions, so their entry growth is
 severe; the float ones certify nothing.  All are meant for small matrices.
-The kind grids at the end list the square-shaped kinds that the quotient
-over the Johnson scheme ranks.
+The kind grids at the end list the kinds that the quotients over the
+Johnson scheme rank.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from imtk.build import A, N, U, Uge, Utl, W, Wbar, Y
+from imtk.build import A, F, N, U, Uge, Utl, W, Wbar, X, Y, build
 from imtk.combinat import SubsetFamily, binomial
 from imtk.exactalg import ExactMatrix, ModMatrix, rank_modp
 from imtk.spectra import SpectrumSpec
@@ -57,7 +58,7 @@ def psi_at_minus1(theta: int, t: int) -> int:
 
 def rank_mod(m: ExactMatrix, p: int) -> int:
     """Rank over GF(p) of an integer matrix, by one elimination of the whole."""
-    return rank_modp(ModMatrix(m.stack[0], p, m.mag), p)
+    return rank_modp(ModMatrix(m.stack[0], p), p)
 
 
 def rank_exact(m: ExactMatrix) -> int:
@@ -180,3 +181,25 @@ def complement_kinds(v_max):
                 yield from (A(x, s, k, v), N(x, s, k, v), U(x, s, k, v), Uge(x, s, k, v))
                 yield from (Utl(x, l, s, k, v) for l in range(x + 2))
             yield from (Y(s, k, kk, l, v) for kk in range(k, v + 1) for l in range(k + 1))
+
+
+@lru_cache(maxsize=None)
+def integer_kinds(v_max) -> tuple:
+    """Every kind up to v_max whose build is an integer matrix: every tag and
+    every row and column size, parameters one past the smaller size (zero
+    kinds, N^t = +-N^min) included, and X's and Y's k from their column size
+    t up to v.  Listed once per v_max, since each is built to be filtered."""
+    return tuple(_integer_kinds(v_max))
+
+
+def _integer_kinds(v_max):
+    for v in range(1, v_max + 1):
+        for s in range(v + 1):
+            for k in range(v + 1):
+                kinds = [W(s, k, v), Wbar(s, k, v)]
+                for x in range(min(s, k) + 2):
+                    kinds += [A(x, s, k, v), N(x, s, k, v), U(x, s, k, v), Uge(x, s, k, v),
+                              F(x, s, k, v), *(Utl(x, l, s, k, v) for l in range(x + 2))]
+                for kk in range(k, v + 1):  # here k is the column size t of X and Y
+                    kinds += [X(s, k, kk, v), *(Y(s, k, kk, l, v) for l in range(k + 1))]
+                yield from (kind for kind in kinds if build(kind).all_int())

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from imtk import cli
 from imtk.build import F, MatrixKind, N, U, Utl, W, X, Y, build
 from imtk.cli import _build_parser, main, matrix_csv, matrix_document, parse_matrix_document
 from imtk.exactalg import ExactMatrix, rank_modp
 from imtk.spectra import SpectrumSpec, sampled_eval_points, spectrum_of, verify_spectrum
 
-from oracles import complement_kinds, square_kinds
+from oracles import integer_kinds, square_kinds
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the CLI runs in a clean environment, but with the caller's BLAS thread count
@@ -279,11 +280,11 @@ def test_a_zero_kind_has_the_zero_spectrum_and_rank_0(capsys, args):
 
 def test_a_zero_non_square_u_has_rank_0(capsys):
     # U^3_(2,3)(7): |S & K| <= 2 < 3 for every 2-subset S and 3-subset K.
-    # It is not square, so it has no quotient: its rank is a one-sided bound
+    # M M^T is 0 over J(7,2), and its quotient proves rank 0
     assert main(["--seed", "1", "rank", "--kind", "U", "--l", "3", "--s", "2", "--k", "3",
                  "--v", "7", "--method", "both"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
-        "rank[modp] is a lower bound: a rank mod p is at most the rank over Q",
+        "rank[modp] is proved by the quotient of J(7,2)",
         "rank[formula] = 0", "rank[modp]    = 0", "match"]
 
 
@@ -308,50 +309,50 @@ def test_n_above_k_has_the_spectrum_and_rank_of_plus_or_minus_n_k(capsys, t):
 
 @pytest.fixture
 def ranked_primes(monkeypatch):
-    """The primes that `imtk rank` ranks mod, in order."""
+    """The primes that rank_modp is called with, in order: `imtk rank` makes
+    no such call."""
     primes = []
 
     def counted(mm, p):
         primes.append(p)
         return rank_modp(mm, p)
 
-    monkeypatch.setattr("imtk.cli.rank_modp", counted)
+    monkeypatch.setattr("imtk.exactalg.rank_modp", counted)
     return primes
 
 
-# the two primes `imtk --seed 5 rank` draws, printed by every rank before a
-# full rank stopped taking the second
+# the first two primes that `imtk --seed 5 rank` draws
 SEED5_PRIMES = (1584283, 1667641)
 # what the line after the primes says of each rank below
 RANK_PROOFS = {
-    "--kind W --s 2 --k 3 --v 7": f"proved by full rank mod {SEED5_PRIMES[0]}",
+    "--kind W --s 2 --k 3 --v 7": "proved by the quotient of J(7,2)",
     "--kind N --t 1 --s 2 --k 2 --v 5": "proved by the quotient of J(5,2)",
     "--kind U --l 3 --k 6 --v 13": "proved by the quotient of J(13,6)",
     "--kind A --i 3 --k 6 --v 13": "proved by the quotient of J(13,6)",
-    "--kind U --l 1 --s 2 --k 3 --v 6": "a lower bound: a rank mod p is at most the rank over Q",
+    "--kind U --l 1 --s 2 --k 3 --v 6": "proved by the quotient of J(6,2)",
 }
 
 
-@pytest.mark.parametrize("args, rank, eliminations", [
-    # W_23(7), 21 x 35 of rank 21: the first prime proves the rank
-    (["--kind", "W", "--s", "2", "--k", "3", "--v", "7"], 21, 1),
-    # N^1_(2,2)(5), 10 x 10 of rank 5: the quotient over J(5,2) proves it
-    # mod the first prime, which does not divide its unit, with no elimination
-    (["--kind", "N", "--t", "1", "--s", "2", "--k", "2", "--v", "5"], 5, 0),
+@pytest.mark.parametrize("args, rank", [
+    # W_23(7), 21 x 35 of rank 21, on the quotient of W W^T over J(7,2)
+    (["--kind", "W", "--s", "2", "--k", "3", "--v", "7"], 21),
+    # N^1_(2,2)(5), 10 x 10 of rank 5, on its own quotient over J(5,2)
+    (["--kind", "N", "--t", "1", "--s", "2", "--k", "2", "--v", "5"], 5),
     # the dense U^3 (full rank) and A^3 over J(13,6) of the rank-dense benchmark
-    (["--kind", "U", "--l", "3", "--k", "6", "--v", "13"], 1716, 0),
-    (["--kind", "A", "--i", "3", "--k", "6", "--v", "13"], 286, 0),
-    # U^1_(2,3)(6), 15 x 20 of rank 10, is not square, so it has no quotient
-    (["--kind", "U", "--l", "1", "--s", "2", "--k", "3", "--v", "6"], 10, 2),
+    (["--kind", "U", "--l", "3", "--k", "6", "--v", "13"], 1716),
+    (["--kind", "A", "--i", "3", "--k", "6", "--v", "13"], 286),
+    # U^1_(2,3)(6), 15 x 20 of rank 10, below full rank, on the quotient of
+    # M M^T over J(6,2)
+    (["--kind", "U", "--l", "1", "--s", "2", "--k", "3", "--v", "6"], 10),
 ])
-def test_rank_takes_the_second_prime_only_below_full_rank(capsys, ranked_primes, args,
-                                                          rank, eliminations):
-    # a second prime only below a proved rank: full rank, or the quotient's
+def test_rank_takes_the_second_prime_only_below_full_rank(capsys, ranked_primes, args, rank):
+    # every rank is proved mod the first prime, which divides none of these
+    # units: a second prime only where the first divides the unit, at full
+    # rank or below, and no elimination
     assert main(["--seed", "5", "rank", *args, "--method", "both"]) == 0
-    assert ranked_primes == list(SEED5_PRIMES[:eliminations])
-    used = SEED5_PRIMES[:max(eliminations, 1)]
+    assert ranked_primes == []
     assert capsys.readouterr().out.splitlines() == [
-        "primes: " + ", ".join(map(str, used)), f"rank[modp] is {RANK_PROOFS[' '.join(args)]}",
+        f"primes: {SEED5_PRIMES[0]}", f"rank[modp] is {RANK_PROOFS[' '.join(args)]}",
         f"rank[formula] = {rank}", f"rank[modp]    = {rank}", "match"]
 
 
@@ -388,23 +389,23 @@ def _kind_args(kind):
 
 
 def test_imtk_rank_of_every_square_shaped_kind_takes_the_quotient(capsys, monkeypatch):
-    # s = k or s + k = v: the quotient over J(v, s) proves every rank, so an
-    # elimination would raise
+    # every integer kind at v <= 9, square or not: the quotient over J(v, s)
+    # of M or of M M^T proves every rank, so an elimination would raise, and
+    # imtk.cli does not bind rank_modp at all
     def refused(mm, p):
         raise AssertionError("eliminated")
 
-    monkeypatch.setattr("imtk.cli.rank_modp", refused)
-    parser, ranked = _build_parser(), 0  # main's parser, made once for 4032 runs
-    for kind in (*square_kinds(9), *complement_kinds(9)):
-        if not build(kind).all_int():
-            continue
+    monkeypatch.setattr("imtk.exactalg.rank_modp", refused)
+    assert not hasattr(cli, "rank_modp")
+    parser, ranked = _build_parser(), 0  # main's parser, made once for 18118 runs
+    for kind in integer_kinds(9):
         args = parser.parse_args(["rank", "--method=modp", *_kind_args(kind)])
         assert args.func(args, random.Random(1)) == 0, kind.describe()
         out = capsys.readouterr().out.splitlines()
         assert out[1] == f"rank[modp] is proved by the quotient of J({kind.v},{kind.s})", \
             kind.describe()
         ranked += 1
-    assert ranked == 2352 + 1680
+    assert ranked == 2963 + 15155
 
 
 def _spectrum_kinds(v_max):
@@ -461,22 +462,21 @@ def test_verify_spectrum_refuses_one_pair_off_the_class_pattern(mode):
         verify_spectrum(off, spec, mode=mode)
 
 
-def test_rank_of_a_matrix_off_the_class_pattern_takes_the_second_prime(
-        capsys, monkeypatch, ranked_primes):
+def test_rank_of_a_matrix_off_the_class_pattern_is_refused(capsys, monkeypatch, ranked_primes):
     # N^1_(3,3)(7) with one symmetric pair of entries moved off its class
-    # value: it has no quotient, so its rank mod p is only a lower bound
+    # value: it has no quotient, so no rank is printed, nothing is
+    # eliminated and no prime is drawn
     kind = N(1, 3, 3, 7)
     m = build(kind)
     arr = m.as_int_array().astype("int64")
     arr[1, 2] = arr[2, 1] = arr[1, 2] + 1
     off = ExactMatrix(arr, m.row_family, m.col_family)
     monkeypatch.setattr("imtk.cli.build", lambda k: off if k == kind else build(k))
+    monkeypatch.setattr("imtk.cli.random_prime", None)
     assert main(["--seed", "5", "rank", "--kind", "N", "--t", "1", "--k", "3", "--v", "7",
-                 "--method", "modp"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert ranked_primes == list(SEED5_PRIMES) and out[:2] == [
-        "primes: " + ", ".join(map(str, SEED5_PRIMES)),
-        "rank[modp] is a lower bound: a rank mod p is at most the rank over Q"]
+                 "--method", "modp"]) == 1
+    assert ranked_primes == [] and capsys.readouterr().out.splitlines() == [
+        "rank[modp] is refused: M is not g(theta), so no quotient proves its rank"]
 
 
 def test_imtk_rank_of_a_complement_shaped_kind_makes_no_dense_copy(monkeypatch, capsys,
@@ -496,10 +496,10 @@ def test_imtk_rank_of_a_complement_shaped_kind_makes_no_dense_copy(monkeypatch, 
     assert capsys.readouterr().out.splitlines()[1:] == [
         "rank[modp] is proved by the quotient of J(12,5)", "rank[modp] = 792"]
     # one float64 copy of M, the working copy that an elimination starts
-    # from, is n * n * 8 bytes.  The quotient reverses M's columns as a view
-    # and compares it with g(theta) over J(12,5) region by region, at the
-    # regions' small thetas, so the whole run, the build of M's int8 stack
-    # (0.125 of a copy) included, peaks at about 0.34
+    # from, is n * n * 8 bytes.  The Gram route compares M with g(theta)
+    # region by region, at the regions' small thetas, and makes no product
+    # with M, so the whole run, the build of M's int8 stack (0.125 of a
+    # copy) included, peaks at about 0.29
     assert peak < n * n * 8, peak / (n * n * 8)
 
 

@@ -7,17 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from imtk.build import A, F, N, U, Uge, Utl, W, _entries, build
+from imtk.build import A, F, N, U, Uge, Utl, W, _entries, build, membership_matrix
 from imtk.combinat import SubsetFamily, binomial
 from imtk.exactalg import ExactMatrix, ModMatrix, Poly, random_prime, rank_modp
-from imtk.spectra import (SpectrumSpec, _classes, _johnson_quotient, _pattern,
+from imtk.spectra import (SpectrumSpec, _classes, _gram_counts, _johnson_quotient, _pattern,
                           _quotient_powers, _quotient_rank, _quotient_traces, alpha, eberlein,
                           lambda_uge, lambda_utl, mu, multiplicity, rank_formula,
                           sampled_eval_points, spectrum_of, tau, verify_spectrum, wf_spectrum,
                           wu_spectrum)
 
-from oracles import (complement_kinds, float_crosscheck, float_eigenvalues, mat_inverse,
-                     rank_exact, rank_mod, square_kinds, trace_powers)
+from oracles import (complement_kinds, float_crosscheck, float_eigenvalues, integer_kinds,
+                     mat_inverse, rank_exact, rank_mod, square_kinds, trace_powers)
 
 RNG_SEED = 1234
 
@@ -479,7 +479,7 @@ def test_verify_spectrum_of_a_connected_matrix_makes_no_dense_copy(monkeypatch):
     m, spec = build(kind), spectrum_of(kind)
     n = m.nrows
     assert len(spec.distinct()) == 7
-    monkeypatch.setattr("imtk.exactalg._rank_kernel", None)
+    monkeypatch.setattr("imtk.exactalg.rank_modp", None)
     m.mag  # computed before tracing
     for mode in ("modp", "exact"):
         rep, peak = _traced_peak(verify_spectrum, m, spec, mode=mode)
@@ -491,10 +491,9 @@ def test_verify_spectrum_of_a_connected_matrix_makes_no_dense_copy(monkeypatch):
 
 
 def test_rank_modp_of_a_window_peaks_below_two_and_a_half_copies_of_it():
-    # rank_modp holds the float64 working copy of the block and the kernel's
-    # own temporaries: a panel, its multipliers, and one chunk of live rows
-    # (at most _CHUNK_ENTRIES entries) gathered with its product: about 2.0
-    # copies of the block in all
+    # rank_modp holds its int64 working copy of the block, as large as a
+    # float64 copy, and per pivot the rows it updates, gathered, with their
+    # product: a pair of rows here, so about one copy of the block in all
     m = build(N(5, 6, 6, 12))
     arr, n = m.as_int_array(), m.nrows
     # M[K, K] = 1 and M[K, complement of K] = -1, and complement reverses lex
@@ -521,7 +520,7 @@ def test_modmatrix_ranks_a_permuted_direct_sum_as_its_residues(wide):
     if wide:  # entries past 2^62: an object stack, reduced mod p by ModMatrix
         arr = arr.astype(object) * (2 ** 70 + 1)
         assert ExactMatrix(arr).stack.dtype == object
-    for shift in (0, 1, -1, 2 ** 53 + 1):  # past 2^53, ModMatrix reduces mod p
+    for shift in (0, 1, -1, 2 ** 53 + 1):  # the last past float64's exact integers
         shifted = arr - shift * np.eye(600, dtype=np.int64).astype(arr.dtype)
         for p in (3, 1000003, 2097143):
             residues = np.array((shifted % p).tolist(), dtype=np.int64)
@@ -604,8 +603,8 @@ def test_lex_complement_reverses_order():
 
 
 def test_quotient_rank_of_a_complement_shaped_kind_is_its_elimination_rank():
-    # s + k = v, s != k: M R, R the column reversal, is a function of theta
-    # over J(v, s), so the reversed quotient proves M's rank
+    # s + k = v, s != k: ranked, like every non-square kind, on the quotient
+    # of M M^T over J(v, s); a rational kind has none
     rng, counts = random.Random(RNG_SEED), Counter()
     for kind in complement_kinds(9):
         m = build(kind)
@@ -628,20 +627,71 @@ def test_quotient_rank_of_a_complement_shaped_kind_is_its_elimination_rank():
     assert counts == {"kinds": 1680, "zero": 560, "exact": 1339, "rational": 250}
 
 
+def test_gram_route_ranks_every_non_square_integer_kind():
+    # every non-square integer kind at v <= 9, s > k, s + k = v, X and Y
+    # included, is ranked on the quotient of M M^T over J(v, s): against the
+    # elimination mod a prime that does not divide the unit, and against
+    # Bareiss over Q up to 36 rows
+    rng, counts = random.Random(RNG_SEED), Counter()
+    for kind in integer_kinds(9):
+        if kind.col_size == kind.s:
+            continue
+        m = build(kind)
+        q = _quotient_rank(m)
+        p = random_prime(rng)
+        while q.mod(p) is None:
+            p = random_prime(rng)
+        assert q.rank == rank_mod(m, p), kind.describe()
+        if m.nrows <= 36:
+            assert q.rank == rank_exact(m), kind.describe()
+            counts["exact"] += 1
+        counts["kinds"] += 1
+        counts["s > k"] += kind.s > kind.col_size
+        counts["s + k = v"] += kind.s + kind.col_size == kind.v
+        counts["X, Y"] += kind.tag in ("X", "Y")
+        counts["zero"] += not m.stack.any()
+    assert counts == {"kinds": 15155, "exact": 11843, "s > k": 7541, "s + k = v": 1811,
+                      "X, Y": 3581, "zero": 6112}
+
+
+def test_gram_counts_equal_the_counts_of_k_subsets_by_both_intersections():
+    # n(i, a, b) against the k-subsets K of [v] counted by |S0 cap K| = a
+    # and |S cap K| = b, S0 = {1..s} and S one s-subset with |S0 cap S| = i,
+    # from the rows of the membership matrices; an i that no pair of
+    # s-subsets meets in counts nothing
+    cases = 0
+    for v in range(8):
+        for s in range(v + 1):
+            mem_s = membership_matrix(v, s)
+            meets = mem_s[:, :s].sum(axis=1).astype(int)  # |S0 cap S| of every S
+            for k in range(v + 1):
+                mem_k = membership_matrix(v, k)
+                a = mem_k[:, :s].sum(axis=1).astype(int)
+                for i in range(s + 1):
+                    found = np.flatnonzero(meets == i)
+                    b = (mem_k @ mem_s[found[0]]).astype(int) if found.size else None
+                    for x in range(min(s, k) + 1):
+                        for y in range(min(s, k) + 1):
+                            want = int(((a == x) & (b == y)).sum()) if found.size else 0
+                            assert _gram_counts(v, s, k, i, x, y) == want, (v, s, k, i, x, y)
+                            cases += 1
+    assert cases == 10242
+
+
 def test_quotient_rank_is_the_rank_mod_every_prime_not_dividing_its_unit():
-    # the second route: the kernel's rank mod small primes, where p | unit
-    # happens often, against the quotient's claim wherever it makes one
+    # the second route: rank_modp mod small primes, where p | unit happens
+    # often, against the quotient's claim wherever it makes one
     proved, kinds = Counter(), 0
     for kind in square_kinds(8):
         m = build(kind)
         q = _quotient_rank(m)
         for p in (2, 3, 5, 7, 11, 13):
-            got = rank_modp(ModMatrix(m.stack[0], p, m.mag), p)
+            got = rank_modp(ModMatrix(m.stack[0], p), p)
             if q.mod(p) is not None:
                 assert got == q.rank, (kind.describe(), p)
             proved[q.mod(p) is not None, got == q.rank] += 1
         kinds += 1
-    # (claim made, kernel agrees): 8995 proved ranks, and 1457 cases where
+    # (claim made, rank_modp agrees): 8995 proved ranks, and 1457 cases where
     # p | unit, 1095 of them with a rank that drops mod p
     assert kinds == 1742 and proved == {(True, True): 8995, (False, False): 1095,
                                         (False, True): 362}
@@ -652,7 +702,7 @@ def test_quotient_rank_is_the_rank_mod_every_prime_not_dividing_its_unit():
     assert (q.rank, q.unit) == (1287, -5040)
     for p, rank in ((2, 1222), (5, 1275)):
         assert q.mod(p) is None
-        assert rank_modp(ModMatrix(m.stack[0], p, m.mag), p) == rank
+        assert rank_modp(ModMatrix(m.stack[0], p), p) == rank
     assert q.mod(11) == 1287
 
 
@@ -724,11 +774,11 @@ def test_a_matrix_off_the_class_pattern_is_refused(mode):
             verify_spectrum(x, spec, mode=mode)
 
 
-def _region_corners(v, k, cap):
-    """The first entry of the first and of the last region of the k-subset
-    matrix over [v], in the order they are compared, and of the first region
-    whose key an earlier region has."""
-    regions = build_module._regions(v, k, k, cap)
+def _region_corners(v, s, k, cap):
+    """The first entry of the first and of the last region of the s- by
+    k-subset matrix over [v], in the order they are compared, and of the
+    first region whose key an earlier region has."""
+    regions = build_module._regions(v, s, k, cap)
     keys = [key for _, _, key in regions]
     repeat = next(i for i, key in enumerate(keys) if key in keys[:i])
     return {where: (regions[i][0].start, regions[i][1].start)
@@ -767,7 +817,7 @@ def test_one_entry_off_the_pattern_in_any_region_fails_the_compare(monkeypatch, 
     # last, or one whose key an earlier region has, must fail the compare,
     # so every region is compared, not every key once
     monkeypatch.setattr(build_module, "_REGION_ENTRIES", 64)
-    i, j = _region_corners(7, 3, 64)[where]
+    i, j = _region_corners(7, 3, 3, 64)[where]
     kind = N(1, 3, 3, 7)
     m = build(kind)
     arr = m.as_int_array().astype(np.int64)
@@ -777,12 +827,12 @@ def test_one_entry_off_the_pattern_in_any_region_fails_the_compare(monkeypatch, 
     # moved symmetrically, M is refused by verify_spectrum
     with pytest.raises(ValueError, match="no quotient"):
         verify_spectrum(_off_pattern(kind, i, j), spectrum_of(kind))
-    # through _quotient_rank's column-reversed view: U^1 over 3- by 4-subsets
-    # of [7] is ranked as M R over J(7,3), and entry (i, j) of M R is
-    # entry (i, 34 - j) of M
+    # through _quotient_rank's Gram route: U^1 over 3- by 4-subsets of [7]
+    # is compared with g(theta) over its own regions, cut the same way
+    i, j = _region_corners(7, 3, 4, 64)[where]
     rect = build(U(1, 3, 4, 7))
     arr = rect.as_int_array().astype(np.int64)
-    arr[i, 34 - j] += 1
+    arr[i, j] += 1
     assert _quotient_rank(rect) is not None
     assert _quotient_rank(ExactMatrix(arr, rect.row_family, rect.col_family)) is None
 
@@ -815,7 +865,8 @@ def _raise(*args, **kwargs):
 @pytest.fixture
 def no_prime_or_product(monkeypatch):
     """Every prime draw, elimination and matrix product raises when called."""
-    for target in ("imtk.exactalg.random_prime", "imtk.cli.random_prime", "imtk.cli.rank_modp"):
+    for target in ("imtk.exactalg.random_prime", "imtk.cli.random_prime",
+                   "imtk.exactalg.rank_modp"):
         monkeypatch.setattr(target, _raise)
     monkeypatch.setattr(ExactMatrix, "__matmul__", _raise)
 
