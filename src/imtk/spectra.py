@@ -440,7 +440,8 @@ def _gram_quotient(m: ExactMatrix) -> list[list[int]] | None:
     Then G[S, S'] = sum_K g(|S cap K|) g(|S' cap K|) depends on |S cap S'|
     = i only: G = g_G(theta) over J(v, s), g_G(i) = sum_{a,b} g(a) g(b)
     n(i, a, b) (``_gram_counts``), and B is made from g_G (``_quotient_of``).
-    No product with M is made.
+    No product with M is made.  B keeps only the classes h >= 2s - v, those
+    that pairs of s-subsets meet in; the others are zero rows and columns.
     """
     rows, cols = m.row_family, m.col_family
     if rows is None or cols is None or rows.v != cols.v:
@@ -453,7 +454,8 @@ def _gram_quotient(m: ExactMatrix) -> list[list[int]] | None:
     terms = [(a, b, ga * gb) for a, ga in nonzero for b, gb in nonzero]
     gram = [sum(w * _gram_counts(v, s, k, i, a, b) for a, b, w in terms)
             for i in range(s + 1)]
-    return _quotient_of(gram, _classes(v, s, s))
+    lo = max(0, 2 * s - v)
+    return [row[lo:] for row in _quotient_of(gram, _classes(v, s, s))[lo:]]
 
 
 def _quotient_rank(m: ExactMatrix) -> QuotientRank | None:
